@@ -598,10 +598,6 @@ std::vector<KernelCounter> measure_kernel_counters() {
 
   std::vector<KernelCounter> counters;
   counters.push_back(measure_kernel(
-      "sum", kN * sizeof(double), [&](util::simd::Level level) {
-        benchmark::DoNotOptimize(util::simd::sum(values, level));
-      }));
-  counters.push_back(measure_kernel(
       "max_and_count_ge", kN * sizeof(double), [&](util::simd::Level level) {
         std::size_t count = 0;
         benchmark::DoNotOptimize(

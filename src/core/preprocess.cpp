@@ -156,13 +156,11 @@ PreprocessResult preprocess(std::span<const trace::Trace> traces,
   return result;
 }
 
-bool StreamingPreprocessor::digest_wins(const ValidDigest& challenger,
-                                        const ValidDigest& incumbent) noexcept {
+bool dedup_wins(const DedupKey& challenger,
+                const DedupKey& incumbent) noexcept {
   if (challenger.total_bytes != incumbent.total_bytes) {
     return challenger.total_bytes > incumbent.total_bytes;
   }
-  // Ties break on stable identity so the winner is independent of the order
-  // in which parallel workers deliver traces (and of journal replay).
   if (challenger.job_id != incumbent.job_id) {
     return challenger.job_id < incumbent.job_id;
   }
@@ -174,18 +172,21 @@ void StreamingPreprocessor::fold_valid(ValidDigest digest,
   ++stats_.valid;
   count_valid_metric();
   ++runs_per_app_[digest.app_key];
-  const auto [slot, inserted] =
-      heaviest_.try_emplace(digest.app_key, Slot{digest, std::nullopt});
-  if (inserted || digest_wins(digest, slot->second.digest)) {
-    slot->second.digest = std::move(digest);
-    slot->second.trace = std::move(trace);
+  const auto [slot, inserted] = heaviest_.try_emplace(digest.app_key);
+  Slot& incumbent = slot->second;
+  if (inserted ||
+      dedup_wins({digest.total_bytes, digest.job_id, digest.path},
+                 {incumbent.digest.total_bytes, incumbent.digest.job_id,
+                  incumbent.digest.path})) {
+    incumbent.digest = std::move(digest);
+    incumbent.trace = std::move(trace);
   }
 }
 
 trace::ValidityReport StreamingPreprocessor::add_trace(
-    trace::Trace trace, std::string source_path) {
+    trace::Trace trace, std::string source_path, ValidDigest* digest_out) {
   ++stats_.input_traces;
-  const trace::ValidityReport report = validate(trace, slack_);
+  const trace::ValidityReport report = validate(trace);
   if (!report.valid()) {
     ++stats_.corrupted;
     ++stats_.corruption_breakdown[trace::corruption_kind_name(report.kind)];
@@ -199,6 +200,7 @@ trace::ValidityReport StreamingPreprocessor::add_trace(
   digest.app_key = trace.app_key();
   digest.total_bytes = trace.total_bytes();
   digest.job_id = trace.meta.job_id;
+  if (digest_out != nullptr) *digest_out = digest;
   fold_valid(std::move(digest), std::move(trace));
   return report;
 }

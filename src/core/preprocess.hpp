@@ -76,15 +76,29 @@ struct PreprocessResult {
 [[nodiscard]] PreprocessResult preprocess(std::span<const trace::Trace> traces,
                                           double validity_slack_seconds = 1.0);
 
+/// What dedup compares two valid runs of one application by.
+struct DedupKey {
+  std::uint64_t total_bytes = 0;
+  std::uint64_t job_id = 0;
+  std::string_view path;  ///< source file
+};
+
+/// The dedup retention rule, defined once for the streaming preprocessor
+/// and the cross-shard merge (report/partial.hpp) so a merged winner is
+/// always the run a single-shot batch retains: heavier total bytes win,
+/// ties break on the smaller job id, then the smaller source path. It looks
+/// only at the runs' identities, so the winner does not depend on arrival
+/// order (parallel workers, journal replay, shard layout).
+[[nodiscard]] bool dedup_wins(const DedupKey& challenger,
+                              const DedupKey& incumbent) noexcept;
+
 /// Incremental validity + dedup folding with O(unique applications) state.
 ///
 /// The ingest pipeline feeds traces (and failures) one at a time; only the
 /// current heaviest trace per application key is kept in memory. Journal
 /// replay can fold a file by digest alone — if the digest wins dedup, the
-/// file is re-read lazily in finish(). Retention is made deterministic
-/// regardless of arrival order: heavier total_bytes wins, ties break on
-/// smaller job id, then smaller source path; retained traces are emitted
-/// sorted by application key.
+/// file is re-read lazily in finish(). Retention follows dedup_wins();
+/// retained traces are emitted sorted by application key.
 class StreamingPreprocessor {
  public:
   /// Stand-in for a valid trace whose contents are not in memory: just
@@ -96,12 +110,12 @@ class StreamingPreprocessor {
     std::uint64_t job_id = 0;
   };
 
-  explicit StreamingPreprocessor(double validity_slack_seconds = 1.0)
-      : slack_(validity_slack_seconds) {}
-
   /// Validates and folds one parsed trace; invalid traces are evicted and
-  /// counted. The returned report says why (kNone when kept for dedup).
-  trace::ValidityReport add_trace(trace::Trace trace, std::string source_path);
+  /// counted. The returned report says why (kNone when kept for dedup). A
+  /// valid trace's digest is copied to `*digest_out` when provided (the
+  /// ingest resume journal records it).
+  trace::ValidityReport add_trace(trace::Trace trace, std::string source_path,
+                                  ValidDigest* digest_out = nullptr);
 
   /// Folds a file that failed before validation (io/parse/not-found/timeout).
   void add_load_failure(util::ErrorCode code);
@@ -135,11 +149,8 @@ class StreamingPreprocessor {
     std::optional<trace::Trace> trace;
   };
 
-  [[nodiscard]] static bool digest_wins(const ValidDigest& challenger,
-                                        const ValidDigest& incumbent) noexcept;
   void fold_valid(ValidDigest digest, std::optional<trace::Trace> trace);
 
-  double slack_;
   std::map<std::string, Slot> heaviest_;  // app key -> current winner
   std::map<std::string, std::size_t> runs_per_app_;
   PreprocessStats stats_;

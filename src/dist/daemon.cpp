@@ -240,12 +240,10 @@ SubmitReply Daemon::process_file(const std::string& path) {
     reply.app_key = cached->app_key;
     const std::scoped_lock lock(board_mutex_);
     ++stats_.cache_hits;
-    for (BoardEntry& entry : board_) {
-      if (entry.cache_key == key) {
-        ++entry.cache_hits;
-        reply.categories = category_names(entry.result.categories);
-        break;
-      }
+    if (const auto slot = board_slots_.find(key); slot != board_slots_.end()) {
+      BoardEntry& entry = board_[slot->second];
+      ++entry.cache_hits;
+      reply.categories = category_names(entry.result.categories);
     }
     return reply;
   }
@@ -278,24 +276,16 @@ SubmitReply Daemon::process_file(const std::string& path) {
 
   const std::scoped_lock lock(board_mutex_);
   ++stats_.analyzed;
-  bool replaced = false;
-  for (BoardEntry& entry : board_) {
-    if (entry.cache_key == key) {
-      entry.result = result;
-      entry.source_path = path;
-      replaced = true;
-      break;
-    }
+  const auto [slot, inserted] = board_slots_.try_emplace(key, board_.size());
+  if (inserted) {
+    BoardEntry& fresh = board_.emplace_back();
+    fresh.trace_id = artifact.trace_id;
+    fresh.app_key = app_key;
+    fresh.cache_key = key;
   }
-  if (!replaced) {
-    BoardEntry entry;
-    entry.trace_id = artifact.trace_id;
-    entry.app_key = app_key;
-    entry.source_path = path;
-    entry.cache_key = key;
-    entry.result = std::move(result);
-    board_.push_back(std::move(entry));
-  }
+  BoardEntry& entry = board_[slot->second];
+  entry.result = std::move(result);
+  entry.source_path = path;
   return reply;
 }
 

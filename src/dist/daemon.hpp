@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/result_cache.hpp"
@@ -152,6 +153,9 @@ class Daemon {
 
   mutable std::mutex board_mutex_;
   std::vector<BoardEntry> board_;                     ///< insertion order
+  /// Cache key -> index into board_, so a submission finds its row without
+  /// scanning every trace the daemon has seen.
+  std::unordered_map<std::string, std::size_t> board_slots_;
   std::map<std::string, std::size_t> runs_per_app_;   ///< submission counts
   /// Watch-sweep ingestion gate. A file freshly scanned from a watch dir is
   /// NOT submitted on the sweep that first sees it: its (size, mtime)

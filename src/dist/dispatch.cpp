@@ -14,7 +14,6 @@
 #include "darshan/io.hpp"
 #include "dist/journal.hpp"
 #include "dist/protocol.hpp"
-#include "dist/task_runner.hpp"
 #include "dist/telemetry.hpp"
 #include "ingest/shard.hpp"
 #include "json/json.hpp"
@@ -24,6 +23,7 @@
 #include "parallel/thread_pool.hpp"
 #include "report/partial.hpp"
 #include "util/backoff.hpp"
+#include "util/jsonl.hpp"
 #include "util/log.hpp"
 
 namespace mosaic::dist {
@@ -34,6 +34,9 @@ using util::Expected;
 using util::Status;
 
 namespace {
+
+/// Growth of the backoff between a task's retries and between reconnects.
+constexpr double kRetryMultiplier = 2.0;
 
 struct DispatchMetrics {
   obs::Counter& done;
@@ -437,7 +440,8 @@ class Scheduler {
   }
 
   void journal_append(const DispatchJournalEntry& entry) {
-    if (const auto status = journal_.append(entry); !status.ok()) {
+    if (const auto status = journal_.append(dispatch_journal_line(entry));
+        !status.ok()) {
       // Journal trouble must not abort the dispatch it protects.
       MOSAIC_LOG_WARN("dispatch: %s", status.error().to_string().c_str());
     }
@@ -451,7 +455,7 @@ class Scheduler {
   bool aborted_ = false;
   std::size_t partials_received_ = 0;
   DispatchStats stats_;
-  DispatchJournalWriter journal_;
+  util::LineAppender journal_;
 };
 
 /// Connects to a worker and completes the hello handshake. On success the
@@ -644,7 +648,7 @@ void run_worker_thread(const DispatchOptions& options, Scheduler& scheduler,
                        const Address& address) {
   const std::string name = address.to_string();
   util::ExponentialBackoff reconnect(options.retry_initial_delay_ms,
-                                     options.retry_multiplier,
+                                     kRetryMultiplier,
                                      options.retry_max_delay_ms);
   std::size_t connect_failures = 0;
   std::optional<Connection> conn;
@@ -774,7 +778,7 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
     tasks[k].shard = ingest::ShardSpec{k, shard_count};
     tasks[k].backoff =
         util::ExponentialBackoff(options.retry_initial_delay_ms,
-                                 options.retry_multiplier,
+                                 kRetryMultiplier,
                                  options.retry_max_delay_ms);
   }
   for (const std::string& file : files) {
@@ -849,7 +853,8 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
         scheduler.note_running(claimed, "local");
         MOSAIC_SPAN("dispatch-degraded-task");
         const double start = now_ms();
-        auto partial = run_shard_task(request, pool);
+        auto partial = report::run_shard(
+            request.paths, request.ingest_options(), request.thresholds, pool);
         DispatchMetrics::get().task_ms.observe(now_ms() - start);
         if (!partial.has_value()) {
           scheduler.task_fatal(claimed, partial.error().to_string());

@@ -22,7 +22,7 @@
 // wedge the fleet.
 //
 // Degradation: when every worker is lost and tasks remain, the manager runs
-// them in-process through the same task runner the workers use. Slower, but
+// them in-process through report::run_shard, as the workers do. Slower, but
 // the run completes — and because partials are deterministic, the output is
 // still byte-identical to the single-shot run.
 //
@@ -65,9 +65,8 @@ struct DispatchOptions {
 
   /// Assignments a task may consume before quarantine is considered.
   std::size_t max_task_attempts = 3;
-  /// Capped exponential backoff between a task's retries.
+  /// Capped exponential backoff (doubling) between a task's retries.
   double retry_initial_delay_ms = 50.0;
-  double retry_multiplier = 2.0;
   double retry_max_delay_ms = 2000.0;
   /// Reconnect attempts before a worker is declared permanently lost.
   std::size_t reconnect_attempts = 2;

@@ -1,35 +1,13 @@
 #include "dist/journal.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <optional>
 
 #include "json/json.hpp"
-#include "util/strings.hpp"
+#include "util/jsonl.hpp"
 
 namespace mosaic::dist {
 
-using util::Error;
-using util::ErrorCode;
-using util::Expected;
-using util::Status;
-
 namespace {
-
-std::string entry_to_line(const DispatchJournalEntry& entry) {
-  json::Object out;
-  out.set("shard", entry.shard);
-  out.set("count", entry.shard_count);
-  out.set("status", entry.status);
-  out.set("worker", entry.worker);
-  out.set("attempts", entry.attempts);
-  if (!entry.partial_path.empty()) out.set("partial", entry.partial_path);
-  if (!entry.error.empty()) out.set("error", entry.error);
-  std::string line = json::serialize(json::Value(std::move(out)),
-                                     /*pretty=*/false);
-  line += '\n';
-  return line;
-}
 
 /// Parses one journal line; nullopt for anything malformed or incomplete
 /// (most commonly the torn final line of a killed manager).
@@ -79,59 +57,31 @@ std::optional<DispatchJournalEntry> entry_from_line(std::string_view line) {
 
 }  // namespace
 
-DispatchJournalWriter::~DispatchJournalWriter() { close(); }
-
-Status DispatchJournalWriter::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Error{ErrorCode::kIoError, "cannot open dispatch journal " + path};
-  }
-  return Status::success();
+std::string dispatch_journal_line(const DispatchJournalEntry& entry) {
+  json::Object out;
+  out.set("shard", entry.shard);
+  out.set("count", entry.shard_count);
+  out.set("status", entry.status);
+  out.set("worker", entry.worker);
+  out.set("attempts", entry.attempts);
+  if (!entry.partial_path.empty()) out.set("partial", entry.partial_path);
+  if (!entry.error.empty()) out.set("error", entry.error);
+  return json::serialize(json::Value(std::move(out)), /*pretty=*/false);
 }
 
-Status DispatchJournalWriter::append(const DispatchJournalEntry& entry) {
-  if (file_ == nullptr) return Status::success();  // journaling disabled
-  const std::string line = entry_to_line(entry);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    return Error{ErrorCode::kIoError, "dispatch journal append failed"};
-  }
-  return Status::success();
-}
-
-void DispatchJournalWriter::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-Expected<std::map<std::size_t, DispatchJournalEntry>> load_dispatch_journal(
-    const std::string& path, std::size_t* dropped_lines) {
+util::Expected<std::map<std::size_t, DispatchJournalEntry>>
+load_dispatch_journal(const std::string& path, std::size_t* dropped_lines) {
   std::map<std::size_t, DispatchJournalEntry> entries;
-  if (dropped_lines != nullptr) *dropped_lines = 0;
-
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return entries;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open dispatch journal " + path};
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (util::trim(line).empty()) continue;
-    if (auto entry = entry_from_line(line)) {
-      entries[entry->shard] = std::move(*entry);
-    } else if (dropped_lines != nullptr) {
-      ++*dropped_lines;
-    }
-  }
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError,
-                 "read failure on dispatch journal " + path};
-  }
+  const util::Status status = util::read_journal_lines(
+      path,
+      [&entries](std::string_view line) {
+        auto entry = entry_from_line(line);
+        if (!entry) return false;
+        entries[entry->shard] = std::move(*entry);
+        return true;
+      },
+      dropped_lines);
+  if (!status.ok()) return status.error();
   return entries;
 }
 

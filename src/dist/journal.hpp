@@ -1,5 +1,6 @@
 // Dispatch resume journal: an append-only JSONL record of per-task outcomes,
-// in the same style as the ingest resume journal (ingest/journal.hpp).
+// written and read through the same util/jsonl.hpp layer as the ingest
+// resume journal (ingest/journal.hpp).
 //
 // A distributed run that dies — SIGINT, OOM, a crashed manager node — must
 // not throw away the shards its workers already finished. Every terminal
@@ -12,7 +13,7 @@
 // tests/cli/cli_dispatch.sh).
 #pragma once
 
-#include <cstdio>
+#include <cstddef>
 #include <map>
 #include <string>
 
@@ -32,28 +33,9 @@ struct DispatchJournalEntry {
   std::string error;         ///< last failure for "quarantined" entries
 };
 
-/// Appends entries one JSON line at a time, flushing after each, so a killed
-/// manager loses at most the line being written.
-class DispatchJournalWriter {
- public:
-  DispatchJournalWriter() = default;
-  ~DispatchJournalWriter();
-
-  DispatchJournalWriter(const DispatchJournalWriter&) = delete;
-  DispatchJournalWriter& operator=(const DispatchJournalWriter&) = delete;
-
-  [[nodiscard]] util::Status open(const std::string& path);
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
-
-  /// Appends one entry. Failures are reported but leave the writer usable; a
-  /// journal write error must not abort the dispatch it protects.
-  [[nodiscard]] util::Status append(const DispatchJournalEntry& entry);
-
-  void close();
-
- private:
-  std::FILE* file_ = nullptr;
-};
+/// The entry as one JSON line (without the newline util::LineAppender adds).
+[[nodiscard]] std::string dispatch_journal_line(
+    const DispatchJournalEntry& entry);
 
 /// Loads a journal into a shard-keyed map (later entries win; a resumed run
 /// may have re-journaled a shard). A missing file yields an empty map —

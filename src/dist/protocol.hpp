@@ -31,7 +31,7 @@
 
 #include "core/thresholds.hpp"
 #include "dist/net.hpp"
-#include "ingest/shard.hpp"
+#include "ingest/ingest.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::dist {
@@ -97,6 +97,15 @@ struct TaskRequest {
   /// the old half.
   bool telemetry = false;      ///< ship metric snapshots on heartbeats/partials
   bool collect_spans = false;  ///< record spans and ship them with the partial
+
+  /// The shard and per-file knobs above as options for report::run_shard.
+  [[nodiscard]] ingest::IngestOptions ingest_options() const {
+    ingest::IngestOptions options;
+    options.shard = shard;
+    options.max_retries = max_retries;
+    options.file_deadline_seconds = file_deadline_seconds;
+    return options;
+  }
 };
 
 [[nodiscard]] std::string task_request_to_payload(const TaskRequest& task);

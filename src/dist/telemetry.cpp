@@ -29,7 +29,6 @@ struct FleetMetrics {
   obs::Counter& snapshots;
   obs::Counter& spans;
   obs::Counter& parse_errors;
-  obs::Counter& deltas;
   obs::Gauge& stale_workers;
   obs::Counter& unauthorized;
 
@@ -45,8 +44,6 @@ struct FleetMetrics {
         registry.counter(obs::names::kFleetTelemetryParseErrors,
                          "malformed telemetry payloads degraded to plain "
                          "heartbeats"),
-        registry.counter(obs::names::kFleetDeltas,
-                         "delta telemetry frames folded into the fleet view"),
         registry.gauge(obs::names::kFleetWorkersStale,
                        "workers whose fleet series are stale (heartbeat "
                        "grace expired or worker lost)"),
@@ -63,10 +60,17 @@ Error telemetry_error(std::string what) {
 }
 
 /// Shared tail of both telemetry carriers: decode `{"snapshot":...}` plus
-/// the optional `"spans"` array.
+/// the optional `"spans"` array and `"health"` verdict.
 Expected<TelemetryPayload> payload_from_wire(const Value& telemetry) {
   if (!telemetry.is_object()) {
     return telemetry_error("'telemetry' is not an object");
+  }
+  // An older worker ships a diff against its previous frame and marks it
+  // "delta": true; stored as the worker's snapshot it would replace the
+  // worker's cumulative series with that diff.
+  if (const Value* delta = telemetry.as_object().find("delta");
+      delta != nullptr && !(delta->is_bool() && !delta->as_bool())) {
+    return telemetry_error("delta-encoded snapshot from an older worker");
   }
   const Value* snapshot = telemetry.as_object().find("snapshot");
   if (snapshot == nullptr) {
@@ -81,11 +85,6 @@ Expected<TelemetryPayload> payload_from_wire(const Value& telemetry) {
     auto decoded_spans = obs::spans_from_wire_json(*spans);
     if (!decoded_spans.has_value()) return decoded_spans.error();
     payload.spans = std::move(*decoded_spans);
-  }
-  if (const Value* delta = telemetry.as_object().find("delta");
-      delta != nullptr) {
-    if (!delta->is_bool()) return telemetry_error("'delta' is not a bool");
-    payload.delta = delta->as_bool();
   }
   if (const Value* health = telemetry.as_object().find("health");
       health != nullptr) {
@@ -115,8 +114,14 @@ json::Value telemetry_wire_json(bool include_spans) {
       .counter(obs::names::kWorkerTelemetrySnapshots,
                "metric snapshots shipped to the manager")
       .add();
-  out.set("snapshot",
-          obs::snapshot_to_wire_json(obs::Registry::global().snapshot()));
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  // The worker's own verdict rides on every frame; its registry updates
+  // (level gauge, evaluation counter) land after the snapshot was taken,
+  // so they simply ship with the next frame.
+  const obs::HealthReport health =
+      obs::evaluate_health(snapshot, obs::default_health_rules());
+  out.set("snapshot", obs::snapshot_to_wire_json(snapshot));
+  out.set("health", obs::health_summary(health));
   if (include_spans) out.set("spans", obs::spans_to_wire_json(spans));
   return Value(std::move(out));
 }
@@ -124,63 +129,6 @@ json::Value telemetry_wire_json(bool include_spans) {
 std::string heartbeat_telemetry_payload() {
   Object out;
   out.set("telemetry", telemetry_wire_json(/*include_spans=*/false));
-  return json::serialize(Value(std::move(out)), /*pretty=*/false);
-}
-
-void TelemetrySender::reset() {
-  const std::scoped_lock lock(mutex_);
-  has_baseline_ = false;
-  baseline_ = obs::Snapshot{};
-}
-
-json::Value TelemetrySender::wire_json(bool include_spans) {
-  Object out;
-  std::vector<obs::SpanEvent> spans;
-  if (include_spans) {
-    spans = obs::SpanTracer::global().collect();
-    obs::Registry::global()
-        .counter(obs::names::kWorkerSpansShipped,
-                 "spans shipped to the manager with partial replies")
-        .add(spans.size());
-  }
-  obs::Registry::global()
-      .counter(obs::names::kWorkerTelemetrySnapshots,
-               "metric snapshots shipped to the manager")
-      .add();
-  obs::Snapshot current = obs::Registry::global().snapshot();
-  // The worker's own verdict rides on every frame; its registry updates
-  // (level gauge, evaluation counter) land after the snapshot was taken,
-  // so they simply ship with the next delta.
-  const obs::HealthReport health =
-      obs::evaluate_health(current, obs::default_health_rules());
-
-  const std::scoped_lock lock(mutex_);
-  bool is_delta = has_baseline_;
-  if (is_delta) {
-    out.set("snapshot",
-            obs::snapshot_to_wire_json(obs::snapshot_delta(baseline_,
-                                                           current)));
-  } else {
-    out.set("snapshot", obs::snapshot_to_wire_json(current));
-  }
-  baseline_ = std::move(current);
-  has_baseline_ = true;
-  out.set("delta", is_delta);
-  out.set("health", obs::health_summary(health));
-  if (include_spans) out.set("spans", obs::spans_to_wire_json(spans));
-  if (is_delta) {
-    obs::Registry::global()
-        .counter(obs::names::kWorkerTelemetryDeltas,
-                 "telemetry frames shipped as deltas instead of whole "
-                 "registries")
-        .add();
-  }
-  return Value(std::move(out));
-}
-
-std::string TelemetrySender::heartbeat_payload() {
-  Object out;
-  out.set("telemetry", wire_json(/*include_spans=*/false));
   std::string payload = json::serialize(Value(std::move(out)),
                                         /*pretty=*/false);
   obs::Registry::global()
@@ -245,12 +193,7 @@ void TelemetryHub::apply_telemetry(const std::string& worker,
     FleetMetrics::get().spans.add(payload.spans.size());
     registry_.update_spans(worker, std::move(payload.spans));
   }
-  if (payload.delta) {
-    FleetMetrics::get().deltas.add();
-    registry_.apply_snapshot_delta(worker, payload.snapshot);
-  } else {
-    registry_.update_snapshot(worker, std::move(payload.snapshot));
-  }
+  registry_.update_snapshot(worker, std::move(payload.snapshot));
 }
 
 void TelemetryHub::note_worker_seen(const std::string& worker,

@@ -3,19 +3,17 @@
 // that turns them into a live fleet view.
 //
 // Shipping model (DESIGN.md §15–16): a worker running a telemetry-enabled
-// task attaches `{"telemetry":{"snapshot":...,"delta":...,"health":...}}`
-// to every kHeartbeat frame and a `"telemetry"` member (snapshot + span
-// ring when requested) to its kPartial reply. The first frame of every TCP
-// session ships the whole registry; later frames ship only the counters/
-// histograms that moved since the previous frame (TelemetrySender). The
-// session boundary doubles as the resync rule: reconnect -> reset() ->
-// full snapshot, so the manager never applies a delta onto a base it did
-// not see, and a lost heartbeat costs freshness, never correctness. Old
+// task attaches `{"telemetry":{"snapshot":...,"health":...}}` — its whole
+// metrics registry plus its own health verdict — to every kHeartbeat frame,
+// and the same member (plus the span ring when requested) to its kPartial
+// reply. Snapshots are cumulative, so the manager keeps the latest one per
+// worker and a lost heartbeat costs freshness, never correctness. Old
 // workers send empty heartbeats and plain partials; both parse as "no
 // telemetry" (nullopt), so mixed fleets keep dispatching. A payload that is
-// present but malformed is an Error the caller *degrades* on: the
-// heartbeat still counts as liveness, the task keeps running, and
-// mosaic_fleet_telemetry_parse_errors_total is bumped.
+// present but malformed — including a `"delta": true` frame from an older
+// worker, which must never be stored as a whole snapshot — is an Error the
+// caller *degrades* on: the heartbeat still counts as liveness, the task
+// keeps running, and mosaic_fleet_telemetry_parse_errors_total is bumped.
 //
 // The TelemetryHub is the manager's aggregation point: a FleetRegistry of
 // worker snapshots/spans/clock offsets, a task+worker status board fed by
@@ -48,48 +46,20 @@ namespace mosaic::dist {
 struct TelemetryPayload {
   obs::Snapshot snapshot;
   std::vector<obs::FleetSpan> spans;  ///< empty on heartbeats
-  /// True when `snapshot` is a counter/histogram delta against the last
-  /// frame this sender shipped on the session, not a whole registry.
-  bool delta = false;
   /// Worker-evaluated health rollup ("ok" / "warn(...)" / "fail(...)");
-  /// empty on frames from pre-delta workers.
+  /// empty on frames from workers that predate health verdicts.
   std::string health;
 };
 
-/// Worker side: the `{"snapshot":...,"spans":[...]}` wire object built from
-/// the process-global registry (and span tracer when `include_spans`).
-/// Always a whole snapshot — the delta path lives in TelemetrySender.
+/// Worker side: the `{"snapshot":...,"health":...[,"spans":[...]]}` wire
+/// object — the whole process registry, the worker's own health verdict on
+/// it, and the span ring when `include_spans`.
 [[nodiscard]] json::Value telemetry_wire_json(bool include_spans);
 
-/// Worker side: a complete kHeartbeat payload carrying a whole snapshot.
+/// Worker side: a complete kHeartbeat payload (`{"telemetry":
+/// telemetry_wire_json(false)}`), counting its serialized size into
+/// mosaic_worker_telemetry_bytes_total.
 [[nodiscard]] std::string heartbeat_telemetry_payload();
-
-/// Worker-side delta shipper. The first frame after construction or
-/// reset() carries the whole registry; every later frame carries only the
-/// counters/histograms that moved (and changed gauges) since the previous
-/// one. reset() at session start is the resync rule: a reconnecting worker
-/// always re-baselines the manager with a full snapshot, so a manager that
-/// missed deltas (it replaced the connection) never applies one onto a
-/// stale base. Each frame also carries the worker's own health verdict.
-/// Thread-safe (heartbeat pump + session thread share one sender).
-class TelemetrySender {
- public:
-  /// Forgets the baseline: the next frame ships the whole registry.
-  void reset();
-
-  /// The `{"snapshot":...,"delta":...,"health":...[,"spans":...]}` wire
-  /// object, advancing the baseline.
-  [[nodiscard]] json::Value wire_json(bool include_spans);
-
-  /// A complete kHeartbeat payload (`{"telemetry": wire_json(false)}`),
-  /// counting its serialized size into mosaic_worker_telemetry_bytes_total.
-  [[nodiscard]] std::string heartbeat_payload();
-
- private:
-  std::mutex mutex_;
-  bool has_baseline_ = false;
-  obs::Snapshot baseline_;
-};
 
 /// Manager side: classifies a kHeartbeat payload.
 ///   nullopt  no telemetry (empty payload / old worker) — plain liveness

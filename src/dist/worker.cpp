@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "dist/task_runner.hpp"
 #include "dist/telemetry.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
@@ -54,9 +53,9 @@ struct WorkerMetrics {
 class HeartbeatPump {
  public:
   HeartbeatPump(Connection& conn, std::mutex& send_mutex,
-                double interval_seconds, TelemetrySender* sender)
+                double interval_seconds, bool telemetry)
       : conn_(conn), send_mutex_(send_mutex),
-        interval_seconds_(interval_seconds), sender_(sender) {
+        interval_seconds_(interval_seconds), telemetry_(telemetry) {
     thread_ = std::thread([this] { run(); });
   }
 
@@ -79,10 +78,9 @@ class HeartbeatPump {
       if (since_beat_s < interval_seconds_) continue;
       since_beat_s = 0.0;
       // Snapshot outside the lock; telemetry-enabled tasks piggyback the
-      // registry on each beat — whole on the first frame of the session,
-      // deltas after (old managers ignore payloads entirely).
+      // whole registry on each beat (old managers ignore payloads).
       const std::string payload =
-          sender_ != nullptr ? sender_->heartbeat_payload() : std::string();
+          telemetry_ ? heartbeat_telemetry_payload() : std::string();
       std::lock_guard<std::mutex> lock(send_mutex_);
       if (!write_frame(conn_, FrameType::kHeartbeat, payload).ok()) return;
       WorkerMetrics::get().heartbeats.add();
@@ -92,7 +90,7 @@ class HeartbeatPump {
   Connection& conn_;
   std::mutex& send_mutex_;
   double interval_seconds_;
-  TelemetrySender* sender_;
+  bool telemetry_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
@@ -134,9 +132,6 @@ bool Worker::handle_session(Connection conn) {
   if (!write_frame(conn, FrameType::kHello, hello_payload()).ok()) {
     return true;
   }
-  // New session, new baseline: the first telemetry frame to this manager
-  // ships the whole registry (the delta resync rule).
-  telemetry_.reset();
 
   while (!stop_.load(std::memory_order_relaxed)) {
     auto frame = read_frame(conn, 0.5);
@@ -211,9 +206,9 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
   {
     obs::ScopedTimerMs timer(WorkerMetrics::get().task_ms);
     HeartbeatPump pump(conn, send_mutex,
-                       options_.heartbeat_interval_seconds,
-                       task.telemetry ? &telemetry_ : nullptr);
-    auto partial = run_shard_task(task, pool_);
+                       options_.heartbeat_interval_seconds, task.telemetry);
+    auto partial = report::run_shard(task.paths, task.ingest_options(),
+                                     task.thresholds, pool_);
     pump.stop();
     if (partial.has_value()) {
       reply_type = FrameType::kPartial;
@@ -222,7 +217,7 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
         // Unknown top-level keys are ignored by partial_from_json, so this
         // rides along without a partial-format version bump.
         partial_json.as_object().set(
-            "telemetry", telemetry_.wire_json(task.collect_spans));
+            "telemetry", telemetry_wire_json(task.collect_spans));
       }
       reply_payload = json::serialize(partial_json);
     } else {

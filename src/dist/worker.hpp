@@ -3,7 +3,7 @@
 //
 // A worker listens on one address, accepts one manager session at a time,
 // and for every kTask frame runs the in-process shard driver
-// (task_runner.hpp) and streams the resulting `mosaic-partial-v1` artifact
+// (report::run_shard) and streams the resulting `mosaic-partial-v1` artifact
 // back as a kPartial frame. While a task runs, a background thread emits
 // kHeartbeat frames so the manager can tell "slow but alive" from "hung" —
 // the worker-side half of the failure-detection contract.
@@ -21,7 +21,6 @@
 #include "dist/faults.hpp"
 #include "dist/net.hpp"
 #include "dist/protocol.hpp"
-#include "dist/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -77,9 +76,6 @@ class Worker {
   parallel::ThreadPool pool_;
   std::atomic<bool> stop_{false};
   WorkerStats stats_;
-  /// Delta shipper for heartbeat/partial telemetry; reset at session start
-  /// so every new manager connection gets a full-resync first frame.
-  TelemetrySender telemetry_;
 };
 
 }  // namespace mosaic::dist

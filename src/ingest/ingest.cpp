@@ -10,6 +10,7 @@
 #include "util/backoff.hpp"
 #include "util/deadline.hpp"
 #include "util/fs.hpp"
+#include "util/jsonl.hpp"
 #include "util/log.hpp"
 
 namespace mosaic::ingest {
@@ -19,6 +20,10 @@ using util::ErrorCode;
 using util::Expected;
 
 namespace {
+
+/// Growth and cap of the backoff between read attempts.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxMs = 2000.0;
 
 /// Ingest-loop instruments, resolved once per process.
 struct IngestMetrics {
@@ -91,8 +96,7 @@ LoadOutcome load_one(FileReader& reader, const std::string& path,
           ? util::Deadline::after_seconds(options.file_deadline_seconds)
           : util::Deadline{};
   util::ExponentialBackoff backoff(options.backoff_initial_ms,
-                                   options.backoff_multiplier,
-                                   options.backoff_max_ms);
+                                   kBackoffMultiplier, kBackoffMaxMs);
   int attempt = 0;
   for (;;) {
     auto bytes = reader.read_mapped(path, attempt);
@@ -148,7 +152,7 @@ bool should_quarantine(ErrorCode code) noexcept {
 struct FoldContext {
   core::StreamingPreprocessor* preprocessor;
   IngestStats* stats;
-  JournalWriter* journal;
+  util::LineAppender* journal;
   const IngestOptions* options;
 };
 
@@ -167,7 +171,8 @@ void quarantine_file(FoldContext& ctx, const std::string& path) {
 }
 
 void journal_append(FoldContext& ctx, const JournalEntry& entry) {
-  if (const auto status = ctx.journal->append(entry); !status.ok()) {
+  if (const auto status = ctx.journal->append(journal_line(entry));
+      !status.ok()) {
     // The journal protects against crashes; its own failure must not become
     // one. The batch continues, the entry is simply redone on resume.
     MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
@@ -180,16 +185,19 @@ void fold_outcome(FoldContext& ctx, const std::string& path,
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.processed.add();
   ctx.stats->retry_attempts += outcome.retry_attempts;
+  const bool journaling = ctx.journal->is_open();
+  JournalEntry entry;
   if (!outcome.trace.has_value()) {
     ++ctx.stats->failed;
     count_load_failure(outcome.error.code);
     MOSAIC_LOG_DEBUG("ingest: evicting %s: %s", path.c_str(),
                      outcome.error.to_string().c_str());
     ctx.preprocessor->add_load_failure(outcome.error.code);
-    JournalEntry entry;
-    entry.path = path;
-    entry.code = std::string(util::error_code_name(outcome.error.code));
-    journal_append(ctx, entry);
+    if (journaling) {
+      entry.digest.path = path;
+      entry.code = std::string(util::error_code_name(outcome.error.code));
+      journal_append(ctx, entry);
+    }
     if (should_quarantine(outcome.error.code)) quarantine_file(ctx, path);
     return;
   }
@@ -203,23 +211,19 @@ void fold_outcome(FoldContext& ctx, const std::string& path,
     metrics.recovered.add();
   }
 
-  // Digest captured before the trace is consumed by the preprocessor.
-  JournalEntry entry;
-  entry.path = path;
-  entry.app_key = outcome.trace->app_key();
-  entry.total_bytes = outcome.trace->total_bytes();
-  entry.job_id = outcome.trace->meta.job_id;
-
-  const trace::ValidityReport report =
-      ctx.preprocessor->add_trace(std::move(*outcome.trace), path);
-  if (report.valid()) {
-    entry.valid = true;
-  } else {
-    entry.code =
-        std::string(util::error_code_name(ErrorCode::kCorruptTrace));
-    entry.corruption_kind = trace::corruption_kind_name(report.kind);
+  // A valid file journals the dedup digest the preprocessor computes.
+  const trace::ValidityReport report = ctx.preprocessor->add_trace(
+      std::move(*outcome.trace), path, journaling ? &entry.digest : nullptr);
+  if (journaling) {
+    entry.valid = report.valid();
+    if (!entry.valid) {
+      entry.digest.path = path;
+      entry.code =
+          std::string(util::error_code_name(ErrorCode::kCorruptTrace));
+      entry.corruption_kind = trace::corruption_kind_name(report.kind);
+    }
+    journal_append(ctx, entry);
   }
-  journal_append(ctx, entry);
   if (!report.valid()) quarantine_file(ctx, path);
 }
 
@@ -262,14 +266,14 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     replay = std::move(*loaded);
   }
 
-  JournalWriter journal;
+  util::LineAppender journal;
   if (!options.journal_path.empty()) {
     if (const auto status = journal.open(options.journal_path); !status.ok()) {
       return status.error();
     }
   }
 
-  core::StreamingPreprocessor preprocessor(options.validity_slack_seconds);
+  core::StreamingPreprocessor preprocessor;
   FoldContext ctx{&preprocessor, &result.stats, &journal, &options};
 
   // Replayed outcomes fold first; their files are excluded from the windows.
@@ -285,8 +289,7 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     ++result.stats.journal_replayed;
     metrics.journal_replayed.add();
     if (entry.valid) {
-      preprocessor.add_valid_digest({entry.path, entry.app_key,
-                                     entry.total_bytes, entry.job_id});
+      preprocessor.add_valid_digest(entry.digest);
     } else {
       preprocessor.add_journaled_eviction(entry.code, entry.corruption_kind);
     }

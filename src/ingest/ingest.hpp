@@ -39,16 +39,13 @@ struct IngestOptions {
   std::size_t max_in_flight = 0;
   /// Extra read attempts after the first for transient kIoError failures.
   int max_retries = 3;
-  /// Backoff schedule between attempts (deterministic, no jitter).
+  /// First backoff delay between attempts; later ones double, capped at
+  /// 2 s (deterministic, no jitter).
   double backoff_initial_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 2000.0;
   /// Total read+retry+parse budget per file; 0 means unlimited. Expiry
   /// classifies the file as kTimeout — one pathological file must not wedge
   /// a worker for the rest of the batch.
   double file_deadline_seconds = 30.0;
-  /// Validity-check slack forwarded to preprocessing.
-  double validity_slack_seconds = 1.0;
   /// When set, files evicted for content reasons (parse-error,
   /// corrupt-trace, timeout) are moved here.
   std::string quarantine_dir;

@@ -1,40 +1,14 @@
 #include "ingest/journal.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "json/json.hpp"
+#include "util/jsonl.hpp"
 #include "util/strings.hpp"
 
 namespace mosaic::ingest {
 
-using util::Error;
-using util::ErrorCode;
-using util::Expected;
-using util::Status;
-
 namespace {
-
-std::string entry_to_line(const JournalEntry& entry) {
-  json::Object out;
-  out.set("path", entry.path);
-  out.set("outcome", entry.valid ? "valid" : "evicted");
-  if (entry.valid) {
-    out.set("app", entry.app_key);
-    out.set("bytes", std::to_string(entry.total_bytes));
-    out.set("job", std::to_string(entry.job_id));
-  } else {
-    out.set("code", entry.code);
-    if (!entry.corruption_kind.empty()) {
-      out.set("kind", entry.corruption_kind);
-    }
-  }
-  std::string line = json::serialize(json::Value(std::move(out)),
-                                     /*pretty=*/false);
-  line += '\n';
-  return line;
-}
 
 /// Parses one journal line; nullopt for anything malformed or incomplete
 /// (most commonly the torn final line of a killed run).
@@ -54,7 +28,7 @@ std::optional<JournalEntry> entry_from_line(std::string_view line) {
   const auto path = get_string("path");
   const auto outcome = get_string("outcome");
   if (!path || !outcome) return std::nullopt;
-  entry.path = *path;
+  entry.digest.path = *path;
 
   if (*outcome == "valid") {
     entry.valid = true;
@@ -65,9 +39,9 @@ std::optional<JournalEntry> entry_from_line(std::string_view line) {
     const auto bytes_value = util::parse_uint(*bytes);
     const auto job_value = util::parse_uint(*job);
     if (!bytes_value || !job_value) return std::nullopt;
-    entry.app_key = *app;
-    entry.total_bytes = *bytes_value;
-    entry.job_id = *job_value;
+    entry.digest.app_key = *app;
+    entry.digest.total_bytes = *bytes_value;
+    entry.digest.job_id = *job_value;
     return entry;
   }
   if (*outcome == "evicted") {
@@ -82,60 +56,36 @@ std::optional<JournalEntry> entry_from_line(std::string_view line) {
 
 }  // namespace
 
-JournalWriter::~JournalWriter() { close(); }
-
-Status JournalWriter::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Error{ErrorCode::kIoError, "cannot open journal " + path};
-  }
-  return Status::success();
-}
-
-Status JournalWriter::append(const JournalEntry& entry) {
-  if (file_ == nullptr) return Status::success();  // journaling disabled
-  const std::string line = entry_to_line(entry);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    return Error{ErrorCode::kIoError, "journal append failed"};
-  }
-  return Status::success();
-}
-
-void JournalWriter::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-Expected<std::map<std::string, JournalEntry>> load_journal(
-    const std::string& path, std::size_t* dropped_lines) {
-  std::map<std::string, JournalEntry> entries;
-  if (dropped_lines != nullptr) *dropped_lines = 0;
-
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return entries;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open journal " + path};
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    // Journals hand-inspected (or rsynced) through Windows tooling come back
-    // with CRLF endings; the '\r' is not part of the record.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (util::trim(line).empty()) continue;
-    if (auto entry = entry_from_line(line)) {
-      entries[entry->path] = std::move(*entry);
-    } else if (dropped_lines != nullptr) {
-      ++*dropped_lines;
+std::string journal_line(const JournalEntry& entry) {
+  json::Object out;
+  out.set("path", entry.digest.path);
+  out.set("outcome", entry.valid ? "valid" : "evicted");
+  if (entry.valid) {
+    out.set("app", entry.digest.app_key);
+    out.set("bytes", std::to_string(entry.digest.total_bytes));
+    out.set("job", std::to_string(entry.digest.job_id));
+  } else {
+    out.set("code", entry.code);
+    if (!entry.corruption_kind.empty()) {
+      out.set("kind", entry.corruption_kind);
     }
   }
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError, "read failure on journal " + path};
-  }
+  return json::serialize(json::Value(std::move(out)), /*pretty=*/false);
+}
+
+util::Expected<std::map<std::string, JournalEntry>> load_journal(
+    const std::string& path, std::size_t* dropped_lines) {
+  std::map<std::string, JournalEntry> entries;
+  const util::Status status = util::read_journal_lines(
+      path,
+      [&entries](std::string_view line) {
+        auto entry = entry_from_line(line);
+        if (!entry) return false;
+        entries[entry->digest.path] = std::move(*entry);
+        return true;
+      },
+      dropped_lines);
+  if (!status.ok()) return status.error();
   return entries;
 }
 

@@ -1,64 +1,40 @@
 // Resume journal: an append-only record of per-file ingest outcomes.
 //
 // A multi-hour batch over hundreds of thousands of traces must survive being
-// killed. Each file's outcome is appended as one JSON line and flushed, so
-// an interrupted run can be resumed with --resume: journaled evictions are
-// re-counted without touching the file again, and journaled valid files
-// re-enter dedup by digest (path, app key, bytes, job id) — only the per-app
-// dedup winners are ever re-read. A torn trailing line (the crash can hit
-// mid-append) is detected and ignored on load.
+// killed. Each file's outcome is appended as one JSON line and flushed
+// (util::LineAppender), so an interrupted run can be resumed with --resume:
+// journaled evictions are re-counted without touching the file again, and
+// journaled valid files re-enter dedup by digest (path, app key, bytes, job
+// id) — only the per-app dedup winners are ever re-read. A torn trailing
+// line (the crash can hit mid-append) is detected and ignored on load.
 //
 // 64-bit counters are stored as decimal strings because JSON numbers are
 // doubles here; byte counts must round-trip exactly or the dedup tie-break
 // could pick a different winner after resume.
 #pragma once
 
-#include <cstdio>
+#include <cstddef>
 #include <map>
 #include <string>
 
+#include "core/preprocess.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::ingest {
 
 /// One journaled per-file outcome.
 struct JournalEntry {
-  std::string path;
+  /// The file's path and, for a valid file, the rest of its dedup digest.
+  core::StreamingPreprocessor::ValidDigest digest;
   bool valid = false;
-  /// Valid files: the dedup digest.
-  std::string app_key;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t job_id = 0;
   /// Evicted files: ErrorCode name, plus the CorruptionKind name when the
   /// validity check was the evicting stage (empty otherwise).
   std::string code;
   std::string corruption_kind;
 };
 
-/// Appends entries one JSON line at a time, flushing after each so a killed
-/// process loses at most the line being written.
-class JournalWriter {
- public:
-  JournalWriter() = default;
-  ~JournalWriter();
-
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
-  /// Opens `path` for appending (creating it if needed).
-  [[nodiscard]] util::Status open(const std::string& path);
-
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
-
-  /// Appends one entry. Failures are reported but leave the writer usable;
-  /// a journal write error must not abort the batch it protects.
-  [[nodiscard]] util::Status append(const JournalEntry& entry);
-
-  void close();
-
- private:
-  std::FILE* file_ = nullptr;
-};
+/// The entry as one JSON line (without the newline util::LineAppender adds).
+[[nodiscard]] std::string journal_line(const JournalEntry& entry);
 
 /// Loads a journal into a path-keyed map. Later entries for the same path
 /// win (a resumed run may have re-journaled a file). A missing file yields

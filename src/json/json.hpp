@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/jsonl.hpp"
 
 namespace mosaic::json {
 
@@ -107,5 +108,24 @@ class Value {
 /// Depth is limited (default 256) to bound stack use on hostile input.
 [[nodiscard]] util::Expected<Value> parse(std::string_view text,
                                           std::size_t max_depth = 256);
+
+/// Reads a JSON Lines file strictly (util::read_lines): every non-blank line
+/// must parse and `decode`, or the read fails naming "<path>:<line>".
+template <typename T>
+[[nodiscard]] util::Expected<std::vector<T>> read_jsonl(
+    const std::string& path, util::Expected<T> (*decode)(const Value&)) {
+  std::vector<T> records;
+  const util::Status status =
+      util::read_lines(path, [&](std::string_view line) -> util::Status {
+        auto value = parse(line);
+        if (!value.has_value()) return std::move(value).error();
+        auto record = decode(*value);
+        if (!record.has_value()) return std::move(record).error();
+        records.push_back(std::move(*record));
+        return util::Status::success();
+      });
+  if (!status.ok()) return status.error();
+  return records;
+}
 
 }  // namespace mosaic::json

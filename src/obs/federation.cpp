@@ -287,116 +287,6 @@ Snapshot merge_snapshots(
   return out;
 }
 
-Snapshot snapshot_delta(const Snapshot& baseline, const Snapshot& current) {
-  // Snapshots are name-sorted, so plain map lookups over the baseline keep
-  // this O(n log n) on registries of a few hundred series.
-  std::map<std::string_view, const CounterSample*> base_counters;
-  for (const CounterSample& sample : baseline.counters) {
-    base_counters[sample.name] = &sample;
-  }
-  std::map<std::string_view, const GaugeSample*> base_gauges;
-  for (const GaugeSample& sample : baseline.gauges) {
-    base_gauges[sample.name] = &sample;
-  }
-  std::map<std::string_view, const HistogramSample*> base_histograms;
-  for (const HistogramSample& sample : baseline.histograms) {
-    base_histograms[sample.name] = &sample;
-  }
-
-  Snapshot delta;
-  for (const CounterSample& sample : current.counters) {
-    const auto it = base_counters.find(sample.name);
-    // A counter that went backwards means the registry was reset between
-    // snapshots; ship the absolute value like a new series.
-    if (it == base_counters.end() || it->second->value > sample.value) {
-      delta.counters.push_back(sample);
-      continue;
-    }
-    const std::uint64_t moved = sample.value - it->second->value;
-    if (moved == 0) continue;
-    delta.counters.push_back({sample.name, sample.help, moved});
-  }
-  for (const GaugeSample& sample : current.gauges) {
-    const auto it = base_gauges.find(sample.name);
-    if (it != base_gauges.end() && it->second->value == sample.value) continue;
-    delta.gauges.push_back(sample);
-  }
-  for (const HistogramSample& sample : current.histograms) {
-    const auto it = base_histograms.find(sample.name);
-    if (it == base_histograms.end() || it->second->bounds != sample.bounds ||
-        it->second->count > sample.count) {
-      delta.histograms.push_back(sample);
-      continue;
-    }
-    const HistogramSample& base = *it->second;
-    if (base.count == sample.count && base.sum == sample.sum) continue;
-    HistogramSample moved;
-    moved.name = sample.name;
-    moved.help = sample.help;
-    moved.bounds = sample.bounds;
-    moved.buckets.resize(sample.buckets.size());
-    for (std::size_t b = 0; b < sample.buckets.size(); ++b) {
-      moved.buckets[b] = sample.buckets[b] >= base.buckets[b]
-                             ? sample.buckets[b] - base.buckets[b]
-                             : sample.buckets[b];
-    }
-    moved.count = sample.count - base.count;
-    moved.sum = sample.sum - base.sum;
-    delta.histograms.push_back(std::move(moved));
-  }
-  return delta;
-}
-
-void apply_snapshot_delta(Snapshot& base, const Snapshot& delta) {
-  const auto by_name = [](const auto& a, const auto& b) {
-    return a.name < b.name;
-  };
-  for (const CounterSample& sample : delta.counters) {
-    bool found = false;
-    for (CounterSample& existing : base.counters) {
-      if (existing.name != sample.name) continue;
-      existing.value += sample.value;
-      found = true;
-      break;
-    }
-    if (!found) base.counters.push_back(sample);
-  }
-  for (const GaugeSample& sample : delta.gauges) {
-    bool found = false;
-    for (GaugeSample& existing : base.gauges) {
-      if (existing.name != sample.name) continue;
-      existing.value = sample.value;
-      found = true;
-      break;
-    }
-    if (!found) base.gauges.push_back(sample);
-  }
-  for (const HistogramSample& sample : delta.histograms) {
-    bool found = false;
-    for (HistogramSample& existing : base.histograms) {
-      if (existing.name != sample.name) continue;
-      if (existing.bounds != sample.bounds ||
-          existing.buckets.size() != sample.buckets.size()) {
-        // Bounds changed under us (sender restarted with a different
-        // config): the absolute sample wins.
-        existing = sample;
-      } else {
-        for (std::size_t b = 0; b < existing.buckets.size(); ++b) {
-          existing.buckets[b] += sample.buckets[b];
-        }
-        existing.count += sample.count;
-        existing.sum += sample.sum;
-      }
-      found = true;
-      break;
-    }
-    if (!found) base.histograms.push_back(sample);
-  }
-  std::sort(base.counters.begin(), base.counters.end(), by_name);
-  std::sort(base.gauges.begin(), base.gauges.end(), by_name);
-  std::sort(base.histograms.begin(), base.histograms.end(), by_name);
-}
-
 namespace {
 
 void append_json_escaped(std::string& out, std::string_view text) {
@@ -497,14 +387,6 @@ void FleetRegistry::update_snapshot(const std::string& source,
                                     Snapshot snapshot) {
   const std::scoped_lock lock(mutex_);
   sources_[source].snapshot = std::move(snapshot);
-}
-
-void FleetRegistry::apply_snapshot_delta(const std::string& source,
-                                         const Snapshot& delta) {
-  const std::scoped_lock lock(mutex_);
-  // Qualified: the unqualified name would find this member, not the free
-  // combiner.
-  obs::apply_snapshot_delta(sources_[source].snapshot, delta);
 }
 
 void FleetRegistry::update_spans(const std::string& source,

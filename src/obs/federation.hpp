@@ -82,20 +82,6 @@ struct MergeStats {
   std::size_t histogram_bound_mismatches = 0;
 };
 
-/// Counter/histogram delta of `current` against `baseline` (both cumulative
-/// snapshots of the same registry). Unchanged counters and histograms are
-/// omitted; series new to `current` (or whose histogram bounds changed) ship
-/// whole. Gauges are instantaneous, so changed gauges ship their absolute
-/// value and unchanged ones are omitted. apply_snapshot_delta(baseline,
-/// delta) reconstructs `current` exactly — the wire saving is every series
-/// that did not move between heartbeats.
-[[nodiscard]] Snapshot snapshot_delta(const Snapshot& baseline,
-                                      const Snapshot& current);
-
-/// Applies a delta in place: counters and matching-bounds histograms add,
-/// gauges replace, unknown series append. Output stays name-sorted.
-void apply_snapshot_delta(Snapshot& base, const Snapshot& delta);
-
 /// Folds per-source snapshots into one fleet Snapshot (semantics above).
 /// Sources are processed in name order regardless of input order.
 [[nodiscard]] Snapshot merge_snapshots(
@@ -125,12 +111,6 @@ class FleetRegistry {
  public:
   /// Replaces `source`'s snapshot (registers the source on first call).
   void update_snapshot(const std::string& source, Snapshot snapshot);
-
-  /// Folds a delta into `source`'s stored snapshot (semantics of the free
-  /// apply_snapshot_delta). A delta for an unknown source is stored as-is —
-  /// the sender's full-on-reconnect rule makes that a startup race, not a
-  /// correctness hazard.
-  void apply_snapshot_delta(const std::string& source, const Snapshot& delta);
 
   /// Replaces `source`'s span buffer (span rings are cumulative too).
   void update_spans(const std::string& source, std::vector<FleetSpan> spans);

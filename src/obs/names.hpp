@@ -150,15 +150,10 @@ inline constexpr std::string_view kFleetTelemetryParseErrors =
 inline constexpr std::string_view kFleetClockOffsetNs =
     "mosaic_fleet_clock_offset_ns";
 
-// Telemetry deltas (src/dist/telemetry). Workers ship counter/histogram
-// deltas since the last acknowledged snapshot instead of whole registries;
-// the byte counters exist on both ends so the saving is measurable.
-inline constexpr std::string_view kWorkerTelemetryDeltas =
-    "mosaic_worker_telemetry_deltas_total";
+// Telemetry wire cost (src/dist/telemetry): bytes of the whole-snapshot
+// riders a worker ships on its heartbeats.
 inline constexpr std::string_view kWorkerTelemetryBytes =
     "mosaic_worker_telemetry_bytes_total";
-inline constexpr std::string_view kFleetDeltas =
-    "mosaic_fleet_telemetry_deltas_total";
 
 // Endpoint auth + staleness (src/dist/telemetry).
 inline constexpr std::string_view kFleetEndpointUnauthorized =

@@ -4,8 +4,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -594,32 +592,7 @@ void ProvenanceJournal::reset() {
 
 util::Expected<std::vector<TraceProvenance>> read_provenance_jsonl(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return util::Error(util::ErrorCode::kNotFound,
-                       "cannot open provenance file " + path);
-  }
-  std::vector<TraceProvenance> records;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    auto parsed = json::parse(line);
-    if (!parsed.has_value()) {
-      return util::Error(util::ErrorCode::kParseError,
-                         path + ":" + std::to_string(line_no) + ": " +
-                             parsed.error().message);
-    }
-    auto record = provenance_from_json(*parsed);
-    if (!record.has_value()) {
-      return util::Error(util::ErrorCode::kParseError,
-                         path + ":" + std::to_string(line_no) + ": " +
-                             record.error().message);
-    }
-    records.push_back(std::move(*record));
-  }
-  return records;
+  return json::read_jsonl(path, provenance_from_json);
 }
 
 }  // namespace mosaic::obs

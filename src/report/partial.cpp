@@ -70,22 +70,47 @@ Expected<std::map<std::string, std::size_t>> counts_from_json(
   return counts;
 }
 
-/// The cross-shard dedup comparator — deliberately identical to
-/// core::StreamingPreprocessor's retention rule (heavier total bytes, ties
-/// on smaller job id, then smaller source path) so the merged winner is the
-/// trace the single-shot run would have retained.
-bool shard_result_wins(const ShardTraceResult& challenger,
-                       const ShardTraceResult& incumbent) noexcept {
-  if (challenger.total_bytes != incumbent.total_bytes) {
-    return challenger.total_bytes > incumbent.total_bytes;
-  }
-  if (challenger.result.job_id != incumbent.result.job_id) {
-    return challenger.result.job_id < incumbent.result.job_id;
-  }
-  return challenger.source_path < incumbent.source_path;
+core::DedupKey dedup_key(const ShardTraceResult& entry) noexcept {
+  return {entry.total_bytes, entry.result.job_id, entry.source_path};
 }
 
 }  // namespace
+
+Expected<PartialArtifact> run_shard(const std::vector<std::string>& paths,
+                                    const ingest::IngestOptions& options,
+                                    const core::Thresholds& thresholds,
+                                    parallel::ThreadPool& pool) {
+  auto ingested = ingest::ingest_paths(paths, options, pool);
+  if (!ingested.has_value()) return std::move(ingested).error();
+  PartialArtifact out;
+  out.shard_index = options.shard.index;
+  out.shard_count = options.shard.count;
+  out.ingest = ingested->stats;
+  out.journal_path = options.journal_path;
+  if (out.ingest.aborted) return out;
+
+  // Snapshot the dedup digests before analysis consumes the traces: the
+  // merge needs (total bytes, source path) to replay cross-shard dedup.
+  std::vector<std::uint64_t> retained_bytes;
+  retained_bytes.reserve(ingested->pre.retained.size());
+  for (const trace::Trace& t : ingested->pre.retained) {
+    retained_bytes.push_back(t.total_bytes());
+  }
+  std::vector<std::string> retained_paths =
+      std::move(ingested->pre.retained_paths);
+  core::BatchResult batch =
+      core::analyze_preprocessed(std::move(ingested->pre), thresholds, &pool);
+  MOSAIC_ASSERT(batch.results.size() == retained_paths.size());
+
+  out.stats = batch.preprocess;
+  out.runs_per_app = std::move(batch.runs_per_app);
+  out.traces.reserve(batch.results.size());
+  for (std::size_t i = 0; i < batch.results.size(); ++i) {
+    out.traces.push_back({std::move(batch.results[i]),
+                          std::move(retained_paths[i]), retained_bytes[i]});
+  }
+  return out;
+}
 
 Value partial_to_json(const PartialArtifact& partial) {
   Object out;
@@ -434,7 +459,8 @@ Expected<MergedPartials> merge_partials(std::vector<PartialArtifact> partials) {
     for (ShardTraceResult& entry : partial.traces) {
       const auto [slot, inserted] =
           winners.try_emplace(entry.result.app_key, std::move(entry));
-      if (!inserted && shard_result_wins(entry, slot->second)) {
+      if (!inserted &&
+          core::dedup_wins(dedup_key(entry), dedup_key(slot->second))) {
         slot->second = std::move(entry);
       }
     }

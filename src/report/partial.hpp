@@ -16,9 +16,9 @@
 //   - funnel counters and breakdown maps are summed;
 //   - runs-per-application weights are summed per key;
 //   - the retained trace per application is re-chosen across shard winners
-//     with the same comparator StreamingPreprocessor uses (heavier total
-//     bytes, then smaller job id, then smaller path), so the global winner
-//     is found even when an application's executions span shards;
+//     with core::dedup_wins, the rule StreamingPreprocessor retains by, so
+//     the global winner is found even when an application's executions
+//     span shards;
 //   - results come out sorted by application key, as the single-shot
 //     preprocessor emits them.
 // This bounds batch memory by shard size, not corpus size, and makes
@@ -33,6 +33,7 @@
 #include "core/pipeline.hpp"
 #include "ingest/ingest.hpp"
 #include "json/json.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::report {
@@ -61,6 +62,21 @@ struct PartialArtifact {
   std::string provenance_path;
   std::vector<ShardTraceResult> traces;
 };
+
+/// Runs one shard end to end for `mosaic batch --shard K/N` and `--shards
+/// N`, the dispatch worker and dispatch's degraded mode: ingests the slice
+/// options.shard owns (the options also carry the resume journal,
+/// quarantine, reader and abort seam), snapshots each retained trace's
+/// dedup digest, analyzes, and assembles the partial artifact. The
+/// artifact's journal path is options.journal_path; its metrics and
+/// provenance paths are the caller's. A run stopped by
+/// options.abort_after_files returns an artifact holding only its `ingest`
+/// counters (ingest.aborted set). Per-file failures are funnel data; only
+/// setup failures are Errors.
+[[nodiscard]] util::Expected<PartialArtifact> run_shard(
+    const std::vector<std::string>& paths,
+    const ingest::IngestOptions& options, const core::Thresholds& thresholds,
+    parallel::ThreadPool& pool);
 
 /// Serializes/deserializes the artifact (stable key order; exact numeric
 /// round-trip).

@@ -1,6 +1,5 @@
 #include "sim/truth.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "json/json.hpp"
@@ -91,32 +90,7 @@ util::Status write_truth_jsonl(const std::vector<TruthRecord>& records,
 
 util::Expected<std::vector<TruthRecord>> read_truth_jsonl(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return util::Error(util::ErrorCode::kNotFound,
-                       "cannot open truth file " + path);
-  }
-  std::vector<TruthRecord> records;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    auto parsed = json::parse(line);
-    if (!parsed.has_value()) {
-      return util::Error(util::ErrorCode::kParseError,
-                         path + ":" + std::to_string(line_no) + ": " +
-                             parsed.error().message);
-    }
-    auto record = truth_from_json(*parsed);
-    if (!record.has_value()) {
-      return util::Error(util::ErrorCode::kParseError,
-                         path + ":" + std::to_string(line_no) + ": " +
-                             record.error().message);
-    }
-    records.push_back(std::move(*record));
-  }
-  return records;
+  return json::read_jsonl(path, truth_from_json);
 }
 
 }  // namespace mosaic::sim

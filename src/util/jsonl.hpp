@@ -1,0 +1,66 @@
+// JSON Lines files: the one appender and the one line reader behind every
+// JSONL artifact — the ingest and dispatch resume journals, provenance.jsonl
+// and the ground-truth sidecar.
+//
+// The file layer knows lines, not JSON: each caller keeps its entry <-> JSON
+// codec and its policy for a line the codec rejects.
+//   - Resume journals skip and count it (a killed run tears its last line
+//     mid-append) and read a missing file as empty: read_journal_lines().
+//   - Provenance and truth files fail with `path:line`: read_lines() with a
+//     visitor that returns the codec's error (json::read_jsonl).
+#pragma once
+
+#include <cstddef>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <string_view>
+
+#include "util/error.hpp"
+
+namespace mosaic::util {
+
+/// Appends newline-terminated lines, flushing after each, so a killed
+/// process loses at most the line being written.
+class LineAppender {
+ public:
+  LineAppender() = default;
+  ~LineAppender();
+
+  LineAppender(const LineAppender&) = delete;
+  LineAppender& operator=(const LineAppender&) = delete;
+
+  /// Opens `path` for appending (creating it if needed).
+  [[nodiscard]] Status open(const std::string& path);
+
+  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
+
+  /// Appends `line` plus '\n'; a no-op while closed (journaling disabled).
+  /// A failure leaves the appender usable: a journal write error must not
+  /// abort the run the journal protects.
+  [[nodiscard]] Status append(std::string_view line);
+
+  void close();
+
+ private:
+  std::FILE* file_ = nullptr;
+  std::string path_;
+};
+
+/// Calls `visit` on every non-blank line of `path` in order, with a trailing
+/// '\r' removed (files that passed through CRLF tooling). Stops at the first
+/// error `visit` returns and reports it as "<path>:<line>: <message>". A
+/// missing file is kNotFound.
+[[nodiscard]] Status read_lines(
+    const std::string& path,
+    const std::function<Status(std::string_view line)>& visit);
+
+/// The resume-journal policy over read_lines: a missing file reads as empty,
+/// and a line `accept` rejects (a torn tail, stray garbage) is skipped and
+/// counted into `*dropped_lines` when provided.
+[[nodiscard]] Status read_journal_lines(
+    const std::string& path,
+    const std::function<bool(std::string_view line)>& accept,
+    std::size_t* dropped_lines = nullptr);
+
+}  // namespace mosaic::util

@@ -66,11 +66,11 @@ void clear_level_for_testing() noexcept {
 // sum
 // ---------------------------------------------------------------------------
 
-namespace {
-
-double sum_scalar(const double* x, std::size_t n) noexcept {
-  // Four lanes + fixed (l0+l2)+(l1+l3) reduce: the exact shape of the AVX2
-  // horizontal add below (low/high 128-bit halves first, then the pair).
+double sum(std::span<const double> values) noexcept {
+  // Four lanes + fixed (l0+l2)+(l1+l3) reduce. The compiler vectorizes this
+  // loop itself; a hand-written AVX2 variant never beat it.
+  const double* x = values.data();
+  const std::size_t n = values.size();
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -82,38 +82,6 @@ double sum_scalar(const double* x, std::size_t n) noexcept {
   double total = (l0 + l2) + (l1 + l3);
   for (; i < n; ++i) total += x[i];
   return total;
-}
-
-#if defined(MOSAIC_SIMD_X86)
-__attribute__((target("avx2,fma"))) double sum_avx2(const double* x,
-                                                    std::size_t n) noexcept {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                                  _mm256_extractf128_pd(acc, 1));
-  double total =
-      _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; i < n; ++i) total += x[i];
-  return total;
-}
-#endif
-
-}  // namespace
-
-double sum(std::span<const double> values, Level level) noexcept {
-#if defined(MOSAIC_SIMD_X86)
-  if (level == Level::kAvx2) return sum_avx2(values.data(), values.size());
-#else
-  (void)level;
-#endif
-  return sum_scalar(values.data(), values.size());
-}
-
-double sum(std::span<const double> values) noexcept {
-  return sum(values, active_level());
 }
 
 // ---------------------------------------------------------------------------

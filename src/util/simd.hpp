@@ -47,12 +47,11 @@ void clear_level_for_testing() noexcept;
 
 /// Lane-structured sum. Four accumulators advance in lockstep; the horizontal
 /// reduce is (l0+l2)+(l1+l3); the tail (n % 4 elements) folds into the
-/// reduced value afterwards. Identical across levels bit for bit. Note the
-/// lane association differs from a plain sequential sum — for integer-valued
-/// doubles below 2^53 (byte counts, request counts) both are exact anyway.
+/// reduced value afterwards. One body at every level: the compiler
+/// vectorizes it. Note the lane association differs from a plain sequential
+/// sum — for integer-valued doubles below 2^53 (byte counts, request counts)
+/// both are exact anyway.
 [[nodiscard]] double sum(std::span<const double> values) noexcept;
-[[nodiscard]] double sum(std::span<const double> values,
-                         Level level) noexcept;
 
 /// Max over `values` plus the count of elements >= threshold, in one pass —
 /// the metadata spike scan. Max and count are order-independent-exact for

@@ -47,4 +47,20 @@ fi
 grep -q '# MOSAIC analysis report' "$WORK/report.md"
 grep -q 'Pre-processing funnel' "$WORK/report.md"
 
+# Malformed numeric options are usage errors (exit 2), never a silent
+# default or a runaway run (--traces -1 must not wrap to 2^64-1 traces).
+expect_usage_error() {
+  local rc=0
+  timeout 10 "$MOSAIC" "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "expected exit 2 from: mosaic $* (got $rc)" >&2
+    exit 1
+  fi
+}
+expect_usage_error generate "$WORK/bad" --traces -1
+expect_usage_error generate "$WORK/bad" --traces abc
+expect_usage_error generate "$WORK/bad" --seed xyz
+expect_usage_error generate "$WORK/bad" --corruption 7
+expect_usage_error report "$WORK/pop" --out "$WORK/bad.md" --top-pairs abc
+
 echo "cli smoke ok"

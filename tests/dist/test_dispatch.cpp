@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -237,6 +238,39 @@ TEST_F(DispatchTest, KilledManagerResumesFromJournalByteIdentically) {
   EXPECT_GE(second->stats.resumed_tasks, 1U);
   EXPECT_LE(second->stats.tasks_done, 2U);
   EXPECT_EQ(merged_json(*second), single_shot_json());
+}
+
+TEST_F(DispatchTest, ResumesFromInlineJournalLines) {
+  // A done shard 0 whose artifact exists and a quarantined shard 1, as the
+  // journal stores them on disk: the resume replays shard 0 and runs shard
+  // 1 again (in-process here — there are no workers).
+  parallel::ThreadPool pool(2);
+  ingest::IngestOptions shard0;
+  shard0.shard = {0, 2};
+  auto partial = report::run_shard(corpus_, shard0, {}, pool);
+  ASSERT_TRUE(partial.has_value()) << partial.error().to_string();
+  fs::create_directories(path("parts"));
+  const std::string artifact = path("parts/results.shard-0.json");
+  ASSERT_TRUE(report::write_partial(*partial, artifact).ok());
+  {
+    std::ofstream journal(path("dispatch.jsonl"), std::ios::binary);
+    journal << R"({"shard":0,"count":2,"status":"done",)"
+            << R"("worker":"127.0.0.1:9100","attempts":1,"partial":")"
+            << artifact << "\"}\n"
+            << R"({"shard":1,"count":2,"status":"quarantined","worker":"",)"
+            << R"("attempts":3,"error":"io-error: connection lost"})" << "\n";
+  }
+
+  auto options = base_options({}, 2);
+  options.journal_path = path("dispatch.jsonl");
+  options.resume = true;
+  auto result = run_dispatch(options);
+  ASSERT_TRUE(result.has_value()) << result.error().to_string();
+  ASSERT_TRUE(result->complete());
+  EXPECT_EQ(result->stats.resumed_tasks, 1U);
+  EXPECT_EQ(result->stats.degraded_tasks, 1U);
+  EXPECT_EQ(result->stats.journal_dropped, 0U);
+  EXPECT_EQ(merged_json(*result), single_shot_json());
 }
 
 TEST_F(DispatchTest, NoWorkersReachableStillCompletesDegraded) {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "dist/net.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/jsonl.hpp"
 
 namespace mosaic::dist {
 namespace {
@@ -198,16 +201,32 @@ TEST(DispatchJournal, RoundTripsAndToleratesTornTail) {
   const std::string path = (dir / "dispatch.jsonl").string();
 
   {
-    DispatchJournalWriter writer;
+    util::LineAppender writer;
     ASSERT_TRUE(writer.open(path).ok());
     ASSERT_TRUE(writer
-                    .append({0, 4, "done", "127.0.0.1:9100", 1,
-                             "parts/results.shard-0.json", ""})
+                    .append(dispatch_journal_line(
+                        {0, 4, "done", "127.0.0.1:9100", 1,
+                         "parts/results.shard-0.json", ""}))
                     .ok());
     ASSERT_TRUE(writer
-                    .append({2, 4, "quarantined", "", 3, "",
-                             "io-error: connection lost"})
+                    .append(dispatch_journal_line(
+                        {2, 4, "quarantined", "", 3, "",
+                         "io-error: connection lost"}))
                     .ok());
+  }
+  // The on-disk format, byte for byte: one done and one quarantined entry.
+  {
+    std::ifstream in(path, std::ios::binary);
+    const std::string written{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    EXPECT_EQ(written,
+              R"({"shard":0,"count":4,"status":"done",)"
+              R"("worker":"127.0.0.1:9100","attempts":1,)"
+              R"("partial":"parts/results.shard-0.json"})"
+              "\n"
+              R"({"shard":2,"count":4,"status":"quarantined","worker":"",)"
+              R"("attempts":3,"error":"io-error: connection lost"})"
+              "\n");
   }
   // Simulate a manager killed mid-append: a torn, half-written line.
   {
@@ -224,7 +243,10 @@ TEST(DispatchJournal, RoundTripsAndToleratesTornTail) {
   EXPECT_EQ(dropped, 1U);
   EXPECT_EQ(loaded->at(0).status, "done");
   EXPECT_EQ(loaded->at(0).partial_path, "parts/results.shard-0.json");
+  EXPECT_EQ(loaded->at(0).worker, "127.0.0.1:9100");
   EXPECT_EQ(loaded->at(2).status, "quarantined");
+  EXPECT_EQ(loaded->at(2).attempts, 3U);
+  EXPECT_EQ(loaded->at(2).error, "io-error: connection lost");
 
   // Missing journal = fresh start, not an error.
   auto missing = load_dispatch_journal((dir / "absent.jsonl").string());

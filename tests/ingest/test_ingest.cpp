@@ -20,7 +20,9 @@
 #include "darshan/text_format.hpp"
 #include "ingest/journal.hpp"
 #include "ingest/reader.hpp"
+#include "json/json.hpp"
 #include "report/json_output.hpp"
+#include "util/jsonl.hpp"
 
 namespace mosaic::ingest {
 namespace {
@@ -244,7 +246,7 @@ TEST_F(IngestTest, JournalWrittenForEveryFile) {
   ASSERT_TRUE(journal.has_value());
   EXPECT_EQ(journal->size(), 7u);
   EXPECT_TRUE(journal->at(path("alpha_run2.txt")).valid);
-  EXPECT_EQ(journal->at(path("alpha_run2.txt")).app_key, "u1/alpha");
+  EXPECT_EQ(journal->at(path("alpha_run2.txt")).digest.app_key, "u1/alpha");
   EXPECT_EQ(journal->at(path("garbage.txt")).code, "parse-error");
   EXPECT_EQ(journal->at(path("missing.txt")).code, "not-found");
   EXPECT_EQ(journal->at(path("corrupt_validity.txt")).code, "corrupt-trace");
@@ -436,43 +438,46 @@ TEST(FaultyReader, TransientEioHealsAtConfiguredAttempt) {
   fs::remove_all(dir);
 }
 
-TEST(Journal, TornTailAndGarbageLinesAreDropped) {
-  const fs::path dir = fs::temp_directory_path() / "mosaic_journal_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string journal_path = (dir / "journal.jsonl").string();
+TEST_F(IngestTest, JournalLinesArePinnedAndAResumeReplaysThem) {
+  const auto paths = seed_corpus();
+  // The on-disk format, byte for byte: a valid file journals its dedup
+  // digest (64-bit fields as decimal strings), an evicted one its error.
+  const std::string valid_line =
+      R"({"path":")" + path("alpha_run2.txt") +
+      R"(","outcome":"valid","app":"u1/alpha","bytes":"4194304","job":"2"})";
+  const std::string evicted_line =
+      R"({"path":")" + path("corrupt_validity.txt") +
+      R"(","outcome":"evicted","code":"corrupt-trace",)"
+      R"("kind":"access-outside-job"})";
 
-  {
-    JournalWriter writer;
-    ASSERT_TRUE(writer.open(journal_path).ok());
-    JournalEntry valid;
-    valid.path = "/a.txt";
-    valid.valid = true;
-    valid.app_key = "u/a";
-    valid.total_bytes = 18446744073709551615ull;  // exercises u64 round-trip
-    valid.job_id = 9007199254740995ull;           // not double-representable
-    ASSERT_TRUE(writer.append(valid).ok());
-    JournalEntry evicted;
-    evicted.path = "/b.txt";
-    evicted.code = "corrupt-trace";
-    evicted.corruption_kind = "inverted-window";
-    ASSERT_TRUE(writer.append(evicted).ok());
-  }
-  {
-    std::ofstream tail(journal_path, std::ios::app);
-    tail << "not json at all\n";
-    tail << R"({"path":"/c.txt","valid":tr)";  // torn mid-append, no newline
-  }
+  parallel::ThreadPool pool(2);
+  IngestOptions journaled;
+  journaled.journal_path = path("journal.jsonl");
+  auto full = ingest_paths(paths, journaled, pool);
+  ASSERT_TRUE(full.has_value());
+  const std::string written = slurp(journaled.journal_path);
+  EXPECT_NE(written.find(valid_line + "\n"), std::string::npos) << written;
+  EXPECT_NE(written.find(evicted_line + "\n"), std::string::npos) << written;
 
-  std::size_t dropped = 0;
-  const auto loaded = load_journal(journal_path, &dropped);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(dropped, 2u);
-  EXPECT_EQ(loaded->at("/a.txt").total_bytes, 18446744073709551615ull);
-  EXPECT_EQ(loaded->at("/a.txt").job_id, 9007199254740995ull);
-  EXPECT_EQ(loaded->at("/b.txt").corruption_kind, "inverted-window");
-  fs::remove_all(dir);
+  // Resume from exactly those two lines: both replay without their files
+  // being read, and the result equals the uninterrupted run's.
+  {
+    std::ofstream out(path("inline.jsonl"), std::ios::binary);
+    out << valid_line << "\n" << evicted_line << "\n";
+  }
+  IngestOptions resuming;
+  resuming.journal_path = path("inline.jsonl");
+  resuming.resume = true;
+  auto resumed = ingest_paths(paths, resuming, pool);
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->stats.journal_replayed, 2u);
+  const core::Thresholds thresholds;
+  const auto summary = [&](core::PreprocessResult pre) {
+    return json::serialize(report::batch_to_json(
+        core::analyze_preprocessed(std::move(pre), thresholds, &pool),
+        /*include_traces=*/true));
+  };
+  EXPECT_EQ(summary(std::move(resumed->pre)), summary(std::move(full->pre)));
 }
 
 TEST(Journal, MissingFileIsEmptyMapAndLaterEntriesWin) {
@@ -486,73 +491,27 @@ TEST(Journal, MissingFileIsEmptyMapAndLaterEntriesWin) {
   EXPECT_TRUE(missing->empty());
 
   {
-    JournalWriter writer;
+    util::LineAppender writer;
     ASSERT_TRUE(writer.open(journal_path).ok());
     JournalEntry first;
-    first.path = "/a.txt";
+    first.digest.path = "/a.txt";
     first.code = "io-error";
-    ASSERT_TRUE(writer.append(first).ok());
+    ASSERT_TRUE(writer.append(journal_line(first)).ok());
     JournalEntry second;  // same file journaled again by a resumed run
-    second.path = "/a.txt";
+    second.digest = {"/a.txt", "u/a", 18446744073709551615ull,
+                     9007199254740995ull};  // not double-representable
     second.valid = true;
-    second.app_key = "u/a";
-    ASSERT_TRUE(writer.append(second).ok());
+    ASSERT_TRUE(writer.append(journal_line(second)).ok());
   }
   const auto loaded = load_journal(journal_path);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_TRUE(loaded->at("/a.txt").valid);
-  fs::remove_all(dir);
-}
-
-TEST(Journal, CrlfLineEndingsReplayCleanly) {
-  // A journal that passed through a CRLF-normalizing transfer (git
-  // autocrlf, SMB mount, Windows editor) must still replay: the trailing
-  // '\r' is payload to getline and used to poison every line's JSON.
-  const fs::path dir = fs::temp_directory_path() / "mosaic_journal_crlf";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string journal_path = (dir / "journal.jsonl").string();
-
-  {
-    JournalWriter writer;
-    ASSERT_TRUE(writer.open(journal_path).ok());
-    JournalEntry valid;
-    valid.path = "/a.txt";
-    valid.valid = true;
-    valid.app_key = "u/a";
-    valid.total_bytes = 123;
-    valid.job_id = 7;
-    ASSERT_TRUE(writer.append(valid).ok());
-    JournalEntry evicted;
-    evicted.path = "/b.txt";
-    evicted.code = "corrupt-trace";
-    evicted.corruption_kind = "inverted-window";
-    ASSERT_TRUE(writer.append(evicted).ok());
-  }
-  // Rewrite LF -> CRLF, then add one genuinely torn line. The torn-line
-  // counter must still count exactly that one line, not the CRLF ones.
-  std::string text = slurp(journal_path);
-  std::string crlf;
-  for (const char c : text) {
-    if (c == '\n') crlf += '\r';
-    crlf += c;
-  }
-  crlf += R"({"path":"/c.txt","valid":tr)";
-  crlf += "\r\n";
-  {
-    std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
-    out << crlf;
-  }
-
-  std::size_t dropped = 0;
-  const auto loaded = load_journal(journal_path, &dropped);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(dropped, 1u);
-  EXPECT_TRUE(loaded->at("/a.txt").valid);
-  EXPECT_EQ(loaded->at("/a.txt").total_bytes, 123u);
-  EXPECT_EQ(loaded->at("/b.txt").corruption_kind, "inverted-window");
+  const JournalEntry& entry = loaded->at("/a.txt");
+  EXPECT_TRUE(entry.valid);
+  // 64-bit digest fields survive exactly, or the dedup tie-break could
+  // pick a different winner after resume.
+  EXPECT_EQ(entry.digest.total_bytes, 18446744073709551615ull);
+  EXPECT_EQ(entry.digest.job_id, 9007199254740995ull);
   fs::remove_all(dir);
 }
 

@@ -341,218 +341,32 @@ const GaugeSample* find_gauge(const Snapshot& snapshot,
   return nullptr;
 }
 
-TEST(FederationDelta, OmitsUnchangedSeriesAndShipsCounterDiffs) {
-  Snapshot baseline;
-  baseline.counters.push_back(counter("moved_total", 5));
-  baseline.counters.push_back(counter("static_total", 7));
-  baseline.gauges.push_back(gauge("depth", 3));
-  baseline.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 3, 1}, 44.5));
-
-  Snapshot current = baseline;
-  current.counters[0].value = 9;
-
-  const Snapshot delta = snapshot_delta(baseline, current);
-  ASSERT_EQ(delta.counters.size(), 1u);
-  EXPECT_EQ(delta.counters[0].name, "moved_total");
-  EXPECT_EQ(delta.counters[0].value, 4u);  // the diff, not the new absolute
-  EXPECT_TRUE(delta.gauges.empty());       // unchanged gauge omitted
-  EXPECT_TRUE(delta.histograms.empty());   // unchanged histogram omitted
-}
-
-TEST(FederationDelta, NewSeriesShipWholeAndChangedGaugesShipAbsolute) {
-  Snapshot baseline;
-  baseline.counters.push_back(counter("old_total", 5));
-  baseline.gauges.push_back(gauge("depth", 3));
-
-  Snapshot current = baseline;
-  current.counters.push_back(counter("new_total", 11));
-  current.gauges[0].value = -2;
-
-  const Snapshot delta = snapshot_delta(baseline, current);
-  const CounterSample* fresh = find_counter(delta, "new_total");
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->value, 11u);  // unknown to the baseline: whole value
-  ASSERT_EQ(delta.gauges.size(), 1u);
-  EXPECT_EQ(delta.gauges[0].value, -2);  // gauges are instantaneous
-}
-
-TEST(FederationDelta, HistogramsDiffBucketWiseAndBoundChangesShipWhole) {
-  Snapshot baseline;
-  baseline.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 3, 1}, 40.0));
-  baseline.histograms.push_back(
-      histogram("rebuilt_ms", {1.0}, {1, 1}, 2.0));
-
-  Snapshot current;
-  current.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 5, 2}, 55.5));
-  // Same name, different bounds: the delta must ship the whole histogram,
-  // not a meaningless bucket diff.
-  current.histograms.push_back(
-      histogram("rebuilt_ms", {1.0, 8.0}, {4, 2, 1}, 9.0));
-
-  const Snapshot delta = snapshot_delta(baseline, current);
-  const HistogramSample* lat = find_histogram(delta, "lat_ms");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->buckets, (std::vector<std::uint64_t>{0, 2, 1}));
-  EXPECT_DOUBLE_EQ(lat->sum, 15.5);
-  const HistogramSample* rebuilt = find_histogram(delta, "rebuilt_ms");
-  ASSERT_NE(rebuilt, nullptr);
-  EXPECT_EQ(rebuilt->bounds, (std::vector<double>{1.0, 8.0}));
-  EXPECT_EQ(rebuilt->buckets, (std::vector<std::uint64_t>{4, 2, 1}));
-}
-
-TEST(FederationDelta, ApplyReconstructsCurrentByteForByte) {
-  Snapshot baseline;
-  baseline.counters.push_back(counter("a_total", 5));
-  baseline.counters.push_back(counter("b_total", 7));
-  baseline.gauges.push_back(gauge("depth", 3));
-  baseline.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 3, 1}, 40.0));
-
-  Snapshot current = baseline;
-  current.counters[0].value = 12;
-  current.counters.push_back(counter("c_total", 1));
-  std::sort(current.counters.begin(), current.counters.end(),
-            [](const CounterSample& a, const CounterSample& b) {
-              return a.name < b.name;
-            });
-  current.gauges[0].value = 4;
-  current.histograms[0].buckets = {2, 6, 1};
-  current.histograms[0].count = 9;
-  current.histograms[0].sum = 71.0;
-
-  Snapshot rebuilt = baseline;
-  apply_snapshot_delta(rebuilt, snapshot_delta(baseline, current));
-  EXPECT_EQ(metrics_to_prometheus(rebuilt), metrics_to_prometheus(current));
-}
-
-TEST(FederationDelta, FleetDeltaChainMatchesWholeSnapshotByteForByte) {
-  // The acceptance invariant: a manager fed baseline + deltas ends up with
-  // exactly the fleet view a whole-snapshot manager has.
-  Snapshot s0;
-  s0.counters.push_back(counter("tasks_total", 2));
-  s0.gauges.push_back(gauge("depth", 1));
-  s0.histograms.push_back(histogram("lat_ms", {1.0}, {1, 0}, 0.5));
-
-  Snapshot s1 = s0;
-  s1.counters[0].value = 5;
-  s1.histograms[0].buckets = {1, 2};
-  s1.histograms[0].count = 3;
-  s1.histograms[0].sum = 12.5;
-
-  Snapshot s2 = s1;
-  s2.counters[0].value = 9;
-  s2.gauges[0].value = 4;
-
-  FleetRegistry via_deltas;
-  via_deltas.update_snapshot("w", s0);
-  via_deltas.apply_snapshot_delta("w", snapshot_delta(s0, s1));
-  via_deltas.apply_snapshot_delta("w", snapshot_delta(s1, s2));
-
-  FleetRegistry via_whole;
-  via_whole.update_snapshot("w", s2);
-
-  EXPECT_EQ(metrics_to_prometheus(via_deltas.merged()),
-            metrics_to_prometheus(via_whole.merged()));
-}
-
-TEST(FederationDelta, DeltaFrameIsMuchSmallerThanFullFrame) {
-  Snapshot baseline;
-  for (int i = 0; i < 60; ++i) {
-    baseline.counters.push_back(
-        counter("series_" + std::to_string(i) + "_total", 100 + i));
-  }
-  Snapshot current = baseline;
-  current.counters[7].value += 1;
-
-  const std::string full =
-      json::serialize(snapshot_to_wire_json(current), false);
-  const std::string delta = json::serialize(
-      snapshot_to_wire_json(snapshot_delta(baseline, current)), false);
-  // One moved counter out of 60: the delta frame should be a small
-  // fraction of the full frame, not a constant-factor shave.
-  EXPECT_LT(delta.size() * 10, full.size());
-}
-
-TEST(FederationTelemetry, SenderShipsWholeThenDeltaAndCountsBytes) {
+TEST(FederationTelemetry, HeartbeatShipsWholeSnapshotWithHealthAndCountsBytes) {
   const auto bytes_shipped = [] {
     const Snapshot snapshot = Registry::global().snapshot();
     const CounterSample* sample =
         find_counter(snapshot, names::kWorkerTelemetryBytes);
     return sample != nullptr ? sample->value : 0u;
   };
+  Registry::global().counter("heartbeat_whole_snapshot_test_total").add(3);
 
-  // A worker registry is never empty in practice; make the whole-snapshot
-  // frame carry a realistic series count so the delta saving is visible.
-  for (int i = 0; i < 40; ++i) {
-    Registry::global()
-        .counter("sender_size_test_" + std::to_string(i) + "_total")
-        .add(1);
-  }
+  // Every frame carries the whole registry: the counter ships its absolute
+  // value each time, never a diff against the previous frame.
+  for (int frame = 0; frame < 2; ++frame) {
+    const std::uint64_t bytes_before = bytes_shipped();
+    const std::string payload = dist::heartbeat_telemetry_payload();
+    EXPECT_EQ(bytes_shipped(), bytes_before + payload.size());
+    EXPECT_EQ(payload.find("\"delta\""), std::string::npos);
 
-  dist::TelemetrySender sender;
-  const std::uint64_t bytes_before = bytes_shipped();
-  const std::string first = sender.heartbeat_payload();
-  const std::string second = sender.heartbeat_payload();
-  EXPECT_GT(bytes_shipped(), bytes_before);
-
-  auto first_parsed = dist::parse_heartbeat_telemetry(first);
-  ASSERT_TRUE(first_parsed.has_value()) << first_parsed.error().to_string();
-  ASSERT_TRUE(first_parsed->has_value());
-  EXPECT_FALSE((*first_parsed)->delta);  // session starts with the registry
-  EXPECT_FALSE((*first_parsed)->health.empty());
-
-  auto second_parsed = dist::parse_heartbeat_telemetry(second);
-  ASSERT_TRUE(second_parsed.has_value());
-  ASSERT_TRUE(second_parsed->has_value());
-  EXPECT_TRUE((*second_parsed)->delta);
-  // The frame-size win the delta path exists for: the process registry is
-  // large, the delta carries only what moved between the two calls.
-  EXPECT_LT(second.size(), first.size());
-
-  // reset() is the reconnect resync rule: next frame re-baselines.
-  sender.reset();
-  auto resynced = dist::parse_heartbeat_telemetry(sender.heartbeat_payload());
-  ASSERT_TRUE(resynced.has_value());
-  ASSERT_TRUE(resynced->has_value());
-  EXPECT_FALSE((*resynced)->delta);
-}
-
-TEST(FederationTelemetry, SenderDeltaChainRebuildsTheRegistryView) {
-  // End-to-end over the real wire payloads: a hub fed the sender's
-  // whole-then-delta frames must equal a hub fed one final whole snapshot.
-  dist::TelemetrySender sender;
-  FleetRegistry via_deltas;
-
-  const auto ingest = [&](const std::string& payload) {
     auto parsed = dist::parse_heartbeat_telemetry(payload);
     ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
     ASSERT_TRUE(parsed->has_value());
-    if ((*parsed)->delta) {
-      via_deltas.apply_snapshot_delta("w", (*parsed)->snapshot);
-    } else {
-      via_deltas.update_snapshot("w", (*parsed)->snapshot);
-    }
-  };
-
-  ingest(sender.heartbeat_payload());
-  Registry::global().counter("federation_delta_chain_test_total").add(3);
-  ingest(sender.heartbeat_payload());
-  Registry::global().counter("federation_delta_chain_test_total").add(2);
-  // The final frame both advances the chain and captures the state the
-  // whole-snapshot control below must match.
-  auto last = dist::parse_heartbeat_telemetry(sender.heartbeat_payload());
-  ASSERT_TRUE(last.has_value());
-  ASSERT_TRUE(last->has_value());
-  via_deltas.apply_snapshot_delta("w", (*last)->snapshot);
-
-  Snapshot rebuilt = via_deltas.merged();
-  const CounterSample* chained = find_counter(
-      rebuilt, with_worker_label("federation_delta_chain_test_total", "w"));
-  ASSERT_NE(chained, nullptr);
-  EXPECT_EQ(chained->value, 5u);
+    EXPECT_FALSE((*parsed)->health.empty());
+    const CounterSample* shipped = find_counter(
+        (*parsed)->snapshot, "heartbeat_whole_snapshot_test_total");
+    ASSERT_NE(shipped, nullptr);
+    EXPECT_EQ(shipped->value, 3u);
+  }
 }
 
 /// A minimal worker heartbeat payload: one counter plus an explicit
@@ -565,11 +379,43 @@ std::string synthetic_heartbeat(const std::string& health,
   small.counters.push_back(counter("w_tasks_total", tasks));
   json::Object telemetry;
   telemetry.set("snapshot", snapshot_to_wire_json(small));
-  telemetry.set("delta", false);
   telemetry.set("health", health);
   json::Object payload;
   payload.set("telemetry", std::move(telemetry));
   return json::serialize(json::Value(std::move(payload)));
+}
+
+TEST(FederationTelemetry, DeltaFramesFromOlderWorkersAreRejectedNotApplied) {
+  const auto parse_errors = [] {
+    const Snapshot snapshot = Registry::global().snapshot();
+    const CounterSample* sample =
+        find_counter(snapshot, names::kFleetTelemetryParseErrors);
+    return sample != nullptr ? sample->value : 0u;
+  };
+  dist::TelemetryHub hub;
+  hub.ingest_heartbeat("w", synthetic_heartbeat("ok", 5));
+
+  // An older worker's delta frame: a diff of 1 that, stored as the worker's
+  // snapshot, would replace its cumulative 5.
+  Snapshot diff;
+  diff.counters.push_back(counter("w_tasks_total", 1));
+  json::Object telemetry;
+  telemetry.set("snapshot", snapshot_to_wire_json(diff));
+  telemetry.set("delta", true);
+  telemetry.set("health", "ok");
+  json::Object payload;
+  payload.set("telemetry", std::move(telemetry));
+  const std::string frame = json::serialize(json::Value(std::move(payload)));
+  EXPECT_FALSE(dist::parse_heartbeat_telemetry(frame).has_value());
+
+  const std::uint64_t errors_before = parse_errors();
+  hub.ingest_heartbeat("w", frame);
+  EXPECT_EQ(parse_errors(), errors_before + 1);
+  const Snapshot fleet = hub.fleet_snapshot();
+  const CounterSample* tasks =
+      find_counter(fleet, with_worker_label("w_tasks_total", "w"));
+  ASSERT_NE(tasks, nullptr);
+  EXPECT_EQ(tasks->value, 5u);
 }
 
 TEST(FederationHub, LostWorkerTagsItsSeriesStale) {
@@ -615,18 +461,18 @@ TEST(FederationHub, HeartbeatGraceExpiryMarksSilentWorkersStale) {
   hub.note_worker_state("idle", "connected");
 
   // Within the grace window nothing is stale yet.
+  const Snapshot fresh = hub.fleet_snapshot();
   const GaugeSample* stale_gauge = find_gauge(
-      hub.fleet_snapshot(),
-      with_worker_label(names::kFleetWorkersStale, "manager"));
+      fresh, with_worker_label(names::kFleetWorkersStale, "manager"));
   ASSERT_NE(stale_gauge, nullptr);
   EXPECT_EQ(stale_gauge->value, 0);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   // Silent past the grace: the disconnected worker goes stale, the
   // connected-but-idle worker never does.
-  stale_gauge =
-      find_gauge(hub.fleet_snapshot(),
-                 with_worker_label(names::kFleetWorkersStale, "manager"));
+  const Snapshot silent = hub.fleet_snapshot();
+  stale_gauge = find_gauge(
+      silent, with_worker_label(names::kFleetWorkersStale, "manager"));
   ASSERT_NE(stale_gauge, nullptr);
   EXPECT_EQ(stale_gauge->value, 1);
   bool idle_tagged = false;
@@ -668,7 +514,6 @@ TEST(FederationHub, WorkerVerdictFoldsIntoFleetHealth) {
   small.counters.push_back(counter("w_total", 1));
   json::Object telemetry;
   telemetry.set("snapshot", snapshot_to_wire_json(small));
-  telemetry.set("delta", false);
   telemetry.set("health", "fail(boom)");
   json::Object payload;
   payload.set("telemetry", std::move(telemetry));
@@ -716,8 +561,9 @@ TEST(FederationHub, EndpointRequiresBearerTokenWhenConfigured) {
   EXPECT_NE(authed.find("mosaic_"), std::string::npos);
 
   // Rejections are observable: the unauthorized counter counted both.
-  const CounterSample* rejected = find_counter(
-      hub.fleet_snapshot(), std::string(names::kFleetEndpointUnauthorized));
+  const Snapshot fleet = hub.fleet_snapshot();
+  const CounterSample* rejected =
+      find_counter(fleet, std::string(names::kFleetEndpointUnauthorized));
   ASSERT_NE(rejected, nullptr);
   EXPECT_GE(rejected->value, 2u);
   hub.stop();

@@ -64,38 +64,15 @@ class PartialTest : public ::testing::Test {
     return paths;
   }
 
-  /// Runs the ingest + analyze pipeline the CLI uses, for one shard (or the
-  /// whole corpus with the default spec).
+  /// One shard (or the whole corpus with the default spec) through
+  /// report::run_shard, which the CLI and the dispatch workers run.
   PartialArtifact run_shard(const std::vector<std::string>& paths,
                             const ingest::ShardSpec& spec) {
     ingest::IngestOptions options;
     options.shard = spec;
-    auto ingested = ingest::ingest_paths(paths, options, pool_);
-    EXPECT_TRUE(ingested.has_value());
-    std::vector<std::uint64_t> retained_bytes;
-    for (const trace::Trace& t : ingested->pre.retained) {
-      retained_bytes.push_back(t.total_bytes());
-    }
-    std::vector<std::string> retained_paths =
-        std::move(ingested->pre.retained_paths);
-    core::BatchResult batch =
-        core::analyze_preprocessed(std::move(ingested->pre), {}, &pool_);
-    EXPECT_EQ(batch.results.size(), retained_paths.size());
-
-    PartialArtifact partial;
-    partial.shard_index = spec.index;
-    partial.shard_count = spec.count;
-    partial.ingest = ingested->stats;
-    partial.stats = batch.preprocess;
-    partial.runs_per_app = std::move(batch.runs_per_app);
-    for (std::size_t i = 0; i < batch.results.size(); ++i) {
-      ShardTraceResult entry;
-      entry.result = std::move(batch.results[i]);
-      entry.source_path = std::move(retained_paths[i]);
-      entry.total_bytes = retained_bytes[i];
-      partial.traces.push_back(std::move(entry));
-    }
-    return partial;
+    auto partial = report::run_shard(paths, options, {}, pool_);
+    EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
+    return std::move(*partial);
   }
 
   /// The single-shot reference output the merge must reproduce.

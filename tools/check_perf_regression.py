@@ -31,8 +31,8 @@ against the committed baseline and fails (exit 1) when either
     0.8), i.e. the vector path is never meaningfully slower than its scalar
     reference. The floor is deliberately below 1.0: the scalar references
     mirror the AVX2 lane structure for bit-identity, so the compiler can
-    auto-vectorize some of them (sum in particular) to near-parity, and the
-    TSC micro-timings jitter. Skipped per kernel when either side lacks the
+    auto-vectorize some of them to near-parity, and the TSC micro-timings
+    jitter. Skipped per kernel when either side lacks the
     entry, and entirely when the two runs dispatched at different SIMD
     levels (e.g. the forced-scalar CI job against an AVX2 baseline): their
     cycles/byte measure different code paths, and forced-scalar speedup is

@@ -124,15 +124,92 @@ std::vector<std::string> expand_paths(const std::vector<std::string>& args) {
   return paths;
 }
 
-/// Registers the logging options every subcommand accepts.
-void add_log_cli_options(util::CliParser& cli) {
+// --- Shared validators --------------------------------------------------------
+// Each prints what is wrong and returns nullopt; the subcommand exits 2.
+
+/// --<name> as an integer >= 0.
+std::optional<std::int64_t> non_negative_int(const util::CliParser& cli,
+                                             std::string_view name) {
+  const auto value = cli.get_int(name);
+  if (!value.has_value() || *value < 0) {
+    std::fprintf(stderr, "--%s must be a non-negative integer (got '%s')\n",
+                 std::string(name).c_str(), std::string(cli.get(name)).c_str());
+    return std::nullopt;
+  }
+  return *value;
+}
+
+/// --<name> as a full-range unsigned 64-bit integer (seeds).
+std::optional<std::uint64_t> parse_u64(const util::CliParser& cli,
+                                       std::string_view name) {
+  const auto value = util::parse_uint(cli.get(name));
+  if (!value.has_value()) {
+    std::fprintf(stderr,
+                 "--%s must be an unsigned 64-bit integer (got '%s')\n",
+                 std::string(name).c_str(), std::string(cli.get(name)).c_str());
+  }
+  return value;
+}
+
+/// --<name> as a fraction in [0, 1].
+std::optional<double> parse_fraction(const util::CliParser& cli,
+                                     std::string_view name) {
+  const auto value = cli.get_double(name);
+  if (!value.has_value() || !(*value >= 0.0 && *value <= 1.0)) {
+    std::fprintf(stderr, "--%s must be a fraction in [0, 1] (got '%s')\n",
+                 std::string(name).c_str(), std::string(cli.get(name)).c_str());
+    return std::nullopt;
+  }
+  return *value;
+}
+
+/// --<name> as a number of seconds: > 0, or >= 0 when `zero_ok` (the
+/// option's 0 meaning "off" or "unlimited").
+std::optional<double> parse_seconds(const util::CliParser& cli,
+                                    std::string_view name, bool zero_ok) {
+  const auto value = cli.get_double(name);
+  if (!value.has_value() || *value < 0.0 || (*value == 0.0 && !zero_ok)) {
+    std::fprintf(stderr, "--%s must be a number of seconds %s 0 (got '%s')\n",
+                 std::string(name).c_str(), zero_ok ? ">=" : ">",
+                 std::string(cli.get(name)).c_str());
+    return std::nullopt;
+  }
+  return *value;
+}
+
+/// --threads (0 = hardware): a negative count must not be cast into ~2^64
+/// workers.
+std::optional<std::size_t> parse_thread_count(const util::CliParser& cli) {
+  const auto threads = non_negative_int(cli, "threads");
+  if (!threads.has_value()) return std::nullopt;
+  return static_cast<std::size_t>(*threads);
+}
+
+/// --<name> as a TCP port (0 = ephemeral).
+std::optional<std::uint16_t> parse_port(const util::CliParser& cli,
+                                        std::string_view name) {
+  const auto port = non_negative_int(cli, name);
+  if (!port.has_value()) return std::nullopt;
+  if (*port > 65535) {
+    std::fprintf(stderr, "--%s must be at most 65535\n",
+                 std::string(name).c_str());
+    return std::nullopt;
+  }
+  return static_cast<std::uint16_t>(*port);
+}
+
+// --- Option groups ------------------------------------------------------------
+// Each group of options several subcommands share has one register function
+// and one parse-and-validate function.
+
+/// Log group: every subcommand but `thresholds`.
+void add_log_options(util::CliParser& cli) {
   cli.add_flag("log-json",
                "emit log lines as JSONL objects ({ts, level, msg})");
   cli.add_option("log-level", "debug | info | warn | error | off", "info");
 }
 
-/// Applies --log-json/--log-level; prints and returns false on a bad level.
-bool apply_log_cli_options(const util::CliParser& cli) {
+bool apply_log_options(const util::CliParser& cli) {
   const auto level = util::parse_log_level(cli.get("log-level"));
   if (!level.has_value()) {
     std::fprintf(stderr,
@@ -144,8 +221,34 @@ bool apply_log_cli_options(const util::CliParser& cli) {
   return true;
 }
 
-/// Registers the telemetry options shared by the pipeline subcommands.
-void add_obs_cli_options(util::CliParser& cli) {
+/// The prologue every subcommand but `thresholds` shares: registers the log
+/// group, parses argv (usage on --help) and applies the log group. Returns
+/// the exit code to stop with, or nullopt to carry on.
+std::optional<int> parse_command_line(util::CliParser& cli, int argc,
+                                      char** argv) {
+  add_log_options(cli);
+  if (const auto status = cli.parse(argc, argv); !status.ok()) {
+    if (status.error().code == util::ErrorCode::kNotFound) return 0;
+    std::fprintf(stderr, "%s\n", status.error().message.c_str());
+    return 2;
+  }
+  if (!apply_log_options(cli)) return 2;
+  return std::nullopt;
+}
+
+/// Telemetry group: where a run's metrics, trace, progress heartbeat,
+/// provenance and profile go.
+struct ObsOptions {
+  std::string metrics_path;
+  std::string trace_path;
+  double progress_seconds = 0.0;
+  std::string provenance_dir;
+  std::uint64_t provenance_sample = 1;
+  std::string profile_path;
+  double profile_hz = obs::Profiler::kDefaultHz;
+};
+
+void add_obs_options(util::CliParser& cli) {
   cli.add_option("metrics",
                  "write run metrics to this path as JSON, plus Prometheus "
                  "text to <path>.prom", "");
@@ -167,48 +270,43 @@ void add_obs_cli_options(util::CliParser& cli) {
   cli.add_option("profile-hz", "profiler sampling frequency", "97");
 }
 
-/// Validates --profile-hz; nullopt (after printing) on values <= 0.
-std::optional<double> parse_profile_hz(const util::CliParser& cli) {
-  const auto hz = cli.get_double("profile-hz");
-  if (!hz.has_value() || *hz <= 0.0) {
-    std::fprintf(stderr, "--profile-hz must be a positive frequency\n");
-    return std::nullopt;
-  }
-  return *hz;
-}
-
-/// Validates --provenance-sample; nullopt (after printing) on values < 1.
-std::optional<std::uint64_t> parse_provenance_sample(
-    const util::CliParser& cli) {
+std::optional<ObsOptions> parse_obs_options(const util::CliParser& cli) {
+  const auto progress = parse_seconds(cli, "progress", /*zero_ok=*/true);
   const auto sample = cli.get_int("provenance-sample");
-  if (!sample.has_value() || *sample < 1) {
+  const bool sample_ok = sample.has_value() && *sample >= 1;
+  if (!sample_ok) {
     std::fprintf(stderr, "--provenance-sample must be a positive integer\n");
-    return std::nullopt;
   }
-  return static_cast<std::uint64_t>(*sample);
+  const auto hz = cli.get_double("profile-hz");
+  const bool hz_ok = hz.has_value() && *hz > 0.0;
+  if (!hz_ok) {
+    std::fprintf(stderr, "--profile-hz must be a positive frequency\n");
+  }
+  if (!progress || !sample_ok || !hz_ok) return std::nullopt;
+  return ObsOptions{std::string(cli.get("metrics")),
+                    std::string(cli.get("trace-events")),
+                    *progress,
+                    std::string(cli.get("provenance")),
+                    static_cast<std::uint64_t>(*sample),
+                    std::string(cli.get("profile")),
+                    *hz};
 }
 
-/// Arms the sinks requested via --metrics/--trace-events/--progress and
-/// flushes them when the subcommand returns. The destructor covers early
-/// error exits so an aborted run still leaves its telemetry behind.
+/// Arms the telemetry sinks and flushes them when the subcommand returns.
+/// The destructor covers early error exits so an aborted run still leaves
+/// its telemetry behind.
 class ObsSession {
  public:
-  ObsSession(std::string metrics_path, std::string trace_path,
-             double progress_seconds, std::string provenance_dir = "",
-             std::uint64_t provenance_sample = 1,
-             std::string profile_path = "",
-             double profile_hz = obs::Profiler::kDefaultHz)
-      : metrics_path_(std::move(metrics_path)),
-        trace_path_(std::move(trace_path)),
-        provenance_dir_(std::move(provenance_dir)),
-        profile_path_(std::move(profile_path)) {
-    if (!trace_path_.empty()) obs::SpanTracer::global().enable();
-    if (!provenance_dir_.empty()) {
-      obs::ProvenanceJournal::global().enable(provenance_sample);
+  explicit ObsSession(ObsOptions options) : options_(std::move(options)) {
+    if (!options_.trace_path.empty()) obs::SpanTracer::global().enable();
+    if (!options_.provenance_dir.empty()) {
+      obs::ProvenanceJournal::global().enable(options_.provenance_sample);
     }
-    if (!profile_path_.empty()) obs::Profiler::global().enable(profile_hz);
-    if (progress_seconds > 0.0) {
-      heartbeat_ = std::make_unique<obs::Heartbeat>(progress_seconds);
+    if (!options_.profile_path.empty()) {
+      obs::Profiler::global().enable(options_.profile_hz);
+    }
+    if (options_.progress_seconds > 0.0) {
+      heartbeat_ = std::make_unique<obs::Heartbeat>(options_.progress_seconds);
     }
   }
 
@@ -223,44 +321,46 @@ class ObsSession {
     if (finished_) return ok_;
     finished_ = true;
     if (heartbeat_ != nullptr) heartbeat_->stop();
-    if (!profile_path_.empty()) {
+    if (!options_.profile_path.empty()) {
       // Stop sampling before flushing any sink so the profiler's own
       // bookkeeping never lands in the written artifacts.
       auto& profiler = obs::Profiler::global();
       profiler.disable();
-      if (const auto status = profiler.write_collapsed(profile_path_);
+      if (const auto status = profiler.write_collapsed(options_.profile_path);
           !status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
         ok_ = false;
       } else {
         std::printf("profile (%llu sample(s)) written to %s\n",
                     static_cast<unsigned long long>(profiler.sample_count()),
-                    profile_path_.c_str());
+                    options_.profile_path.c_str());
       }
     }
-    if (!metrics_path_.empty()) {
-      if (const auto status = obs::write_metrics_files(metrics_path_);
+    if (!options_.metrics_path.empty()) {
+      if (const auto status = obs::write_metrics_files(options_.metrics_path);
           !status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
         ok_ = false;
       } else {
         std::printf("metrics written to %s and %s.prom\n",
-                    metrics_path_.c_str(), metrics_path_.c_str());
+                    options_.metrics_path.c_str(),
+                    options_.metrics_path.c_str());
       }
     }
-    if (!trace_path_.empty()) {
+    if (!options_.trace_path.empty()) {
       auto& tracer = obs::SpanTracer::global();
       // A profiled run writes the two-lane trace (spans + profile samples);
       // a plain run keeps the single-lane span trace.
       const auto status =
-          profile_path_.empty()
-              ? tracer.write_chrome_trace(trace_path_)
-              : obs::write_chrome_trace_with_profile(trace_path_);
+          options_.profile_path.empty()
+              ? tracer.write_chrome_trace(options_.trace_path)
+              : obs::write_chrome_trace_with_profile(options_.trace_path);
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
         ok_ = false;
       } else {
-        std::printf("trace events written to %s\n", trace_path_.c_str());
+        std::printf("trace events written to %s\n",
+                    options_.trace_path.c_str());
         if (tracer.dropped() > 0) {
           MOSAIC_LOG_WARN("trace: %llu spans dropped (ring buffers full)",
                           static_cast<unsigned long long>(tracer.dropped()));
@@ -268,14 +368,14 @@ class ObsSession {
       }
       tracer.disable();
     }
-    if (!provenance_dir_.empty()) {
+    if (!options_.provenance_dir.empty()) {
       auto& journal = obs::ProvenanceJournal::global();
       std::error_code ec;
-      std::filesystem::create_directories(provenance_dir_, ec);
-      const std::string path = provenance_dir_ + "/provenance.jsonl";
+      std::filesystem::create_directories(options_.provenance_dir, ec);
+      const std::string path = options_.provenance_dir + "/provenance.jsonl";
       if (ec) {
-        std::fprintf(stderr, "cannot create %s: %s\n", provenance_dir_.c_str(),
-                     ec.message().c_str());
+        std::fprintf(stderr, "cannot create %s: %s\n",
+                     options_.provenance_dir.c_str(), ec.message().c_str());
         ok_ = false;
       } else if (const auto status = journal.write_jsonl(path); !status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
@@ -291,34 +391,36 @@ class ObsSession {
   }
 
  private:
-  std::string metrics_path_;
-  std::string trace_path_;
-  std::string provenance_dir_;
-  std::string profile_path_;
+  ObsOptions options_;
   std::unique_ptr<obs::Heartbeat> heartbeat_;
   bool finished_ = false;
   bool ok_ = true;
 };
 
-/// Validates --progress; nullopt (after printing) on a negative value.
-std::optional<double> parse_progress(const util::CliParser& cli) {
-  const auto progress = cli.get_double("progress");
-  if (!progress.has_value() || *progress < 0.0) {
-    std::fprintf(stderr, "--progress must be a non-negative number of "
-                         "seconds\n");
-    return std::nullopt;
-  }
-  return *progress;
-}
-
-/// Registers the fault-tolerance options shared by the ingest-driven
-/// subcommands (batch, report, analyze).
-void add_ingest_cli_options(util::CliParser& cli) {
+/// Retry group: the per-file read policy of every ingest-driven subcommand
+/// (dispatch forwards it to its workers, the daemon applies it per file).
+void add_retry_options(util::CliParser& cli) {
   cli.add_option("retries", "extra read attempts for transient I/O errors",
                  "3");
   cli.add_option("deadline",
                  "per-file read+retry+parse budget in seconds (0 = unlimited)",
                  "30");
+}
+
+bool parse_retry_options(const util::CliParser& cli,
+                         ingest::IngestOptions& options) {
+  const auto retries = non_negative_int(cli, "retries");
+  const auto deadline = parse_seconds(cli, "deadline", /*zero_ok=*/true);
+  if (!retries || !deadline) return false;
+  options.max_retries = static_cast<int>(*retries);
+  options.file_deadline_seconds = *deadline;
+  return true;
+}
+
+/// Ingest group (batch, report, analyze): the retry group plus windowing,
+/// quarantine, the resume journal and the fault-injection seams.
+void add_ingest_options(util::CliParser& cli) {
+  add_retry_options(cli);
   cli.add_option("max-in-flight",
                  "files concurrently in memory (0 = 4x threads)", "0");
   cli.add_option("quarantine",
@@ -333,35 +435,18 @@ void add_ingest_cli_options(util::CliParser& cli) {
                  "testing: simulate a crash after N ingested files", "0");
 }
 
-/// Builds IngestOptions from the CLI; prints and returns nullopt on invalid
-/// values. `faulty` keeps an injected reader alive for the options' lifetime.
-std::optional<ingest::IngestOptions> make_ingest_options(
+/// `faulty` keeps an injected reader alive for the options' lifetime.
+std::optional<ingest::IngestOptions> parse_ingest_options(
     const util::CliParser& cli,
     std::unique_ptr<ingest::FaultyFileReader>& faulty) {
   ingest::IngestOptions options;
-  const auto non_negative_int = [&cli](std::string_view name)
-      -> std::optional<std::int64_t> {
-    const auto value = cli.get_int(name);
-    if (!value.has_value() || *value < 0) {
-      std::fprintf(stderr, "--%s must be a non-negative integer\n",
-                   std::string(name).c_str());
-      return std::nullopt;
-    }
-    return *value;
-  };
-  const auto retries = non_negative_int("retries");
-  const auto in_flight = non_negative_int("max-in-flight");
-  const auto abort_after = non_negative_int("abort-after");
-  const auto deadline = cli.get_double("deadline");
-  if (!retries || !in_flight || !abort_after) return std::nullopt;
-  if (!deadline.has_value() || *deadline < 0.0) {
-    std::fprintf(stderr, "--deadline must be a non-negative number\n");
+  const auto in_flight = non_negative_int(cli, "max-in-flight");
+  const auto abort_after = non_negative_int(cli, "abort-after");
+  if (!parse_retry_options(cli, options) || !in_flight || !abort_after) {
     return std::nullopt;
   }
-  options.max_retries = static_cast<int>(*retries);
   options.max_in_flight = static_cast<std::size_t>(*in_flight);
   options.abort_after_files = static_cast<std::size_t>(*abort_after);
-  options.file_deadline_seconds = *deadline;
   options.quarantine_dir = std::string(cli.get("quarantine"));
   options.journal_path = std::string(cli.get("journal"));
   options.resume = cli.get_flag("resume");
@@ -381,16 +466,63 @@ std::optional<ingest::IngestOptions> make_ingest_options(
   return options;
 }
 
-/// Validates --threads: a negative count (e.g. --threads -1) must not be
-/// cast into ~2^64 workers.
-std::optional<std::size_t> parse_thread_count(const util::CliParser& cli) {
-  const auto threads = cli.get_int("threads");
-  if (!threads.has_value() || *threads < 0) {
-    std::fprintf(stderr,
-                 "--threads must be a non-negative integer (0 = hardware)\n");
-    return std::nullopt;
+/// Endpoint group (dispatch, daemon): who may call the HTTP endpoint and
+/// which rules /healthz evaluates.
+struct EndpointOptions {
+  std::string auth_token;                     ///< empty = open endpoint
+  std::vector<obs::HealthRule> health_rules;  ///< empty = built-in rules
+};
+
+void add_endpoint_options(util::CliParser& cli) {
+  cli.add_option("metrics-token",
+                 "require `Authorization: Bearer <token>` on every endpoint "
+                 "request (default: $MOSAIC_METRICS_TOKEN; empty = open)",
+                 "");
+  cli.add_option("health-rules",
+                 "JSON rules file replacing the built-in health rules "
+                 "/healthz evaluates (see `mosaic health --print-rules`)",
+                 "");
+}
+
+std::optional<EndpointOptions> parse_endpoint_options(
+    const util::CliParser& cli) {
+  EndpointOptions out;
+  // The flag wins over the environment so a scripted per-run override works.
+  out.auth_token = std::string(cli.get("metrics-token"));
+  if (const char* env = std::getenv("MOSAIC_METRICS_TOKEN");
+      out.auth_token.empty() && env != nullptr) {
+    out.auth_token = env;
   }
-  return static_cast<std::size_t>(*threads);
+  if (const auto path = cli.get("health-rules"); !path.empty()) {
+    auto rules = obs::load_health_rules(std::string(path));
+    if (!rules.has_value()) {
+      std::fprintf(stderr, "--health-rules: %s\n",
+                   rules.error().to_string().c_str());
+      return std::nullopt;
+    }
+    out.health_rules = std::move(*rules);
+  }
+  return out;
+}
+
+/// Prints an ingest run's summary line; after a simulated crash also the
+/// resume hint, returning false (the caller exits 3).
+bool report_ingest(const std::string& prefix, const ingest::IngestStats& io,
+                   double seconds, const ingest::IngestOptions& options) {
+  std::printf("%singested %zu files: %zu loaded, %zu evicted before validity "
+              "(%zu recovered after retry, %zu quarantined, %zu replayed "
+              "from journal) in %s\n",
+              prefix.c_str(), io.files_scanned, io.loaded, io.failed,
+              io.recovered, io.quarantined, io.journal_replayed,
+              util::format_duration(seconds).c_str());
+  if (!io.aborted) return true;
+  std::fprintf(stderr,
+               "mosaic batch: %saborted after %zu files (simulated crash); "
+               "re-run with --journal %s --resume to continue\n",
+               prefix.c_str(), options.abort_after_files,
+               options.journal_path.empty() ? "<path>"
+                                            : options.journal_path.c_str());
+  return false;
 }
 
 /// Renders the per-reason eviction table fed by the ingest funnel.
@@ -453,78 +585,6 @@ bool print_batch_summary(const core::BatchResult& batch,
   return true;
 }
 
-/// Ingests and analyzes the corpus slice `spec` owns and assembles its
-/// partial artifact (all fields except the obs paths, which depend on the
-/// caller's session mode). The resume journal is suffixed per shard so
-/// shard runs never share one. Returns an exit code; 0 fills `out`.
-int run_shard_batch(const ingest::ShardSpec& spec,
-                    const ingest::IngestOptions& base,
-                    const std::vector<std::string>& paths,
-                    const core::Thresholds& thresholds,
-                    parallel::ThreadPool& pool,
-                    report::PartialArtifact& out) {
-  ingest::IngestOptions options = base;
-  options.shard = spec;
-  if (!options.journal_path.empty()) {
-    options.journal_path =
-        ingest::shard_suffix_path(base.journal_path, spec.index);
-  }
-  util::Stopwatch watch;
-  auto ingested = ingest::ingest_paths(paths, options, pool);
-  if (!ingested.has_value()) {
-    std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
-    return 2;
-  }
-  const ingest::IngestStats io = ingested->stats;
-  std::printf("shard %zu/%zu: ingested %zu files: %zu loaded, %zu evicted "
-              "before validity (%zu recovered after retry, %zu quarantined, "
-              "%zu replayed from journal) in %s\n",
-              spec.index, spec.count, io.files_scanned, io.loaded, io.failed,
-              io.recovered, io.quarantined, io.journal_replayed,
-              util::format_duration(watch.elapsed_seconds()).c_str());
-  if (io.aborted) {
-    std::fprintf(stderr,
-                 "mosaic batch: shard %zu/%zu aborted after %zu files "
-                 "(simulated crash); re-run with --journal %s --resume to "
-                 "continue\n",
-                 spec.index, spec.count, options.abort_after_files,
-                 options.journal_path.empty() ? "<path>"
-                                              : options.journal_path.c_str());
-    return 3;
-  }
-
-  // Snapshot the dedup digests before analysis consumes the traces: the
-  // merge needs (total bytes, source path) to replay cross-shard dedup.
-  std::vector<std::uint64_t> retained_bytes;
-  retained_bytes.reserve(ingested->pre.retained.size());
-  for (const trace::Trace& t : ingested->pre.retained) {
-    retained_bytes.push_back(t.total_bytes());
-  }
-  std::vector<std::string> retained_paths =
-      std::move(ingested->pre.retained_paths);
-
-  core::BatchResult batch =
-      core::analyze_preprocessed(std::move(ingested->pre), thresholds, &pool);
-  MOSAIC_ASSERT(batch.results.size() == retained_paths.size());
-
-  out = report::PartialArtifact{};
-  out.shard_index = spec.index;
-  out.shard_count = spec.count;
-  out.ingest = io;
-  out.stats = batch.preprocess;
-  out.runs_per_app = std::move(batch.runs_per_app);
-  out.journal_path = options.journal_path;
-  out.traces.reserve(batch.results.size());
-  for (std::size_t i = 0; i < batch.results.size(); ++i) {
-    report::ShardTraceResult entry;
-    entry.result = std::move(batch.results[i]);
-    entry.source_path = std::move(retained_paths[i]);
-    entry.total_bytes = retained_bytes[i];
-    out.traces.push_back(std::move(entry));
-  }
-  return 0;
-}
-
 /// Reads + merges partial artifacts named by files/directories. Returns
 /// nullopt after printing (exit code in `*exit_code`).
 std::optional<report::MergedPartials> load_and_merge_partials(
@@ -561,32 +621,21 @@ int cmd_analyze(int argc, char** argv) {
   util::CliParser cli("mosaic analyze", "categorize traces one by one");
   cli.add_option("thresholds", "JSON thresholds config", "");
   cli.add_flag("json", "print the full JSON per trace");
-  add_ingest_cli_options(cli);
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_ingest_options(cli);
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   const auto paths = expand_paths(cli.positional());
   if (paths.empty()) {
     std::fprintf(stderr, "mosaic analyze: no input traces\n");
     return 2;
   }
   std::unique_ptr<ingest::FaultyFileReader> faulty;
-  const auto options = make_ingest_options(cli, faulty);
-  if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  const auto options = parse_ingest_options(cli, faulty);
+  auto obs_options = parse_obs_options(cli);
+  if (!options || !obs_options) return 2;
+  ObsSession obs_session(std::move(*obs_options));
   const core::Analyzer analyzer(load_thresholds(cli));
   int failures = 0;
   for (const std::string& path : paths) {
@@ -633,34 +682,24 @@ int cmd_batch(int argc, char** argv) {
   cli.add_option("partials",
                  "directory for partial artifacts (results.shard-K.json)",
                  "");
-  add_ingest_cli_options(cli);
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_ingest_options(cli);
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   const auto paths = expand_paths(cli.positional());
   if (paths.empty()) {
     std::fprintf(stderr, "mosaic batch: no input traces\n");
     return 2;
   }
   const auto thread_count = parse_thread_count(cli);
-  if (!thread_count.has_value()) return 2;
   std::unique_ptr<ingest::FaultyFileReader> faulty;
-  const auto options = make_ingest_options(cli, faulty);
-  if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  const auto options = parse_ingest_options(cli, faulty);
+  auto obs_options = parse_obs_options(cli);
+  const auto shard_total = non_negative_int(cli, "shards");
+  if (!thread_count || !options || !obs_options || !shard_total) return 2;
 
   const std::string shard_text{cli.get("shard")};
-  const auto shard_total = cli.get_int("shards");
-  if (!shard_total.has_value() || *shard_total < 0) {
-    std::fprintf(stderr, "--shards must be a non-negative integer\n");
-    return 2;
-  }
   if (!shard_text.empty() && *shard_total > 0) {
     std::fprintf(stderr, "--shard and --shards are mutually exclusive\n");
     return 2;
@@ -688,30 +727,15 @@ int cmd_batch(int argc, char** argv) {
 
   // A shard run derives its obs paths from the shard id so N concurrent
   // shard processes launched from one command line never clobber each
-  // other's metrics/trace/provenance files.
-  std::string metrics_path{cli.get("metrics")};
-  std::string trace_path{cli.get("trace-events")};
-  std::string provenance_dir{cli.get("provenance")};
+  // other's metrics/trace/provenance/profile files.
   if (shard.has_value()) {
-    if (!metrics_path.empty()) {
-      metrics_path = ingest::shard_suffix_path(metrics_path, shard->index);
-    }
-    if (!trace_path.empty()) {
-      trace_path = ingest::shard_suffix_path(trace_path, shard->index);
-    }
-    if (!provenance_dir.empty()) {
-      provenance_dir = ingest::shard_suffix_path(provenance_dir,
-                                                 shard->index);
+    for (std::string* path :
+         {&obs_options->metrics_path, &obs_options->trace_path,
+          &obs_options->provenance_dir, &obs_options->profile_path}) {
+      if (!path->empty()) *path = ingest::shard_suffix_path(*path, shard->index);
     }
   }
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  std::string profile_path{cli.get("profile")};
-  if (shard.has_value() && !profile_path.empty()) {
-    profile_path = ingest::shard_suffix_path(profile_path, shard->index);
-  }
-  ObsSession obs_session(metrics_path, trace_path, *progress, provenance_dir,
-                         *provenance_sample, profile_path, *profile_hz);
+  ObsSession obs_session(*obs_options);
   if (!partials_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(partials_dir, ec);
@@ -724,17 +748,41 @@ int cmd_batch(int argc, char** argv) {
   parallel::ThreadPool pool(*thread_count);
   const core::Thresholds thresholds = load_thresholds(cli);
 
+  // One shard through report::run_shard, with the resume journal
+  // suffixed per shard so shard runs never share one. Returns an exit code;
+  // 0 fills `partial`.
+  const auto run_one_shard = [&](const ingest::ShardSpec& spec,
+                                 report::PartialArtifact& partial) {
+    ingest::IngestOptions shard_options = *options;
+    shard_options.shard = spec;
+    if (!shard_options.journal_path.empty()) {
+      shard_options.journal_path =
+          ingest::shard_suffix_path(options->journal_path, spec.index);
+    }
+    util::Stopwatch watch;
+    auto run = report::run_shard(paths, shard_options, thresholds, pool);
+    if (!run.has_value()) {
+      std::fprintf(stderr, "%s\n", run.error().to_string().c_str());
+      return 2;
+    }
+    const std::string prefix = "shard " + std::to_string(spec.index) + "/" +
+                               std::to_string(spec.count) + ": ";
+    if (!report_ingest(prefix, run->ingest, watch.elapsed_seconds(),
+                       shard_options)) {
+      return 3;
+    }
+    partial = std::move(*run);
+    return 0;
+  };
+
   if (shard.has_value()) {
     report::PartialArtifact partial;
-    if (const int rc = run_shard_batch(*shard, *options, paths, thresholds,
-                                       pool, partial);
-        rc != 0) {
-      return rc;
-    }
-    partial.metrics_path = metrics_path;
-    partial.provenance_path = provenance_dir.empty()
-                                  ? std::string()
-                                  : provenance_dir + "/provenance.jsonl";
+    if (const int rc = run_one_shard(*shard, partial); rc != 0) return rc;
+    partial.metrics_path = obs_options->metrics_path;
+    partial.provenance_path =
+        obs_options->provenance_dir.empty()
+            ? std::string()
+            : obs_options->provenance_dir + "/provenance.jsonl";
     const std::string out_path =
         partials_dir + "/" + ingest::partial_filename(shard->index);
     if (const auto status = report::write_partial(partial, out_path);
@@ -757,9 +805,7 @@ int cmd_batch(int argc, char** argv) {
     partials.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
       report::PartialArtifact partial;
-      if (const int rc = run_shard_batch(ingest::ShardSpec{k, count},
-                                         *options, paths, thresholds, pool,
-                                         partial);
+      if (const int rc = run_one_shard(ingest::ShardSpec{k, count}, partial);
           rc != 0) {
         return rc;
       }
@@ -797,20 +843,8 @@ int cmd_batch(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
     return 2;
   }
-  const ingest::IngestStats& io = ingested->stats;
-  std::printf("ingested %zu files: %zu loaded, %zu evicted before validity "
-              "(%zu recovered after retry, %zu quarantined, %zu replayed "
-              "from journal) in %s\n",
-              io.files_scanned, io.loaded, io.failed, io.recovered,
-              io.quarantined, io.journal_replayed,
-              util::format_duration(watch.elapsed_seconds()).c_str());
-  if (io.aborted) {
-    std::fprintf(stderr,
-                 "mosaic batch: aborted after %zu files (simulated crash); "
-                 "re-run with --journal %s --resume to continue\n",
-                 options->abort_after_files,
-                 options->journal_path.empty() ? "<path>"
-                                               : options->journal_path.c_str());
+  if (!report_ingest("", ingested->stats, watch.elapsed_seconds(),
+                     *options)) {
     return 3;
   }
 
@@ -831,11 +865,9 @@ int cmd_merge(int argc, char** argv) {
                       "batch summary");
   cli.add_option("json", "write the JSON summary to this path", "");
   cli.add_flag("heatmap", "render the Jaccard heatmap");
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   if (cli.positional().empty()) {
     std::fprintf(stderr,
                  "mosaic merge: no partial artifacts (pass files or the "
@@ -873,63 +905,6 @@ void install_stop_handlers() {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
-/// Validates a positive --<name> seconds value; nullopt after printing.
-std::optional<double> parse_positive_seconds(const util::CliParser& cli,
-                                             std::string_view name) {
-  const auto value = cli.get_double(name);
-  if (!value.has_value() || *value <= 0.0) {
-    std::fprintf(stderr,
-                 "--%s must be a positive number of seconds (got '%s')\n",
-                 std::string(name).c_str(),
-                 std::string(cli.get(name)).c_str());
-    return std::nullopt;
-  }
-  return *value;
-}
-
-/// Validates a non-negative --<name> seconds value (0 = unlimited).
-std::optional<double> parse_seconds_or_zero(const util::CliParser& cli,
-                                            std::string_view name) {
-  const auto value = cli.get_double(name);
-  if (!value.has_value() || *value < 0.0) {
-    std::fprintf(stderr,
-                 "--%s must be a non-negative number of seconds, 0 for "
-                 "unlimited (got '%s')\n",
-                 std::string(name).c_str(),
-                 std::string(cli.get(name)).c_str());
-    return std::nullopt;
-  }
-  return *value;
-}
-
-/// --metrics-token with the $MOSAIC_METRICS_TOKEN fallback. The flag wins
-/// over the environment so a scripted per-run override works.
-std::string metrics_token_from_cli(const util::CliParser& cli) {
-  std::string token(cli.get("metrics-token"));
-  if (token.empty()) {
-    if (const char* env = std::getenv("MOSAIC_METRICS_TOKEN");
-        env != nullptr) {
-      token = env;
-    }
-  }
-  return token;
-}
-
-/// Loads --health-rules if given; nullopt (after printing) on a bad file.
-/// An empty vector means the flag was absent (callers keep their defaults).
-std::optional<std::vector<obs::HealthRule>> parse_health_rules(
-    const util::CliParser& cli) {
-  const auto path = cli.get("health-rules");
-  if (path.empty()) return std::vector<obs::HealthRule>{};
-  auto rules = obs::load_health_rules(std::string(path));
-  if (!rules.has_value()) {
-    std::fprintf(stderr, "--health-rules: %s\n",
-                 rules.error().to_string().c_str());
-    return std::nullopt;
-  }
-  return std::move(*rules);
-}
-
 int cmd_worker(int argc, char** argv) {
   util::CliParser cli("mosaic worker",
                       "serve shard tasks to a dispatch manager");
@@ -944,12 +919,10 @@ int cmd_worker(int argc, char** argv) {
                  "inject deterministic network faults, e.g. "
                  "seed=7,close=0.25,corrupt=0.25,corrupt_failures=1,"
                  "stall=0.25,stall_ms=400,kill_after=2", "");
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
 
   const auto listen = dist::parse_address(cli.get("listen"));
   if (!listen.has_value()) {
@@ -958,13 +931,9 @@ int cmd_worker(int argc, char** argv) {
     return 2;
   }
   const auto thread_count = parse_thread_count(cli);
-  if (!thread_count.has_value()) return 2;
-  const auto heartbeat = parse_positive_seconds(cli, "heartbeat-interval");
-  if (!heartbeat.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  const auto heartbeat = parse_seconds(cli, "heartbeat-interval", false);
+  auto obs_options = parse_obs_options(cli);
+  if (!thread_count || !heartbeat || !obs_options) return 2;
 
   dist::WorkerOptions options;
   options.listen = *listen;
@@ -982,17 +951,10 @@ int cmd_worker(int argc, char** argv) {
     options.fault = *spec;
   }
 
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-
   // Worker-local telemetry sinks. Note the federation path needs none of
   // these: snapshots ship to the manager on heartbeats regardless, and
   // span collection is switched on by the task request itself.
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  ObsSession obs_session(std::move(*obs_options));
 
   dist::Worker worker(std::move(options));
   if (const auto status = worker.bind(); !status.ok()) {
@@ -1048,11 +1010,7 @@ int cmd_dispatch(int argc, char** argv) {
                  "assignments a task may consume before quarantine", "3");
   cli.add_option("reconnect-attempts",
                  "reconnects before a worker is declared lost", "2");
-  cli.add_option("retries",
-                 "per-file ingest retries forwarded to workers", "3");
-  cli.add_option("deadline",
-                 "per-file ingest budget in seconds forwarded to workers "
-                 "(0 = unlimited)", "30");
+  add_retry_options(cli);
   cli.add_option("threads",
                  "in-process threads for degraded mode (0 = hardware)", "0");
   cli.add_option("journal",
@@ -1069,19 +1027,11 @@ int cmd_dispatch(int argc, char** argv) {
                  "/status, /healthz and /profile on 127.0.0.1:<port> while "
                  "the run is in flight (0 = ephemeral port, printed on "
                  "startup; empty = off)", "");
-  cli.add_option("metrics-token",
-                 "require `Authorization: Bearer <token>` on every endpoint "
-                 "request (default: $MOSAIC_METRICS_TOKEN; empty = open)",
-                 "");
-  cli.add_option("health-rules",
-                 "JSON rules file replacing the built-in fleet health rules "
-                 "(see `mosaic health --print-rules`)", "");
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_endpoint_options(cli);
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
 
   dist::DispatchOptions options;
   const auto workers_text = cli.get("workers");
@@ -1110,53 +1060,36 @@ int cmd_dispatch(int argc, char** argv) {
     return 2;
   }
 
-  const auto non_negative_int = [&cli](std::string_view name)
-      -> std::optional<std::int64_t> {
-    const auto value = cli.get_int(name);
-    if (!value.has_value() || *value < 0) {
-      std::fprintf(stderr, "--%s must be a non-negative integer (got '%s')\n",
-                   std::string(name).c_str(),
-                   std::string(cli.get(name)).c_str());
-      return std::nullopt;
-    }
-    return *value;
-  };
-  const auto shards = non_negative_int("shards");
-  const auto max_attempts = non_negative_int("max-attempts");
-  const auto reconnects = non_negative_int("reconnect-attempts");
-  const auto retries = non_negative_int("retries");
-  const auto abort_after = non_negative_int("abort-after-partials");
-  if (!shards || !max_attempts || !reconnects || !retries || !abort_after) {
+  const auto shards = non_negative_int(cli, "shards");
+  const auto max_attempts = non_negative_int(cli, "max-attempts");
+  const auto reconnects = non_negative_int(cli, "reconnect-attempts");
+  const auto abort_after = non_negative_int(cli, "abort-after-partials");
+  const auto task_deadline = parse_seconds(cli, "task-deadline", true);
+  const auto grace = parse_seconds(cli, "heartbeat-grace", false);
+  const auto connect_timeout = parse_seconds(cli, "connect-timeout", false);
+  const auto thread_count = parse_thread_count(cli);
+  auto endpoint = parse_endpoint_options(cli);
+  auto obs_options = parse_obs_options(cli);
+  ingest::IngestOptions per_file;
+  if (!shards || !max_attempts || !reconnects || !abort_after ||
+      !task_deadline || !grace || !connect_timeout || !thread_count ||
+      !endpoint || !obs_options || !parse_retry_options(cli, per_file)) {
     return 2;
   }
   if (*max_attempts < 1) {
     std::fprintf(stderr, "--max-attempts must be at least 1\n");
     return 2;
   }
-  const auto task_deadline = parse_seconds_or_zero(cli, "task-deadline");
-  const auto grace = parse_positive_seconds(cli, "heartbeat-grace");
-  const auto connect_timeout =
-      parse_positive_seconds(cli, "connect-timeout");
-  const auto file_deadline = parse_seconds_or_zero(cli, "deadline");
-  if (!task_deadline || !grace || !connect_timeout || !file_deadline) {
-    return 2;
-  }
-  const auto thread_count = parse_thread_count(cli);
-  if (!thread_count.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
 
   options.shard_count = static_cast<std::size_t>(*shards);
   options.max_task_attempts = static_cast<std::size_t>(*max_attempts);
   options.reconnect_attempts = static_cast<std::size_t>(*reconnects);
-  options.ingest_max_retries = static_cast<int>(*retries);
+  options.ingest_max_retries = per_file.max_retries;
+  options.ingest_file_deadline_seconds = per_file.file_deadline_seconds;
   options.abort_after_partials = static_cast<std::size_t>(*abort_after);
   options.task_deadline_seconds = *task_deadline;
   options.heartbeat_grace_seconds = *grace;
   options.connect_timeout_seconds = *connect_timeout;
-  options.ingest_file_deadline_seconds = *file_deadline;
   options.degraded_threads = *thread_count;
   options.thresholds = load_thresholds(cli);
   options.journal_path = std::string(cli.get("journal"));
@@ -1174,36 +1107,29 @@ int cmd_dispatch(int argc, char** argv) {
   // endpoint is up. --metrics and --trace-events switch from the
   // single-process writers to the *fleet* views: merged worker-labeled
   // metrics and the multi-lane clock-aligned Chrome trace.
-  const std::string metrics_path(cli.get("metrics"));
-  const std::string trace_path(cli.get("trace-events"));
   dist::TelemetryHub hub;
   options.telemetry = &hub;
-  options.collect_spans = !trace_path.empty();
-  if (!trace_path.empty()) obs::SpanTracer::global().enable();
-  if (auto token = metrics_token_from_cli(cli); !token.empty()) {
-    hub.set_auth_token(std::move(token));
+  options.collect_spans = !obs_options->trace_path.empty();
+  if (options.collect_spans) obs::SpanTracer::global().enable();
+  if (!endpoint->auth_token.empty()) {
+    hub.set_auth_token(std::move(endpoint->auth_token));
   }
-  auto health_rules = parse_health_rules(cli);
-  if (!health_rules.has_value()) return 2;
-  if (!health_rules->empty()) hub.set_health_rules(std::move(*health_rules));
-  if (const auto port_text = cli.get("metrics-port"); !port_text.empty()) {
-    const auto port = non_negative_int("metrics-port");
+  if (!endpoint->health_rules.empty()) {
+    hub.set_health_rules(std::move(endpoint->health_rules));
+  }
+  if (!cli.get("metrics-port").empty()) {
+    const auto port = parse_port(cli, "metrics-port");
     if (!port) return 2;
-    if (*port > 65535) {
-      std::fprintf(stderr, "--metrics-port must be at most 65535\n");
-      return 2;
-    }
-    const dist::Address endpoint{"127.0.0.1",
-                                 static_cast<std::uint16_t>(*port)};
-    if (const auto status = hub.start_endpoint(endpoint); !status.ok()) {
+    const dist::Address address{"127.0.0.1", *port};
+    if (const auto status = hub.start_endpoint(address); !status.ok()) {
       std::fprintf(stderr, "--metrics-port: %s\n",
                    status.error().to_string().c_str());
       return 1;
     }
-    obs::announce_http_endpoint("dispatch", endpoint.host,
+    obs::announce_http_endpoint("dispatch", address.host,
                                 hub.endpoint_port());
   }
-  hub.start_progress(*progress);
+  hub.start_progress(obs_options->progress_seconds);
 
   // Flushes the fleet sinks on every exit path (including abort /
   // quarantine early returns), mirroring what ObsSession does for the
@@ -1244,16 +1170,15 @@ int cmd_dispatch(int argc, char** argv) {
       }
       return ok;
     }
-  } fleet{hub, metrics_path, trace_path};
+  } fleet{hub, obs_options->metrics_path, obs_options->trace_path};
 
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
   // The hub owns the fleet views of --metrics/--trace-events/--progress;
   // ObsSession keeps covering provenance and the manager-side profile
   // (collapsed stacks of the dispatch/merge path itself).
-  ObsSession obs_session("", "", 0.0, std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  obs_options->metrics_path.clear();
+  obs_options->trace_path.clear();
+  obs_options->progress_seconds = 0.0;
+  ObsSession obs_session(std::move(*obs_options));
   install_stop_handlers();
 
   util::Stopwatch watch;
@@ -1335,13 +1260,11 @@ int cmd_report(int argc, char** argv) {
                "treat the positional arguments as shard partial artifacts "
                "(files or directories of results.shard-*.json) and reduce "
                "them instead of ingesting traces");
-  add_ingest_cli_options(cli);
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_ingest_options(cli);
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   const bool from_partials = cli.get_flag("from-partials");
   std::vector<std::string> paths;
   if (from_partials) {
@@ -1357,32 +1280,23 @@ int cmd_report(int argc, char** argv) {
     }
   }
   const auto thread_count = parse_thread_count(cli);
-  if (!thread_count.has_value()) return 2;
   std::unique_ptr<ingest::FaultyFileReader> faulty;
-  const auto options = make_ingest_options(cli, faulty);
-  if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  const auto options = parse_ingest_options(cli, faulty);
+  auto obs_options = parse_obs_options(cli);
+  const auto top_pairs = non_negative_int(cli, "top-pairs");
+  const auto straddling_cap = non_negative_int(cli, "straddling");
+  if (!thread_count || !options || !obs_options || !top_pairs ||
+      !straddling_cap) {
+    return 2;
+  }
   const bool confusion = cli.get_flag("confusion");
   const std::string truth_path{cli.get("truth")};
   if (confusion && truth_path.empty()) {
     std::fprintf(stderr, "--confusion requires --truth <file>\n");
     return 2;
   }
-  const auto straddling_cap = cli.get_int("straddling");
-  if (!straddling_cap.has_value() || *straddling_cap < 0) {
-    std::fprintf(stderr, "--straddling must be a non-negative integer\n");
-    return 2;
-  }
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  const std::uint64_t provenance_sample = obs_options->provenance_sample;
+  ObsSession obs_session(std::move(*obs_options));
   // The drill-down is computed from journal records, not by re-analyzing, so
   // --confusion needs the journal armed even without a --provenance dir. A
   // partials reduce never analyzes, so it reads the shard runs' recorded
@@ -1390,7 +1304,7 @@ int cmd_report(int argc, char** argv) {
   obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
   const bool confusion_armed_journal =
       confusion && !from_partials && !journal.enabled();
-  if (confusion_armed_journal) journal.enable(*provenance_sample);
+  if (confusion_armed_journal) journal.enable(provenance_sample);
 
   parallel::ThreadPool pool(*thread_count);
   core::BatchResult batch;
@@ -1480,9 +1394,8 @@ int cmd_report(int argc, char** argv) {
   }
 
   md += "\n## Strongest category correlations (Jaccard)\n\n```\n";
-  md += report::top_pairs(
-      report::jaccard_matrix(batch.results),
-      static_cast<std::size_t>(cli.get_int("top-pairs").value_or(10)));
+  md += report::top_pairs(report::jaccard_matrix(batch.results),
+                          static_cast<std::size_t>(*top_pairs));
   md += "```\n";
 
   md += "\n## Periodic applications\n\n";
@@ -1528,7 +1441,7 @@ int cmd_report(int argc, char** argv) {
     }
     md += "\n## Accuracy drill-down\n\n";
     md += "Computed by joining the decision-provenance journal (1 in " +
-          std::to_string(*provenance_sample) +
+          std::to_string(provenance_sample) +
           " traces sampled) against the generator's ground-truth sidecar — "
           "no re-analysis.\n\n";
     md += report::render_confusion(drill);
@@ -1559,11 +1472,9 @@ int cmd_explain(int argc, char** argv) {
                  "this directory's provenance.jsonl instead of analyzing a "
                  "file", "");
   cli.add_flag("json", "emit the provenance record as pretty JSON");
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "mosaic explain: exactly one trace file or trace "
                          "id\n");
@@ -1641,15 +1552,17 @@ int cmd_generate(int argc, char** argv) {
   cli.add_option("truth",
                  "write the planted ground-truth labels to this JSONL "
                  "sidecar (corrupted traces excluded)", "");
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "mosaic generate: exactly one output directory\n");
     return 2;
   }
+  const auto traces = non_negative_int(cli, "traces");
+  const auto seed = parse_u64(cli, "seed");
+  const auto corruption = parse_fraction(cli, "corruption");
+  if (!traces || !seed || !corruption) return 2;
   const std::string directory = cli.positional().front();
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
@@ -1660,11 +1573,9 @@ int cmd_generate(int argc, char** argv) {
   }
 
   sim::PopulationConfig config;
-  config.target_traces =
-      static_cast<std::size_t>(cli.get_int("traces").value_or(1000));
-  config.seed =
-      static_cast<std::uint64_t>(cli.get_int("seed").value_or(20190410));
-  config.corruption_fraction = cli.get_double("corruption").value_or(0.32);
+  config.target_traces = static_cast<std::size_t>(*traces);
+  config.seed = *seed;
+  config.corruption_fraction = *corruption;
   const sim::Population population = sim::generate_population(config);
 
   const std::string format{cli.get("format")};
@@ -1713,11 +1624,9 @@ int cmd_health(int argc, char** argv) {
                "print the effective rules as JSON (a valid --rules file) "
                "and exit");
   cli.add_flag("json", "print the full report as JSON instead of text");
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
 
   std::vector<obs::HealthRule> rules = cli.get_flag("fleet")
                                            ? obs::default_fleet_health_rules()
@@ -1794,26 +1703,16 @@ int cmd_daemon(int argc, char** argv) {
                  "directory for submitted trace bytes (default: a "
                  "per-process dir under the system temp dir)", "");
   cli.add_option("thresholds", "JSON thresholds config", "");
-  cli.add_option("retries", "extra read attempts for transient I/O errors",
-                 "3");
-  cli.add_option("deadline",
-                 "per-file read+retry+parse budget in seconds "
-                 "(0 = unlimited)", "30");
+  add_retry_options(cli);
   cli.add_option("metrics-port",
                  "serve /results, /explain/<trace-id>, /report and the "
                  "standard telemetry routes on 127.0.0.1:<port> "
                  "(0 = ephemeral, printed on startup)", "0");
-  cli.add_option("metrics-token",
-                 "require `Authorization: Bearer <token>` on the HTTP "
-                 "endpoint (default: $MOSAIC_METRICS_TOKEN)", "");
-  cli.add_option("health-rules",
-                 "JSON health/SLO rules evaluated by /healthz", "");
-  add_obs_cli_options(cli);
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  add_endpoint_options(cli);
+  add_obs_options(cli);
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
 
   dist::DaemonOptions options;
   const std::string watch_text(cli.get("watch"));
@@ -1861,57 +1760,26 @@ int cmd_daemon(int argc, char** argv) {
     options.listen = *listen;
   }
 
-  const auto poll = parse_positive_seconds(cli, "poll-interval");
-  if (!poll.has_value()) return 2;
-  options.poll_interval_seconds = *poll;
-  const auto cache_bytes = cli.get_int("cache-bytes");
-  if (!cache_bytes.has_value() || *cache_bytes < 0) {
-    std::fprintf(stderr, "--cache-bytes must be a non-negative integer "
-                         "(got '%s')\n",
-                 std::string(cli.get("cache-bytes")).c_str());
+  const auto poll = parse_seconds(cli, "poll-interval", false);
+  const auto cache_bytes = non_negative_int(cli, "cache-bytes");
+  const auto port = parse_port(cli, "metrics-port");
+  auto endpoint = parse_endpoint_options(cli);
+  auto obs_options = parse_obs_options(cli);
+  if (!poll || !cache_bytes || !port || !endpoint || !obs_options ||
+      !parse_retry_options(cli, options.ingest)) {
     return 2;
   }
+  options.poll_interval_seconds = *poll;
   options.cache_capacity_bytes = static_cast<std::size_t>(*cache_bytes);
   options.spool_dir = std::string(cli.get("spool-dir"));
   options.thresholds = load_thresholds(cli);
+  options.http = dist::Address{"127.0.0.1", *port};
+  options.auth_token = std::move(endpoint->auth_token);
+  options.health_rules = std::move(endpoint->health_rules);
 
-  const auto retries = cli.get_int("retries");
-  if (!retries.has_value() || *retries < 0) {
-    std::fprintf(stderr, "--retries must be a non-negative integer\n");
-    return 2;
-  }
-  const auto deadline = parse_seconds_or_zero(cli, "deadline");
-  if (!deadline.has_value()) return 2;
-  options.ingest.max_retries = static_cast<int>(*retries);
-  options.ingest.file_deadline_seconds = *deadline;
-
-  const auto port = cli.get_int("metrics-port");
-  if (!port.has_value() || *port < 0 || *port > 65535) {
-    std::fprintf(stderr, "--metrics-port must be a port number, 0 for "
-                         "ephemeral (got '%s')\n",
-                 std::string(cli.get("metrics-port")).c_str());
-    return 2;
-  }
-  options.http = dist::Address{"127.0.0.1",
-                               static_cast<std::uint16_t>(*port)};
-  options.auth_token = metrics_token_from_cli(cli);
-  auto health_rules = parse_health_rules(cli);
-  if (!health_rules.has_value()) return 2;
-  options.health_rules = std::move(*health_rules);
-
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
   // The session flushes the provenance journal and metrics sinks when run()
   // drains — the graceful half of SIGINT/SIGTERM handling.
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  ObsSession obs_session(std::move(*obs_options));
 
   install_stop_handlers();
   options.stop = &g_stop_requested;
@@ -1954,11 +1822,9 @@ int cmd_submit(int argc, char** argv) {
                  "daemon submission address (host:port, as printed by "
                  "`mosaic daemon --listen`)", "");
   cli.add_option("timeout", "per-file reply budget in seconds", "10");
-  add_log_cli_options(cli);
-  if (const auto status = cli.parse(argc, argv); !status.ok()) {
-    return status.error().code == util::ErrorCode::kNotFound ? 0 : 2;
+  if (const auto exit_code = parse_command_line(cli, argc, argv)) {
+    return *exit_code;
   }
-  if (!apply_log_cli_options(cli)) return 2;
   if (cli.positional().empty()) {
     std::fprintf(stderr, "mosaic submit: at least one trace file\n");
     return 2;
@@ -1976,7 +1842,7 @@ int cmd_submit(int argc, char** argv) {
                  address.error().to_string().c_str());
     return 2;
   }
-  const auto timeout = parse_positive_seconds(cli, "timeout");
+  const auto timeout = parse_seconds(cli, "timeout", false);
   if (!timeout.has_value()) return 2;
 
   int failures = 0;
