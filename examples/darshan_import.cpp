@@ -16,6 +16,7 @@
 #include "darshan/binary_format.hpp"
 #include "darshan/io.hpp"
 #include "darshan/text_format.hpp"
+#include "ingest/ingest.hpp"
 #include "json/json.hpp"
 #include "report/json_output.hpp"
 #include "sim/population.hpp"
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
   std::size_t loaded = 0;
   std::size_t evicted = 0;
   for (const std::string& path : paths) {
-    auto parsed = darshan::read_trace_file(path);
+    auto parsed = ingest::load_trace(path);
     if (!parsed.has_value()) {
       std::printf("%-48s LOAD ERROR (%s)\n", path.c_str(),
                   parsed.error().to_string().c_str());

@@ -1,13 +1,12 @@
 #include "core/config.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <sstream>
+
+#include "json/reader.hpp"
 
 namespace mosaic::core {
 
 using json::Object;
-using json::Value;
 using util::Error;
 using util::ErrorCode;
 using util::Expected;
@@ -84,19 +83,11 @@ json::Value thresholds_to_json(const Thresholds& thresholds) {
 }
 
 Expected<Thresholds> thresholds_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return Error{ErrorCode::kParseError, "thresholds: expected a JSON object"};
-  }
+  const json::Reader r(value, "thresholds");
   Thresholds thresholds;
-  const Object& object = value.as_object();
-
-  for (const auto& [key, member] : object.entries()) {
+  for (const auto& [key, member] : r.members()) {
     if (key == kBackendKey) {
-      if (!member.is_string()) {
-        return Error{ErrorCode::kParseError,
-                     "thresholds: periodicity_backend must be a string"};
-      }
-      const std::string& name = member.as_string();
+      const std::string_view name = r.string(key);
       if (name == "mean_shift") {
         thresholds.periodicity_backend = PeriodicityBackend::kMeanShift;
       } else if (name == "frequency") {
@@ -104,8 +95,7 @@ Expected<Thresholds> thresholds_from_json(const json::Value& value) {
       } else if (name == "hybrid") {
         thresholds.periodicity_backend = PeriodicityBackend::kHybrid;
       } else {
-        return Error{ErrorCode::kParseError,
-                     "thresholds: unknown periodicity_backend '" + name + "'"};
+        r.fail(key, "names an unknown backend '" + std::string(name) + "'");
       }
       continue;
     }
@@ -117,32 +107,27 @@ Expected<Thresholds> thresholds_from_json(const json::Value& value) {
         break;
       }
     }
-    if (field == nullptr) {
-      return Error{ErrorCode::kParseError,
-                   "thresholds: unknown key '" + key + "'"};
-    }
-    if (!member.is_number()) {
-      return Error{ErrorCode::kParseError,
-                   "thresholds: '" + key + "' must be a number"};
-    }
-    const double raw = member.as_number();
-    if (!std::isfinite(raw) || raw < 0.0 ||
-        (field->require_positive && raw <= 0.0)) {
+    // A typo must not silently fall back to a default.
+    if (field == nullptr) r.fail(key, "is not a threshold");
+    const double raw = r.number(key);
+    if (!r.ok()) break;
+    if (raw < 0.0 || (field->require_positive && raw <= 0.0)) {
       return Error{ErrorCode::kInvalidArgument,
                    "thresholds: '" + key + "' out of range"};
     }
     if (field->double_member != nullptr) {
       thresholds.*(field->double_member) = raw;
     } else if (field->u64_member != nullptr) {
-      thresholds.*(field->u64_member) = static_cast<std::uint64_t>(raw);
+      thresholds.*(field->u64_member) = r.integer<std::uint64_t>(key);
     } else {
       if (raw < 1.0) {
         return Error{ErrorCode::kInvalidArgument,
                      "thresholds: '" + key + "' must be >= 1"};
       }
-      thresholds.*(field->size_member) = static_cast<std::size_t>(raw);
+      thresholds.*(field->size_member) = r.integer<std::size_t>(key);
     }
   }
+  if (!r.ok()) return r.error();
 
   // Cross-field sanity: magnitude buckets must be ordered.
   if (!(thresholds.period_second_max < thresholds.period_minute_max &&
@@ -168,11 +153,7 @@ Status write_thresholds_file(const Thresholds& thresholds,
 }
 
 Expected<Thresholds> read_thresholds_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{ErrorCode::kIoError, "cannot open " + path};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = json::parse(buffer.str());
+  auto parsed = json::read_file(path);
   if (!parsed.has_value()) return std::move(parsed).error();
   return thresholds_from_json(*parsed);
 }

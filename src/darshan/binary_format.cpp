@@ -2,10 +2,8 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
 
 #include "util/fs.hpp"
-#include "util/mmap.hpp"
 
 namespace mosaic::darshan {
 
@@ -213,15 +211,6 @@ Status write_mbt_file(const Trace& trace, const std::string& path) {
   return util::write_file_atomic(
       path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
                              bytes.size()));
-}
-
-Expected<Trace> read_mbt_file(const std::string& path) {
-  // Zero-copy: parse_mbt walks the mapped pages directly instead of a heap
-  // copy of the whole file (MappedFile falls back to a read when mmap is
-  // unavailable, so this path works everywhere).
-  auto mapped = util::MappedFile::open(path);
-  if (!mapped.has_value()) return std::move(mapped).error();
-  return parse_mbt(mapped->bytes());
 }
 
 }  // namespace mosaic::darshan

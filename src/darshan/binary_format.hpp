@@ -35,11 +35,9 @@ inline constexpr std::uint32_t kMbtVersion = 1;
 [[nodiscard]] util::Expected<trace::Trace> parse_mbt(
     std::span<const std::byte> bytes);
 
-/// File round-trips.
+/// Writes `to_mbt(trace)` to `path` (staged + renamed).
 [[nodiscard]] util::Status write_mbt_file(const trace::Trace& trace,
                                           const std::string& path);
-[[nodiscard]] util::Expected<trace::Trace> read_mbt_file(
-    const std::string& path);
 
 /// FNV-1a 64-bit hash, exposed for tests and for file-id hashing.
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept;

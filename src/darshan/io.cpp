@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "darshan/binary_format.hpp"
-#include "darshan/text_format.hpp"
-
 namespace mosaic::darshan {
 
 using util::Error;
@@ -13,11 +10,6 @@ using util::ErrorCode;
 using util::Expected;
 
 namespace fs = std::filesystem;
-
-Expected<trace::Trace> read_trace_file(const std::string& path) {
-  if (path.ends_with(".mbt")) return read_mbt_file(path);
-  return read_text_file(path);
-}
 
 Expected<std::vector<std::string>> scan_trace_dir(const std::string& directory) {
   std::error_code ec;

@@ -1,18 +1,12 @@
-// Unified trace loading: dispatch by file extension plus directory scans.
+// Trace directory scans. Loading goes through ingest::load_trace.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::darshan {
-
-/// Loads a trace from `path`: ".mbt" files decode as binary, everything else
-/// parses as darshan-parser text.
-[[nodiscard]] util::Expected<trace::Trace> read_trace_file(
-    const std::string& path);
 
 /// Lists trace files (".mbt", ".txt", ".darshan.txt") under `directory`,
 /// sorted lexicographically for reproducible processing order.

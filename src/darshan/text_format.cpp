@@ -4,9 +4,7 @@
 #include <set>
 #include <tuple>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "util/fs.hpp"
 #include "util/strings.hpp"
@@ -268,19 +266,6 @@ Expected<Trace> parse_text(std::string_view text,
     if (record.closes == 0) record.closes = record.opens;
   }
   return out;
-}
-
-Expected<Trace> read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open " + path};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError, "read failure on " + path};
-  }
-  return parse_text(buffer.str());
 }
 
 std::string to_text(const Trace& trace) {

@@ -11,7 +11,6 @@
 // modules a real darshan-parser dump contains (they are skipped).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -29,10 +28,6 @@ namespace mosaic::darshan {
 /// kTimeout.
 [[nodiscard]] util::Expected<trace::Trace> parse_text(
     std::string_view text, const util::Deadline& deadline = {});
-
-/// Reads and parses a text trace from `path`.
-[[nodiscard]] util::Expected<trace::Trace> read_text_file(
-    const std::string& path);
 
 /// Serializes a Trace to darshan-parser text form (POSIX module only).
 [[nodiscard]] std::string to_text(const trace::Trace& trace);

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -22,6 +21,7 @@
 #include "util/backoff.hpp"
 #include "util/fs.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace mosaic::dist {
 
@@ -60,23 +60,6 @@ void count_rejection(ErrorCode code) {
                             util::error_code_name(code)),
                "daemon submissions rejected before analysis")
       .add();
-}
-
-std::vector<std::string> category_names(const core::CategorySet& set) {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < core::kCategoryCount; ++i) {
-    const auto category = static_cast<core::Category>(i);
-    if (set.contains(category)) {
-      names.emplace_back(core::category_name(category));
-    }
-  }
-  return names;
-}
-
-std::string percent(double fraction) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.1f%%", fraction * 100.0);
-  return buffer;
 }
 
 }  // namespace
@@ -243,7 +226,7 @@ SubmitReply Daemon::process_file(const std::string& path) {
     if (const auto slot = board_slots_.find(key); slot != board_slots_.end()) {
       BoardEntry& entry = board_[slot->second];
       ++entry.cache_hits;
-      reply.categories = category_names(entry.result.categories);
+      reply.categories = entry.result.categories.names();
     }
     return reply;
   }
@@ -272,7 +255,7 @@ SubmitReply Daemon::process_file(const std::string& path) {
   reply.cached = false;
   reply.trace_id = artifact.trace_id;
   reply.app_key = app_key;
-  reply.categories = category_names(result.categories);
+  reply.categories = result.categories.names();
 
   const std::scoped_lock lock(board_mutex_);
   ++stats_.analyzed;
@@ -371,7 +354,7 @@ std::string Daemon::results_json() const {
       trace.set("source", entry.source_path);
       trace.set("cache_hits", entry.cache_hits);
       Array categories;
-      for (const std::string& name : category_names(entry.result.categories)) {
+      for (const std::string& name : entry.result.categories.names()) {
         categories.push_back(name);
       }
       trace.set("categories", std::move(categories));
@@ -420,8 +403,9 @@ std::string Daemon::report_markdown() const {
     if (distribution.single[i] == 0) continue;
     table.add_row({std::string(core::category_name(category)),
                    std::to_string(distribution.single[i]),
-                   percent(distribution.single_fraction(category)),
-                   percent(distribution.weighted_fraction(category))});
+                   util::format_percent(distribution.single_fraction(category)),
+                   util::format_percent(
+                       distribution.weighted_fraction(category))});
   }
   if (table.row_count() == 0) {
     out << "no categorized traces yet\n";
@@ -511,12 +495,10 @@ DaemonStats Daemon::stats() const {
 Expected<SubmitReply> submit_trace_file(const Address& daemon,
                                         const std::string& path,
                                         double timeout_seconds) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot read " + path};
+  auto bytes = util::read_file(path);
+  if (!bytes.has_value()) {
+    return Error{ErrorCode::kIoError, std::move(bytes).error().message};
   }
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
 
   auto conn = connect_to(daemon, timeout_seconds);
   if (!conn.has_value()) return std::move(conn).error();
@@ -536,7 +518,8 @@ Expected<SubmitReply> submit_trace_file(const Address& daemon,
 
   SubmitRequest request;
   request.name = std::filesystem::path(path).filename().string();
-  request.data = std::move(bytes).str();
+  request.data.assign(reinterpret_cast<const char*>(bytes->data()),
+                      bytes->size());
   if (const auto status = write_frame(*conn, FrameType::kSubmit,
                                       submit_request_to_payload(request));
       !status.ok()) {

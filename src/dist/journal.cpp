@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "util/jsonl.hpp"
 
 namespace mosaic::dist {
@@ -13,44 +14,22 @@ namespace {
 /// (most commonly the torn final line of a killed manager).
 std::optional<DispatchJournalEntry> entry_from_line(std::string_view line) {
   const auto parsed = json::parse(line);
-  if (!parsed.has_value() || !parsed->is_object()) return std::nullopt;
-  const json::Object& obj = parsed->as_object();
-
-  const auto get_string = [&obj](std::string_view key)
-      -> std::optional<std::string> {
-    const json::Value* value = obj.find(key);
-    if (value == nullptr || !value->is_string()) return std::nullopt;
-    return value->as_string();
-  };
-  const auto get_count = [&obj](std::string_view key)
-      -> std::optional<std::size_t> {
-    const json::Value* value = obj.find(key);
-    if (value == nullptr || !value->is_number()) return std::nullopt;
-    const double number = value->as_number();
-    if (number < 0.0) return std::nullopt;
-    return static_cast<std::size_t>(number);
-  };
-
+  if (!parsed.has_value()) return std::nullopt;
+  const json::Reader r(*parsed, "dispatch journal");
   DispatchJournalEntry entry;
-  const auto shard = get_count("shard");
-  const auto count = get_count("count");
-  const auto status = get_string("status");
-  const auto worker = get_string("worker");
-  const auto attempts = get_count("attempts");
-  if (!shard || !count || !status || !worker || !attempts) return std::nullopt;
-  if (*status != "done" && *status != "quarantined") return std::nullopt;
-  if (*count == 0 || *shard >= *count) return std::nullopt;
-  entry.shard = *shard;
-  entry.shard_count = *count;
-  entry.status = *status;
-  entry.worker = *worker;
-  entry.attempts = *attempts;
-  if (const auto partial = get_string("partial")) {
-    entry.partial_path = *partial;
-  }
-  if (const auto error = get_string("error")) entry.error = *error;
-  if (entry.status == "done" && entry.partial_path.empty()) {
-    return std::nullopt;  // a done entry without its artifact is useless
+  entry.shard = r.integer<std::size_t>("shard");
+  entry.shard_count = r.integer<std::size_t>("count");
+  entry.status = r.string("status");
+  entry.worker = r.string("worker");
+  entry.attempts = r.integer<std::size_t>("attempts");
+  entry.partial_path = r.string("partial", "");
+  entry.error = r.string("error", "");
+  // A done entry without its artifact is useless.
+  const bool done = entry.status == "done";
+  if (!r.ok() || entry.shard >= entry.shard_count ||
+      (!done && entry.status != "quarantined") ||
+      (done && entry.partial_path.empty())) {
+    return std::nullopt;
   }
   return entry;
 }

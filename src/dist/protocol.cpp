@@ -5,6 +5,7 @@
 #include "core/config.hpp"
 #include "darshan/binary_format.hpp"
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "obs/span.hpp"
 
 namespace mosaic::dist {
@@ -160,67 +161,29 @@ Expected<TaskRequest> task_request_from_payload(std::string_view payload) {
   if (!parsed.has_value()) {
     return proto_error("task payload: " + parsed.error().message);
   }
-  if (!parsed->is_object()) return proto_error("task payload: not an object");
-  const Object& obj = parsed->as_object();
-
+  const json::Reader r(*parsed, "protocol: task payload");
   TaskRequest task;
-  const Value* shard = obj.find("shard");
-  if (shard == nullptr || !shard->is_object()) {
-    return proto_error("task payload: missing object 'shard'");
+  const json::Reader shard = r.object("shard");
+  task.shard.index = shard.integer<std::size_t>("index");
+  task.shard.count = shard.integer<std::size_t>("count");
+  if (task.shard.index >= task.shard.count) {
+    shard.fail("index", "is out of range for 'count'");
   }
-  const Value* index = shard->as_object().find("index");
-  const Value* count = shard->as_object().find("count");
-  if (index == nullptr || !index->is_number() || count == nullptr ||
-      !count->is_number()) {
-    return proto_error("task payload: shard index/count not numeric");
-  }
-  task.shard.index = static_cast<std::size_t>(index->as_number());
-  task.shard.count = static_cast<std::size_t>(count->as_number());
-  if (task.shard.count == 0 || task.shard.index >= task.shard.count) {
-    return proto_error("task payload: shard index out of range");
-  }
-  const Value* attempt = obj.find("attempt");
-  if (attempt == nullptr || !attempt->is_number()) {
-    return proto_error("task payload: missing number 'attempt'");
-  }
-  task.attempt = static_cast<std::size_t>(attempt->as_number());
-  const Value* paths = obj.find("paths");
-  if (paths == nullptr || !paths->is_array()) {
-    return proto_error("task payload: missing array 'paths'");
-  }
-  task.paths.reserve(paths->as_array().size());
-  for (const Value& member : paths->as_array()) {
-    if (!member.is_string()) {
-      return proto_error("task payload: non-string path");
-    }
-    task.paths.push_back(member.as_string());
-  }
-  const Value* retries = obj.find("max_retries");
-  if (retries == nullptr || !retries->is_number()) {
-    return proto_error("task payload: missing number 'max_retries'");
-  }
-  task.max_retries = static_cast<int>(retries->as_number());
-  const Value* deadline = obj.find("file_deadline_seconds");
-  if (deadline == nullptr || !deadline->is_number()) {
-    return proto_error("task payload: missing number 'file_deadline_seconds'");
-  }
-  task.file_deadline_seconds = deadline->as_number();
-  const Value* thresholds = obj.find("thresholds");
-  if (thresholds == nullptr) {
-    return proto_error("task payload: missing 'thresholds'");
-  }
+  task.attempt = r.integer<std::size_t>("attempt");
+  task.paths = r.array("paths").elements<std::string>();
+  task.max_retries = r.integer<int>("max_retries");
+  task.file_deadline_seconds = r.number("file_deadline_seconds");
+  task.telemetry = r.boolean("telemetry", false);
+  task.collect_spans = r.boolean("collect_spans", false);
+  const Value* thresholds = r.find("thresholds");
+  if (thresholds == nullptr) r.fail("thresholds", "is missing");
+  if (!r.ok()) return r.error();
   auto parsed_thresholds = core::thresholds_from_json(*thresholds);
   if (!parsed_thresholds.has_value()) {
     return proto_error("task payload thresholds: " +
                        parsed_thresholds.error().message);
   }
   task.thresholds = *parsed_thresholds;
-  const Value* telemetry = obj.find("telemetry");
-  task.telemetry = telemetry != nullptr && telemetry->is_bool() &&
-                   telemetry->as_bool();
-  const Value* collect_spans = obj.find("collect_spans");
-  task.collect_spans = collect_spans != nullptr && collect_spans->is_bool() &&
-                       collect_spans->as_bool();
   return task;
 }
 
@@ -233,28 +196,21 @@ std::string task_error_to_payload(const Error& error) {
 
 Error task_error_from_payload(std::string_view payload) {
   auto parsed = json::parse(payload);
-  if (!parsed.has_value() || !parsed->is_object()) {
+  if (!parsed.has_value()) {
     return Error{ErrorCode::kParseError,
-                 "task-error payload is not a JSON object"};
+                 "task-error payload is not JSON: " + parsed.error().message};
   }
-  const Object& obj = parsed->as_object();
-  const Value* code = obj.find("code");
-  const Value* message = obj.find("message");
-  if (code == nullptr || !code->is_string() || message == nullptr ||
-      !message->is_string()) {
-    return Error{ErrorCode::kParseError,
-                 "task-error payload missing code/message"};
-  }
-  Error error;
-  error.code = ErrorCode::kInternal;
+  const json::Reader r(*parsed, "protocol: task-error payload");
+  Error error{ErrorCode::kInternal, std::string(r.string("message"))};
+  const std::string_view code = r.string("code");
+  if (!r.ok()) return r.error();
+  // An unknown code (a newer peer) still carries its message.
   for (std::size_t i = 0; i < util::kErrorCodeCount; ++i) {
-    const auto candidate = static_cast<ErrorCode>(i);
-    if (util::error_code_name(candidate) == code->as_string()) {
-      error.code = candidate;
+    if (util::error_code_name(static_cast<ErrorCode>(i)) == code) {
+      error.code = static_cast<ErrorCode>(i);
       break;
     }
   }
-  error.message = message->as_string();
   return error;
 }
 
@@ -269,25 +225,25 @@ std::string hello_payload() {
 
 Status check_hello_payload(std::string_view payload) {
   auto parsed = json::parse(payload);
-  if (!parsed.has_value() || !parsed->is_object()) {
-    return proto_error("hello payload is not a JSON object");
+  if (!parsed.has_value()) return proto_error("hello payload is not JSON");
+  const json::Reader r(*parsed, "protocol: hello payload");
+  // A failed read leaves "" here, and fail() keeps the first error.
+  if (const std::string_view protocol = r.string("protocol");
+      protocol != "mosaic-dispatch-v1") {
+    r.fail("protocol", "is '" + std::string(protocol) +
+                           "': the peer speaks a different protocol");
   }
-  const Value* protocol = parsed->as_object().find("protocol");
-  if (protocol == nullptr || !protocol->is_string() ||
-      protocol->as_string() != "mosaic-dispatch-v1") {
-    return proto_error("peer speaks a different protocol");
-  }
+  if (!r.ok()) return r.error();
   return Status::success();
 }
 
 std::optional<std::uint64_t> hello_now_ns(std::string_view payload) {
   auto parsed = json::parse(payload);
-  if (!parsed.has_value() || !parsed->is_object()) return std::nullopt;
-  const Value* now = parsed->as_object().find("now_ns");
-  if (now == nullptr || !now->is_number() || now->as_number() < 0.0) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(now->as_number());
+  if (!parsed.has_value()) return std::nullopt;
+  const json::Reader r(*parsed, "protocol: hello payload");
+  const auto now = r.integer<std::uint64_t>("now_ns");
+  if (!r.ok()) return std::nullopt;
+  return now;
 }
 
 namespace {
@@ -340,20 +296,14 @@ std::string submit_request_to_payload(const SubmitRequest& request) {
 
 Expected<SubmitRequest> submit_request_from_payload(std::string_view payload) {
   auto parsed = json::parse(payload);
-  if (!parsed.has_value() || !parsed->is_object()) {
-    return proto_error("submit payload is not a JSON object");
-  }
-  const Object& obj = parsed->as_object();
-  const Value* name = obj.find("name");
-  const Value* hex = obj.find("hex");
-  if (name == nullptr || !name->is_string() || hex == nullptr ||
-      !hex->is_string()) {
-    return proto_error("submit payload missing string 'name'/'hex'");
-  }
-  auto data = from_hex(hex->as_string());
-  if (!data.has_value()) return std::move(data).error();
+  if (!parsed.has_value()) return proto_error("submit payload is not JSON");
+  const json::Reader r(*parsed, "protocol: submit payload");
   SubmitRequest request;
-  request.name = name->as_string();
+  request.name = r.string("name");
+  const std::string_view hex = r.string("hex");
+  if (!r.ok()) return r.error();
+  auto data = from_hex(hex);
+  if (!data.has_value()) return std::move(data).error();
   request.data = std::move(*data);
   return request;
 }
@@ -378,44 +328,19 @@ std::string submit_reply_to_payload(const SubmitReply& reply) {
 
 Expected<SubmitReply> submit_reply_from_payload(std::string_view payload) {
   auto parsed = json::parse(payload);
-  if (!parsed.has_value() || !parsed->is_object()) {
-    return proto_error("submit reply is not a JSON object");
-  }
-  const Object& obj = parsed->as_object();
-  const Value* ok = obj.find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return proto_error("submit reply missing bool 'ok'");
-  }
+  if (!parsed.has_value()) return proto_error("submit reply is not JSON");
+  const json::Reader r(*parsed, "protocol: submit reply");
   SubmitReply reply;
-  reply.ok = ok->as_bool();
+  reply.ok = r.boolean("ok");
   if (!reply.ok) {
-    const Value* error = obj.find("error");
-    if (error == nullptr || !error->is_string()) {
-      return proto_error("submit reply missing string 'error'");
-    }
-    reply.error = error->as_string();
-    return reply;
+    reply.error = r.string("error");
+    return r.finish(std::move(reply));
   }
-  const Value* trace_id = obj.find("trace_id");
-  const Value* app_key = obj.find("app_key");
-  const Value* cached = obj.find("cached");
-  const Value* categories = obj.find("categories");
-  if (trace_id == nullptr || !trace_id->is_string() || app_key == nullptr ||
-      !app_key->is_string() || cached == nullptr || !cached->is_bool() ||
-      categories == nullptr || !categories->is_array()) {
-    return proto_error("submit reply missing trace_id/app_key/cached/"
-                       "categories");
-  }
-  reply.trace_id = trace_id->as_string();
-  reply.app_key = app_key->as_string();
-  reply.cached = cached->as_bool();
-  for (const Value& member : categories->as_array()) {
-    if (!member.is_string()) {
-      return proto_error("submit reply: non-string category");
-    }
-    reply.categories.push_back(member.as_string());
-  }
-  return reply;
+  reply.trace_id = r.string("trace_id");
+  reply.app_key = r.string("app_key");
+  reply.cached = r.boolean("cached");
+  reply.categories = r.array("categories").elements<std::string>();
+  return r.finish(std::move(reply));
 }
 
 }  // namespace mosaic::dist

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <utility>
 
+#include "json/reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/profiler.hpp"
@@ -17,8 +18,6 @@ namespace mosaic::dist {
 using json::Array;
 using json::Object;
 using json::Value;
-using util::Error;
-using util::ErrorCode;
 using util::Expected;
 using util::Status;
 
@@ -55,47 +54,6 @@ struct FleetMetrics {
   }
 };
 
-Error telemetry_error(std::string what) {
-  return Error{ErrorCode::kParseError, "telemetry: " + std::move(what)};
-}
-
-/// Shared tail of both telemetry carriers: decode `{"snapshot":...}` plus
-/// the optional `"spans"` array and `"health"` verdict.
-Expected<TelemetryPayload> payload_from_wire(const Value& telemetry) {
-  if (!telemetry.is_object()) {
-    return telemetry_error("'telemetry' is not an object");
-  }
-  // An older worker ships a diff against its previous frame and marks it
-  // "delta": true; stored as the worker's snapshot it would replace the
-  // worker's cumulative series with that diff.
-  if (const Value* delta = telemetry.as_object().find("delta");
-      delta != nullptr && !(delta->is_bool() && !delta->as_bool())) {
-    return telemetry_error("delta-encoded snapshot from an older worker");
-  }
-  const Value* snapshot = telemetry.as_object().find("snapshot");
-  if (snapshot == nullptr) {
-    return telemetry_error("'telemetry' lacks required 'snapshot'");
-  }
-  auto decoded = obs::snapshot_from_wire_json(*snapshot);
-  if (!decoded.has_value()) return decoded.error();
-  TelemetryPayload payload;
-  payload.snapshot = std::move(*decoded);
-  const Value* spans = telemetry.as_object().find("spans");
-  if (spans != nullptr) {
-    auto decoded_spans = obs::spans_from_wire_json(*spans);
-    if (!decoded_spans.has_value()) return decoded_spans.error();
-    payload.spans = std::move(*decoded_spans);
-  }
-  if (const Value* health = telemetry.as_object().find("health");
-      health != nullptr) {
-    if (!health->is_string()) {
-      return telemetry_error("'health' is not a string");
-    }
-    payload.health = health->as_string();
-  }
-  return payload;
-}
-
 }  // namespace
 
 json::Value telemetry_wire_json(bool include_spans) {
@@ -120,7 +78,7 @@ json::Value telemetry_wire_json(bool include_spans) {
   // so they simply ship with the next frame.
   const obs::HealthReport health =
       obs::evaluate_health(snapshot, obs::default_health_rules());
-  out.set("snapshot", obs::snapshot_to_wire_json(snapshot));
+  out.set("snapshot", obs::metrics_to_json(snapshot));
   out.set("health", obs::health_summary(health));
   if (include_spans) out.set("spans", obs::spans_to_wire_json(spans));
   return Value(std::move(out));
@@ -138,33 +96,20 @@ std::string heartbeat_telemetry_payload() {
   return payload;
 }
 
-Expected<std::optional<TelemetryPayload>> parse_heartbeat_telemetry(
-    std::string_view payload) {
-  if (payload.empty()) return std::optional<TelemetryPayload>();
-  auto parsed = json::parse(payload);
-  if (!parsed.has_value()) {
-    return telemetry_error("heartbeat payload: " + parsed.error().message);
-  }
-  if (!parsed->is_object()) {
-    return telemetry_error("heartbeat payload is not an object");
-  }
-  const Value* telemetry = parsed->as_object().find("telemetry");
-  if (telemetry == nullptr) return std::optional<TelemetryPayload>();
-  auto decoded = payload_from_wire(*telemetry);
-  if (!decoded.has_value()) return decoded.error();
-  return std::optional<TelemetryPayload>(std::move(*decoded));
-}
-
-Expected<std::optional<TelemetryPayload>> extract_partial_telemetry(
-    const json::Value& partial_payload) {
-  if (!partial_payload.is_object()) {
+Expected<std::optional<TelemetryPayload>> telemetry_from_payload(
+    const json::Value& payload) {
+  const json::Reader frame(payload, "telemetry");
+  if (frame.ok() && !frame.has("telemetry")) {
     return std::optional<TelemetryPayload>();
   }
-  const Value* telemetry = partial_payload.as_object().find("telemetry");
-  if (telemetry == nullptr) return std::optional<TelemetryPayload>();
-  auto decoded = payload_from_wire(*telemetry);
-  if (!decoded.has_value()) return decoded.error();
-  return std::optional<TelemetryPayload>(std::move(*decoded));
+  const json::Reader rider = frame.object("telemetry");
+  TelemetryPayload out;
+  out.snapshot = obs::snapshot_from_metrics_json(rider.object("snapshot"));
+  out.spans = obs::spans_from_wire_json(
+      rider.array("spans", json::Presence::kOptional));
+  out.health = rider.string("health", "");
+  if (!frame.ok()) return frame.error();
+  return std::optional<TelemetryPayload>(std::move(out));
 }
 
 TelemetryHub::~TelemetryHub() { stop(); }
@@ -207,37 +152,31 @@ void TelemetryHub::note_worker_seen(const std::string& worker,
 
 void TelemetryHub::ingest_heartbeat(const std::string& worker,
                                     std::string_view payload) {
-  // Any heartbeat — even one whose telemetry is malformed — is liveness.
-  note_worker_seen(worker, {});
-  auto telemetry = parse_heartbeat_telemetry(payload);
-  if (!telemetry.has_value()) {
-    // Malformed telemetry degrades to "heartbeat without telemetry": the
-    // liveness signal already counted, the task keeps running.
-    FleetMetrics::get().parse_errors.add();
-    MOSAIC_LOG_WARN("dispatch: %s heartbeat telemetry dropped: %s",
-                    worker.c_str(),
-                    telemetry.error().to_string().c_str());
-    return;
-  }
-  if (!telemetry->has_value()) return;  // plain heartbeat (old worker)
-  if (!(*telemetry)->health.empty()) {
-    note_worker_seen(worker, (*telemetry)->health);
-  }
-  apply_telemetry(worker, std::move(**telemetry));
+  // An empty payload is an older worker's plain heartbeat.
+  const auto parsed = json::parse(payload.empty() ? "{}" : payload);
+  if (!parsed.has_value()) return ingest(worker, "heartbeat", parsed.error());
+  ingest(worker, "heartbeat", telemetry_from_payload(*parsed));
 }
 
 void TelemetryHub::ingest_partial_telemetry(
     const std::string& worker, const json::Value& partial_payload) {
+  ingest(worker, "partial", telemetry_from_payload(partial_payload));
+}
+
+void TelemetryHub::ingest(
+    const std::string& worker, const char* frame,
+    Expected<std::optional<TelemetryPayload>> telemetry) {
+  // Any frame — even one whose telemetry is malformed — is liveness.
   note_worker_seen(worker, {});
-  auto telemetry = extract_partial_telemetry(partial_payload);
   if (!telemetry.has_value()) {
+    // Malformed telemetry degrades to a plain frame: the liveness signal
+    // already counted, the task keeps running.
     FleetMetrics::get().parse_errors.add();
-    MOSAIC_LOG_WARN("dispatch: %s partial telemetry dropped: %s",
-                    worker.c_str(),
-                    telemetry.error().to_string().c_str());
+    MOSAIC_LOG_WARN("dispatch: %s %s telemetry dropped: %s", worker.c_str(),
+                    frame, telemetry.error().to_string().c_str());
     return;
   }
-  if (!telemetry->has_value()) return;
+  if (!telemetry->has_value()) return;  // no rider (old worker)
   if (!(*telemetry)->health.empty()) {
     note_worker_seen(worker, (*telemetry)->health);
   }

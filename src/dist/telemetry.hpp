@@ -4,16 +4,17 @@
 //
 // Shipping model (DESIGN.md §15–16): a worker running a telemetry-enabled
 // task attaches `{"telemetry":{"snapshot":...,"health":...}}` — its whole
-// metrics registry plus its own health verdict — to every kHeartbeat frame,
-// and the same member (plus the span ring when requested) to its kPartial
-// reply. Snapshots are cumulative, so the manager keeps the latest one per
-// worker and a lost heartbeat costs freshness, never correctness. Old
-// workers send empty heartbeats and plain partials; both parse as "no
-// telemetry" (nullopt), so mixed fleets keep dispatching. A payload that is
-// present but malformed — including a `"delta": true` frame from an older
-// worker, which must never be stored as a whole snapshot — is an Error the
-// caller *degrades* on: the heartbeat still counts as liveness, the task
-// keeps running, and mosaic_fleet_telemetry_parse_errors_total is bumped.
+// metrics registry in the --metrics JSON shape (obs::metrics_to_json) plus
+// its own health verdict — to every kHeartbeat frame, and the same member
+// (plus the span ring when requested) to its kPartial reply. Snapshots are
+// cumulative, so the manager keeps the latest one per worker and a lost
+// heartbeat costs freshness, never correctness. Old workers send empty
+// heartbeats and plain partials; both parse as "no telemetry" (nullopt), so
+// mixed fleets keep dispatching. A rider that is present but malformed —
+// including an older worker's array-shaped snapshot, whole or delta — is an
+// Error the caller *degrades* on: the heartbeat still counts as liveness,
+// the task keeps running, and mosaic_fleet_telemetry_parse_errors_total is
+// bumped.
 //
 // The TelemetryHub is the manager's aggregation point: a FleetRegistry of
 // worker snapshots/spans/clock offsets, a task+worker status board fed by
@@ -52,8 +53,8 @@ struct TelemetryPayload {
 };
 
 /// Worker side: the `{"snapshot":...,"health":...[,"spans":[...]]}` wire
-/// object — the whole process registry, the worker's own health verdict on
-/// it, and the span ring when `include_spans`.
+/// object — the whole process registry (obs::metrics_to_json), the worker's
+/// own health verdict on it, and the span ring when `include_spans`.
 [[nodiscard]] json::Value telemetry_wire_json(bool include_spans);
 
 /// Worker side: a complete kHeartbeat payload (`{"telemetry":
@@ -61,16 +62,12 @@ struct TelemetryPayload {
 /// mosaic_worker_telemetry_bytes_total.
 [[nodiscard]] std::string heartbeat_telemetry_payload();
 
-/// Manager side: classifies a kHeartbeat payload.
-///   nullopt  no telemetry (empty payload / old worker) — plain liveness
-///   Error    telemetry present but malformed — degrade, count, keep going
+/// Manager side: the optional "telemetry" member of a parsed kHeartbeat or
+/// kPartial payload.
+///   nullopt  no rider (old worker) — plain liveness
+///   Error    rider present but malformed — degrade, count, keep going
 [[nodiscard]] util::Expected<std::optional<TelemetryPayload>>
-parse_heartbeat_telemetry(std::string_view payload);
-
-/// Manager side: pulls the optional "telemetry" member out of a parsed
-/// kPartial payload. Same nullopt/Error contract as heartbeats.
-[[nodiscard]] util::Expected<std::optional<TelemetryPayload>>
-extract_partial_telemetry(const json::Value& partial_payload);
+telemetry_from_payload(const json::Value& payload);
 
 /// One worker's row in the /status board.
 struct WorkerBoardEntry {
@@ -109,8 +106,9 @@ class TelemetryHub {
   /// manager_ns = worker_ns - offset_ns.
   void note_clock_sync(const std::string& worker, std::int64_t offset_ns);
 
-  /// Folds one kHeartbeat payload in. Malformed telemetry degrades: the
-  /// parse-error counter is bumped and the heartbeat is otherwise ignored.
+  /// Folds one kHeartbeat payload in (empty = a plain heartbeat).
+  /// Malformed telemetry degrades: the parse-error counter is bumped and
+  /// the frame counts as liveness only.
   void ingest_heartbeat(const std::string& worker, std::string_view payload);
 
   /// Folds the telemetry member of a parsed kPartial payload in (same
@@ -182,6 +180,10 @@ class TelemetryHub {
  private:
   void run_progress(double interval_seconds);
   void register_routes();
+  /// The body both ingest entry points share; `frame` names the carrier
+  /// in the degradation warning.
+  void ingest(const std::string& worker, const char* frame,
+              util::Expected<std::optional<TelemetryPayload>> telemetry);
   void apply_telemetry(const std::string& worker, TelemetryPayload payload);
   void note_worker_seen(const std::string& worker, std::string_view health);
 

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "util/jsonl.hpp"
 #include "util/strings.hpp"
 
@@ -14,44 +15,27 @@ namespace {
 /// (most commonly the torn final line of a killed run).
 std::optional<JournalEntry> entry_from_line(std::string_view line) {
   const auto parsed = json::parse(line);
-  if (!parsed.has_value() || !parsed->is_object()) return std::nullopt;
-  const json::Object& obj = parsed->as_object();
-
-  const auto get_string = [&obj](std::string_view key)
-      -> std::optional<std::string> {
-    const json::Value* value = obj.find(key);
-    if (value == nullptr || !value->is_string()) return std::nullopt;
-    return value->as_string();
-  };
-
+  if (!parsed.has_value()) return std::nullopt;
+  const json::Reader r(*parsed, "ingest journal");
   JournalEntry entry;
-  const auto path = get_string("path");
-  const auto outcome = get_string("outcome");
-  if (!path || !outcome) return std::nullopt;
-  entry.digest.path = *path;
-
-  if (*outcome == "valid") {
-    entry.valid = true;
-    const auto app = get_string("app");
-    const auto bytes = get_string("bytes");
-    const auto job = get_string("job");
-    if (!app || !bytes || !job) return std::nullopt;
-    const auto bytes_value = util::parse_uint(*bytes);
-    const auto job_value = util::parse_uint(*job);
-    if (!bytes_value || !job_value) return std::nullopt;
-    entry.digest.app_key = *app;
-    entry.digest.total_bytes = *bytes_value;
-    entry.digest.job_id = *job_value;
-    return entry;
+  entry.digest.path = r.string("path");
+  const std::string_view outcome = r.string("outcome");
+  entry.valid = outcome == "valid";
+  if (entry.valid) {
+    entry.digest.app_key = r.string("app");
+    const auto bytes = util::parse_uint(r.string("bytes"));
+    const auto job = util::parse_uint(r.string("job"));
+    if (!bytes || !job) return std::nullopt;
+    entry.digest.total_bytes = *bytes;
+    entry.digest.job_id = *job;
+  } else if (outcome == "evicted") {
+    entry.code = r.string("code");
+    entry.corruption_kind = r.string("kind", "");
+  } else {
+    return std::nullopt;
   }
-  if (*outcome == "evicted") {
-    const auto code = get_string("code");
-    if (!code) return std::nullopt;
-    entry.code = *code;
-    if (const auto kind = get_string("kind")) entry.corruption_kind = *kind;
-    return entry;
-  }
-  return std::nullopt;
+  if (!r.ok()) return std::nullopt;
+  return entry;
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 #include "ingest/reader.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include "darshan/binary_format.hpp"
 #include "darshan/text_format.hpp"
 #include "util/backoff.hpp"
+#include "util/fs.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -36,21 +36,7 @@ Expected<util::MappedFile> SystemFileReader::read_mapped(
 
 Expected<std::vector<std::byte>> SystemFileReader::read(const std::string& path,
                                                         int /*attempt*/) {
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    return Error{ErrorCode::kNotFound, path + " does not exist"};
-  }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Error{ErrorCode::kIoError, "cannot open " + path};
-  const std::streamsize size = in.tellg();
-  if (size < 0) return Error{ErrorCode::kIoError, "cannot stat " + path};
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) return Error{ErrorCode::kIoError, "read failure on " + path};
-  }
-  return bytes;
+  return util::read_file(path);
 }
 
 FileReader& system_reader() {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "util/fs.hpp"
+
 namespace mosaic::json {
 
 using util::Error;
@@ -415,6 +417,19 @@ std::string serialize(const Value& value, bool pretty) {
 
 Expected<Value> parse(std::string_view text, std::size_t max_depth) {
   return Parser{text, max_depth}.run();
+}
+
+Expected<Value> read_file(const std::string& path) {
+  auto bytes = util::read_file(path);
+  if (!bytes.has_value()) {
+    return Error{ErrorCode::kIoError, std::move(bytes).error().message};
+  }
+  auto value = parse(std::string_view(
+      reinterpret_cast<const char*>(bytes->data()), bytes->size()));
+  if (!value.has_value()) {
+    return Error{ErrorCode::kParseError, path + ": " + value.error().message};
+  }
+  return value;
 }
 
 }  // namespace mosaic::json

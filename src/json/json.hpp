@@ -109,6 +109,10 @@ class Value {
 [[nodiscard]] util::Expected<Value> parse(std::string_view text,
                                           std::size_t max_depth = 256);
 
+/// Reads and parses the document at `path`. An unreadable file is kIoError
+/// and malformed text kParseError, both naming the path.
+[[nodiscard]] util::Expected<Value> read_file(const std::string& path);
+
 /// Reads a JSON Lines file strictly (util::read_lines): every non-blank line
 /// must parse and `decode`, or the read fails naming "<path>:<line>".
 template <typename T>

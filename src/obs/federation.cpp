@@ -11,154 +11,6 @@ namespace mosaic::obs {
 using json::Array;
 using json::Object;
 using json::Value;
-using util::Error;
-using util::ErrorCode;
-using util::Expected;
-
-namespace {
-
-Error wire_error(std::string what) {
-  return Error{ErrorCode::kParseError, "telemetry wire: " + std::move(what)};
-}
-
-/// Member lookup that distinguishes "absent" from "wrong type" in the error.
-Expected<const Value*> require(const Object& obj, const char* key,
-                               bool (Value::*is_type)() const,
-                               const char* type_name) {
-  const Value* member = obj.find(key);
-  if (member == nullptr) {
-    return wire_error(std::string("missing '") + key + "'");
-  }
-  if (!(member->*is_type)()) {
-    return wire_error(std::string("'") + key + "' is not " + type_name);
-  }
-  return member;
-}
-
-}  // namespace
-
-json::Value snapshot_to_wire_json(const Snapshot& snapshot) {
-  Object out;
-  Array counters;
-  counters.reserve(snapshot.counters.size());
-  for (const CounterSample& sample : snapshot.counters) {
-    Object c;
-    c.set("name", sample.name);
-    c.set("help", sample.help);
-    c.set("value", sample.value);
-    counters.push_back(std::move(c));
-  }
-  out.set("counters", std::move(counters));
-  Array gauges;
-  gauges.reserve(snapshot.gauges.size());
-  for (const GaugeSample& sample : snapshot.gauges) {
-    Object g;
-    g.set("name", sample.name);
-    g.set("help", sample.help);
-    g.set("value", sample.value);
-    gauges.push_back(std::move(g));
-  }
-  out.set("gauges", std::move(gauges));
-  Array histograms;
-  histograms.reserve(snapshot.histograms.size());
-  for (const HistogramSample& sample : snapshot.histograms) {
-    Object h;
-    h.set("name", sample.name);
-    h.set("help", sample.help);
-    Array bounds;
-    bounds.reserve(sample.bounds.size());
-    for (const double bound : sample.bounds) bounds.push_back(bound);
-    h.set("bounds", std::move(bounds));
-    Array buckets;
-    buckets.reserve(sample.buckets.size());
-    for (const std::uint64_t bucket : sample.buckets) {
-      buckets.push_back(bucket);
-    }
-    h.set("buckets", std::move(buckets));
-    h.set("sum", sample.sum);
-    histograms.push_back(std::move(h));
-  }
-  out.set("histograms", std::move(histograms));
-  return Value(std::move(out));
-}
-
-Expected<Snapshot> snapshot_from_wire_json(const json::Value& value) {
-  if (!value.is_object()) return wire_error("snapshot is not an object");
-  const Object& obj = value.as_object();
-  Snapshot snapshot;
-
-  auto counters = require(obj, "counters", &Value::is_array, "an array");
-  if (!counters.has_value()) return counters.error();
-  for (const Value& member : (*counters)->as_array()) {
-    if (!member.is_object()) return wire_error("counter is not an object");
-    const Object& c = member.as_object();
-    auto name = require(c, "name", &Value::is_string, "a string");
-    if (!name.has_value()) return name.error();
-    auto help = require(c, "help", &Value::is_string, "a string");
-    if (!help.has_value()) return help.error();
-    auto v = require(c, "value", &Value::is_number, "a number");
-    if (!v.has_value()) return v.error();
-    snapshot.counters.push_back(
-        {(*name)->as_string(), (*help)->as_string(),
-         static_cast<std::uint64_t>((*v)->as_number())});
-  }
-
-  auto gauges = require(obj, "gauges", &Value::is_array, "an array");
-  if (!gauges.has_value()) return gauges.error();
-  for (const Value& member : (*gauges)->as_array()) {
-    if (!member.is_object()) return wire_error("gauge is not an object");
-    const Object& g = member.as_object();
-    auto name = require(g, "name", &Value::is_string, "a string");
-    if (!name.has_value()) return name.error();
-    auto help = require(g, "help", &Value::is_string, "a string");
-    if (!help.has_value()) return help.error();
-    auto v = require(g, "value", &Value::is_number, "a number");
-    if (!v.has_value()) return v.error();
-    snapshot.gauges.push_back({(*name)->as_string(), (*help)->as_string(),
-                               static_cast<std::int64_t>((*v)->as_number())});
-  }
-
-  auto histograms = require(obj, "histograms", &Value::is_array, "an array");
-  if (!histograms.has_value()) return histograms.error();
-  for (const Value& member : (*histograms)->as_array()) {
-    if (!member.is_object()) return wire_error("histogram is not an object");
-    const Object& h = member.as_object();
-    auto name = require(h, "name", &Value::is_string, "a string");
-    if (!name.has_value()) return name.error();
-    auto help = require(h, "help", &Value::is_string, "a string");
-    if (!help.has_value()) return help.error();
-    auto bounds = require(h, "bounds", &Value::is_array, "an array");
-    if (!bounds.has_value()) return bounds.error();
-    auto buckets = require(h, "buckets", &Value::is_array, "an array");
-    if (!buckets.has_value()) return buckets.error();
-    auto sum = require(h, "sum", &Value::is_number, "a number");
-    if (!sum.has_value()) return sum.error();
-    HistogramSample sample;
-    sample.name = (*name)->as_string();
-    sample.help = (*help)->as_string();
-    for (const Value& bound : (*bounds)->as_array()) {
-      if (!bound.is_number()) return wire_error("histogram bound not numeric");
-      sample.bounds.push_back(bound.as_number());
-    }
-    for (const Value& bucket : (*buckets)->as_array()) {
-      if (!bucket.is_number()) {
-        return wire_error("histogram bucket not numeric");
-      }
-      const auto count = static_cast<std::uint64_t>(bucket.as_number());
-      sample.buckets.push_back(count);
-      sample.count += count;
-    }
-    if (sample.buckets.size() != sample.bounds.size() + 1) {
-      return wire_error("histogram '" + sample.name + "' has " +
-                        std::to_string(sample.buckets.size()) +
-                        " buckets for " + std::to_string(sample.bounds.size()) +
-                        " bounds (want bounds + 1)");
-    }
-    sample.sum = (*sum)->as_number();
-    snapshot.histograms.push_back(std::move(sample));
-  }
-  return snapshot;
-}
 
 json::Value spans_to_wire_json(const std::vector<SpanEvent>& spans) {
   Array out;
@@ -174,30 +26,17 @@ json::Value spans_to_wire_json(const std::vector<SpanEvent>& spans) {
   return Value(std::move(out));
 }
 
-Expected<std::vector<FleetSpan>> spans_from_wire_json(
-    const json::Value& value) {
-  if (!value.is_array()) return wire_error("spans are not an array");
-  std::vector<FleetSpan> spans;
-  spans.reserve(value.as_array().size());
-  for (const Value& member : value.as_array()) {
-    if (!member.is_object()) return wire_error("span is not an object");
-    const Object& s = member.as_object();
-    auto name = require(s, "n", &Value::is_string, "a string");
-    if (!name.has_value()) return name.error();
-    auto start = require(s, "s", &Value::is_number, "a number");
-    if (!start.has_value()) return start.error();
-    auto end = require(s, "e", &Value::is_number, "a number");
-    if (!end.has_value()) return end.error();
-    auto tid = require(s, "t", &Value::is_number, "a number");
-    if (!tid.has_value()) return tid.error();
-    FleetSpan span;
-    span.name = (*name)->as_string();
-    span.start_ns = static_cast<std::uint64_t>((*start)->as_number());
-    span.end_ns = static_cast<std::uint64_t>((*end)->as_number());
-    span.tid = static_cast<std::uint32_t>((*tid)->as_number());
-    spans.push_back(std::move(span));
+std::vector<FleetSpan> spans_from_wire_json(const json::Reader& spans) {
+  std::vector<FleetSpan> out;
+  out.reserve(spans.size());
+  for (std::size_t i = 0; i < spans.size() && spans.ok(); ++i) {
+    const json::Reader span = spans.object(i);
+    out.push_back({std::string(span.string("n")),
+                   span.integer<std::uint64_t>("s"),
+                   span.integer<std::uint64_t>("e"),
+                   span.integer<std::uint32_t>("t")});
   }
-  return spans;
+  return out;
 }
 
 std::string with_worker_label(std::string_view series,

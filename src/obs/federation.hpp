@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
@@ -48,25 +49,14 @@ struct FleetSpan {
   std::uint32_t tid = 0;
 };
 
-/// Snapshot -> wire JSON. Carries names, help text, values and (for
-/// histograms) bounds + non-cumulative bucket counts, so the receiver can
-/// reconstruct the exact Snapshot and validate bounds on merge.
-[[nodiscard]] json::Value snapshot_to_wire_json(const Snapshot& snapshot);
-
-/// Wire JSON -> Snapshot. Errors (kParseError) on missing or mistyped
-/// fields — the degraded-heartbeat path in dist/telemetry keys off this.
-[[nodiscard]] util::Expected<Snapshot> snapshot_from_wire_json(
-    const json::Value& value);
-
 /// Span ring -> wire JSON array (compact keys; a full ring is shipped once
 /// per task, not per heartbeat).
 [[nodiscard]] json::Value spans_to_wire_json(
     const std::vector<SpanEvent>& spans);
 
-/// Wire JSON array -> owned spans. Errors (kParseError) on malformed
-/// entries.
-[[nodiscard]] util::Expected<std::vector<FleetSpan>> spans_from_wire_json(
-    const json::Value& value);
+/// Wire JSON array -> owned spans; malformed entries fail `spans`.
+[[nodiscard]] std::vector<FleetSpan> spans_from_wire_json(
+    const json::Reader& spans);
 
 /// Prepends a `worker="<worker>"` label to a series name, preserving any
 /// labels already encoded in it:

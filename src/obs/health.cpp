@@ -2,9 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "json/reader.hpp"
 #include "obs/names.hpp"
 
 namespace mosaic::obs {
@@ -224,68 +223,24 @@ std::string health_text(const HealthReport& report) {
   return out;
 }
 
-namespace {
-
-Error rules_error(std::string what) {
-  return Error{ErrorCode::kParseError, "health rules: " + std::move(what)};
-}
-
-}  // namespace
-
 Expected<std::vector<HealthRule>> health_rules_from_json(
     const json::Value& value) {
-  if (!value.is_object()) return rules_error("document is not an object");
-  const Value* rules = value.as_object().find("rules");
-  if (rules == nullptr || !rules->is_array()) {
-    return rules_error("missing 'rules' array");
-  }
+  const json::Reader r(value, "health rules");
+  const json::Reader rules = r.array("rules");
+  if (r.ok() && rules.size() == 0) r.fail("rules", "is empty");
   std::vector<HealthRule> out;
-  out.reserve(rules->as_array().size());
-  for (const Value& member : rules->as_array()) {
-    if (!member.is_object()) return rules_error("rule is not an object");
-    const Object& obj = member.as_object();
-    HealthRule rule;
-    const Value* name = obj.find("name");
-    if (name == nullptr || !name->is_string()) {
-      return rules_error("rule missing string 'name'");
+  out.reserve(rules.size());
+  for (std::size_t i = 0; i < rules.size() && r.ok(); ++i) {
+    const json::Reader rule = rules.object(i);
+    if (!rule.has("warn") && !rule.has("fail")) {
+      rules.fail(i, "needs at least one of 'warn'/'fail'");
     }
-    rule.name = name->as_string();
-    const Value* metric = obj.find("metric");
-    if (metric == nullptr || !metric->is_string()) {
-      return rules_error("rule '" + rule.name + "' missing string 'metric'");
-    }
-    rule.metric = metric->as_string();
-    if (const Value* denominator = obj.find("denominator");
-        denominator != nullptr) {
-      if (!denominator->is_string()) {
-        return rules_error("rule '" + rule.name +
-                           "': 'denominator' is not a string");
-      }
-      rule.denominator = denominator->as_string();
-    }
-    bool any_threshold = false;
-    if (const Value* warn = obj.find("warn"); warn != nullptr) {
-      if (!warn->is_number()) {
-        return rules_error("rule '" + rule.name + "': 'warn' is not a number");
-      }
-      rule.warn = warn->as_number();
-      any_threshold = true;
-    }
-    if (const Value* fail = obj.find("fail"); fail != nullptr) {
-      if (!fail->is_number()) {
-        return rules_error("rule '" + rule.name + "': 'fail' is not a number");
-      }
-      rule.fail = fail->as_number();
-      any_threshold = true;
-    }
-    if (!any_threshold) {
-      return rules_error("rule '" + rule.name +
-                         "' needs at least one of 'warn'/'fail'");
-    }
-    out.push_back(std::move(rule));
+    out.push_back({std::string(rule.string("name")),
+                   std::string(rule.string("metric")),
+                   std::string(rule.string("denominator", "")),
+                   rule.number("warn", -1.0), rule.number("fail", -1.0)});
   }
-  if (out.empty()) return rules_error("empty 'rules' array");
-  return out;
+  return r.finish(std::move(out));
 }
 
 json::Value health_rules_to_json(const std::vector<HealthRule>& rules) {
@@ -308,115 +263,9 @@ json::Value health_rules_to_json(const std::vector<HealthRule>& rules) {
 }
 
 Expected<std::vector<HealthRule>> load_health_rules(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open rules file: " + path};
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto parsed = json::parse(text.str());
-  if (!parsed.has_value()) {
-    return Error{ErrorCode::kParseError,
-                 "rules file " + path + ": " + parsed.error().message};
-  }
+  auto parsed = json::read_file(path);
+  if (!parsed.has_value()) return std::move(parsed).error();
   return health_rules_from_json(*parsed);
-}
-
-namespace {
-
-Error metrics_json_error(std::string what) {
-  return Error{ErrorCode::kParseError, "metrics json: " + std::move(what)};
-}
-
-}  // namespace
-
-Expected<Snapshot> snapshot_from_metrics_json(const json::Value& value) {
-  if (!value.is_object()) return metrics_json_error("not an object");
-  const Object& obj = value.as_object();
-  Snapshot snapshot;
-  if (const Value* counters = obj.find("counters"); counters != nullptr) {
-    if (!counters->is_object()) {
-      return metrics_json_error("'counters' is not an object");
-    }
-    for (const auto& [name, member] : counters->as_object().entries()) {
-      if (!member.is_number()) {
-        return metrics_json_error("counter '" + name + "' is not a number");
-      }
-      snapshot.counters.push_back(
-          {name, "", static_cast<std::uint64_t>(member.as_number())});
-    }
-  }
-  if (const Value* gauges = obj.find("gauges"); gauges != nullptr) {
-    if (!gauges->is_object()) {
-      return metrics_json_error("'gauges' is not an object");
-    }
-    for (const auto& [name, member] : gauges->as_object().entries()) {
-      if (!member.is_number()) {
-        return metrics_json_error("gauge '" + name + "' is not a number");
-      }
-      snapshot.gauges.push_back(
-          {name, "", static_cast<std::int64_t>(member.as_number())});
-    }
-  }
-  if (const Value* histograms = obj.find("histograms"); histograms != nullptr) {
-    if (!histograms->is_object()) {
-      return metrics_json_error("'histograms' is not an object");
-    }
-    for (const auto& [name, member] : histograms->as_object().entries()) {
-      if (!member.is_object()) {
-        return metrics_json_error("histogram '" + name + "' is not an object");
-      }
-      const Object& h = member.as_object();
-      HistogramSample sample;
-      sample.name = name;
-      if (const Value* sum = h.find("sum"); sum != nullptr && sum->is_number()) {
-        sample.sum = sum->as_number();
-      }
-      const Value* buckets = h.find("buckets");
-      if (buckets == nullptr || !buckets->is_array()) {
-        return metrics_json_error("histogram '" + name +
-                                  "' missing 'buckets' array");
-      }
-      // metrics_to_json emits Prometheus-style cumulative buckets with an
-      // "le" edge per entry; the Snapshot form wants per-bucket counts and
-      // the finite edges only.
-      std::uint64_t previous = 0;
-      for (const Value& bucket : buckets->as_array()) {
-        if (!bucket.is_object()) {
-          return metrics_json_error("histogram '" + name +
-                                    "' bucket is not an object");
-        }
-        const Object& b = bucket.as_object();
-        const Value* le = b.find("le");
-        const Value* count = b.find("count");
-        if (le == nullptr || count == nullptr || !count->is_number()) {
-          return metrics_json_error("histogram '" + name +
-                                    "' bucket missing le/count");
-        }
-        const auto cumulative =
-            static_cast<std::uint64_t>(count->as_number());
-        if (cumulative < previous) {
-          return metrics_json_error("histogram '" + name +
-                                    "' buckets are not cumulative");
-        }
-        sample.buckets.push_back(cumulative - previous);
-        previous = cumulative;
-        if (le->is_number()) {
-          sample.bounds.push_back(le->as_number());
-        } else if (!le->is_string() || le->as_string() != "+Inf") {
-          return metrics_json_error("histogram '" + name +
-                                    "' has a malformed 'le' edge");
-        }
-      }
-      if (sample.buckets.size() != sample.bounds.size() + 1) {
-        return metrics_json_error("histogram '" + name +
-                                  "' is missing its +Inf bucket");
-      }
-      sample.count = previous;
-      snapshot.histograms.push_back(std::move(sample));
-    }
-  }
-  return snapshot;
 }
 
 }  // namespace mosaic::obs

@@ -109,10 +109,4 @@ struct HealthReport {
 [[nodiscard]] util::Expected<std::vector<HealthRule>> load_health_rules(
     const std::string& path);
 
-/// Reads a snapshot back from the metrics_to_json() format (the --metrics
-/// artifact), so `mosaic health` can evaluate saved runs. Histogram buckets
-/// are cumulative in that format and are de-cumulated here.
-[[nodiscard]] util::Expected<Snapshot> snapshot_from_metrics_json(
-    const json::Value& value);
-
 }  // namespace mosaic::obs

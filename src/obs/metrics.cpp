@@ -241,6 +241,48 @@ json::Value metrics_to_json(const Snapshot& snapshot) {
   return out;
 }
 
+Snapshot snapshot_from_metrics_json(const json::Reader& metrics) {
+  using json::Presence;
+  Snapshot snapshot;
+  const json::Reader counters = metrics.object("counters", Presence::kOptional);
+  for (const auto& [name, value] : counters.members()) {
+    snapshot.counters.push_back(
+        {name, "", counters.integer<std::uint64_t>(name)});
+  }
+  const json::Reader gauges = metrics.object("gauges", Presence::kOptional);
+  for (const auto& [name, value] : gauges.members()) {
+    snapshot.gauges.push_back({name, "", gauges.integer<std::int64_t>(name)});
+  }
+  const json::Reader histograms =
+      metrics.object("histograms", Presence::kOptional);
+  for (const auto& [name, value] : histograms.members()) {
+    const json::Reader h = histograms.object(name);
+    HistogramSample sample;
+    sample.name = name;
+    sample.sum = h.number("sum", 0.0);
+    // Every bucket but the last carries a finite "le" edge; the last is
+    // "+Inf". Counts are cumulative, so each must reach the one before.
+    const json::Reader buckets = h.array("buckets");
+    if (buckets.size() == 0) h.fail("buckets", "lacks its +Inf bucket");
+    for (std::size_t b = 0; b < buckets.size() && metrics.ok(); ++b) {
+      const json::Reader bucket = buckets.object(b);
+      const auto cumulative = bucket.integer<std::uint64_t>("count");
+      if (cumulative < sample.count) {
+        bucket.fail("count", "is below the previous bucket's");
+      }
+      sample.buckets.push_back(cumulative - sample.count);
+      sample.count = cumulative;
+      if (b + 1 < buckets.size()) {
+        sample.bounds.push_back(bucket.number("le"));
+      } else if (bucket.string("le") != "+Inf") {
+        bucket.fail("le", "of the last bucket is not \"+Inf\"");
+      }
+    }
+    snapshot.histograms.push_back(std::move(sample));
+  }
+  return snapshot;
+}
+
 namespace {
 
 /// Series names carry labels ("m_total{code=\"x\"}"); TYPE lines use the

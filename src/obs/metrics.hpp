@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 
 namespace mosaic::obs {
 
@@ -184,6 +185,11 @@ class Registry {
 /// Keys are sorted, so two snapshots with equal values serialize
 /// byte-identically.
 [[nodiscard]] json::Value metrics_to_json(const Snapshot& snapshot);
+
+/// Reads a snapshot back from the metrics_to_json() shape: a --metrics
+/// artifact, `mosaic health` input, or a worker's telemetry rider.
+/// Cumulative buckets are de-cumulated; help text is not carried.
+[[nodiscard]] Snapshot snapshot_from_metrics_json(const json::Reader& metrics);
 
 /// Renders a snapshot in Prometheus text exposition format (# TYPE lines,
 /// cumulative _bucket/_sum/_count series for histograms).

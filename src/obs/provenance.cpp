@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "json/reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/fs.hpp"
@@ -145,165 +146,128 @@ json::Value metadata_to_json(const MetadataProvenance& m) {
   return out;
 }
 
-// --- parsing helpers --------------------------------------------------------
+// --- parsing: every member is optional (absent -> the struct default) ----
 
-const json::Value* member(const json::Value& value, std::string_view key) {
-  return value.is_object() ? value.as_object().find(key) : nullptr;
+std::vector<std::string> strings_from_json(const json::Reader& r,
+                                           std::string_view key) {
+  return r.array(key, json::Presence::kOptional).elements<std::string>();
 }
 
-double get_number(const json::Value& value, std::string_view key,
-                  double fallback = 0.0) {
-  const json::Value* v = member(value, key);
-  return v != nullptr && v->is_number() ? v->as_number() : fallback;
-}
-
-std::uint64_t get_uint(const json::Value& value, std::string_view key) {
-  return static_cast<std::uint64_t>(get_number(value, key));
-}
-
-bool get_bool(const json::Value& value, std::string_view key) {
-  const json::Value* v = member(value, key);
-  return v != nullptr && v->is_bool() && v->as_bool();
-}
-
-std::string get_string(const json::Value& value, std::string_view key) {
-  const json::Value* v = member(value, key);
-  return v != nullptr && v->is_string() ? v->as_string() : std::string();
-}
-
-MergeProvenance merge_from_json(const json::Value& v) {
+MergeProvenance merge_from_json(const json::Reader& r) {
   MergeProvenance m;
-  m.raw_ops = get_uint(v, "raw_ops");
-  m.after_concurrent = get_uint(v, "after_concurrent");
-  m.merged_ops = get_uint(v, "merged_ops");
-  m.covered_seconds_before = get_number(v, "covered_seconds_before");
-  m.covered_seconds_after = get_number(v, "covered_seconds_after");
+  m.raw_ops = r.integer<std::uint64_t>("raw_ops", 0);
+  m.after_concurrent = r.integer<std::uint64_t>("after_concurrent", 0);
+  m.merged_ops = r.integer<std::uint64_t>("merged_ops", 0);
+  m.covered_seconds_before = r.number("covered_seconds_before", 0.0);
+  m.covered_seconds_after = r.number("covered_seconds_after", 0.0);
   return m;
 }
 
-MeanShiftProvenance mean_shift_from_json(const json::Value& v) {
+MeanShiftProvenance mean_shift_from_json(const json::Reader& r) {
   MeanShiftProvenance ms;
-  ms.ran = get_bool(v, "ran");
-  ms.bandwidth = get_number(v, "bandwidth");
-  ms.duration_cv_limit = get_number(v, "duration_cv_limit");
-  ms.volume_cv_limit = get_number(v, "volume_cv_limit");
-  ms.points = get_uint(v, "points");
-  ms.iterations = get_uint(v, "iterations");
-  if (const json::Value* arr = member(v, "candidates");
-      arr != nullptr && arr->is_array()) {
-    for (const json::Value& item : arr->as_array()) {
-      MeanShiftCandidate c;
-      c.size = get_uint(item, "size");
-      c.period_seconds = get_number(item, "period_seconds");
-      c.duration_cv = get_number(item, "duration_cv");
-      c.volume_cv = get_number(item, "volume_cv");
-      c.center_length = get_number(item, "center_length");
-      c.center_log_volume = get_number(item, "center_log_volume");
-      c.accepted = get_bool(item, "accepted");
-      c.rejected_by = get_string(item, "rejected_by");
-      ms.candidates.push_back(std::move(c));
-    }
+  ms.ran = r.boolean("ran", false);
+  ms.bandwidth = r.number("bandwidth", 0.0);
+  ms.duration_cv_limit = r.number("duration_cv_limit", 0.0);
+  ms.volume_cv_limit = r.number("volume_cv_limit", 0.0);
+  ms.points = r.integer<std::uint64_t>("points", 0);
+  ms.iterations = r.integer<std::uint64_t>("iterations", 0);
+  const json::Reader candidates =
+      r.array("candidates", json::Presence::kOptional);
+  for (std::size_t i = 0; i < candidates.size() && r.ok(); ++i) {
+    const json::Reader c = candidates.object(i);
+    ms.candidates.push_back({c.integer<std::uint64_t>("size", 0),
+                             c.number("period_seconds", 0.0),
+                             c.number("duration_cv", 0.0),
+                             c.number("volume_cv", 0.0),
+                             c.number("center_length", 0.0),
+                             c.number("center_log_volume", 0.0),
+                             c.boolean("accepted", false),
+                             std::string(c.string("rejected_by", ""))});
   }
   return ms;
 }
 
-FrequencyProvenance frequency_from_json(const json::Value& v) {
+FrequencyProvenance frequency_from_json(const json::Reader& r) {
   FrequencyProvenance f;
-  f.ran = get_bool(v, "ran");
-  f.bin_seconds = get_number(v, "bin_seconds");
-  f.min_score = get_number(v, "min_score");
-  if (const json::Value* arr = member(v, "peaks");
-      arr != nullptr && arr->is_array()) {
-    for (const json::Value& item : arr->as_array()) {
-      FrequencyPeak p;
-      p.period_seconds = get_number(item, "period_seconds");
-      p.score = get_number(item, "score");
-      p.occurrences = get_uint(item, "occurrences");
-      p.accepted = get_bool(item, "accepted");
-      f.peaks.push_back(p);
-    }
+  f.ran = r.boolean("ran", false);
+  f.bin_seconds = r.number("bin_seconds", 0.0);
+  f.min_score = r.number("min_score", 0.0);
+  const json::Reader peaks = r.array("peaks", json::Presence::kOptional);
+  for (std::size_t i = 0; i < peaks.size() && r.ok(); ++i) {
+    const json::Reader p = peaks.object(i);
+    f.peaks.push_back({p.number("period_seconds", 0.0), p.number("score", 0.0),
+                       p.integer<std::uint64_t>("occurrences", 0),
+                       p.boolean("accepted", false)});
   }
   return f;
 }
 
-PeriodicityProvenance periodicity_from_json(const json::Value& v) {
+PeriodicityProvenance periodicity_from_json(const json::Reader& r) {
+  using json::Presence;
   PeriodicityProvenance p;
-  p.backend = get_string(v, "backend");
-  p.periodic = get_bool(v, "periodic");
-  p.confidence = get_number(v, "confidence");
-  if (const json::Value* ms = member(v, "mean_shift"); ms != nullptr) {
-    p.mean_shift = mean_shift_from_json(*ms);
-  }
-  if (const json::Value* f = member(v, "frequency"); f != nullptr) {
-    p.frequency = frequency_from_json(*f);
-  }
-  if (const json::Value* arr = member(v, "groups");
-      arr != nullptr && arr->is_array()) {
-    for (const json::Value& item : arr->as_array()) {
-      PeriodicGroupProvenance g;
-      g.period_seconds = get_number(item, "period_seconds");
-      g.mean_bytes = get_number(item, "mean_bytes");
-      g.busy_ratio = get_number(item, "busy_ratio");
-      g.occurrences = get_uint(item, "occurrences");
-      g.magnitude = get_string(item, "magnitude");
-      p.groups.push_back(std::move(g));
-    }
+  p.backend = r.string("backend", "");
+  p.periodic = r.boolean("periodic", false);
+  p.confidence = r.number("confidence", 0.0);
+  p.mean_shift =
+      mean_shift_from_json(r.object("mean_shift", Presence::kOptional));
+  p.frequency = frequency_from_json(r.object("frequency", Presence::kOptional));
+  const json::Reader groups = r.array("groups", Presence::kOptional);
+  for (std::size_t i = 0; i < groups.size() && r.ok(); ++i) {
+    const json::Reader g = groups.object(i);
+    p.groups.push_back({g.number("period_seconds", 0.0),
+                        g.number("mean_bytes", 0.0),
+                        g.number("busy_ratio", 0.0),
+                        g.integer<std::uint64_t>("occurrences", 0),
+                        std::string(g.string("magnitude", ""))});
   }
   return p;
 }
 
-TemporalityProvenance temporality_from_json(const json::Value& v) {
+TemporalityProvenance temporality_from_json(const json::Reader& r) {
   TemporalityProvenance t;
-  if (const json::Value* arr = member(v, "chunk_bytes");
-      arr != nullptr && arr->is_array()) {
-    for (const json::Value& item : arr->as_array()) {
-      if (item.is_number()) t.chunk_bytes.push_back(item.as_number());
-    }
-  }
-  t.total_bytes = get_number(v, "total_bytes");
-  t.min_bytes_threshold = get_number(v, "min_bytes_threshold");
-  t.chunk_cv = get_number(v, "chunk_cv");
-  t.steady_cv_threshold = get_number(v, "steady_cv_threshold");
-  t.dominance_factor = get_number(v, "dominance_factor");
-  t.dominant_chunk =
-      static_cast<std::int64_t>(get_number(v, "dominant_chunk", -1.0));
-  t.rule = get_string(v, "rule");
-  t.label = get_string(v, "label");
-  t.confidence = get_number(v, "confidence");
+  t.chunk_bytes =
+      r.array("chunk_bytes", json::Presence::kOptional).elements<double>();
+  t.total_bytes = r.number("total_bytes", 0.0);
+  t.min_bytes_threshold = r.number("min_bytes_threshold", 0.0);
+  t.chunk_cv = r.number("chunk_cv", 0.0);
+  t.steady_cv_threshold = r.number("steady_cv_threshold", 0.0);
+  t.dominance_factor = r.number("dominance_factor", 0.0);
+  t.dominant_chunk = r.integer<std::int64_t>("dominant_chunk", -1);
+  t.rule = r.string("rule", "");
+  t.label = r.string("label", "");
+  t.confidence = r.number("confidence", 0.0);
   return t;
 }
 
-KindProvenance kind_from_json(const json::Value& v) {
+KindProvenance kind_from_json(const json::Reader& r) {
+  using json::Presence;
   KindProvenance k;
-  if (const json::Value* m = member(v, "merge"); m != nullptr) {
-    k.merge = merge_from_json(*m);
-  }
-  k.segments = get_uint(v, "segments");
-  if (const json::Value* p = member(v, "periodicity"); p != nullptr) {
-    k.periodicity = periodicity_from_json(*p);
-  }
-  if (const json::Value* t = member(v, "temporality"); t != nullptr) {
-    k.temporality = temporality_from_json(*t);
-  }
+  k.merge = merge_from_json(r.object("merge", Presence::kOptional));
+  k.segments = r.integer<std::uint64_t>("segments", 0);
+  k.periodicity =
+      periodicity_from_json(r.object("periodicity", Presence::kOptional));
+  k.temporality =
+      temporality_from_json(r.object("temporality", Presence::kOptional));
   return k;
 }
 
-MetadataProvenance metadata_from_json(const json::Value& v) {
+MetadataProvenance metadata_from_json(const json::Reader& r) {
   MetadataProvenance m;
-  m.total_requests = get_uint(v, "total_requests");
-  m.nprocs = get_uint(v, "nprocs");
-  m.max_requests_per_second = get_number(v, "max_requests_per_second");
-  m.mean_requests_per_second = get_number(v, "mean_requests_per_second");
-  m.spike_seconds = get_uint(v, "spike_seconds");
-  m.high_spike_threshold = get_number(v, "high_spike_threshold");
-  m.spike_threshold = get_number(v, "spike_threshold");
-  m.multiple_spike_count = get_uint(v, "multiple_spike_count");
-  m.high_density_mean_threshold = get_number(v, "high_density_mean_threshold");
-  m.insignificant = get_bool(v, "insignificant");
-  m.high_spike = get_bool(v, "high_spike");
-  m.multiple_spikes = get_bool(v, "multiple_spikes");
-  m.high_density = get_bool(v, "high_density");
-  m.confidence = get_number(v, "confidence");
+  m.total_requests = r.integer<std::uint64_t>("total_requests", 0);
+  m.nprocs = r.integer<std::uint64_t>("nprocs", 0);
+  m.max_requests_per_second = r.number("max_requests_per_second", 0.0);
+  m.mean_requests_per_second = r.number("mean_requests_per_second", 0.0);
+  m.spike_seconds = r.integer<std::uint64_t>("spike_seconds", 0);
+  m.high_spike_threshold = r.number("high_spike_threshold", 0.0);
+  m.spike_threshold = r.number("spike_threshold", 0.0);
+  m.multiple_spike_count = r.integer<std::uint64_t>("multiple_spike_count", 0);
+  m.high_density_mean_threshold =
+      r.number("high_density_mean_threshold", 0.0);
+  m.insignificant = r.boolean("insignificant", false);
+  m.high_spike = r.boolean("high_spike", false);
+  m.multiple_spikes = r.boolean("multiple_spikes", false);
+  m.high_density = r.boolean("high_density", false);
+  m.confidence = r.number("confidence", 0.0);
   return m;
 }
 
@@ -436,37 +400,20 @@ json::Value provenance_to_json(const TraceProvenance& record) {
 }
 
 util::Expected<TraceProvenance> provenance_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::Error(util::ErrorCode::kParseError,
-                       "provenance record is not a JSON object");
-  }
+  using json::Presence;
+  const json::Reader r(value, "provenance record");
   TraceProvenance record;
-  record.app_key = get_string(value, "app_key");
-  record.job_id = get_uint(value, "job_id");
-  record.runtime = get_number(value, "runtime");
-  record.nprocs = get_uint(value, "nprocs");
-  if (const json::Value* v = member(value, "read"); v != nullptr) {
-    record.read = kind_from_json(*v);
-  }
-  if (const json::Value* v = member(value, "write"); v != nullptr) {
-    record.write = kind_from_json(*v);
-  }
-  if (const json::Value* v = member(value, "metadata"); v != nullptr) {
-    record.metadata = metadata_from_json(*v);
-  }
-  if (const json::Value* v = member(value, "rules");
-      v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->as_array()) {
-      if (item.is_string()) record.rules.push_back(item.as_string());
-    }
-  }
-  if (const json::Value* v = member(value, "categories");
-      v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->as_array()) {
-      if (item.is_string()) record.categories.push_back(item.as_string());
-    }
-  }
-  return record;
+  record.app_key = r.string("app_key", "");
+  record.job_id = r.integer<std::uint64_t>("job_id", 0);
+  record.runtime = r.number("runtime", 0.0);
+  record.nprocs = r.integer<std::uint64_t>("nprocs", 0);
+  record.read = kind_from_json(r.object("read", Presence::kOptional));
+  record.write = kind_from_json(r.object("write", Presence::kOptional));
+  record.metadata =
+      metadata_from_json(r.object("metadata", Presence::kOptional));
+  record.rules = strings_from_json(r, "rules");
+  record.categories = strings_from_json(r, "categories");
+  return r.finish(std::move(record));
 }
 
 std::string explain_text(const TraceProvenance& record) {

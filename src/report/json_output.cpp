@@ -1,5 +1,6 @@
 #include "report/json_output.hpp"
 
+#include "json/reader.hpp"
 #include "util/fs.hpp"
 
 namespace mosaic::report {
@@ -52,155 +53,55 @@ Value metadata_to_json(const core::MetadataResult& metadata) {
   return out;
 }
 
-using util::Error;
-using util::ErrorCode;
-using util::Expected;
-
-Error schema_error(std::string what) {
-  return Error{ErrorCode::kParseError,
-               "trace result JSON: " + std::move(what)};
-}
-
-Expected<double> get_number(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_number()) {
-    return schema_error("missing number '" + std::string(key) + "'");
+template <typename Label>
+Label label_from_name(const json::Reader& r, std::string_view key,
+                      Label last, const char* (*name_of)(Label) noexcept) {
+  const std::string_view name = r.string(key);
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (name == name_of(static_cast<Label>(i))) return static_cast<Label>(i);
   }
-  return value->as_number();
+  r.fail(key, "names an unknown label '" + std::string(name) + "'");
+  return Label{};
 }
 
-Expected<std::string> get_string(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_string()) {
-    return schema_error("missing string '" + std::string(key) + "'");
-  }
-  return value->as_string();
-}
-
-Expected<bool> get_bool(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_bool()) {
-    return schema_error("missing bool '" + std::string(key) + "'");
-  }
-  return value->as_bool();
-}
-
-Expected<const Object*> get_object(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_object()) {
-    return schema_error("missing object '" + std::string(key) + "'");
-  }
-  return &value->as_object();
-}
-
-Expected<const Array*> get_array(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_array()) {
-    return schema_error("missing array '" + std::string(key) + "'");
-  }
-  return &value->as_array();
-}
-
-Expected<core::Temporality> temporality_from_name(std::string_view name) {
-  for (int i = 0; i <= static_cast<int>(core::Temporality::kUnclassified);
-       ++i) {
-    const auto label = static_cast<core::Temporality>(i);
-    if (name == core::temporality_name(label)) return label;
-  }
-  return schema_error("unknown temporality '" + std::string(name) + "'");
-}
-
-Expected<core::PeriodMagnitude> magnitude_from_name(std::string_view name) {
-  for (int i = 0; i <= static_cast<int>(core::PeriodMagnitude::kDayOrMore);
-       ++i) {
-    const auto magnitude = static_cast<core::PeriodMagnitude>(i);
-    if (name == core::period_magnitude_name(magnitude)) return magnitude;
-  }
-  return schema_error("unknown period magnitude '" + std::string(name) + "'");
-}
-
-Expected<core::KindAnalysis> kind_analysis_from_json(const Object& obj) {
+core::KindAnalysis kind_analysis_from_json(const json::Reader& r) {
   core::KindAnalysis analysis;
-  auto temporality = get_string(obj, "temporality");
-  if (!temporality) return std::move(temporality).error();
-  auto label = temporality_from_name(*temporality);
-  if (!label) return std::move(label).error();
-  analysis.temporality.label = *label;
-  auto total = get_number(obj, "total_bytes");
-  if (!total) return std::move(total).error();
-  analysis.temporality.total_bytes = *total;
-  auto chunks = get_array(obj, "chunk_bytes");
-  if (!chunks) return std::move(chunks).error();
-  for (const Value& chunk : **chunks) {
-    if (!chunk.is_number()) return schema_error("non-numeric chunk volume");
-    analysis.temporality.chunk_bytes.push_back(chunk.as_number());
-  }
-  auto raw_ops = get_number(obj, "raw_ops");
-  if (!raw_ops) return std::move(raw_ops).error();
-  analysis.raw_ops = static_cast<std::size_t>(*raw_ops);
-  auto merged_ops = get_number(obj, "merged_ops");
-  if (!merged_ops) return std::move(merged_ops).error();
-  analysis.merged_ops = static_cast<std::size_t>(*merged_ops);
+  analysis.temporality.label =
+      label_from_name(r, "temporality", core::Temporality::kUnclassified,
+                      core::temporality_name);
+  analysis.temporality.total_bytes = r.number("total_bytes");
+  analysis.temporality.chunk_bytes = r.array("chunk_bytes").elements<double>();
+  analysis.raw_ops = r.integer<std::size_t>("raw_ops");
+  analysis.merged_ops = r.integer<std::size_t>("merged_ops");
 
-  auto periodicity = get_object(obj, "periodicity");
-  if (!periodicity) return std::move(periodicity).error();
-  auto periodic = get_bool(**periodicity, "periodic");
-  if (!periodic) return std::move(periodic).error();
-  analysis.periodicity.periodic = *periodic;
-  auto groups = get_array(**periodicity, "groups");
-  if (!groups) return std::move(groups).error();
-  for (const Value& member : **groups) {
-    if (!member.is_object()) return schema_error("non-object periodic group");
-    const Object& g = member.as_object();
+  const json::Reader periodicity = r.object("periodicity");
+  analysis.periodicity.periodic = periodicity.boolean("periodic");
+  const json::Reader groups = periodicity.array("groups");
+  for (std::size_t i = 0; i < groups.size() && r.ok(); ++i) {
+    const json::Reader g = groups.object(i);
     core::PeriodicGroup group;
-    auto period = get_number(g, "period_seconds");
-    if (!period) return std::move(period).error();
-    group.period_seconds = *period;
-    auto magnitude_name = get_string(g, "magnitude");
-    if (!magnitude_name) return std::move(magnitude_name).error();
-    auto magnitude = magnitude_from_name(*magnitude_name);
-    if (!magnitude) return std::move(magnitude).error();
-    group.magnitude = *magnitude;
-    auto mean_bytes = get_number(g, "mean_bytes");
-    if (!mean_bytes) return std::move(mean_bytes).error();
-    group.mean_bytes = *mean_bytes;
-    auto busy_ratio = get_number(g, "busy_ratio");
-    if (!busy_ratio) return std::move(busy_ratio).error();
-    group.busy_ratio = *busy_ratio;
-    auto occurrences = get_number(g, "occurrences");
-    if (!occurrences) return std::move(occurrences).error();
-    group.occurrences = static_cast<std::size_t>(*occurrences);
+    group.period_seconds = g.number("period_seconds");
+    group.magnitude =
+        label_from_name(g, "magnitude", core::PeriodMagnitude::kDayOrMore,
+                        core::period_magnitude_name);
+    group.mean_bytes = g.number("mean_bytes");
+    group.busy_ratio = g.number("busy_ratio");
+    group.occurrences = g.integer<std::size_t>("occurrences");
     analysis.periodicity.groups.push_back(group);
   }
   return analysis;
 }
 
-Expected<core::MetadataResult> metadata_from_json(const Object& obj) {
+core::MetadataResult metadata_from_json(const json::Reader& r) {
   core::MetadataResult metadata;
-  auto insignificant = get_bool(obj, "insignificant");
-  if (!insignificant) return std::move(insignificant).error();
-  metadata.insignificant = *insignificant;
-  auto high_spike = get_bool(obj, "high_spike");
-  if (!high_spike) return std::move(high_spike).error();
-  metadata.high_spike = *high_spike;
-  auto multiple_spikes = get_bool(obj, "multiple_spikes");
-  if (!multiple_spikes) return std::move(multiple_spikes).error();
-  metadata.multiple_spikes = *multiple_spikes;
-  auto high_density = get_bool(obj, "high_density");
-  if (!high_density) return std::move(high_density).error();
-  metadata.high_density = *high_density;
-  auto total_requests = get_number(obj, "total_requests");
-  if (!total_requests) return std::move(total_requests).error();
-  metadata.total_requests = static_cast<std::uint64_t>(*total_requests);
-  auto max_rps = get_number(obj, "max_requests_per_second");
-  if (!max_rps) return std::move(max_rps).error();
-  metadata.max_requests_per_second = *max_rps;
-  auto spike_seconds = get_number(obj, "spike_seconds");
-  if (!spike_seconds) return std::move(spike_seconds).error();
-  metadata.spike_seconds = static_cast<std::size_t>(*spike_seconds);
-  auto mean_rps = get_number(obj, "mean_requests_per_second");
-  if (!mean_rps) return std::move(mean_rps).error();
-  metadata.mean_requests_per_second = *mean_rps;
+  metadata.insignificant = r.boolean("insignificant");
+  metadata.high_spike = r.boolean("high_spike");
+  metadata.multiple_spikes = r.boolean("multiple_spikes");
+  metadata.high_density = r.boolean("high_density");
+  metadata.total_requests = r.integer<std::uint64_t>("total_requests");
+  metadata.max_requests_per_second = r.number("max_requests_per_second");
+  metadata.spike_seconds = r.integer<std::size_t>("spike_seconds");
+  metadata.mean_requests_per_second = r.number("mean_requests_per_second");
   return metadata;
 }
 
@@ -227,57 +128,31 @@ Value trace_result_to_json(const core::TraceResult& result) {
   return out;
 }
 
-Expected<core::TraceResult> trace_result_from_json(const json::Value& value) {
-  if (!value.is_object()) return schema_error("not an object");
-  const Object& obj = value.as_object();
+util::Expected<core::TraceResult> trace_result_from_json(
+    const json::Value& value) {
+  const json::Reader r(value, "trace result JSON");
   core::TraceResult result;
-
-  auto app = get_string(obj, "app");
-  if (!app) return std::move(app).error();
-  result.app_key = std::move(*app);
-  auto job_id = get_number(obj, "job_id");
-  if (!job_id) return std::move(job_id).error();
-  result.job_id = static_cast<std::uint64_t>(*job_id);
-  auto runtime = get_number(obj, "runtime_seconds");
-  if (!runtime) return std::move(runtime).error();
-  result.runtime = *runtime;
-  auto nprocs = get_number(obj, "nprocs");
-  if (!nprocs) return std::move(nprocs).error();
-  result.nprocs = static_cast<std::uint32_t>(*nprocs);
-  auto bytes_read = get_number(obj, "bytes_read");
-  if (!bytes_read) return std::move(bytes_read).error();
-  result.bytes_read = static_cast<std::uint64_t>(*bytes_read);
-  auto bytes_written = get_number(obj, "bytes_written");
-  if (!bytes_written) return std::move(bytes_written).error();
-  result.bytes_written = static_cast<std::uint64_t>(*bytes_written);
-
-  auto categories = get_array(obj, "categories");
-  if (!categories) return std::move(categories).error();
-  for (const Value& name : **categories) {
-    if (!name.is_string()) return schema_error("non-string category name");
-    const auto category = core::category_from_name(name.as_string());
-    if (!category.has_value()) {
-      return schema_error("unknown category '" + name.as_string() + "'");
+  result.app_key = r.string("app");
+  result.job_id = r.integer<std::uint64_t>("job_id");
+  result.runtime = r.number("runtime_seconds");
+  result.nprocs = r.integer<std::uint32_t>("nprocs");
+  result.bytes_read = r.integer<std::uint64_t>("bytes_read");
+  result.bytes_written = r.integer<std::uint64_t>("bytes_written");
+  const json::Reader categories = r.array("categories");
+  for (std::size_t i = 0; i < categories.size() && r.ok(); ++i) {
+    const std::string_view name = categories.string(i);
+    const auto category = core::category_from_name(name);
+    if (category.has_value()) {
+      result.categories.insert(*category);
+    } else {
+      categories.fail(i, "names an unknown category '" + std::string(name) +
+                             "'");
     }
-    result.categories.insert(*category);
   }
-
-  auto read = get_object(obj, "read");
-  if (!read) return std::move(read).error();
-  auto read_analysis = kind_analysis_from_json(**read);
-  if (!read_analysis) return std::move(read_analysis).error();
-  result.read = std::move(*read_analysis);
-  auto write = get_object(obj, "write");
-  if (!write) return std::move(write).error();
-  auto write_analysis = kind_analysis_from_json(**write);
-  if (!write_analysis) return std::move(write_analysis).error();
-  result.write = std::move(*write_analysis);
-  auto metadata = get_object(obj, "metadata");
-  if (!metadata) return std::move(metadata).error();
-  auto metadata_result = metadata_from_json(**metadata);
-  if (!metadata_result) return std::move(metadata_result).error();
-  result.metadata = *metadata_result;
-  return result;
+  result.read = kind_analysis_from_json(r.object("read"));
+  result.write = kind_analysis_from_json(r.object("write"));
+  result.metadata = metadata_from_json(r.object("metadata"));
+  return r.finish(std::move(result));
 }
 
 Value batch_to_json(const core::BatchResult& batch, bool include_traces) {

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "ingest/shard.hpp"
+#include "json/reader.hpp"
 #include "report/json_output.hpp"
 #include "util/fs.hpp"
 
@@ -21,51 +20,16 @@ using util::Status;
 
 namespace {
 
-Error schema_error(std::string what) {
-  return Error{ErrorCode::kParseError, "partial artifact: " + std::move(what)};
-}
-
-Expected<double> get_number(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_number()) {
-    return schema_error("missing number '" + std::string(key) + "'");
-  }
-  return value->as_number();
-}
-
-Expected<std::string> get_string(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_string()) {
-    return schema_error("missing string '" + std::string(key) + "'");
-  }
-  return value->as_string();
-}
-
-Expected<const Object*> get_object(const Object& obj, std::string_view key) {
-  const Value* value = obj.find(key);
-  if (value == nullptr || !value->is_object()) {
-    return schema_error("missing object '" + std::string(key) + "'");
-  }
-  return &value->as_object();
-}
-
 Value counts_to_json(const std::map<std::string, std::size_t>& counts) {
   Object out;
   for (const auto& [key, count] : counts) out.set(key, count);
   return out;
 }
 
-Expected<std::map<std::string, std::size_t>> counts_from_json(
-    const Object& obj, std::string_view key) {
-  auto member = get_object(obj, key);
-  if (!member) return std::move(member).error();
+std::map<std::string, std::size_t> counts_from_json(const json::Reader& r) {
   std::map<std::string, std::size_t> counts;
-  for (const auto& [name, value] : (*member)->entries()) {
-    if (!value.is_number()) {
-      return schema_error("non-numeric count under '" + std::string(key) +
-                          "'");
-    }
-    counts[name] = static_cast<std::size_t>(value.as_number());
+  for (const auto& [name, value] : r.members()) {
+    counts[name] = r.integer<std::size_t>(name);
   }
   return counts;
 }
@@ -168,151 +132,63 @@ Value partial_to_json(const PartialArtifact& partial) {
 }
 
 Expected<PartialArtifact> partial_from_json(const Value& value) {
-  if (!value.is_object()) return schema_error("not an object");
-  const Object& obj = value.as_object();
-  auto schema = get_string(obj, "schema");
-  if (!schema) return std::move(schema).error();
-  if (*schema != kPartialSchema) {
-    return schema_error("unsupported schema '" + *schema + "' (expected " +
-                        std::string(kPartialSchema) + ")");
+  const json::Reader r(value, "partial artifact");
+  if (const std::string_view schema = r.string("schema");
+      schema != kPartialSchema) {
+    r.fail("schema", "is '" + std::string(schema) + "', expected " +
+                         std::string(kPartialSchema));
   }
 
   PartialArtifact partial;
-  auto shard = get_object(obj, "shard");
-  if (!shard) return std::move(shard).error();
-  auto index = get_number(**shard, "index");
-  if (!index) return std::move(index).error();
-  auto count = get_number(**shard, "count");
-  if (!count) return std::move(count).error();
-  partial.shard_index = static_cast<std::size_t>(*index);
-  partial.shard_count = static_cast<std::size_t>(*count);
-  if (partial.shard_count == 0 || partial.shard_index >= partial.shard_count) {
-    return schema_error("shard index out of range");
+  const json::Reader shard = r.object("shard");
+  partial.shard_index = shard.integer<std::size_t>("index");
+  partial.shard_count = shard.integer<std::size_t>("count");
+  if (partial.shard_index >= partial.shard_count) {
+    shard.fail("index", "is out of range for 'count'");
   }
 
-  auto ingest = get_object(obj, "ingest");
-  if (!ingest) return std::move(ingest).error();
-  const auto ingest_count = [&](std::string_view key,
-                                std::size_t& out) -> Status {
-    auto number = get_number(**ingest, key);
-    if (!number) return std::move(number).error();
-    out = static_cast<std::size_t>(*number);
-    return Status::success();
-  };
-  if (const auto s = ingest_count("files_scanned",
-                                  partial.ingest.files_scanned);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("loaded", partial.ingest.loaded); !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("failed", partial.ingest.failed); !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("retry_attempts",
-                                  partial.ingest.retry_attempts);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("recovered", partial.ingest.recovered);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("quarantined", partial.ingest.quarantined);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("journal_replayed",
-                                  partial.ingest.journal_replayed);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = ingest_count("journal_dropped",
-                                  partial.ingest.journal_dropped);
-      !s.ok()) {
-    return s.error();
-  }
+  const json::Reader ingest = r.object("ingest");
+  partial.ingest.files_scanned = ingest.integer<std::size_t>("files_scanned");
+  partial.ingest.loaded = ingest.integer<std::size_t>("loaded");
+  partial.ingest.failed = ingest.integer<std::size_t>("failed");
+  partial.ingest.retry_attempts = ingest.integer<std::size_t>("retry_attempts");
+  partial.ingest.recovered = ingest.integer<std::size_t>("recovered");
+  partial.ingest.quarantined = ingest.integer<std::size_t>("quarantined");
+  partial.ingest.journal_replayed =
+      ingest.integer<std::size_t>("journal_replayed");
+  partial.ingest.journal_dropped =
+      ingest.integer<std::size_t>("journal_dropped");
 
-  auto funnel = get_object(obj, "preprocessing");
-  if (!funnel) return std::move(funnel).error();
-  const auto funnel_count = [&](std::string_view key,
-                                std::size_t& out) -> Status {
-    auto number = get_number(**funnel, key);
-    if (!number) return std::move(number).error();
-    out = static_cast<std::size_t>(*number);
-    return Status::success();
-  };
-  if (const auto s = funnel_count("input_traces",
-                                  partial.stats.input_traces);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = funnel_count("load_failed", partial.stats.load_failed);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = funnel_count("corrupted", partial.stats.corrupted);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = funnel_count("valid", partial.stats.valid); !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = funnel_count("unique_applications",
-                                  partial.stats.unique_applications);
-      !s.ok()) {
-    return s.error();
-  }
-  if (const auto s = funnel_count("retained", partial.stats.retained);
-      !s.ok()) {
-    return s.error();
-  }
-  auto corruption = counts_from_json(**funnel, "corruption_breakdown");
-  if (!corruption) return std::move(corruption).error();
-  partial.stats.corruption_breakdown = std::move(*corruption);
-  auto evictions = counts_from_json(**funnel, "eviction_breakdown");
-  if (!evictions) return std::move(evictions).error();
-  partial.stats.eviction_breakdown = std::move(*evictions);
+  const json::Reader funnel = r.object("preprocessing");
+  partial.stats.input_traces = funnel.integer<std::size_t>("input_traces");
+  partial.stats.load_failed = funnel.integer<std::size_t>("load_failed");
+  partial.stats.corrupted = funnel.integer<std::size_t>("corrupted");
+  partial.stats.valid = funnel.integer<std::size_t>("valid");
+  partial.stats.unique_applications =
+      funnel.integer<std::size_t>("unique_applications");
+  partial.stats.retained = funnel.integer<std::size_t>("retained");
+  partial.stats.corruption_breakdown =
+      counts_from_json(funnel.object("corruption_breakdown"));
+  partial.stats.eviction_breakdown =
+      counts_from_json(funnel.object("eviction_breakdown"));
+  partial.runs_per_app = counts_from_json(r.object("runs_per_app"));
 
-  auto runs = counts_from_json(obj, "runs_per_app");
-  if (!runs) return std::move(runs).error();
-  partial.runs_per_app = std::move(*runs);
+  const json::Reader artifacts = r.object("artifacts");
+  partial.journal_path = artifacts.string("journal");
+  partial.metrics_path = artifacts.string("metrics");
+  partial.provenance_path = artifacts.string("provenance");
 
-  auto artifacts = get_object(obj, "artifacts");
-  if (!artifacts) return std::move(artifacts).error();
-  auto journal = get_string(**artifacts, "journal");
-  if (!journal) return std::move(journal).error();
-  partial.journal_path = std::move(*journal);
-  auto metrics = get_string(**artifacts, "metrics");
-  if (!metrics) return std::move(metrics).error();
-  partial.metrics_path = std::move(*metrics);
-  auto provenance = get_string(**artifacts, "provenance");
-  if (!provenance) return std::move(provenance).error();
-  partial.provenance_path = std::move(*provenance);
-
-  const Value* traces = obj.find("traces");
-  if (traces == nullptr || !traces->is_array()) {
-    return schema_error("missing array 'traces'");
+  const json::Reader traces = r.array("traces");
+  partial.traces.reserve(traces.size());
+  for (std::size_t i = 0; i < traces.size() && r.ok(); ++i) {
+    auto result = trace_result_from_json(*traces.find(i));
+    if (!result.has_value()) return std::move(result).error();
+    const json::Reader dedup = traces.object(i).object("dedup");
+    partial.traces.push_back({std::move(*result),
+                              std::string(dedup.string("path")),
+                              dedup.integer<std::uint64_t>("total_bytes")});
   }
-  partial.traces.reserve(traces->as_array().size());
-  for (const Value& member : traces->as_array()) {
-    auto result = trace_result_from_json(member);
-    if (!result) return std::move(result).error();
-    if (!member.is_object()) return schema_error("non-object trace entry");
-    auto dedup = get_object(member.as_object(), "dedup");
-    if (!dedup) return std::move(dedup).error();
-    auto path = get_string(**dedup, "path");
-    if (!path) return std::move(path).error();
-    auto total_bytes = get_number(**dedup, "total_bytes");
-    if (!total_bytes) return std::move(total_bytes).error();
-    ShardTraceResult entry;
-    entry.result = std::move(*result);
-    entry.source_path = std::move(*path);
-    entry.total_bytes = static_cast<std::uint64_t>(*total_bytes);
-    partial.traces.push_back(std::move(entry));
-  }
-  return partial;
+  return r.finish(std::move(partial));
 }
 
 Status write_partial(const PartialArtifact& partial, const std::string& path) {
@@ -321,18 +197,8 @@ Status write_partial(const PartialArtifact& partial, const std::string& path) {
 }
 
 Expected<PartialArtifact> read_partial(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{ErrorCode::kIoError, "cannot open partial " + path};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError, "read failure on partial " + path};
-  }
-  auto parsed = json::parse(buffer.str());
-  if (!parsed.has_value()) {
-    return Error{ErrorCode::kParseError,
-                 path + ": " + parsed.error().message};
-  }
+  auto parsed = json::read_file(path);
+  if (!parsed.has_value()) return std::move(parsed).error();
   auto partial = partial_from_json(*parsed);
   if (!partial.has_value()) {
     return Error{partial.error().code, path + ": " + partial.error().message};

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "util/fs.hpp"
 
 namespace mosaic::sim {
@@ -24,40 +25,17 @@ json::Value truth_to_json(const TruthRecord& record) {
   return out;
 }
 
+/// Every member is optional (absent -> the struct default).
 util::Expected<TruthRecord> truth_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::Error(util::ErrorCode::kParseError,
-                       "truth record must be a JSON object");
-  }
-  const json::Object& object = value.as_object();
+  const json::Reader r(value, "truth record");
   TruthRecord record;
-  if (const json::Value* v = object.find("app_key");
-      v != nullptr && v->is_string()) {
-    record.app_key = v->as_string();
-  }
-  if (const json::Value* v = object.find("job_id");
-      v != nullptr && v->is_number()) {
-    record.job_id = static_cast<std::uint64_t>(v->as_number());
-  }
-  if (const json::Value* v = object.find("archetype");
-      v != nullptr && v->is_string()) {
-    record.archetype = v->as_string();
-  }
-  if (const json::Value* v = object.find("ambiguous");
-      v != nullptr && v->is_bool()) {
-    record.ambiguous = v->as_bool();
-  }
-  if (const json::Value* v = object.find("categories");
-      v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->as_array()) {
-      if (!item.is_string()) {
-        return util::Error(util::ErrorCode::kParseError,
-                           "truth categories must be strings");
-      }
-      record.categories.push_back(item.as_string());
-    }
-  }
-  return record;
+  record.app_key = r.string("app_key", "");
+  record.job_id = r.integer<std::uint64_t>("job_id", 0);
+  record.archetype = r.string("archetype", "");
+  record.ambiguous = r.boolean("ambiguous", false);
+  record.categories = r.array("categories", json::Presence::kOptional)
+                          .elements<std::string>();
+  return r.finish(std::move(record));
 }
 
 }  // namespace

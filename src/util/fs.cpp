@@ -1,5 +1,6 @@
 #include "util/fs.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
@@ -27,6 +28,32 @@ std::string staging_path(const std::string& path) {
 }
 
 }  // namespace
+
+Expected<std::vector<std::byte>> read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    if (errno == ENOENT || errno == ENOTDIR) {
+      return Error{ErrorCode::kNotFound, path + " does not exist"};
+    }
+    return Error{ErrorCode::kIoError, "cannot open " + path};
+  }
+  // The size only sizes the buffer; the loop reads to EOF either way, so a
+  // file that grows meanwhile is still read whole.
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  std::vector<std::byte> bytes(ec ? 4096 : static_cast<std::size_t>(size) + 1);
+  std::size_t filled = 0;
+  while (true) {
+    filled += std::fread(bytes.data() + filled, 1, bytes.size() - filled, file);
+    if (filled < bytes.size()) break;  // EOF or error
+    bytes.resize(bytes.size() * 2);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) return Error{ErrorCode::kIoError, "read failure on " + path};
+  bytes.resize(filled);
+  return bytes;
+}
 
 Status write_file_atomic(const std::string& path, std::string_view contents) {
   const std::string tmp = staging_path(path);

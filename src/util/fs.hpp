@@ -1,4 +1,4 @@
-// Crash-safe filesystem helpers.
+// Filesystem helpers: the one whole-file read, and crash-safe writes.
 //
 // A killed `mosaic generate` (or batch writing its JSON summary) must never
 // leave a torn half-file behind: downstream ingest would count it as one more
@@ -8,12 +8,20 @@
 // or the complete new one, never a prefix.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace mosaic::util {
+
+/// Reads the whole of `path`. A missing file is kNotFound; any open or read
+/// failure on an existing path (a directory, a permission error) is
+/// kIoError, the class ingest retries.
+[[nodiscard]] Expected<std::vector<std::byte>> read_file(
+    const std::string& path);
 
 /// Atomically replaces `path` with `contents` (temp file + fsync + rename).
 /// The temp file lives next to `path` so the rename stays within one

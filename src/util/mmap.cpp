@@ -1,7 +1,8 @@
 #include "util/mmap.hpp"
 
-#include <fstream>
 #include <utility>
+
+#include "util/fs.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -12,25 +13,6 @@
 #endif
 
 namespace mosaic::util {
-
-namespace {
-
-/// Heap-read fallback shared by the no-mmap build and the mmap-failed path.
-Expected<std::vector<std::byte>> read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Error{ErrorCode::kIoError, "cannot open " + path};
-  const std::streamsize size = in.tellg();
-  if (size < 0) return Error{ErrorCode::kIoError, "cannot stat " + path};
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) return Error{ErrorCode::kIoError, "read failure on " + path};
-  }
-  return bytes;
-}
-
-}  // namespace
 
 MappedFile::~MappedFile() { reset(); }
 
@@ -107,7 +89,7 @@ Expected<MappedFile> MappedFile::open(const std::string& path) {
   // fd open / fstat / mmap failed — fall through to the heap read, which
   // produces the accurate error message for genuinely unreadable files.
 #endif
-  auto bytes = read_all(path);
+  auto bytes = read_file(path);
   if (!bytes.has_value()) return std::move(bytes).error();
   MappedFile file;
   file.fallback_ = std::move(bytes).value();

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "darshan/io.hpp"
+#include "ingest/ingest.hpp"
 
 namespace mosaic::darshan {
 namespace {
@@ -107,7 +108,7 @@ TEST(Mbt, FileRoundTrip) {
   const std::string path = (dir / "mosaic_test.mbt").string();
   const trace::Trace original = make_trace();
   ASSERT_TRUE(write_mbt_file(original, path).ok());
-  const auto loaded = read_mbt_file(path);
+  const auto loaded = ingest::load_trace(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->meta.job_id, original.meta.job_id);
   std::filesystem::remove(path);
@@ -119,7 +120,7 @@ TEST(TraceIo, DispatchesByExtension) {
   const trace::Trace original = make_trace();
   ASSERT_TRUE(write_mbt_file(original, (dir / "a.mbt").string()).ok());
 
-  const auto loaded = read_trace_file((dir / "a.mbt").string());
+  const auto loaded = ingest::load_trace((dir / "a.mbt").string());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->meta.job_id, original.meta.job_id);
 

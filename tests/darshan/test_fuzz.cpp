@@ -3,9 +3,18 @@
 // A year-scale ingest job will see every kind of mangled input.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+
+#include "../json/decoder_samples.hpp"
+#include "core/config.hpp"
 #include "darshan/binary_format.hpp"
 #include "darshan/text_format.hpp"
+#include "dist/telemetry.hpp"
 #include "json/json.hpp"
+#include "json/reader.hpp"
+#include "report/json_output.hpp"
+#include "sim/truth.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -206,6 +215,214 @@ TEST(FuzzJson, MutatedValidDocumentNeverCrashes) {
       // Anything accepted must re-serialize and re-parse cleanly.
       const auto again = json::parse(json::serialize(*result));
       EXPECT_TRUE(again.has_value());
+    }
+  }
+}
+
+// --- decoders of outside JSON ------------------------------------------------
+
+/// Decodes (possibly mutated) text; when the decoder accepts it, the value
+/// must re-encode and decode again. Returns whether the text was accepted.
+using RoundTrip = std::function<bool(std::string_view text)>;
+
+template <typename Decode, typename Encode>
+RoundTrip round_trip(Decode decode, Encode encode) {
+  return [decode, encode](std::string_view text) {
+    const auto decoded = decode(text);
+    if (!decoded.has_value()) return false;
+    const std::string again = encode(*decoded);
+    EXPECT_TRUE(decode(again).has_value()) << again;
+    return true;
+  };
+}
+
+/// Lifts a decoder of a parsed document to one of text.
+template <typename T>
+auto from_text(util::Expected<T> (*decode)(const json::Value&)) {
+  return [decode](std::string_view text) -> util::Expected<T> {
+    auto parsed = json::parse(text);
+    if (!parsed.has_value()) return std::move(parsed).error();
+    return decode(*parsed);
+  };
+}
+
+template <typename Encode>
+auto to_text(Encode encode) {
+  return [encode](const auto& value) { return json::serialize(encode(value)); };
+}
+
+/// A JSONL artifact reader over one line, written to a temporary file.
+template <typename Load>
+auto from_line(Load load) {
+  return [load](std::string_view line) {
+    const std::string path = samples::line_file(line);
+    auto loaded = load(path);
+    std::filesystem::remove(path);
+    return loaded;
+  };
+}
+
+util::Expected<std::optional<dist::TelemetryPayload>> rider_from_text(
+    std::string_view text) {
+  auto parsed = json::parse(text);
+  if (!parsed.has_value()) return std::move(parsed).error();
+  auto telemetry = dist::telemetry_from_payload(*parsed);
+  if (telemetry.has_value() && !telemetry->has_value()) {
+    return util::Error{util::ErrorCode::kNotFound, "no rider"};
+  }
+  return telemetry;
+}
+
+std::string rider_to_text(
+    const std::optional<dist::TelemetryPayload>& telemetry) {
+  std::vector<obs::SpanEvent> spans;
+  for (const obs::FleetSpan& span : telemetry->spans) {
+    spans.push_back({span.name.c_str(), span.start_ns, span.end_ns, span.tid});
+  }
+  json::Object rider;
+  rider.set("snapshot", obs::metrics_to_json(telemetry->snapshot));
+  rider.set("health", telemetry->health);
+  rider.set("spans", obs::spans_to_wire_json(spans));
+  json::Object frame;
+  frame.set("telemetry", std::move(rider));
+  return json::serialize(json::Value(std::move(frame)));
+}
+
+util::Expected<obs::Snapshot> metrics_from_json(const json::Value& value) {
+  const json::Reader reader(value, "metrics json");
+  return reader.finish(obs::snapshot_from_metrics_json(reader));
+}
+
+struct DecoderCase {
+  const char* decoder;
+  std::string document;  ///< valid
+  RoundTrip check;
+};
+
+std::vector<DecoderCase> decoder_cases() {
+  using namespace mosaic::samples;
+  const auto serialize = [](const json::Value& value) {
+    return json::serialize(value, /*pretty=*/false);
+  };
+  std::vector<DecoderCase> out;
+  out.push_back({"trace result",
+                 serialize(report::trace_result_to_json(trace_result())),
+                 round_trip(from_text(report::trace_result_from_json),
+                            to_text(report::trace_result_to_json))});
+  out.push_back({"partial", serialize(report::partial_to_json(partial())),
+                 round_trip(from_text(report::partial_from_json),
+                            to_text(report::partial_to_json))});
+  out.push_back({"task request", dist::task_request_to_payload(task_request()),
+                 round_trip(dist::task_request_from_payload,
+                            dist::task_request_to_payload)});
+  out.push_back({"task error",
+                 dist::task_error_to_payload({util::ErrorCode::kTimeout, "x"}),
+                 [](std::string_view text) {
+                   // Never fails: an undecodable payload describes itself.
+                   const util::Error error =
+                       dist::task_error_from_payload(text);
+                   const util::Error again = dist::task_error_from_payload(
+                       dist::task_error_to_payload(error));
+                   EXPECT_EQ(again.code, error.code);
+                   EXPECT_EQ(again.message, error.message);
+                   return true;
+                 }});
+  out.push_back({"hello", dist::hello_payload(), [](std::string_view text) {
+                   (void)dist::hello_now_ns(text);
+                   return dist::check_hello_payload(text).ok();
+                 }});
+  out.push_back({"submit request",
+                 dist::submit_request_to_payload({"a.mbt", "MBT1\x01\xff"}),
+                 round_trip(dist::submit_request_from_payload,
+                            dist::submit_request_to_payload)});
+  out.push_back({"submit reply",
+                 dist::submit_reply_to_payload(
+                     {true, "9000002", "u1/app", true, {"read_steady"}, ""}),
+                 round_trip(dist::submit_reply_from_payload,
+                            dist::submit_reply_to_payload)});
+  out.push_back({"telemetry rider", serialize(telemetry_frame()),
+                 round_trip(rider_from_text, rider_to_text)});
+  out.push_back({"metrics json", serialize(obs::metrics_to_json(snapshot())),
+                 round_trip(from_text(metrics_from_json),
+                            to_text(obs::metrics_to_json))});
+  out.push_back({"health rules",
+                 serialize(obs::health_rules_to_json(health_rules())),
+                 round_trip(from_text(obs::health_rules_from_json),
+                            to_text(obs::health_rules_to_json))});
+  out.push_back({"thresholds", serialize(core::thresholds_to_json({})),
+                 round_trip(from_text(core::thresholds_from_json),
+                            to_text(core::thresholds_to_json))});
+  out.push_back({"provenance", serialize(obs::provenance_to_json(provenance())),
+                 round_trip(from_text(obs::provenance_from_json),
+                            to_text(obs::provenance_to_json))});
+  const auto truth_round_trip = [](std::string_view line) {
+    const std::string path = samples::line_file(line);
+    auto records = sim::read_truth_jsonl(path);
+    if (records.has_value()) {
+      EXPECT_TRUE(sim::write_truth_jsonl(*records, path).ok());
+      EXPECT_TRUE(sim::read_truth_jsonl(path).has_value());
+    }
+    std::filesystem::remove(path);
+    return records.has_value();
+  };
+  out.push_back({"truth",
+                 R"({"app_key":"u1/app","job_id":9000002,)"
+                 R"("archetype":"steady","ambiguous":false,)"
+                 R"("categories":["read_steady"]})",
+                 truth_round_trip});
+  const auto one_entry = [](const auto& loaded) {
+    return loaded.has_value() && loaded->size() == 1;
+  };
+  const auto ingest_load = from_line(
+      [](const std::string& path) { return ingest::load_journal(path); });
+  out.push_back({"ingest journal", ingest::journal_line(ingest_entry()),
+                 [ingest_load, one_entry](std::string_view line) {
+                   const auto loaded = ingest_load(line);
+                   if (!one_entry(loaded)) return false;
+                   EXPECT_TRUE(one_entry(ingest_load(ingest::journal_line(
+                       loaded->begin()->second))));
+                   return true;
+                 }});
+  const auto dispatch_load = from_line([](const std::string& path) {
+    return dist::load_dispatch_journal(path);
+  });
+  out.push_back({"dispatch journal",
+                 dist::dispatch_journal_line(dispatch_entry()),
+                 [dispatch_load, one_entry](std::string_view line) {
+                   const auto loaded = dispatch_load(line);
+                   if (!one_entry(loaded)) return false;
+                   EXPECT_TRUE(one_entry(dispatch_load(
+                       dist::dispatch_journal_line(loaded->begin()->second))));
+                   return true;
+                 }});
+  return out;
+}
+
+TEST(FuzzDecoders, EveryValidDocumentRoundTrips) {
+  for (const DecoderCase& c : decoder_cases()) {
+    EXPECT_TRUE(c.check(c.document)) << c.decoder << ": " << c.document;
+  }
+}
+
+TEST(FuzzDecoders, MutatedDocumentsNeverCrashAndAcceptedOnesRoundTrip) {
+  // Half the substitutions come from number syntax, so mutations keep
+  // landing on integer members as well as on structure.
+  static constexpr char kNumberBytes[] = "0123456789-+.eE";
+  util::Rng rng(139);
+  for (const DecoderCase& c : decoder_cases()) {
+    SCOPED_TRACE(c.decoder);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string mutated = c.document;
+      const int flips = static_cast<int>(rng.uniform_int(1, 2));
+      for (int f = 0; f < flips; ++f) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(mutated.size()) - 1));
+        mutated[at] =
+            rng.uniform_int(0, 1) == 0
+                ? kNumberBytes[rng.uniform_int(0, sizeof kNumberBytes - 2)]
+                : static_cast<char>(rng.uniform_int(32, 126));
+      }
+      (void)c.check(mutated);
     }
   }
 }

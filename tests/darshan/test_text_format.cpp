@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "ingest/ingest.hpp"
+
 namespace mosaic::darshan {
 namespace {
 
@@ -201,17 +203,31 @@ TEST(TextFormat, FileRoundTrip) {
   const std::string path = (dir / "mosaic_test_trace.txt").string();
   const trace::Trace original = make_trace();
   ASSERT_TRUE(write_text_file(original, path).ok());
-  const auto loaded = read_text_file(path);
+  const auto loaded = ingest::load_trace(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->meta.job_id, original.meta.job_id);
   EXPECT_EQ(loaded->files.size(), original.files.size());
   std::filesystem::remove(path);
 }
 
-TEST(TextFormat, MissingFileReportsIoError) {
-  const auto result = read_text_file("/nonexistent/path/file.txt");
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, util::ErrorCode::kIoError);
+TEST(TextFormat, MissingFileIsNotFoundUnreadableIsIoError) {
+  // Text traces load through ingest::load_trace, which keeps the funnel's
+  // split: a missing file is not-found, an existing path it cannot read
+  // (here a directory) is the retryable io-error.
+  ingest::IngestOptions options;
+  options.max_retries = 0;
+  const auto missing =
+      ingest::load_trace("/nonexistent/path/file.txt", options);
+  ASSERT_FALSE(missing.has_value());
+  EXPECT_EQ(missing.error().code, util::ErrorCode::kNotFound);
+
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_unreadable_trace.txt";
+  std::filesystem::create_directories(dir);
+  const auto unreadable = ingest::load_trace(dir.string(), options);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(unreadable.has_value());
+  EXPECT_EQ(unreadable.error().code, util::ErrorCode::kIoError);
 }
 
 }  // namespace

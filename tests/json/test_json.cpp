@@ -8,6 +8,8 @@
 #include <limits>
 #include <string>
 
+#include "json/reader.hpp"
+
 namespace mosaic::json {
 namespace {
 
@@ -232,6 +234,57 @@ TEST(Locale, NumbersAreLocaleIndependent) {
   EXPECT_EQ(parsed->as_number(), 599.886);
 
   std::setlocale(LC_NUMERIC, "C");
+}
+
+TEST(Reader, RequiredAndOptionalFormsShareOneRule) {
+  const auto doc =
+      parse(R"({"n": 3, "s": "x", "a": [1, 2], "o": {"k": -1}})");
+  ASSERT_TRUE(doc.has_value());
+  const Reader r(*doc, "ctx");
+  EXPECT_EQ(r.integer<int>("n"), 3);
+  EXPECT_EQ(r.string("absent", "fallback"), "fallback");
+  EXPECT_EQ(r.array("a").elements<std::uint32_t>(),
+            (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(r.object("o").integer<std::int64_t>("k"), -1);
+  EXPECT_EQ(r.object("absent", Presence::kOptional).number("x", 2.5), 2.5);
+  ASSERT_TRUE(r.ok());
+
+  // Present with the wrong type fails the optional form too, and the first
+  // error wins: later reads return defaults without replacing it.
+  EXPECT_TRUE(r.boolean("s", true));
+  EXPECT_EQ(r.integer<int>("absent"), 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::ErrorCode::kParseError);
+  EXPECT_EQ(r.error().message, "ctx: 's' is not a bool");
+}
+
+TEST(Reader, ErrorsNameTheContextAndKeyPath) {
+  const auto message = [](std::string_view text, auto read) {
+    const auto doc = parse(text);
+    const Reader r(*doc, "ctx");
+    read(r);
+    return r.ok() ? std::string("ok") : r.error().message;
+  };
+  EXPECT_EQ(message("[]", [](const Reader&) {}), "ctx: not a JSON object");
+  // A key is named with the reader it was read from: "t[0].d", "d.b".
+  EXPECT_EQ(message(R"({"t": [{"d": 1}]})",
+                    [](const Reader& r) {
+                      (void)r.array("t").object(0).object("d");
+                    }),
+            "ctx: 't[0].d' is not an object");
+  EXPECT_EQ(message(R"({"d": {}})",
+                    [](const Reader& r) {
+                      (void)r.object("d").integer<int>("b");
+                    }),
+            "ctx: 'd.b' is missing");
+  EXPECT_EQ(message(R"({"n": -1})",
+                    [](const Reader& r) {
+                      (void)r.integer<std::size_t>("n");
+                    }),
+            "ctx: 'n' = -1 is not an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(message(R"({"x": 1e999})",
+                    [](const Reader& r) { (void)r.number("x", 0.0); }),
+            "ctx: 'x' is not a finite number");
 }
 
 }  // namespace

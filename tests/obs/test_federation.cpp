@@ -1,4 +1,4 @@
-// Tests for telemetry federation: the snapshot/span wire codecs, the fleet
+// Tests for telemetry federation: the span wire codec, the fleet
 // merge semantics (counters sum, gauges stay per-worker, histograms add
 // bucket-wise with bound-mismatch rejection), merge determinism, the merged
 // Chrome trace lanes, and the manager-side payload classification that
@@ -18,6 +18,7 @@
 #include "dist/protocol.hpp"
 #include "dist/telemetry.hpp"
 #include "json/json.hpp"
+#include "json/reader.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -60,56 +61,22 @@ const HistogramSample* find_histogram(const Snapshot& snapshot,
   return nullptr;
 }
 
-TEST(FederationWire, SnapshotRoundTripsThroughWireJson) {
-  Snapshot snapshot;
-  snapshot.counters.push_back(counter("a_total", 7));
-  snapshot.gauges.push_back(gauge("depth", -3));
-  snapshot.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 3, 1}, 44.5));
-
-  auto decoded = snapshot_from_wire_json(snapshot_to_wire_json(snapshot));
-  ASSERT_TRUE(decoded.has_value()) << decoded.error().to_string();
-  ASSERT_EQ(decoded->counters.size(), 1u);
-  EXPECT_EQ(decoded->counters[0].name, "a_total");
-  EXPECT_EQ(decoded->counters[0].value, 7u);
-  ASSERT_EQ(decoded->gauges.size(), 1u);
-  EXPECT_EQ(decoded->gauges[0].value, -3);
-  ASSERT_EQ(decoded->histograms.size(), 1u);
-  EXPECT_EQ(decoded->histograms[0].bounds, (std::vector<double>{1.0, 10.0}));
-  EXPECT_EQ(decoded->histograms[0].buckets,
-            (std::vector<std::uint64_t>{2, 3, 1}));
-  EXPECT_EQ(decoded->histograms[0].count, 6u);
-  EXPECT_DOUBLE_EQ(decoded->histograms[0].sum, 44.5);
-}
-
-TEST(FederationWire, RejectsBucketCountMismatch) {
-  Snapshot snapshot;
-  snapshot.histograms.push_back(
-      histogram("lat_ms", {1.0, 10.0}, {2, 3, 1}, 44.5));
-  json::Value wire = snapshot_to_wire_json(snapshot);
-  // Drop one bucket: 2 bounds now claim 2 buckets instead of bounds+1.
-  wire.as_object()
-      .find("histograms")
-      ->as_array()[0]
-      .as_object()
-      .find("buckets")
-      ->as_array()
-      .pop_back();
-  auto decoded = snapshot_from_wire_json(wire);
-  ASSERT_FALSE(decoded.has_value());
-}
-
 TEST(FederationWire, SpansRoundTripThroughWireJson) {
   std::vector<SpanEvent> events;
   events.push_back({"parse", 100, 250, 1});
   events.push_back({"merge", 300, 900, 2});
-  auto decoded = spans_from_wire_json(spans_to_wire_json(events));
-  ASSERT_TRUE(decoded.has_value()) << decoded.error().to_string();
-  ASSERT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[0].name, "parse");
-  EXPECT_EQ((*decoded)[0].start_ns, 100u);
-  EXPECT_EQ((*decoded)[0].end_ns, 250u);
-  EXPECT_EQ((*decoded)[1].tid, 2u);
+  json::Object rider;
+  rider.set("spans", spans_to_wire_json(events));
+  const json::Value wire(std::move(rider));
+  const json::Reader reader(wire, "spans");
+  const std::vector<FleetSpan> decoded =
+      spans_from_wire_json(reader.array("spans"));
+  ASSERT_TRUE(reader.ok()) << reader.error().to_string();
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].name, "parse");
+  EXPECT_EQ(decoded[0].start_ns, 100u);
+  EXPECT_EQ(decoded[0].end_ns, 250u);
+  EXPECT_EQ(decoded[1].tid, 2u);
 }
 
 TEST(FederationLabel, WorkerLabelGoesFirstAndEscapes) {
@@ -291,23 +258,41 @@ TEST(FederationRegistry, FleetRegistryMergesAndLabels) {
   EXPECT_EQ(total->value, 7u);
 }
 
+std::uint64_t telemetry_parse_errors() {
+  const Snapshot snapshot = Registry::global().snapshot();
+  const CounterSample* sample =
+      find_counter(snapshot, names::kFleetTelemetryParseErrors);
+  return sample != nullptr ? sample->value : 0u;
+}
+
+/// A heartbeat payload as the manager classifies it.
+util::Expected<std::optional<dist::TelemetryPayload>> classify(
+    std::string_view payload) {
+  auto parsed = json::parse(payload);
+  if (!parsed.has_value()) return std::move(parsed).error();
+  return dist::telemetry_from_payload(*parsed);
+}
+
 TEST(FederationTelemetry, HeartbeatPayloadClassification) {
-  using dist::parse_heartbeat_telemetry;
-  // Empty payload: a pre-federation heartbeat, no telemetry, no error.
-  auto empty = parse_heartbeat_telemetry("");
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_FALSE(empty->has_value());
-  // Valid JSON without a telemetry member: also plain liveness.
-  auto plain = parse_heartbeat_telemetry("{\"other\":1}");
+  // Valid JSON without a telemetry member: plain liveness.
+  auto plain = classify("{\"other\":1}");
   ASSERT_TRUE(plain.has_value());
   EXPECT_FALSE(plain->has_value());
   // Telemetry present but missing the required snapshot: an Error the
   // manager degrades on (count it, keep the task running).
-  auto malformed = parse_heartbeat_telemetry("{\"telemetry\":{}}");
+  auto malformed = classify("{\"telemetry\":{}}");
   EXPECT_FALSE(malformed.has_value());
-  // Unparseable bytes: same degradation path.
-  auto garbage = parse_heartbeat_telemetry("{nope");
-  EXPECT_FALSE(garbage.has_value());
+  // Not an object: same degradation path.
+  EXPECT_FALSE(classify("[]").has_value());
+
+  // Through the hub: an empty payload (a pre-federation heartbeat) is no
+  // error, unparseable bytes are one.
+  dist::TelemetryHub hub;
+  const std::uint64_t errors_before = telemetry_parse_errors();
+  hub.ingest_heartbeat("w", "");
+  EXPECT_EQ(telemetry_parse_errors(), errors_before);
+  hub.ingest_heartbeat("w", "{nope");
+  EXPECT_EQ(telemetry_parse_errors(), errors_before + 1);
 }
 
 TEST(FederationTelemetry, TaskRequestTelemetryFlagsRoundTripAndDefaultOff) {
@@ -358,7 +343,7 @@ TEST(FederationTelemetry, HeartbeatShipsWholeSnapshotWithHealthAndCountsBytes) {
     EXPECT_EQ(bytes_shipped(), bytes_before + payload.size());
     EXPECT_EQ(payload.find("\"delta\""), std::string::npos);
 
-    auto parsed = dist::parse_heartbeat_telemetry(payload);
+    auto parsed = classify(payload);
     ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
     ASSERT_TRUE(parsed->has_value());
     EXPECT_FALSE((*parsed)->health.empty());
@@ -378,7 +363,7 @@ std::string synthetic_heartbeat(const std::string& health,
   Snapshot small;
   small.counters.push_back(counter("w_tasks_total", tasks));
   json::Object telemetry;
-  telemetry.set("snapshot", snapshot_to_wire_json(small));
+  telemetry.set("snapshot", metrics_to_json(small));
   telemetry.set("health", health);
   json::Object payload;
   payload.set("telemetry", std::move(telemetry));
@@ -386,36 +371,51 @@ std::string synthetic_heartbeat(const std::string& health,
 }
 
 TEST(FederationTelemetry, DeltaFramesFromOlderWorkersAreRejectedNotApplied) {
-  const auto parse_errors = [] {
-    const Snapshot snapshot = Registry::global().snapshot();
-    const CounterSample* sample =
-        find_counter(snapshot, names::kFleetTelemetryParseErrors);
-    return sample != nullptr ? sample->value : 0u;
-  };
   dist::TelemetryHub hub;
   hub.ingest_heartbeat("w", synthetic_heartbeat("ok", 5));
 
   // An older worker's delta frame: a diff of 1 that, stored as the worker's
-  // snapshot, would replace its cumulative 5.
-  Snapshot diff;
-  diff.counters.push_back(counter("w_tasks_total", 1));
-  json::Object telemetry;
-  telemetry.set("snapshot", snapshot_to_wire_json(diff));
-  telemetry.set("delta", true);
-  telemetry.set("health", "ok");
-  json::Object payload;
-  payload.set("telemetry", std::move(telemetry));
-  const std::string frame = json::serialize(json::Value(std::move(payload)));
-  EXPECT_FALSE(dist::parse_heartbeat_telemetry(frame).has_value());
+  // snapshot, would replace its cumulative 5. Older workers ship the array
+  // snapshot shape, which no longer decodes.
+  const std::string frame =
+      R"({"telemetry":{"snapshot":{"counters":[{"name":"w_tasks_total",)"
+      R"("help":"","value":1}],"gauges":[],"histograms":[]},)"
+      R"("delta":true,"health":"ok"}})";
+  EXPECT_FALSE(classify(frame).has_value());
 
-  const std::uint64_t errors_before = parse_errors();
+  const std::uint64_t errors_before = telemetry_parse_errors();
   hub.ingest_heartbeat("w", frame);
-  EXPECT_EQ(parse_errors(), errors_before + 1);
+  EXPECT_EQ(telemetry_parse_errors(), errors_before + 1);
   const Snapshot fleet = hub.fleet_snapshot();
   const CounterSample* tasks =
       find_counter(fleet, with_worker_label("w_tasks_total", "w"));
   ASSERT_NE(tasks, nullptr);
   EXPECT_EQ(tasks->value, 5u);
+}
+
+TEST(FederationTelemetry, OldShapeSnapshotRiderIsCountedAsMalformed) {
+  // A whole-snapshot rider from a worker that predates the --metrics shape:
+  // series as arrays of {name, help, value} objects, histogram bounds and
+  // per-bucket counts as parallel arrays.
+  const std::string frame =
+      R"({"telemetry":{"snapshot":{)"
+      R"("counters":[{"name":"c_total","help":"h","value":7}],)"
+      R"("gauges":[{"name":"depth","help":"h","value":-3}],)"
+      R"("histograms":[{"name":"lat_ms","help":"h","bounds":[1,10],)"
+      R"("buckets":[2,3,1],"sum":44.5}]},"health":"ok"}})";
+  EXPECT_FALSE(classify(frame).has_value());
+
+  dist::TelemetryHub hub;
+  const std::uint64_t errors_before = telemetry_parse_errors();
+  hub.ingest_heartbeat("old", frame);
+  EXPECT_EQ(telemetry_parse_errors(), errors_before + 1);
+  // Degraded to a plain heartbeat: the worker is seen, none of its series
+  // are stored.
+  EXPECT_NE(hub.status_json_text().find("\"worker\": \"old\""),
+            std::string::npos);
+  EXPECT_EQ(find_counter(hub.fleet_snapshot(),
+                         with_worker_label("c_total", "old")),
+            nullptr);
 }
 
 TEST(FederationHub, LostWorkerTagsItsSeriesStale) {
@@ -513,7 +513,7 @@ TEST(FederationHub, WorkerVerdictFoldsIntoFleetHealth) {
   Snapshot small;
   small.counters.push_back(counter("w_total", 1));
   json::Object telemetry;
-  telemetry.set("snapshot", snapshot_to_wire_json(small));
+  telemetry.set("snapshot", metrics_to_json(small));
   telemetry.set("health", "fail(boom)");
   json::Object payload;
   payload.set("telemetry", std::move(telemetry));

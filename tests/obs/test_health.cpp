@@ -269,6 +269,12 @@ TEST(HealthRulesCodec, LoadsFromFileAndErrorsOnMissingPath) {
   EXPECT_FALSE(load_health_rules(path + ".does-not-exist").has_value());
 }
 
+/// Decodes a --metrics document the way `mosaic health` does.
+util::Expected<Snapshot> decode_metrics(const json::Value& value) {
+  const json::Reader reader(value, "metrics json");
+  return reader.finish(snapshot_from_metrics_json(reader));
+}
+
 TEST(HealthMetricsJson, SnapshotRoundTripsThroughMetricsJson) {
   Snapshot snapshot;
   snapshot.counters.push_back(counter("c_total", 42));
@@ -281,7 +287,7 @@ TEST(HealthMetricsJson, SnapshotRoundTripsThroughMetricsJson) {
   histogram.sum = 44.5;
   snapshot.histograms.push_back(histogram);
 
-  auto decoded = snapshot_from_metrics_json(metrics_to_json(snapshot));
+  auto decoded = decode_metrics(metrics_to_json(snapshot));
   ASSERT_TRUE(decoded.has_value()) << decoded.error().to_string();
   ASSERT_EQ(decoded->counters.size(), 1u);
   EXPECT_EQ(decoded->counters[0].name, "c_total");
@@ -313,7 +319,7 @@ TEST(HealthMetricsJson, RejectsMalformedMetricsDocuments) {
   for (const char* doc : bad) {
     auto parsed = json::parse(doc);
     ASSERT_TRUE(parsed.has_value()) << doc;
-    EXPECT_FALSE(snapshot_from_metrics_json(*parsed).has_value()) << doc;
+    EXPECT_FALSE(decode_metrics(*parsed).has_value()) << doc;
   }
 }
 
@@ -323,7 +329,7 @@ TEST(HealthMetricsJson, EvaluatesRulesAgainstADecodedArtifact) {
   Snapshot snapshot;
   snapshot.counters.push_back(counter("bad_total", 8));
   snapshot.counters.push_back(counter("all_total", 10));
-  auto decoded = snapshot_from_metrics_json(metrics_to_json(snapshot));
+  auto decoded = decode_metrics(metrics_to_json(snapshot));
   ASSERT_TRUE(decoded.has_value());
   const auto report = evaluate_health(
       *decoded, {rule("ratio", "bad_total", 0.2, 0.5, "all_total")});

@@ -17,10 +17,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -1653,27 +1651,21 @@ int cmd_health(int argc, char** argv) {
     return 2;
   }
   const std::string& path = cli.positional().front();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "mosaic health: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto parsed = json::parse(text.str());
+  const auto parsed = json::read_file(path);
   if (!parsed.has_value()) {
-    std::fprintf(stderr, "mosaic health: %s: %s\n", path.c_str(),
-                 parsed.error().message.c_str());
+    std::fprintf(stderr, "mosaic health: %s\n",
+                 parsed.error().to_string().c_str());
     return 2;
   }
-  auto snapshot = obs::snapshot_from_metrics_json(*parsed);
-  if (!snapshot.has_value()) {
+  const json::Reader metrics(*parsed, "metrics json");
+  const obs::Snapshot snapshot = obs::snapshot_from_metrics_json(metrics);
+  if (!metrics.ok()) {
     std::fprintf(stderr, "mosaic health: %s: %s\n", path.c_str(),
-                 snapshot.error().to_string().c_str());
+                 metrics.error().to_string().c_str());
     return 2;
   }
 
-  const obs::HealthReport report = obs::evaluate_health(*snapshot, rules);
+  const obs::HealthReport report = obs::evaluate_health(snapshot, rules);
   if (cli.get_flag("json")) {
     std::printf("%s\n",
                 json::serialize(obs::health_to_json(report)).c_str());
