@@ -35,6 +35,11 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("seed").value_or(20190410));
   const sim::Population population = sim::generate_population(config);
   const auto truth = report::truth_index(population.traces);
+  std::vector<trace::Trace> traces;
+  traces.reserve(population.traces.size());
+  for (const sim::LabeledTrace& labeled : population.traces) {
+    traces.push_back(labeled.trace);
+  }
 
   std::printf(
       "\n=== Ablation E — the insignificance threshold (paper §III-A) ===\n"
@@ -47,14 +52,8 @@ int main(int argc, char** argv) {
         10ull << 30}) {
     core::Thresholds thresholds;
     thresholds.min_bytes = min_bytes;
-
-    std::vector<trace::Trace> traces;
-    traces.reserve(population.traces.size());
-    for (const sim::LabeledTrace& labeled : population.traces) {
-      traces.push_back(labeled.trace);
-    }
     const core::BatchResult batch =
-        core::analyze_population(std::move(traces), thresholds);
+        core::analyze_population(traces, thresholds);
     const report::CategoryDistribution distribution =
         report::aggregate_categories(batch);
 

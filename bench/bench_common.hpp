@@ -73,7 +73,7 @@ inline BenchData run_pipeline(const BenchSetup& setup) {
   }
 
   watch.reset();
-  data.batch = core::analyze_population(std::move(traces), {}, &pool);
+  data.batch = core::analyze_population(traces, {}, &pool);
   data.analyze_seconds = watch.elapsed_seconds();
   return data;
 }

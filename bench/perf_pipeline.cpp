@@ -1,15 +1,13 @@
 // §IV-E performance: the paper processes 462,502 traces in 165 minutes on a
 // 64-core EPYC (memory-bound, ~300 GB RSS). These google-benchmark
-// microbenches time every pipeline stage and the end-to-end trace rate so
-// the throughput story (traces/second, stage costs, thread scaling) can be
-// compared in shape.
+// microbenches time every pipeline stage and the rate over a population
+// already in memory, so the throughput story (traces/second, stage costs,
+// thread scaling) can be compared in shape. Reading and parsing files, which
+// dominate a real batch, are measured end to end by perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cmath>
-#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,10 +15,6 @@
 #include <new>
 #include <span>
 #include <vector>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
 
 #include "core/merge.hpp"
 #include "core/pipeline.hpp"
@@ -35,7 +29,6 @@
 #include "obs/span.hpp"
 #include "sim/population.hpp"
 #include "util/fs.hpp"
-#include "util/simd.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -199,7 +192,7 @@ void BM_AnalyzeSingleTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeSingleTrace);
 
-/// End-to-end population throughput; counter reports traces/second, the
+/// In-memory population throughput; counter reports traces/second, the
 /// paper's headline unit (462k traces / 165 min ~ 47 traces/s/64 cores).
 void BM_PopulationPipeline(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -255,9 +248,9 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-/// Timing for one block of repeated full analyses of `traces` (the
-/// non-consuming overload re-analyzes the same population each pass, so
-/// repetitions are comparable without a per-pass deep copy of the corpus).
+/// Timing for one block of repeated full analyses of `traces`
+/// (analyze_population reads the population by reference, so every pass
+/// re-analyzes the same corpus without a per-pass deep copy).
 struct BlockTiming {
   double total_seconds = 0.0;  ///< wall seconds for the whole block
   double best_pass_seconds = 0.0;  ///< fastest single pass in the block
@@ -290,10 +283,9 @@ BlockTiming time_population_analysis(const std::vector<trace::Trace>& traces,
 /// Measures the cost of the full instrumentation surface: the same
 /// population analyzed with metrics + span tracing + sampled provenance
 /// enabled versus everything disabled. The budget is <10% overhead
-/// enabled-vs-disabled — recalibrated from <5% after the SoA/AVX2 kernel
-/// pass shrank the measured pass ~6x: the surface still costs ~10 us per
-/// 1000-trace pass in absolute terms, but the denominator is now a much
-/// faster pipeline.
+/// enabled-vs-disabled: the surface costs ~10 us per 1000-trace pass in
+/// absolute terms, a fixed cost against a pass of well under a
+/// millisecond.
 struct OverheadResult {
   double enabled_seconds = 0.0;
   double disabled_seconds = 0.0;
@@ -369,7 +361,7 @@ OverheadResult measure_instrumentation_overhead() {
     if (rep_disabled > 0.0) ratios.push_back(rep_enabled / rep_disabled);
   }
   obs::set_metrics_enabled(true);
-  // Fastest observed single pass per mode; traces_per_second stays
+  // Fastest observed single pass per mode; inmem_inputs_per_second stays
   // trace-count/seconds against this.
   result.enabled_seconds = enabled;
   result.disabled_seconds = disabled;
@@ -510,122 +502,6 @@ AllocationResult measure_allocations_per_trace() {
   return result;
 }
 
-/// One per-kernel cycle/byte measurement (DESIGN.md §18): the kernel run in
-/// isolation over a fixed working set at the scalar level and at the
-/// dispatched level. `speedup` is scalar-cycles / dispatched-cycles; on a
-/// machine without AVX2 (or under MOSAIC_FORCE_SCALAR) both arms run the
-/// scalar path and speedup sits at ~1.0 by construction.
-struct KernelCounter {
-  const char* name = "";
-  double scalar_cycles_per_byte = 0.0;
-  double dispatched_cycles_per_byte = 0.0;
-  double speedup = 0.0;
-  std::uint64_t bytes_per_pass = 0;
-};
-
-/// Timestamp-counter read; falls back to a nanosecond clock off x86 (the
-/// "cycles" then are nanoseconds, which gates identically since every gate
-/// is a ratio of two reads from the same source).
-std::uint64_t kernel_ticks() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __rdtsc();
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
-
-/// Minimum ticks for one pass of `body` across `reps` passes — the same
-/// noise-robust estimator the throughput experiment uses.
-template <typename Body>
-double min_pass_ticks(int reps, Body&& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    const std::uint64_t begin = kernel_ticks();
-    body();
-    const std::uint64_t end = kernel_ticks();
-    best = std::min(best, static_cast<double>(end - begin));
-  }
-  return best;
-}
-
-/// Runs one kernel at both levels and fills a KernelCounter.
-template <typename Body>
-KernelCounter measure_kernel(const char* name, std::uint64_t bytes_per_pass,
-                             Body&& body) {
-  constexpr int kReps = 4000;
-  using util::simd::Level;
-  util::simd::set_level_for_testing(Level::kScalar);
-  const double scalar =
-      min_pass_ticks(kReps, [&] { body(util::simd::active_level()); });
-  util::simd::clear_level_for_testing();
-  const double dispatched =
-      min_pass_ticks(kReps, [&] { body(util::simd::active_level()); });
-  KernelCounter counter;
-  counter.name = name;
-  counter.bytes_per_pass = bytes_per_pass;
-  const double bytes = static_cast<double>(bytes_per_pass);
-  counter.scalar_cycles_per_byte = scalar / bytes;
-  counter.dispatched_cycles_per_byte = dispatched / bytes;
-  counter.speedup = dispatched > 0.0 ? scalar / dispatched : 0.0;
-  return counter;
-}
-
-/// The three ISSUE-named kernel families, measured on working sets shaped
-/// like the hot path's: per-second histograms (reductions), activity-series
-/// binning, and one full FFT butterfly stage.
-std::vector<KernelCounter> measure_kernel_counters() {
-  constexpr std::size_t kN = 4096;
-  std::vector<double> values(kN);
-  std::vector<double> weights(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    values[i] = static_cast<double>((i * 2654435761u) % 100000) / 97.0;
-    weights[i] = static_cast<double>(i % 512);
-  }
-  std::vector<double> bins(512);
-  std::vector<std::complex<double>> even(kN / 2), odd(kN / 2),
-      twiddles(kN / 2), spectrum(kN);
-  for (std::size_t i = 0; i < kN / 2; ++i) {
-    const double angle = 6.283185307179586 * static_cast<double>(i) /
-                         static_cast<double>(kN);
-    even[i] = {values[i], weights[i]};
-    odd[i] = {weights[i], values[i]};
-    twiddles[i] = {std::cos(angle), std::sin(angle)};
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    spectrum[i] = {values[i], weights[i % kN]};
-  }
-
-  std::vector<KernelCounter> counters;
-  counters.push_back(measure_kernel(
-      "max_and_count_ge", kN * sizeof(double), [&](util::simd::Level level) {
-        std::size_t count = 0;
-        benchmark::DoNotOptimize(
-            util::simd::max_and_count_ge(values, 500.0, count, level));
-      }));
-  counters.push_back(measure_kernel(
-      "bin_add", 2 * kN * sizeof(double), [&](util::simd::Level level) {
-        std::fill(bins.begin(), bins.end(), 0.0);
-        util::simd::bin_add(values.data(), weights.data(), kN, 2.0,
-                            bins.data(), bins.size(), level);
-        benchmark::DoNotOptimize(bins.data());
-      }));
-  counters.push_back(measure_kernel(
-      "fft_butterfly", kN * sizeof(std::complex<double>),
-      [&](util::simd::Level level) {
-        util::simd::fft_butterfly(even.data(), odd.data(), twiddles.data(),
-                                  kN / 2, level);
-        benchmark::DoNotOptimize(even.data());
-      }));
-  counters.push_back(measure_kernel(
-      "complex_norm", kN * sizeof(std::complex<double>),
-      [&](util::simd::Level level) {
-        util::simd::complex_norm(spectrum.data(), kN, level);
-        benchmark::DoNotOptimize(spectrum.data());
-      }));
-  return counters;
-}
-
 /// Mean latency of a stage histogram in the snapshot, or 0 if never hit.
 double stage_mean_ms(const obs::Snapshot& snapshot, std::string_view name) {
   for (const obs::HistogramSample& sample : snapshot.histograms) {
@@ -650,16 +526,13 @@ std::uint64_t counter_value(const obs::Snapshot& snapshot,
 void write_bench_json(const OverheadResult& overhead,
                       const ProfilerOverheadResult& profiler,
                       const AllocationResult& allocations,
-                      const std::vector<KernelCounter>& kernels,
                       const std::string& path) {
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
 
   json::Object out;
   out.set("benchmark", "perf_pipeline");
-  out.set("simd_level",
-          util::simd::level_name(util::simd::active_level()));
   out.set("traces", overhead.traces);
-  out.set("traces_per_second",
+  out.set("inmem_inputs_per_second",
           overhead.enabled_seconds > 0.0
               ? static_cast<double>(overhead.traces) / overhead.enabled_seconds
               : 0.0);
@@ -703,18 +576,6 @@ void write_bench_json(const OverheadResult& overhead,
   allocs.set("traces", allocations.traces);
   out.set("allocations", std::move(allocs));
 
-  json::Object kernel_section;
-  for (const KernelCounter& kernel : kernels) {
-    json::Object entry;
-    entry.set("scalar_cycles_per_byte", kernel.scalar_cycles_per_byte);
-    entry.set("dispatched_cycles_per_byte",
-              kernel.dispatched_cycles_per_byte);
-    entry.set("speedup", kernel.speedup);
-    entry.set("bytes_per_pass", kernel.bytes_per_pass);
-    kernel_section.set(kernel.name, std::move(entry));
-  }
-  out.set("kernels", std::move(kernel_section));
-
   if (const auto status =
           util::write_file_atomic(path, json::serialize(out) + "\n");
       !status.ok()) {
@@ -747,8 +608,7 @@ int main(int argc, char** argv) {
   const OverheadResult overhead = measure_instrumentation_overhead();
   const ProfilerOverheadResult profiler = measure_profiler_overhead();
   const AllocationResult allocations = measure_allocations_per_trace();
-  const std::vector<KernelCounter> kernels = measure_kernel_counters();
-  write_bench_json(overhead, profiler, allocations, kernels,
+  write_bench_json(overhead, profiler, allocations,
                    "BENCH_perf_pipeline.json");
   benchmark::Shutdown();
   return 0;

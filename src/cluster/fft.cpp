@@ -10,7 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "util/simd.hpp"
+#include "util/stats.hpp"
 
 namespace mosaic::cluster {
 
@@ -74,6 +74,36 @@ const FftPlan* cached_plan(std::size_t n) {
   return slot.get();
 }
 
+/// One butterfly stage over `count` pairs:
+///   t = odd[k] * w[k];  odd[k] = even[k] - t;  even[k] = even[k] + t
+void butterfly(std::complex<double>* even, std::complex<double>* odd,
+               const std::complex<double>* twiddles,
+               std::size_t count) noexcept {
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::complex<double> t = complex_mul_fma(odd[k], twiddles[k]);
+    const std::complex<double> e = even[k];
+    even[k] = e + t;
+    odd[k] = e - t;
+  }
+}
+
+/// In-place power spectrum: data[k] = (fma(re, re, im * im), 0).
+void complex_norm(std::complex<double>* data, std::size_t n) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double re = data[k].real();
+    const double im = data[k].imag();
+    data[k] = {std::fma(re, re, im * im), 0.0};
+  }
+}
+
+/// In-place division by a real scalar (the inverse transform's 1/n).
+void complex_scale_div(std::complex<double>* data, std::size_t n,
+                       double divisor) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    data[k] = {data[k].real() / divisor, data[k].imag() / divisor};
+  }
+}
+
 // The shared transform body. A null plan selects the cold path, which
 // recomputes the permutation and twiddles inline (the original, reference
 // implementation).
@@ -82,10 +112,6 @@ void transform(std::vector<std::complex<double>>& data, bool inverse,
   const std::size_t n = data.size();
   if (n == 1) return;
 
-  // Both paths multiply odd by the twiddle through simd::complex_mul_fma
-  // (the scalar reference of the AVX2 fmaddsub butterfly), so planned,
-  // cold, scalar-dispatch and AVX2 transforms all stay bit-identical.
-  const util::simd::Level level = util::simd::active_level();
   if (plan != nullptr) {
     for (const auto& [i, j] : plan->swaps) std::swap(data[i], data[j]);
     const std::complex<double>* stage =
@@ -93,9 +119,8 @@ void transform(std::vector<std::complex<double>>& data, bool inverse,
     for (std::size_t len = 2; len <= n; len <<= 1) {
       const std::size_t half = len / 2;
       for (std::size_t start = 0; start < n; start += len) {
-        util::simd::fft_butterfly(data.data() + start,
-                                  data.data() + start + half, stage, half,
-                                  level);
+        butterfly(data.data() + start, data.data() + start + half, stage,
+                  half);
       }
       stage += half;
     }
@@ -119,8 +144,7 @@ void transform(std::vector<std::complex<double>>& data, bool inverse,
         std::complex<double> w{1.0, 0.0};
         for (std::size_t k = 0; k < len / 2; ++k) {
           const auto even = data[start + k];
-          const auto odd =
-              util::simd::complex_mul_fma(data[start + k + len / 2], w);
+          const auto odd = complex_mul_fma(data[start + k + len / 2], w);
           data[start + k] = even + odd;
           data[start + k + len / 2] = even - odd;
           w *= wlen;
@@ -129,10 +153,7 @@ void transform(std::vector<std::complex<double>>& data, bool inverse,
     }
   }
 
-  if (inverse) {
-    util::simd::complex_scale_div(data.data(), n, static_cast<double>(n),
-                                  level);
-  }
+  if (inverse) complex_scale_div(data.data(), n, static_cast<double>(n));
 }
 
 void observe_size(std::size_t n) {
@@ -146,6 +167,12 @@ void observe_size(std::size_t n) {
 }
 
 }  // namespace
+
+std::complex<double> complex_mul_fma(std::complex<double> a,
+                                     std::complex<double> b) noexcept {
+  return {std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
+          std::fma(a.imag(), b.real(), a.real() * b.imag())};
+}
 
 std::size_t next_pow2(std::size_t n) noexcept {
   std::size_t p = 1;
@@ -183,10 +210,10 @@ void bin_series(std::span<const std::pair<double, double>> samples,
   const auto bins = static_cast<std::size_t>(
       std::max(1.0, std::ceil(duration / bin_seconds)));
   series.assign(bins, 0.0);
-  // Same index math as simd::bin_add's scalar reference: the clamp happens
-  // in double space before the integer conversion, so out-of-range and NaN
-  // times land in edge bins instead of hitting float-cast UB. In-range
-  // samples map to the identical bins as the pre-clamp formulation.
+  // The clamp happens in double space before the integer conversion, so
+  // out-of-range and NaN times land in edge bins instead of hitting
+  // float-cast UB. In-range samples map to the identical bins as the
+  // pre-clamp formulation.
   const double max_index = static_cast<double>(bins - 1);
   for (const auto& [time, weight] : samples) {
     double pos = std::floor(time / bin_seconds);
@@ -194,17 +221,6 @@ void bin_series(std::span<const std::pair<double, double>> samples,
     pos = pos > 0.0 ? pos : 0.0;
     series[static_cast<std::size_t>(pos)] += weight;
   }
-}
-
-void bin_series(const double* times, const double* weights, std::size_t n,
-                double duration, double bin_seconds,
-                std::vector<double>& series) {
-  MOSAIC_ASSERT(duration > 0.0);
-  MOSAIC_ASSERT(bin_seconds > 0.0);
-  const auto bins = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(duration / bin_seconds)));
-  series.assign(bins, 0.0);
-  util::simd::bin_add(times, weights, n, bin_seconds, series.data(), bins);
 }
 
 DftPeriodicity detect_periodicity_dft(std::span<const double> series,
@@ -217,15 +233,13 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
   // circular autocorrelation linear over the lags of interest). ------------
   const std::size_t padded = next_pow2(2 * n);
   std::vector<std::complex<double>> work(padded, {0.0, 0.0});
-  // Lane-structured sum and fused power spectrum: identical across SIMD
-  // levels by construction (DESIGN.md §18), though the mean's association
-  // differs from a plain sequential sum — part of the documented frequency-
-  // backend regeneration in the A/B goldens.
-  const double mean = util::simd::sum(series) / static_cast<double>(n);
+  // The four-lane sum's association differs from a plain sequential sum
+  // over these fractional weights; the frequency-backend golden pins it.
+  const double mean = util::sum(series) / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) work[i] = series[i] - mean;
 
   fft(work);
-  util::simd::complex_norm(work.data(), padded);
+  complex_norm(work.data(), padded);
   fft(work, /*inverse=*/true);
 
   const std::size_t max_lag = n / 2;

@@ -38,6 +38,15 @@ void fft_uncached(std::vector<std::complex<double>>& data,
 /// Next power of two >= n (n == 0 -> 1).
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;
 
+/// The butterfly's complex multiply: each cross product is rounded once and
+/// the final multiply-add is fused,
+///   re = fma(a.re, b.re, -(a.im * b.im))
+///   im = fma(a.im, b.re, +(a.re * b.im)).
+/// The planned and the cold transform both multiply through it, which keeps
+/// them bit-identical.
+[[nodiscard]] std::complex<double> complex_mul_fma(
+    std::complex<double> a, std::complex<double> b) noexcept;
+
 /// One detected spectral peak.
 struct SpectralPeak {
   double period_seconds = 0.0;  ///< 1 / frequency
@@ -71,12 +80,6 @@ struct DftPeriodicity {
 /// As above, but writes into `out` (resized and zeroed, capacity reused) —
 /// the allocation-free form used by the analyzer workspace.
 void bin_series(std::span<const std::pair<double, double>> samples,
-                double duration, double bin_seconds, std::vector<double>& out);
-
-/// Columnar form: separate time/weight columns, scatter-added through the
-/// runtime-dispatched simd::bin_add kernel. Bit-identical to the pair form
-/// for the same samples in the same order.
-void bin_series(const double* times, const double* weights, std::size_t n,
                 double duration, double bin_seconds, std::vector<double>& out);
 
 /// Detects periodicity in an activity time series via the power spectrum:

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/provenance.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 namespace mosaic::core {
@@ -54,6 +54,20 @@ void record_metadata(obs::MetadataProvenance& evidence,
 
 }  // namespace
 
+double max_and_count_ge(std::span<const double> values, double threshold,
+                        std::size_t& count_ge) noexcept {
+  const double* x = values.data();
+  const std::size_t n = values.size();
+  double best = -std::numeric_limits<double>::infinity();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    best = x[i] > best ? x[i] : best;
+    if (x[i] >= threshold) ++count;
+  }
+  count_ge = count;
+  return best;
+}
+
 MetadataResult classify_metadata(std::span<const trace::MetaEvent> events,
                                  double runtime, std::uint32_t nprocs,
                                  const Thresholds& thresholds,
@@ -94,13 +108,10 @@ MetadataResult classify_metadata(std::span<const trace::MetaEvent> events,
     histogram.add(event.time, static_cast<double>(event.requests));
   }
 
-  // One fused SIMD pass over the per-second bins: the peak rate and the
-  // spike-second count in a single sweep. Max and count-above-threshold are
-  // order-independent-exact, so this matches the old scalar loop bit for bit
-  // (bins are non-negative request counts, so the max is never below the
-  // scalar loop's 0.0 starting value).
+  // Bins are non-negative request counts and there is at least one, so the
+  // max is never the empty-input -infinity.
   std::size_t spike_seconds = 0;
-  result.max_requests_per_second = util::simd::max_and_count_ge(
+  result.max_requests_per_second = max_and_count_ge(
       histogram.counts(), thresholds.spike_requests, spike_seconds);
   result.spike_seconds = spike_seconds;
 

@@ -55,4 +55,10 @@ struct MetadataResult {
     std::uint32_t nprocs, const Thresholds& thresholds,
     obs::MetadataProvenance* evidence, util::Histogram& histogram);
 
+/// Max over `values` plus the count of elements >= threshold, in one pass —
+/// the spike scan over the per-second request bins. Empty input returns
+/// -infinity and count 0.
+double max_and_count_ge(std::span<const double> values, double threshold,
+                        std::size_t& count_ge) noexcept;
+
 }  // namespace mosaic::core

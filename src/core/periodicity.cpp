@@ -225,7 +225,7 @@ PeriodicityResult detect_periodicity_frequency(
 namespace {
 
 /// Trace-level aggregates of the merged stream, accumulated while the
-/// activity samples are spread. Shared by the span and columnar forms.
+/// activity samples are spread.
 struct FrequencySignal {
   double total_bytes = 0.0;
   double total_op_seconds = 0.0;
@@ -235,9 +235,8 @@ struct FrequencySignal {
 
 }  // namespace
 
-/// Shared second half of the frequency detector: DFT over the binned series,
-/// peak-to-group conversion, evidence capture. Defined after the public
-/// overloads, which only differ in how they build the series.
+/// Second half of the frequency detector: DFT over the binned series,
+/// peak-to-group conversion, evidence capture.
 static PeriodicityResult finish_frequency(const std::vector<double>& series,
                                           double bin_seconds,
                                           const FrequencySignal& signal,
@@ -288,57 +287,6 @@ PeriodicityResult detect_periodicity_frequency(
     signal.last_start = std::max(signal.last_start, op.start);
   }
   cluster::bin_series(samples, runtime, bin_seconds, workspace.series);
-  return finish_frequency(workspace.series, bin_seconds, signal, thresholds,
-                          evidence);
-}
-
-PeriodicityResult detect_periodicity_frequency(
-    const OpColumns& merged_ops, double runtime, const Thresholds& thresholds,
-    obs::PeriodicityProvenance* evidence, PeriodicityWorkspace& workspace) {
-  if (evidence != nullptr) {
-    evidence->frequency.ran = true;
-    evidence->frequency.min_score = thresholds.frequency_min_score;
-    evidence->confidence = 1.0;  // no signal at all: clearly non-periodic
-  }
-  if (merged_ops.size() < thresholds.min_group_size + 1 || runtime <= 0.0) {
-    PeriodicityResult result;
-    if (evidence != nullptr) record_groups(*evidence, result);
-    return result;
-  }
-
-  const double bin_seconds = std::max(
-      1.0, runtime / static_cast<double>(thresholds.frequency_max_bins));
-  std::vector<double>& times = workspace.sample_times;
-  std::vector<double>& weights = workspace.sample_weights;
-  times.clear();
-  weights.clear();
-  times.reserve(merged_ops.size() * 2);
-  weights.reserve(merged_ops.size() * 2);
-  FrequencySignal signal;
-  signal.first_start = runtime;
-  signal.last_start = 0.0;
-  const std::size_t n = merged_ops.size();
-  for (std::size_t op = 0; op < n; ++op) {
-    const double start = merged_ops.start[op];
-    const double duration = merged_ops.end[op] - start;
-    const double op_bytes = merged_ops.bytes[op];
-    // Same spread arithmetic as the span form, element for element, so the
-    // two forms produce the identical sample stream.
-    const auto spread = static_cast<std::size_t>(
-        std::max(1.0, std::ceil(duration / bin_seconds)));
-    const double chunk = op_bytes / static_cast<double>(spread);
-    for (std::size_t i = 0; i < spread; ++i) {
-      times.push_back(start + (static_cast<double>(i) + 0.5) * duration /
-                                  static_cast<double>(spread));
-      weights.push_back(chunk);
-    }
-    signal.total_bytes += op_bytes;
-    signal.total_op_seconds += duration;
-    signal.first_start = std::min(signal.first_start, start);
-    signal.last_start = std::max(signal.last_start, start);
-  }
-  cluster::bin_series(times.data(), weights.data(), times.size(), runtime,
-                      bin_seconds, workspace.series);
   return finish_frequency(workspace.series, bin_seconds, signal, thresholds,
                           evidence);
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cluster/meanshift.hpp"
-#include "core/columns.hpp"
 #include "core/segmentation.hpp"
 #include "core/thresholds.hpp"
 #include "trace/trace.hpp"
@@ -69,8 +68,6 @@ struct PeriodicityWorkspace {
   cluster::MeanShiftWorkspace mean_shift;  ///< clustering scratch
   cluster::MeanShiftResult clusters;       ///< clustering output, reused
   std::vector<std::pair<double, double>> samples;  ///< (time, bytes) spread
-  std::vector<double> sample_times;    ///< columnar spread: sample times
-  std::vector<double> sample_weights;  ///< columnar spread: sample weights
   std::vector<double> series;                      ///< binned activity signal
 };
 
@@ -109,13 +106,5 @@ struct PeriodicityWorkspace {
     std::span<const trace::IoOp> merged_ops, double runtime,
     const Thresholds& thresholds, obs::PeriodicityProvenance* evidence,
     PeriodicityWorkspace& workspace);
-
-/// Columnar form used by the analyzer hot path: reads the SoA mirror of the
-/// merged stream, spreads samples into time/weight columns, and bins them
-/// through the SIMD scatter kernel. Bit-identical to the span forms for the
-/// same merged stream (same samples, same order, same arithmetic).
-[[nodiscard]] PeriodicityResult detect_periodicity_frequency(
-    const OpColumns& merged_ops, double runtime, const Thresholds& thresholds,
-    obs::PeriodicityProvenance* evidence, PeriodicityWorkspace& workspace);
 
 }  // namespace mosaic::core

@@ -220,9 +220,6 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
                     evidence != nullptr ? &evidence->merge : nullptr);
   }
   analysis.merged_ops = ops.size();
-  // One transpose into the SoA arena; segmentation, frequency periodicity
-  // and temporality all consume the columns from here on (DESIGN.md §18).
-  workspace.columns.assign(ops);
 
   obs::PeriodicityProvenance* periodicity_evidence =
       evidence != nullptr ? &evidence->periodicity : nullptr;
@@ -231,7 +228,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
   // only timed on the backends that need it.
   const auto segment = [&]() -> std::span<const Segment> {
     const obs::StageScope stage(stage_detail, metrics.segment_ms, "segment");
-    segment_ops(workspace.columns, workspace.segments);
+    segment_ops(ops, workspace.segments);
     if (evidence != nullptr) evidence->segments = workspace.segments.size();
     return workspace.segments;
   };
@@ -247,7 +244,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
         break;
       case PeriodicityBackend::kFrequency:
         analysis.periodicity = detect_periodicity_frequency(
-            workspace.columns, runtime, thresholds_, periodicity_evidence,
+            ops, runtime, thresholds_, periodicity_evidence,
             workspace.periodicity);
         if (evidence != nullptr) evidence->periodicity.backend = "frequency";
         break;
@@ -257,7 +254,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
                                workspace.periodicity);
         if (!analysis.periodicity.periodic) {
           analysis.periodicity = detect_periodicity_frequency(
-              workspace.columns, runtime, thresholds_, periodicity_evidence,
+              ops, runtime, thresholds_, periodicity_evidence,
               workspace.periodicity);
         }
         if (evidence != nullptr) evidence->periodicity.backend = "hybrid";
@@ -268,7 +265,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
     const obs::StageScope stage(stage_detail, metrics.temporality_ms,
                                 "temporality");
     analysis.temporality =
-        classify_temporality(workspace.columns, runtime, thresholds_,
+        classify_temporality(ops, runtime, thresholds_,
                              evidence != nullptr ? &evidence->temporality
                                                  : nullptr);
   }
@@ -380,12 +377,6 @@ TraceResult Analyzer::analyze_impl(const trace::Trace& trace,
   }
   metrics.traces_analyzed.add();
   return result;
-}
-
-BatchResult analyze_population(std::vector<trace::Trace> traces,
-                               const Thresholds& thresholds,
-                               parallel::ThreadPool* pool) {
-  return analyze_preprocessed(preprocess(std::move(traces)), thresholds, pool);
 }
 
 BatchResult analyze_population(std::span<const trace::Trace> traces,

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/categories.hpp"
-#include "core/columns.hpp"
 #include "core/metadata.hpp"
 #include "core/periodicity.hpp"
 #include "core/preprocess.hpp"
@@ -48,8 +47,6 @@ struct KindAnalysis {
 /// One instance per thread; instances must not be shared concurrently.
 struct AnalyzerWorkspace {
   std::vector<trace::IoOp> ops;       ///< extract + in-place merge buffer
-  OpColumns columns;                  ///< SoA mirror, filled after merging;
-                                      ///< every downstream axis reads it
   std::vector<Segment> segments;      ///< segmentation output
   std::vector<trace::MetaEvent> meta_timeline;  ///< metadata event stream
   PeriodicityWorkspace periodicity;   ///< detector scratch (both backends)
@@ -156,18 +153,10 @@ struct BatchResult {
   std::vector<TraceResult> results;
 };
 
-/// Pre-processes and categorizes a population. When `pool` is non-null the
-/// per-trace analyses run on it (the paper's Dispy role); results keep the
-/// deterministic input order either way.
-[[nodiscard]] BatchResult analyze_population(
-    std::vector<trace::Trace> traces, const Thresholds& thresholds = {},
-    parallel::ThreadPool* pool = nullptr);
-
-/// Non-consuming variant for callers that keep the population alive
-/// (repeated analyses over one corpus, benchmarks, cached serving): the
-/// funnel runs by reference and only the dedup winners — typically a small
-/// fraction of the input — are copied into analyzer-owned storage. Produces
-/// byte-identical results to the consuming overload.
+/// Pre-processes and categorizes a population. The funnel runs by reference
+/// and only the dedup winners are copied into analyzer-owned storage. When
+/// `pool` is non-null the per-trace analyses run on it (the paper's Dispy
+/// role); results keep the deterministic input order either way.
 [[nodiscard]] BatchResult analyze_population(
     std::span<const trace::Trace> traces, const Thresholds& thresholds = {},
     parallel::ThreadPool* pool = nullptr);

@@ -55,29 +55,27 @@ void demote_app(PreprocessResult& result, const std::string& key) {
 
 /// Per-application dedup state: run count plus the incumbent winner. A
 /// single app-keyed map carries both, so each valid trace costs one tree
-/// lookup and duplicates compare against the cached byte total instead of
+/// lookup and duplicates compare against the cached dedup key instead of
 /// rescanning the incumbent's file list.
 struct AppSlot {
   std::size_t runs = 0;
-  std::size_t index = 0;       ///< index of the heaviest run in the input
+  std::size_t index = 0;       ///< index of the winning run in the input
   std::uint64_t bytes = 0;     ///< cached traces[index].total_bytes()
+  std::uint64_t job_id = 0;    ///< cached traces[index].meta.job_id
 };
 
-using AppMap = std::map<std::string, AppSlot, std::less<>>;
+}  // namespace
 
-/// Step 1 of both preprocess() overloads: evict corrupted traces, keeping
-/// the index of the heaviest valid trace per application key as we go.
-/// Fills the eviction/validity stats on `result`; the caller materializes
-/// `retained` from the returned winner indices (moving or copying).
-AppMap select_heaviest_per_app(std::span<const trace::Trace> traces,
-                               double validity_slack_seconds,
-                               PreprocessResult& result) {
+PreprocessResult preprocess(std::span<const trace::Trace> traces) {
+  PreprocessResult result;
   result.stats.input_traces = traces.size();
-  AppMap apps;
+
+  // Step 1: evict corrupted traces, keeping the index of each application's
+  // dedup winner as we go.
+  std::map<std::string, AppSlot, std::less<>> apps;
   std::string key;  // scratch app key, reused across iterations
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    const trace::ValidityReport report =
-        validate(traces[i], validity_slack_seconds);
+    const trace::ValidityReport report = validate(traces[i]);
     if (!report.valid()) {
       ++result.stats.corrupted;
       ++result.stats.corruption_breakdown[trace::corruption_kind_name(
@@ -95,64 +93,29 @@ AppMap select_heaviest_per_app(std::span<const trace::Trace> traces,
     if (inserted) slot = apps.emplace_hint(slot, key, AppSlot{});
     AppSlot& app = slot->second;
     ++app.runs;
-    const std::uint64_t bytes = traces[i].total_bytes();
-    if (inserted || bytes > app.bytes) {
+    const DedupKey run{traces[i].total_bytes(), traces[i].meta.job_id, {}};
+    if (inserted || dedup_wins(run, {app.bytes, app.job_id, {}})) {
       app.index = i;
-      app.bytes = bytes;
+      app.bytes = run.total_bytes;
+      app.job_id = run.job_id;
     }
   }
-  return apps;
-}
 
-/// Step 2 bookkeeping shared by both overloads, run after `retained` has
-/// been materialized. runs_per_app is rebuilt from the sorted app map, so
-/// its contents match the per-trace increments of the old two-map scheme.
-void finish_selection(const AppMap& apps, PreprocessResult& result) {
-  result.retained_paths.assign(result.retained.size(), std::string());
+  // Step 2: copy the winners out in input order, so retained traces keep the
+  // input's relative order regardless of app-key sort order.
+  std::vector<bool> keep(traces.size(), false);
   for (const auto& [app_key, app] : apps) {
+    keep[app.index] = true;
     result.runs_per_app.emplace_hint(result.runs_per_app.end(), app_key,
                                      app.runs);
   }
-  result.stats.unique_applications = apps.size();
-  result.stats.retained = result.retained.size();
-}
-
-/// Winner indices in input order, so retained traces keep the input's
-/// relative order regardless of app-key sort order.
-std::vector<bool> winners_in_input_order(const AppMap& apps,
-                                         std::size_t input_size) {
-  std::vector<bool> keep(input_size, false);
-  for (const auto& [app_key, app] : apps) keep[app.index] = true;
-  return keep;
-}
-
-}  // namespace
-
-PreprocessResult preprocess(std::vector<trace::Trace> traces,
-                            double validity_slack_seconds) {
-  PreprocessResult result;
-  const AppMap apps =
-      select_heaviest_per_app(traces, validity_slack_seconds, result);
-  const std::vector<bool> keep = winners_in_input_order(apps, traces.size());
-  result.retained.reserve(apps.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (keep[i]) result.retained.push_back(std::move(traces[i]));
-  }
-  finish_selection(apps, result);
-  return result;
-}
-
-PreprocessResult preprocess(std::span<const trace::Trace> traces,
-                            double validity_slack_seconds) {
-  PreprocessResult result;
-  const AppMap apps =
-      select_heaviest_per_app(traces, validity_slack_seconds, result);
-  const std::vector<bool> keep = winners_in_input_order(apps, traces.size());
   result.retained.reserve(apps.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
     if (keep[i]) result.retained.push_back(traces[i]);
   }
-  finish_selection(apps, result);
+  result.retained_paths.assign(result.retained.size(), std::string());
+  result.stats.unique_applications = apps.size();
+  result.stats.retained = result.retained.size();
   return result;
 }
 

@@ -63,18 +63,11 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
-/// Runs both reductions. Consumes the input vector (traces are moved out).
-[[nodiscard]] PreprocessResult preprocess(std::vector<trace::Trace> traces,
-                                          double validity_slack_seconds = 1.0);
-
-/// Non-consuming variant: validates and deduplicates by reference, copying
-/// only the retained winners (typically a small fraction of the input — Blue
-/// Waters 2019: 8% of valid traces). Produces the exact same result as the
-/// consuming overload on the same input. Use this when the caller keeps the
-/// population alive (repeated analyses, serving cached populations): it
-/// avoids deep-copying the evicted majority just to throw it away.
-[[nodiscard]] PreprocessResult preprocess(std::span<const trace::Trace> traces,
-                                          double validity_slack_seconds = 1.0);
+/// Runs both reductions by reference, copying only the retained winners
+/// (typically a small fraction of the input — Blue Waters 2019: 8% of valid
+/// traces). Each application's winner is picked by dedup_wins() on its byte
+/// total and job id; retained traces keep their input order.
+[[nodiscard]] PreprocessResult preprocess(std::span<const trace::Trace> traces);
 
 /// What dedup compares two valid runs of one application by.
 struct DedupKey {

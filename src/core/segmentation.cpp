@@ -24,20 +24,4 @@ void segment_ops(std::span<const trace::IoOp> ops,
   }
 }
 
-void segment_ops(const OpColumns& ops, std::vector<Segment>& segments) {
-  segments.clear();
-  const std::size_t n = ops.size();
-  if (n < 2) return;
-  segments.reserve(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    MOSAIC_ASSERT(ops.start[i + 1] >= ops.start[i]);
-    Segment segment;
-    segment.start = ops.start[i];
-    segment.length = ops.start[i + 1] - ops.start[i];
-    segment.op_duration = ops.end[i] - ops.start[i];
-    segment.bytes = ops.bytes_u64[i];
-    segments.push_back(segment);
-  }
-}
-
 }  // namespace mosaic::core

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "core/columns.hpp"
 #include "trace/trace.hpp"
 
 namespace mosaic::core {
@@ -37,10 +36,5 @@ struct Segment {
 /// As above, but writes into `out` (cleared first, capacity reused) — the
 /// allocation-free form used by the analyzer workspace.
 void segment_ops(std::span<const trace::IoOp> ops, std::vector<Segment>& out);
-
-/// Columnar form: reads the SoA mirror of the merged stream instead of the
-/// IoOp records. Produces bit-identical segments (same subtractions on the
-/// same values), just from unit-stride columns.
-void segment_ops(const OpColumns& ops, std::vector<Segment>& out);
 
 }  // namespace mosaic::core

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/provenance.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 namespace mosaic::core {
@@ -207,61 +206,6 @@ TemporalityResult classify_temporality(std::span<const trace::IoOp> ops,
   for (const trace::IoOp& op : ops) {
     result.total_bytes += static_cast<double>(op.bytes);
   }
-  result.label = classify_chunks(result.chunk_bytes, result.total_bytes,
-                                 thresholds, evidence);
-  return result;
-}
-
-namespace {
-
-/// Columnar chunk attribution: the same floating-point operations as
-/// chunk_volumes, element for element, read from the SoA columns.
-std::vector<double> chunk_volumes_columnar(const OpColumns& ops,
-                                           double runtime,
-                                           std::size_t chunks) {
-  MOSAIC_ASSERT(runtime > 0.0);
-  MOSAIC_ASSERT(chunks >= 1);
-  std::vector<double> volumes(chunks, 0.0);
-  const double chunk_len = runtime / static_cast<double>(chunks);
-  const std::size_t n = ops.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double start = std::clamp(ops.start[i], 0.0, runtime);
-    const double end = std::clamp(ops.end[i], 0.0, runtime);
-    const double op_bytes = ops.bytes[i];
-    const double duration = end - start;
-    if (duration <= 0.0) {
-      const auto index = static_cast<std::size_t>(
-          std::min(start / chunk_len, static_cast<double>(chunks - 1)));
-      volumes[index] += op_bytes;
-      continue;
-    }
-    const auto first_chunk = static_cast<std::size_t>(
-        std::min(start / chunk_len, static_cast<double>(chunks - 1)));
-    const auto last_chunk = static_cast<std::size_t>(
-        std::min(end / chunk_len, static_cast<double>(chunks - 1)));
-    for (std::size_t c = first_chunk; c <= last_chunk; ++c) {
-      const double chunk_start = static_cast<double>(c) * chunk_len;
-      const double chunk_end = chunk_start + chunk_len;
-      const double overlap =
-          std::min(end, chunk_end) - std::max(start, chunk_start);
-      if (overlap <= 0.0) continue;
-      volumes[c] += op_bytes * (overlap / duration);
-    }
-  }
-  return volumes;
-}
-
-}  // namespace
-
-TemporalityResult classify_temporality(const OpColumns& ops, double runtime,
-                                       const Thresholds& thresholds,
-                                       obs::TemporalityProvenance* evidence) {
-  TemporalityResult result;
-  result.chunk_bytes =
-      chunk_volumes_columnar(ops, runtime, thresholds.temporality_chunks);
-  // Lane sum over integer-valued doubles: exact, hence bit-identical to the
-  // sequential accumulation of the span form.
-  result.total_bytes = util::simd::sum(ops.bytes);
   result.label = classify_chunks(result.chunk_bytes, result.total_bytes,
                                  thresholds, evidence);
   return result;

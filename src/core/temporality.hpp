@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/categories.hpp"
-#include "core/columns.hpp"
 #include "core/thresholds.hpp"
 #include "trace/trace.hpp"
 
@@ -69,15 +68,6 @@ struct TemporalityResult {
 [[nodiscard]] TemporalityResult classify_temporality(
     std::span<const trace::IoOp> ops, double runtime,
     const Thresholds& thresholds = {},
-    obs::TemporalityProvenance* evidence = nullptr);
-
-/// Columnar form used by the analyzer hot path: the chunk attribution walks
-/// the SoA columns and the total-byte reduction is the SIMD lane sum (exact —
-/// byte counts are integer-valued doubles, so any association yields the
-/// same bits as the sequential loop). Results are bit-identical to the span
-/// form.
-[[nodiscard]] TemporalityResult classify_temporality(
-    const OpColumns& ops, double runtime, const Thresholds& thresholds = {},
     obs::TemporalityProvenance* evidence = nullptr);
 
 }  // namespace mosaic::core

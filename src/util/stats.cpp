@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/simd.hpp"
-
 namespace mosaic::util {
 
 void RunningStats::add(double value) noexcept {
@@ -78,6 +76,22 @@ double coefficient_of_variation(std::span<const double> values) noexcept {
   return summarize(values).cv;
 }
 
+double sum(std::span<const double> values) noexcept {
+  const double* x = values.data();
+  const std::size_t n = values.size();
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    l0 += x[i];
+    l1 += x[i + 1];
+    l2 += x[i + 2];
+    l3 += x[i + 3];
+  }
+  double total = (l0 + l2) + (l1 + l3);
+  for (; i < n; ++i) total += x[i];
+  return total;
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo) {
   MOSAIC_ASSERT(lo < hi);
   MOSAIC_ASSERT(bins >= 1);
@@ -94,12 +108,12 @@ void Histogram::reset(double lo, double hi, std::size_t bins) {
 }
 
 void Histogram::add(double value, double weight) noexcept {
-  // Clamp in double space BEFORE the integer conversion (mirrors
-  // simd::bin_add): values at or beyond hi land in the last bin as before,
-  // but values too large for ptrdiff_t — and NaN — now clamp into an edge
-  // bin instead of a double->integer cast with undefined behavior. For every
-  // in-range value the selected bin is identical to the old formulation, so
-  // funnel histogram metrics are byte-stable under this fix.
+  // Clamp in double space BEFORE the integer conversion (as
+  // cluster::bin_series does): values at or beyond hi land in the last bin
+  // as before, but values too large for ptrdiff_t — and NaN — now clamp into
+  // an edge bin instead of a double->integer cast with undefined behavior.
+  // For every in-range value the selected bin is identical to the old
+  // formulation, so funnel histogram metrics are byte-stable under this fix.
   const double max_index = static_cast<double>(counts_.size() - 1);
   double pos = std::floor((value - lo_) / width_);
   pos = pos < max_index ? pos : max_index;
@@ -112,9 +126,9 @@ double Histogram::bin_lo(std::size_t i) const noexcept {
 }
 
 double Histogram::total() const noexcept {
-  // Lane-structured SIMD sum; exact (hence association-free) for the
-  // integer-valued weights every histogram in the pipeline records.
-  return simd::sum(counts_);
+  // Exact, hence association-free, for the integer-valued weights every
+  // histogram in the pipeline records.
+  return sum(counts_);
 }
 
 std::size_t Histogram::peak_bin() const noexcept {

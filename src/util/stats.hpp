@@ -66,6 +66,14 @@ struct Summary {
 [[nodiscard]] double coefficient_of_variation(
     std::span<const double> values) noexcept;
 
+/// Four-lane sum: element i accumulates into lane i % 4, the lanes reduce as
+/// (l0 + l2) + (l1 + l3), and the n % 4 tail folds into the reduced value
+/// afterwards. The association is part of the result: the DFT detector's
+/// mean over fractional binned weights uses it, so the frequency-backend
+/// golden depends on it. Integer-valued doubles below 2^53 (byte and
+/// request counts) sum exactly in any association.
+[[nodiscard]] double sum(std::span<const double> values) noexcept;
+
 /// Fixed-width binned histogram over [lo, hi). Values outside the range are
 /// clamped into the first/last bin so counts are never dropped — the metadata
 /// spike detector wants total request conservation.

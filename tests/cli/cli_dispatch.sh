@@ -25,25 +25,26 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Starts a worker on an ephemeral port and echoes the scraped port number.
+# Starts a worker on an ephemeral port and sets WORKER_PORT to the scraped
+# port number. Runs in the calling shell, not in $(...), so the PID it
+# records in WORKER_PIDS reaches the cleanup trap.
 # Usage: start_worker <logfile> [extra worker flags...]
 start_worker() {
   local log="$1"
   shift
   "$MOSAIC" worker --listen 127.0.0.1:0 "$@" > "$log" 2>&1 &
   WORKER_PIDS+=("$!")
-  local port=""
+  WORKER_PORT=""
   for _ in $(seq 1 100); do
-    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"
-    [ -n "$port" ] && break
+    WORKER_PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"
+    [ -n "$WORKER_PORT" ] && break
     sleep 0.1
   done
-  if [ -z "$port" ]; then
+  if [ -z "$WORKER_PORT" ]; then
     echo "worker failed to start; log:" >&2
     cat "$log" >&2
     exit 1
   fi
-  echo "$port"
 }
 
 "$MOSAIC" generate "$WORK/pop" --traces 50 --seed 9 --format mixed \
@@ -51,8 +52,10 @@ start_worker() {
 "$MOSAIC" batch "$WORK/pop" --json "$WORK/single.json" > /dev/null
 
 # Happy path: two healthy workers, four shards, byte-identical merge.
-P1="$(start_worker "$WORK/w1.log")"
-P2="$(start_worker "$WORK/w2.log")"
+start_worker "$WORK/w1.log"
+P1="$WORKER_PORT"
+start_worker "$WORK/w2.log"
+P2="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P1,127.0.0.1:$P2" \
     --shards 4 --partials "$WORK/parts" --json "$WORK/dist.json" \
     > "$WORK/dispatch.txt"
@@ -63,9 +66,11 @@ grep -q 'funnel:' "$WORK/dispatch.txt"
 # Fleet observability: one worker stalls 2.5s per task so the run stays in
 # flight long enough to scrape the live endpoint. Telemetry federation must
 # not perturb the merged output: still byte-identical to single-shot.
-WS1="$(start_worker "$WORK/ws1.log" \
-    --net-fault-inject 'seed=7,stall=1.0,stall_ms=2500')"
-WS2="$(start_worker "$WORK/ws2.log")"
+start_worker "$WORK/ws1.log" \
+    --net-fault-inject 'seed=7,stall=1.0,stall_ms=2500'
+WS1="$WORKER_PORT"
+start_worker "$WORK/ws2.log"
+WS2="$WORKER_PORT"
 TOKEN="test-bearer-sekrit"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$WS1,127.0.0.1:$WS2" \
     --shards 4 --partials "$WORK/parts_obs" --json "$WORK/obs.json" \
@@ -234,9 +239,11 @@ fi
 # converge. No --metrics file here: stale runs tag worker series with
 # stale="true", which is exactly what the bare-total-vs-worker-sum
 # invariant above must never see.
-WK="$(start_worker "$WORK/wk.log" --net-fault-inject 'seed=7,kill_after=1')"
-WSURV="$(start_worker "$WORK/wsurv.log" \
-    --net-fault-inject 'seed=11,stall=1.0,stall_ms=1500')"
+start_worker "$WORK/wk.log" --net-fault-inject 'seed=7,kill_after=1'
+WK="$WORKER_PORT"
+start_worker "$WORK/wsurv.log" \
+    --net-fault-inject 'seed=11,stall=1.0,stall_ms=1500'
+WSURV="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$WK,127.0.0.1:$WSURV" \
     --shards 4 --partials "$WORK/parts_hz" --json "$WORK/hz.json" \
     --metrics-port 0 --progress 0.2 --heartbeat-grace 3 \
@@ -282,8 +289,10 @@ fi
 
 # Kill one worker mid-run via a seeded fault (dies for good after one task):
 # its remaining shards must be reassigned to the survivor, byte-identically.
-P3="$(start_worker "$WORK/w3.log" --net-fault-inject 'seed=7,kill_after=1')"
-P4="$(start_worker "$WORK/w4.log")"
+start_worker "$WORK/w3.log" --net-fault-inject 'seed=7,kill_after=1'
+P3="$WORKER_PORT"
+start_worker "$WORK/w4.log"
+P4="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P3,127.0.0.1:$P4" \
     --shards 4 --partials "$WORK/parts_kill" --json "$WORK/kill.json" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/kill.txt"
@@ -293,7 +302,8 @@ grep -Eq '[1-9][0-9]* reassigned' "$WORK/kill.txt"
 
 # Graceful degradation: the only worker dies after one task, so the manager
 # must finish the remaining shards in-process — still byte-identical.
-P5="$(start_worker "$WORK/w5.log" --net-fault-inject 'seed=7,kill_after=1')"
+start_worker "$WORK/w5.log" --net-fault-inject 'seed=7,kill_after=1'
+P5="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P5" \
     --shards 3 --partials "$WORK/parts_deg" --json "$WORK/degraded.json" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/degraded.txt"
@@ -303,7 +313,8 @@ grep -Eq '[1-9][0-9]* run degraded' "$WORK/degraded.txt"
 # Manager crash + resume: abort after one journaled partial (exit 3, no
 # merge), then --resume must replay the journal and only run the remainder,
 # producing a byte-identical merge.
-P6="$(start_worker "$WORK/w6.log")"
+start_worker "$WORK/w6.log"
+P6="$WORKER_PORT"
 rc=0
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P6" \
     --shards 3 --partials "$WORK/parts_resume" --json "$WORK/resumed.json" \
@@ -372,6 +383,18 @@ grep -q 'worker-staleness' "$WORK/health.txt"
 grep -q '"rules"' "$WORK/rules.json"
 if "$MOSAIC" health "$WORK/does-not-exist.json" > /dev/null 2>&1; then
   echo "health on a missing metrics file should fail" >&2
+  exit 1
+fi
+
+# Stop every worker this script started, then check that none outlives it:
+# a worker whose PID escaped WORKER_PIDS would still hold its log file in
+# $WORK open.
+for pid in "${WORKER_PIDS[@]}"; do kill "$pid" 2> /dev/null || true; done
+for pid in "${WORKER_PIDS[@]}"; do wait "$pid" 2> /dev/null || true; done
+leaked="$(find /proc/[0-9]*/fd -lname "$WORK/*" 2> /dev/null || true)"
+if [ -n "$leaked" ]; then
+  echo "worker processes outlived the script:" >&2
+  echo "$leaked" >&2
   exit 1
 fi
 

@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <numbers>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace mosaic::cluster {
 namespace {
@@ -89,6 +91,47 @@ TEST(BinSeries, AccumulatesIntoBins) {
   EXPECT_DOUBLE_EQ(series[0], 17.0);  // 10 + 5 + clamped 2
   EXPECT_DOUBLE_EQ(series[3], 1.0);
   EXPECT_DOUBLE_EQ(series[9], 3.0);  // clamped from t=99
+}
+
+TEST(SimdBinAdd, ClampsEdgesDeterministically) {
+  // The clamp runs in double space before the integer conversion, so
+  // negative, at-or-past-the-end, huge and NaN times have defined edge bins.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> samples{
+      {-5.0, 1.0},   {0.0, 2.0},  {3.999, 4.0}, {4.0, 8.0},
+      {100.0, 16.0}, {nan, 32.0}, {1e300, 64.0}};
+  const auto series = bin_series(samples, 4.0, 1.0);
+  ASSERT_EQ(series.size(), 4u);
+  EXPECT_EQ(series[0], 3.0);  // -5.0 clamps low; 0.0 is bin 0
+  EXPECT_EQ(series[1], 0.0);
+  EXPECT_EQ(series[2], 0.0);
+  // 3.999, 4.0 (== hi), 100.0, NaN and 1e300 all land in the last bin.
+  EXPECT_EQ(series[3], 4.0 + 8.0 + 16.0 + 32.0 + 64.0);
+}
+
+::testing::AssertionResult bit_equal(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " != " << b << " bitwise";
+}
+
+TEST(SimdComplexMul, MatchesFmaRoundingStructure) {
+  const std::complex<double> a{1.0 / 3.0, -2.0 / 7.0};
+  const std::complex<double> b{5.0 / 11.0, 3.0 / 13.0};
+  const auto got = complex_mul_fma(a, b);
+  const double re = std::fma(a.real(), b.real(), -(a.imag() * b.imag()));
+  const double im = std::fma(a.imag(), b.real(), a.real() * b.imag());
+  EXPECT_TRUE(bit_equal(got.real(), re));
+  EXPECT_TRUE(bit_equal(got.imag(), im));
+}
+
+TEST(SimdComplexMul, UnitTwiddleIsExactIdentityOnDenormals) {
+  constexpr double kDenormal = 4.9406564584124654e-324;  // smallest subnormal
+  const std::complex<double> a{kDenormal, -kDenormal};
+  const auto got = complex_mul_fma(a, {1.0, 0.0});
+  EXPECT_TRUE(bit_equal(got.real(), a.real()));
+  EXPECT_TRUE(bit_equal(got.imag(), a.imag()));
 }
 
 TEST(DftDetector, FindsPlantedPeriod) {
@@ -184,60 +227,6 @@ TEST(FftPlanCache, CachedMatchesColdBitForBit) {
         }
       }
     }
-  }
-}
-
-TEST(FftSimd, ForcedScalarMatchesDispatchedTransformBitForBit) {
-  // The AVX2 butterfly/norm/scale kernels share one rounding structure with
-  // their scalar references (util/simd.hpp), so a forced-scalar transform
-  // must reproduce the dispatched transform exactly — cached and cold,
-  // forward and inverse, across non-trivial sizes.
-  util::Rng rng(31);
-  for (std::size_t n = 8; n <= 2048; n *= 4) {
-    const std::vector<std::complex<double>> input = random_signal(n, rng);
-    for (const bool inverse : {false, true}) {
-      std::vector<std::complex<double>> dispatched = input;
-      fft(dispatched, inverse);
-      util::simd::set_level_for_testing(util::simd::Level::kScalar);
-      std::vector<std::complex<double>> scalar = input;
-      fft(scalar, inverse);
-      std::vector<std::complex<double>> scalar_cold = input;
-      fft_uncached(scalar_cold, inverse);
-      util::simd::clear_level_for_testing();
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(scalar[i].real(), dispatched[i].real())
-            << "n=" << n << " inverse=" << inverse << " i=" << i;
-        EXPECT_EQ(scalar[i].imag(), dispatched[i].imag())
-            << "n=" << n << " inverse=" << inverse << " i=" << i;
-        EXPECT_EQ(scalar_cold[i].real(), dispatched[i].real())
-            << "n=" << n << " inverse=" << inverse << " i=" << i;
-        EXPECT_EQ(scalar_cold[i].imag(), dispatched[i].imag())
-            << "n=" << n << " inverse=" << inverse << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BinSeriesColumnar, MatchesPairFormBitForBit) {
-  // The columnar overload feeds the same simd::bin_add the pair form's
-  // arithmetic mirrors; both must produce identical series.
-  util::Rng rng(17);
-  std::vector<std::pair<double, double>> pairs;
-  std::vector<double> times, weights;
-  for (int i = 0; i < 257; ++i) {
-    const double t = rng.uniform(-5.0, 105.0);  // includes out-of-range
-    const double w = rng.uniform(0.0, 10.0);
-    pairs.emplace_back(t, w);
-    times.push_back(t);
-    weights.push_back(w);
-  }
-  const std::vector<double> from_pairs = bin_series(pairs, 100.0, 0.5);
-  std::vector<double> from_columns;
-  bin_series(times.data(), weights.data(), times.size(), 100.0, 0.5,
-             from_columns);
-  ASSERT_EQ(from_pairs.size(), from_columns.size());
-  for (std::size_t i = 0; i < from_pairs.size(); ++i) {
-    EXPECT_EQ(from_pairs[i], from_columns[i]) << "bin=" << i;
   }
 }
 

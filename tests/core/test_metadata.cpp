@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace mosaic::core {
 namespace {
 
@@ -123,6 +126,21 @@ TEST(Metadata, EventsOutsideRuntimeClampIntoEdges) {
   const MetadataResult result = classify_metadata(events, 100.0, 2, {});
   EXPECT_EQ(result.total_requests, 300u);
   EXPECT_DOUBLE_EQ(result.max_requests_per_second, 200.0);
+}
+
+TEST(SimdMaxCount, EmptyIsMinusInfinityZero) {
+  std::size_t count = 42;
+  const double max = max_and_count_ge(std::span<const double>{}, 1.0, count);
+  EXPECT_EQ(max, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(count, 0u);
+}
+
+TEST(SimdMaxCount, ThresholdIsInclusive) {
+  const std::vector<double> values{1.0, 2.0, 2.0, 3.0};
+  std::size_t count = 0;
+  const double max = max_and_count_ge(values, 2.0, count);
+  EXPECT_EQ(max, 3.0);
+  EXPECT_EQ(count, 3u);  // the two 2.0s and the 3.0
 }
 
 // Parameterized sweep of the spike-count boundary.

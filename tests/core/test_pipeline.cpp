@@ -206,7 +206,7 @@ TEST(AnalyzePopulation, FunnelAndResultsAligned) {
   corrupt.meta.run_time = 0.0;
   traces.push_back(std::move(corrupt));
 
-  const BatchResult batch = analyze_population(std::move(traces));
+  const BatchResult batch = analyze_population(traces);
   EXPECT_EQ(batch.preprocess.input_traces, 3u);
   EXPECT_EQ(batch.preprocess.corrupted, 1u);
   EXPECT_EQ(batch.results.size(), 2u);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 namespace mosaic::core {
@@ -45,7 +44,7 @@ TEST(Preprocess, KeepsHeaviestTracePerApp) {
   traces.push_back(make_trace("u1", "app", 1, 100));
   traces.push_back(make_trace("u1", "app", 2, 5000));  // heaviest
   traces.push_back(make_trace("u1", "app", 3, 200));
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   ASSERT_EQ(result.retained.size(), 1u);
   EXPECT_EQ(result.retained[0].meta.job_id, 2u);
   EXPECT_EQ(result.runs_per_app.at("u1/app"), 3u);
@@ -57,7 +56,7 @@ TEST(Preprocess, DistinctUsersAreDistinctApps) {
   std::vector<trace::Trace> traces;
   traces.push_back(make_trace("u1", "lammps", 1, 100));
   traces.push_back(make_trace("u2", "lammps", 2, 100));
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   EXPECT_EQ(result.retained.size(), 2u);
   EXPECT_EQ(result.stats.unique_applications, 2u);
 }
@@ -68,7 +67,7 @@ TEST(Preprocess, EvictsCorruptedTraces) {
   trace::Trace corrupt = make_trace("u2", "b", 2, 100);
   corrupt.meta.run_time = -1.0;
   traces.push_back(std::move(corrupt));
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   EXPECT_EQ(result.stats.input_traces, 2u);
   EXPECT_EQ(result.stats.corrupted, 1u);
   EXPECT_EQ(result.stats.valid, 1u);
@@ -82,7 +81,7 @@ TEST(Preprocess, CorruptedRunsDoNotCountTowardRunsPerApp) {
   trace::Trace corrupt = make_trace("u1", "a", 2, 900);
   corrupt.files[0].close_ts = 1e6;  // deallocation past end
   traces.push_back(std::move(corrupt));
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   EXPECT_EQ(result.runs_per_app.at("u1/a"), 1u);
   // The corrupted (heavier) run must not have been chosen.
   ASSERT_EQ(result.retained.size(), 1u);
@@ -100,7 +99,7 @@ TEST(Preprocess, FunnelCountsConsistent) {
       traces.push_back(std::move(t));
     }
   }
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   EXPECT_EQ(result.stats.input_traces, 50u);
   EXPECT_EQ(result.stats.corrupted, 20u);  // runs 0,3,6,9 of each app
   EXPECT_EQ(result.stats.valid, 30u);
@@ -118,53 +117,20 @@ TEST(Preprocess, TieBreaksKeepFirstHeaviest) {
   std::vector<trace::Trace> traces;
   traces.push_back(make_trace("u1", "a", 7, 100));
   traces.push_back(make_trace("u1", "a", 8, 100));  // equal weight
-  const PreprocessResult result = preprocess(std::move(traces));
+  const PreprocessResult result = preprocess(traces);
   ASSERT_EQ(result.retained.size(), 1u);
   EXPECT_EQ(result.retained[0].meta.job_id, 7u);
 }
 
-TEST(Preprocess, ValiditySlackForwarded) {
-  trace::Trace t = make_trace("u1", "a", 1, 100);
-  t.files[0].close_ts = 104.0;  // 4s past job end
-  std::vector<trace::Trace> strict_input;
-  strict_input.push_back(t);
-  EXPECT_EQ(preprocess(std::move(strict_input), 1.0).stats.corrupted, 1u);
-  std::vector<trace::Trace> lax_input;
-  lax_input.push_back(t);
-  EXPECT_EQ(preprocess(std::move(lax_input), 10.0).stats.corrupted, 0u);
-}
-
-TEST(Preprocess, NonConsumingOverloadMatchesConsuming) {
-  // The span overload must reproduce the consuming overload exactly — same
-  // winners, same funnel stats, same run weighting — while leaving the
-  // input untouched (it only copies the dedup survivors).
+TEST(Preprocess, TieBreakIgnoresInputOrder) {
+  // Equal weight: the lower job id wins wherever it sits in the input, the
+  // rule batch, shards and dispatch apply (dedup_wins).
   std::vector<trace::Trace> traces;
-  traces.push_back(make_trace("u1", "app", 1, 100));
-  traces.push_back(make_trace("u1", "app", 2, 5000));
-  traces.push_back(make_trace("u2", "app", 3, 42));
-  traces.push_back(make_trace("u1", "other", 4, 7));
-  trace::Trace corrupt = make_trace("u3", "bad", 5, 9);
-  corrupt.files[0].close_ts = 1e9;  // far past run_time: validity eviction
-  traces.push_back(corrupt);
-
-  const PreprocessResult by_ref =
-      preprocess(std::span<const trace::Trace>(traces));
-  ASSERT_EQ(traces.size(), 5u);  // input intact
-  const PreprocessResult consumed = preprocess(std::move(traces));
-
-  EXPECT_EQ(by_ref.stats.input_traces, consumed.stats.input_traces);
-  EXPECT_EQ(by_ref.stats.corrupted, consumed.stats.corrupted);
-  EXPECT_EQ(by_ref.stats.valid, consumed.stats.valid);
-  EXPECT_EQ(by_ref.stats.unique_applications,
-            consumed.stats.unique_applications);
-  EXPECT_EQ(by_ref.stats.retained, consumed.stats.retained);
-  EXPECT_EQ(by_ref.stats.corruption_breakdown, consumed.stats.corruption_breakdown);
-  EXPECT_EQ(by_ref.stats.eviction_breakdown, consumed.stats.eviction_breakdown);
-  EXPECT_EQ(by_ref.runs_per_app, consumed.runs_per_app);
-  ASSERT_EQ(by_ref.retained.size(), consumed.retained.size());
-  for (std::size_t i = 0; i < by_ref.retained.size(); ++i) {
-    EXPECT_EQ(by_ref.retained[i].meta.job_id, consumed.retained[i].meta.job_id);
-  }
+  traces.push_back(make_trace("u1", "a", 8, 100));
+  traces.push_back(make_trace("u1", "a", 7, 100));  // equal weight
+  const PreprocessResult result = preprocess(traces);
+  ASSERT_EQ(result.retained.size(), 1u);
+  EXPECT_EQ(result.retained[0].meta.job_id, 7u);
 }
 
 TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
@@ -181,7 +147,7 @@ TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
     (void)streaming.add_trace(traces[i], "/t/" + std::to_string(i));
   }
   const PreprocessResult incremental = streaming.finish();
-  const PreprocessResult oneshot = preprocess(std::move(traces));
+  const PreprocessResult oneshot = preprocess(traces);
 
   EXPECT_EQ(incremental.stats.input_traces, oneshot.stats.input_traces);
   EXPECT_EQ(incremental.stats.corrupted, oneshot.stats.corrupted);

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,7 +25,6 @@
 #include "parallel/thread_pool.hpp"
 #include "report/json_output.hpp"
 #include "sim/population.hpp"
-#include "util/simd.hpp"
 
 using namespace mosaic;
 
@@ -54,7 +52,7 @@ std::string serialize_population(const core::Thresholds& thresholds,
   }
   parallel::ThreadPool pool(workers);
   const core::BatchResult batch =
-      core::analyze_population(std::move(traces), thresholds, &pool);
+      core::analyze_population(traces, thresholds, &pool);
   return json::serialize(
              report::batch_to_json(batch, /*include_traces=*/true)) +
          "\n";
@@ -77,55 +75,6 @@ TEST(GoldenAb, FrequencyBackendMatchesCommittedGolden) {
   core::Thresholds thresholds;
   thresholds.periodicity_backend = core::PeriodicityBackend::kFrequency;
   EXPECT_EQ(serialize_population(thresholds, 2), golden);
-}
-
-TEST(GoldenAb, ForcedScalarMatchesActiveSimdLevel) {
-  // The AVX2 kernels (DESIGN.md §18) must be bit-identical to their scalar
-  // references through the whole pipeline, not just in kernel unit tests:
-  // the serialized batch output of a forced-scalar run has to match the
-  // dispatched run byte for byte, on both detector backends. On a machine
-  // without AVX2 both runs take the scalar path and the test degenerates to
-  // determinism — still worth holding.
-  for (const auto backend : {core::PeriodicityBackend::kMeanShift,
-                             core::PeriodicityBackend::kFrequency}) {
-    core::Thresholds thresholds;
-    thresholds.periodicity_backend = backend;
-    util::simd::set_level_for_testing(util::simd::Level::kScalar);
-    const std::string scalar = serialize_population(thresholds, 2);
-    util::simd::clear_level_for_testing();
-    const std::string dispatched = serialize_population(thresholds, 2);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(scalar, dispatched)
-        << "backend=" << static_cast<int>(backend) << " active simd level: "
-        << util::simd::level_name(util::simd::active_level());
-  }
-}
-
-TEST(GoldenAb, NonConsumingOverloadMatchesConsumingByteForByte) {
-  // bench/perf_pipeline measures the non-consuming analyze_population
-  // overload (no per-pass corpus copy), while the committed goldens pin the
-  // consuming one — so the two must serialize identically or the perf
-  // numbers describe a different pipeline than the one the goldens guard.
-  sim::PopulationConfig config;
-  config.target_traces = 2000;
-  config.seed = 20240711;
-  sim::Population population = sim::generate_population(config);
-  std::vector<trace::Trace> traces;
-  traces.reserve(population.traces.size());
-  for (sim::LabeledTrace& labeled : population.traces) {
-    traces.push_back(std::move(labeled.trace));
-  }
-  parallel::ThreadPool pool(2);
-  const core::Thresholds thresholds;
-  const std::string by_ref = json::serialize(report::batch_to_json(
-      core::analyze_population(std::span<const trace::Trace>(traces),
-                               thresholds, &pool),
-      /*include_traces=*/true));
-  const std::string consumed = json::serialize(report::batch_to_json(
-      core::analyze_population(std::move(traces), thresholds, &pool),
-      /*include_traces=*/true));
-  ASSERT_FALSE(by_ref.empty());
-  EXPECT_EQ(by_ref, consumed);
 }
 
 TEST(GoldenAb, OutputIdenticalAcrossWorkerCounts) {

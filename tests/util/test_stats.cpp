@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -106,6 +108,26 @@ TEST(CoefficientOfVariation, UniformChunksAreSteady) {
   EXPECT_DOUBLE_EQ(coefficient_of_variation(even), 0.0);
   const std::array<double, 4> skewed{400.0, 1.0, 1.0, 1.0};
   EXPECT_GT(coefficient_of_variation(skewed), 1.0);
+}
+
+TEST(SimdAb, SumExactForIntegerValuedDoubles) {
+  // Byte/request counters are integer-valued doubles < 2^53: any
+  // association sums them exactly, so the four-lane sum must equal the
+  // plain sequential sum bit for bit on the counts Histogram::total adds.
+  std::vector<double> counts;
+  double sequential = 0.0;
+  for (std::size_t i = 0; i < 1001; ++i) {
+    const double v = static_cast<double>((i * 7919) % 100000);
+    counts.push_back(v);
+    sequential += v;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum(counts)),
+            std::bit_cast<std::uint64_t>(sequential));
+}
+
+TEST(SimdSum, EmptyIsZero) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum(std::span<const double>{})),
+            std::bit_cast<std::uint64_t>(0.0));
 }
 
 TEST(Histogram, BinsAndClamping) {

@@ -36,7 +36,7 @@ std::string serialize_population(const core::Thresholds& thresholds) {
   }
   parallel::ThreadPool pool(2);
   const core::BatchResult batch =
-      core::analyze_population(std::move(traces), thresholds, &pool);
+      core::analyze_population(traces, thresholds, &pool);
   return json::serialize(
              report::batch_to_json(batch, /*include_traces=*/true)) +
          "\n";
