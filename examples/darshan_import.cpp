@@ -81,21 +81,12 @@ int main(int argc, char** argv) {
 
   // Collect trace files from the positional arguments (files or
   // directories).
-  std::vector<std::string> paths;
-  for (const std::string& arg : cli.positional()) {
-    std::error_code ec;
-    if (std::filesystem::is_directory(arg, ec)) {
-      const auto scanned = darshan::scan_trace_dir(arg);
-      if (!scanned.has_value()) {
-        std::fprintf(stderr, "%s\n", scanned.error().to_string().c_str());
-        return 1;
-      }
-      paths.insert(paths.end(), scanned->begin(), scanned->end());
-    } else {
-      paths.push_back(arg);
-    }
+  const auto paths = darshan::expand_trace_paths(cli.positional());
+  if (!paths.has_value()) {
+    std::fprintf(stderr, "%s\n", paths.error().to_string().c_str());
+    return 1;
   }
-  if (paths.empty()) {
+  if (paths->empty()) {
     std::fprintf(stderr,
                  "no input traces; pass files/directories or use "
                  "--export-demo <dir> first\n");
@@ -116,24 +107,23 @@ int main(int argc, char** argv) {
   const core::Analyzer analyzer(thresholds);
   std::size_t loaded = 0;
   std::size_t evicted = 0;
-  for (const std::string& path : paths) {
-    auto parsed = ingest::load_trace(path);
-    if (!parsed.has_value()) {
-      std::printf("%-48s LOAD ERROR (%s)\n", path.c_str(),
-                  parsed.error().to_string().c_str());
-      ++evicted;
-      continue;
-    }
-    const trace::ValidityReport validity = trace::validate(*parsed);
-    if (!validity.valid()) {
-      std::printf("%-48s EVICTED (%s: %s)\n", path.c_str(),
-                  trace::corruption_kind_name(validity.kind),
-                  validity.detail.c_str());
+  for (const std::string& path : *paths) {
+    const ingest::LoadedFile file = ingest::load_file(path);
+    const core::FileOutcome& outcome = file.outcome;
+    if (!outcome.valid()) {
+      if (outcome.load_failed()) {
+        std::printf("%-48s LOAD ERROR (%s)\n", path.c_str(),
+                    outcome.error->to_string().c_str());
+      } else {
+        std::printf("%-48s EVICTED (%s: %s)\n", path.c_str(),
+                    trace::corruption_kind_name(outcome.corruption),
+                    outcome.error->message.c_str());
+      }
       ++evicted;
       continue;
     }
     ++loaded;
-    const core::TraceResult result = analyzer.analyze(*parsed);
+    const core::TraceResult result = analyzer.analyze(*file.trace);
     if (cli.get_flag("json")) {
       std::printf("%s\n",
                   json::serialize(report::trace_result_to_json(result)).c_str());

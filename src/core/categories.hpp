@@ -94,18 +94,6 @@ class CategorySet {
   [[nodiscard]] bool empty() const noexcept { return bits_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept;
 
-  /// Set algebra used by the Jaccard report.
-  [[nodiscard]] CategorySet intersect(const CategorySet& other) const noexcept {
-    CategorySet out;
-    out.bits_ = bits_ & other.bits_;
-    return out;
-  }
-  [[nodiscard]] CategorySet unite(const CategorySet& other) const noexcept {
-    CategorySet out;
-    out.bits_ = bits_ | other.bits_;
-    return out;
-  }
-
   friend bool operator==(const CategorySet&, const CategorySet&) = default;
 
   /// Members in enum order.

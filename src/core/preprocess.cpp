@@ -10,27 +10,30 @@ namespace mosaic::core {
 
 namespace {
 
-/// Key under which validity evictions appear in the ErrorCode-keyed
-/// breakdown; semantic corruption is the same failure class as a bad
-/// checksum, so both land on kCorruptTrace.
-std::string corrupt_code_name() {
-  return std::string(util::error_code_name(util::ErrorCode::kCorruptTrace));
-}
-
-// Funnel metrics mirror the PreprocessStats breakdown maps series-for-entry
-// and are bumped at the exact same sites, so a --metrics dump always agrees
-// with the run's printed funnel summary — including on --resume, where
-// journal-replayed evictions land on the same labeled series as live ones.
-void count_eviction_metric(std::string_view code_name) {
-  obs::Registry::global()
+/// Counts one eviction by ErrorCode and, when the validity check evicted
+/// the file, by corruption kind; any other eviction is a load failure. The
+/// funnel metrics mirror the PreprocessStats breakdown maps series for entry
+/// and are bumped only here, so a --metrics dump always agrees with the
+/// printed funnel summary — on --resume too, where journal-replayed
+/// evictions land on the same labeled series as live ones.
+void count_eviction(PreprocessStats& stats, util::ErrorCode code,
+                    trace::CorruptionKind kind) {
+  auto& registry = obs::Registry::global();
+  const std::string_view code_name = util::error_code_name(code);
+  ++stats.eviction_breakdown[std::string(code_name)];
+  registry
       .counter(obs::labeled(obs::names::kFunnelEvictions, "code", code_name),
                "files evicted from the funnel, by error code")
       .add();
-}
-
-void count_corruption_metric(std::string_view kind) {
-  obs::Registry::global()
-      .counter(obs::labeled(obs::names::kFunnelCorruption, "kind", kind),
+  if (kind == trace::CorruptionKind::kNone) {
+    ++stats.load_failed;
+    return;
+  }
+  const std::string_view kind_name = trace::corruption_kind_name(kind);
+  ++stats.corrupted;
+  ++stats.corruption_breakdown[std::string(kind_name)];
+  registry
+      .counter(obs::labeled(obs::names::kFunnelCorruption, "kind", kind_name),
                "validity evictions, by corruption kind")
       .add();
 }
@@ -77,12 +80,8 @@ PreprocessResult preprocess(std::span<const trace::Trace> traces) {
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const trace::ValidityReport report = validate(traces[i]);
     if (!report.valid()) {
-      ++result.stats.corrupted;
-      ++result.stats.corruption_breakdown[trace::corruption_kind_name(
-          report.kind)];
-      ++result.stats.eviction_breakdown[corrupt_code_name()];
-      count_corruption_metric(trace::corruption_kind_name(report.kind));
-      count_eviction_metric(corrupt_code_name());
+      count_eviction(result.stats, util::ErrorCode::kCorruptTrace,
+                     report.kind);
       continue;
     }
     ++result.stats.valid;
@@ -130,67 +129,38 @@ bool dedup_wins(const DedupKey& challenger,
   return challenger.path < incumbent.path;
 }
 
-void StreamingPreprocessor::fold_valid(ValidDigest digest,
-                                       std::optional<trace::Trace> trace) {
+FileOutcome assess(const trace::Trace& trace, std::string path) {
+  FileOutcome outcome;
+  outcome.path = std::move(path);
+  trace::ValidityReport report = validate(trace);
+  if (!report.valid()) {
+    outcome.error =
+        util::Error{util::ErrorCode::kCorruptTrace, std::move(report.detail)};
+    outcome.corruption = report.kind;
+    return outcome;
+  }
+  outcome.app_key = trace.app_key();
+  outcome.total_bytes = trace.total_bytes();
+  outcome.job_id = trace.meta.job_id;
+  return outcome;
+}
+
+void StreamingPreprocessor::add(FileOutcome outcome,
+                                std::optional<trace::Trace> trace) {
+  ++stats_.input_traces;
+  if (!outcome.valid()) {
+    count_eviction(stats_, outcome.error->code, outcome.corruption);
+    return;
+  }
   ++stats_.valid;
   count_valid_metric();
-  ++runs_per_app_[digest.app_key];
-  const auto [slot, inserted] = heaviest_.try_emplace(digest.app_key);
+  ++runs_per_app_[outcome.app_key];
+  const auto [slot, inserted] = heaviest_.try_emplace(outcome.app_key);
   Slot& incumbent = slot->second;
   if (inserted ||
-      dedup_wins({digest.total_bytes, digest.job_id, digest.path},
-                 {incumbent.digest.total_bytes, incumbent.digest.job_id,
-                  incumbent.digest.path})) {
-    incumbent.digest = std::move(digest);
+      dedup_wins(outcome.dedup_key(), incumbent.outcome.dedup_key())) {
+    incumbent.outcome = std::move(outcome);
     incumbent.trace = std::move(trace);
-  }
-}
-
-trace::ValidityReport StreamingPreprocessor::add_trace(
-    trace::Trace trace, std::string source_path, ValidDigest* digest_out) {
-  ++stats_.input_traces;
-  const trace::ValidityReport report = validate(trace);
-  if (!report.valid()) {
-    ++stats_.corrupted;
-    ++stats_.corruption_breakdown[trace::corruption_kind_name(report.kind)];
-    ++stats_.eviction_breakdown[corrupt_code_name()];
-    count_corruption_metric(trace::corruption_kind_name(report.kind));
-    count_eviction_metric(corrupt_code_name());
-    return report;
-  }
-  ValidDigest digest;
-  digest.path = std::move(source_path);
-  digest.app_key = trace.app_key();
-  digest.total_bytes = trace.total_bytes();
-  digest.job_id = trace.meta.job_id;
-  if (digest_out != nullptr) *digest_out = digest;
-  fold_valid(std::move(digest), std::move(trace));
-  return report;
-}
-
-void StreamingPreprocessor::add_load_failure(util::ErrorCode code) {
-  ++stats_.input_traces;
-  ++stats_.load_failed;
-  ++stats_.eviction_breakdown[std::string(util::error_code_name(code))];
-  count_eviction_metric(util::error_code_name(code));
-}
-
-void StreamingPreprocessor::add_valid_digest(ValidDigest digest) {
-  ++stats_.input_traces;
-  fold_valid(std::move(digest), std::nullopt);
-}
-
-void StreamingPreprocessor::add_journaled_eviction(
-    std::string_view code_name, std::string_view corruption_kind) {
-  ++stats_.input_traces;
-  ++stats_.eviction_breakdown[std::string(code_name)];
-  count_eviction_metric(code_name);
-  if (!corruption_kind.empty()) {
-    ++stats_.corrupted;
-    ++stats_.corruption_breakdown[std::string(corruption_kind)];
-    count_corruption_metric(corruption_kind);
-  } else {
-    ++stats_.load_failed;
   }
 }
 
@@ -210,27 +180,25 @@ PreprocessResult StreamingPreprocessor::finish(
       if (!reload) {
         MOSAIC_LOG_WARN("preprocess: no reload hook for journaled winner %s; "
                         "dropping application %s",
-                        slot.digest.path.c_str(), key.c_str());
+                        slot.outcome.path.c_str(), key.c_str());
         demote_app(result, key);
         continue;
       }
-      auto loaded = reload(slot.digest.path);
+      auto loaded = reload(slot.outcome.path);
       if (!loaded.has_value()) {
         MOSAIC_LOG_WARN("preprocess: journaled winner %s no longer loads "
                         "(%s); dropping application %s",
-                        slot.digest.path.c_str(),
+                        slot.outcome.path.c_str(),
                         loaded.error().to_string().c_str(), key.c_str());
-        ++result.stats.load_failed;
-        ++result.stats.eviction_breakdown[std::string(
-            util::error_code_name(loaded.error().code))];
-        count_eviction_metric(util::error_code_name(loaded.error().code));
+        count_eviction(result.stats, loaded.error().code,
+                       trace::CorruptionKind::kNone);
         demote_app(result, key);
         continue;
       }
       slot.trace = std::move(*loaded);
     }
     result.retained.push_back(std::move(*slot.trace));
-    result.retained_paths.push_back(std::move(slot.digest.path));
+    result.retained_paths.push_back(std::move(slot.outcome.path));
   }
   heaviest_.clear();
 

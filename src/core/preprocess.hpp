@@ -13,10 +13,10 @@
 //
 // Two drivers exist:
 //   - preprocess(): one-shot over an in-memory vector (tests, library use);
-//   - StreamingPreprocessor: incremental folding for the fault-tolerant
-//     ingest path, which streams files through a bounded window and also
-//     counts loads that failed before validation (io-error, parse-error, …)
-//     so the funnel covers every file scanned, not just the parseable ones.
+//   - StreamingPreprocessor: folds one FileOutcome per scanned file for the
+//     fault-tolerant ingest path, loads that failed before validation
+//     (io-error, parse-error, …) included, so the funnel covers every file
+//     scanned, not just the parseable ones.
 #pragma once
 
 #include <cstdint>
@@ -85,46 +85,56 @@ struct DedupKey {
 [[nodiscard]] bool dedup_wins(const DedupKey& challenger,
                               const DedupKey& incumbent) noexcept;
 
-/// Incremental validity + dedup folding with O(unique applications) state.
+/// What one trace file contributed to the funnel. A valid run contributes
+/// its dedup digest; an evicted file, why it was evicted. ingest::load_file
+/// produces it for batch workers, the daemon, `mosaic analyze` and
+/// `mosaic explain`; the resume journal reads and writes it; and
+/// StreamingPreprocessor::add folds it.
+struct FileOutcome {
+  std::string path;  ///< source file
+  /// Valid runs: the dedup digest (application key, read+write bytes, job
+  /// id), enough to run dedup without the trace in memory.
+  std::string app_key;
+  std::uint64_t total_bytes = 0;
+  std::uint64_t job_id = 0;
+  /// Evicted files: the ErrorCode and, for a file evicted in this process,
+  /// the reader's, parser's or validity check's message (the journal keeps
+  /// only the code). Empty for a valid run.
+  std::optional<util::Error> error;
+  /// Validity evictions: what the check found. kNone for every other
+  /// outcome, so an eviction with kNone failed before validation (io,
+  /// parse, not-found, timeout).
+  trace::CorruptionKind corruption = trace::CorruptionKind::kNone;
+
+  [[nodiscard]] bool valid() const noexcept { return !error.has_value(); }
+  [[nodiscard]] bool load_failed() const noexcept {
+    return error.has_value() && corruption == trace::CorruptionKind::kNone;
+  }
+  [[nodiscard]] DedupKey dedup_key() const noexcept {
+    return {total_bytes, job_id, path};
+  }
+};
+
+/// The funnel's decision on one parsed trace: a validity eviction
+/// (kCorruptTrace with the corruption kind), or the dedup digest of a valid
+/// run. Pure; counts nothing.
+[[nodiscard]] FileOutcome assess(const trace::Trace& trace, std::string path);
+
+/// Incremental funnel folding (evictions + dedup) with O(unique
+/// applications) state.
 ///
-/// The ingest pipeline feeds traces (and failures) one at a time; only the
-/// current heaviest trace per application key is kept in memory. Journal
-/// replay can fold a file by digest alone — if the digest wins dedup, the
-/// file is re-read lazily in finish(). Retention follows dedup_wins();
-/// retained traces are emitted sorted by application key.
+/// The ingest pipeline folds files one outcome at a time; only the current
+/// heaviest trace per application key is kept in memory. A journal-replayed
+/// outcome carries no trace — if its digest wins dedup, the file is re-read
+/// lazily in finish(). Retention follows dedup_wins(); retained traces are
+/// emitted sorted by application key.
 class StreamingPreprocessor {
  public:
-  /// Stand-in for a valid trace whose contents are not in memory: just
-  /// enough to run dedup without re-reading the file.
-  struct ValidDigest {
-    std::string path;
-    std::string app_key;
-    std::uint64_t total_bytes = 0;
-    std::uint64_t job_id = 0;
-  };
-
-  /// Validates and folds one parsed trace; invalid traces are evicted and
-  /// counted. The returned report says why (kNone when kept for dedup). A
-  /// valid trace's digest is copied to `*digest_out` when provided (the
-  /// ingest resume journal records it).
-  trace::ValidityReport add_trace(trace::Trace trace, std::string source_path,
-                                  ValidDigest* digest_out = nullptr);
-
-  /// Folds a file that failed before validation (io/parse/not-found/timeout).
-  void add_load_failure(util::ErrorCode code);
-
-  /// Replays a journaled valid file without re-reading it.
-  void add_valid_digest(ValidDigest digest);
-
-  /// Replays a journaled eviction. `corruption_kind` is empty unless the
-  /// eviction came from the validity check.
-  void add_journaled_eviction(std::string_view code_name,
-                              std::string_view corruption_kind);
-
-  /// Inputs folded so far (traces, digests and failures).
-  [[nodiscard]] std::size_t input_count() const noexcept {
-    return stats_.input_traces;
-  }
+  /// Folds one file: a valid run enters dedup with its parsed `trace`, or
+  /// with none when the outcome was replayed from the resume journal; an
+  /// eviction is counted. Every funnel stat and metric is bumped here, so a
+  /// live file and a replayed one count at the same site.
+  void add(FileOutcome outcome, std::optional<trace::Trace> trace = {});
 
   /// Resolves digest-only dedup winners through `reload` (a failure there
   /// demotes the file to an eviction) and returns the final funnel result
@@ -135,14 +145,12 @@ class StreamingPreprocessor {
           reload = {});
 
  private:
-  /// Dedup slot: the digest always describes the current winner; `trace` is
-  /// engaged unless the winner came from journal replay.
+  /// Dedup slot: the outcome always describes the current winner; `trace`
+  /// is engaged unless the winner came from journal replay.
   struct Slot {
-    ValidDigest digest;
+    FileOutcome outcome;
     std::optional<trace::Trace> trace;
   };
-
-  void fold_valid(ValidDigest digest, std::optional<trace::Trace> trace);
 
   std::map<std::string, Slot> heaviest_;  // app key -> current winner
   std::map<std::string, std::size_t> runs_per_app_;

@@ -3,9 +3,9 @@
 // The daemon's serving story: a trace re-submitted by a rerun (same file
 // landing again, a client retrying) must not pay ingest + categorization a
 // second time. The cache key is the same identity the dedup stage already
-// computes (StreamingPreprocessor::ValidDigest — app key, job id, total
-// bytes): two traces the batch pipeline would dedup are one cache entry
-// here. Values are the serialized artifacts the daemon serves verbatim —
+// computes (core::FileOutcome's digest — app key, job id, total bytes):
+// two traces the batch pipeline would dedup are one cache entry here.
+// Values are the serialized artifacts the daemon serves verbatim —
 // the compact TraceResult JSON for /results and the pretty provenance JSON
 // for /explain/<trace-id>, kept byte-identical to `mosaic explain --json`.
 //

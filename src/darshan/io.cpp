@@ -33,4 +33,20 @@ Expected<std::vector<std::string>> scan_trace_dir(const std::string& directory) 
   return paths;
 }
 
+Expected<std::vector<std::string>> expand_trace_paths(
+    const std::vector<std::string>& inputs) {
+  std::vector<std::string> paths;
+  for (const std::string& input : inputs) {
+    std::error_code ec;
+    if (!fs::is_directory(input, ec)) {
+      paths.push_back(input);
+      continue;
+    }
+    auto scanned = scan_trace_dir(input);
+    if (!scanned.has_value()) return std::move(scanned).error();
+    paths.insert(paths.end(), scanned->begin(), scanned->end());
+  }
+  return paths;
+}
+
 }  // namespace mosaic::darshan

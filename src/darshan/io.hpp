@@ -13,4 +13,11 @@ namespace mosaic::darshan {
 [[nodiscard]] util::Expected<std::vector<std::string>> scan_trace_dir(
     const std::string& directory);
 
+/// Expands command-line inputs into trace paths: a directory contributes
+/// its scan_trace_dir() listing, anything else is kept as a file path (a
+/// missing one becomes a per-file not-found eviction). A directory that
+/// cannot be listed is an error, not a smaller corpus.
+[[nodiscard]] util::Expected<std::vector<std::string>> expand_trace_paths(
+    const std::vector<std::string>& inputs);
+
 }  // namespace mosaic::darshan

@@ -54,6 +54,10 @@ struct DaemonMetrics {
   }
 };
 
+/// A submission session that sends no frame for this long is closed: the
+/// hello's budget, and the longest one idle client can hold up the others.
+constexpr double kSessionIdleSeconds = 5.0;
+
 void count_rejection(ErrorCode code) {
   obs::Registry::global()
       .counter(obs::labeled(obs::names::kDaemonRejected, "code",
@@ -188,27 +192,24 @@ SubmitReply Daemon::process_file(const std::string& path) {
   }
   SubmitReply reply;
 
-  auto parsed = ingest::load_trace(path, options_.ingest);
-  if (!parsed.has_value()) {
-    count_rejection(parsed.error().code);
+  // Batch's per-file funnel step; the cache key is its dedup digest.
+  ingest::LoadedFile file = ingest::load_file(path, options_.ingest);
+  const core::FileOutcome& outcome = file.outcome;
+  if (!outcome.valid()) {
+    count_rejection(outcome.error->code);
     const std::scoped_lock lock(board_mutex_);
     ++stats_.rejected;
-    reply.error = parsed.error().to_string();
-    return reply;
-  }
-  if (const auto validity = trace::validate(*parsed); !validity.valid()) {
-    count_rejection(ErrorCode::kCorruptTrace);
-    const std::scoped_lock lock(board_mutex_);
-    ++stats_.rejected;
-    reply.error = path + " is corrupted (" +
-                  std::string(trace::corruption_kind_name(validity.kind)) +
-                  ")";
+    reply.error =
+        outcome.load_failed()
+            ? outcome.error->to_string()
+            : path + " is corrupted (" +
+                  trace::corruption_kind_name(outcome.corruption) + ")";
     return reply;
   }
 
-  const std::string app_key = parsed->app_key();
-  const std::string key = core::result_cache_key(
-      app_key, parsed->meta.job_id, parsed->total_bytes());
+  const std::string& app_key = outcome.app_key;
+  const std::string key = core::result_cache_key(app_key, outcome.job_id,
+                                                 outcome.total_bytes);
   {
     const std::scoped_lock lock(board_mutex_);
     ++runs_per_app_[app_key];
@@ -235,7 +236,7 @@ SubmitReply Daemon::process_file(const std::string& path) {
   // capture forced on, exactly as `mosaic explain` does live, so the cached
   // artifact serves byte-identical output.
   obs::TraceProvenance evidence;
-  core::TraceResult result = analyzer_.analyze(*parsed, &evidence);
+  core::TraceResult result = analyzer_.analyze(*file.trace, &evidence);
   DaemonMetrics::get().analyzed.add();
   auto& journal = obs::ProvenanceJournal::global();
   if (journal.enabled()) journal.record(evidence);
@@ -288,18 +289,17 @@ void Daemon::serve_submissions() {
 }
 
 void Daemon::handle_submission_session(Connection conn) {
-  auto hello = read_frame(conn, 5.0);
+  auto hello = read_frame(conn, kSessionIdleSeconds);
   if (!hello.has_value() || hello->type != FrameType::kHello ||
       !check_hello_payload(hello->payload).ok()) {
     return;
   }
   if (!write_frame(conn, FrameType::kHello, hello_payload()).ok()) return;
   while (!stopped()) {
-    auto frame = read_frame(conn, 1.0);
-    if (!frame.has_value()) {
-      if (frame.error().code == ErrorCode::kTimeout) continue;
-      return;  // client went away
-    }
+    // Sessions are served one at a time, so a client that went quiet (or
+    // away) is let go rather than waited for.
+    auto frame = read_frame(conn, kSessionIdleSeconds);
+    if (!frame.has_value()) return;
     if (frame->type == FrameType::kShutdown) return;
     if (frame->type != FrameType::kSubmit) continue;
 

@@ -5,8 +5,9 @@
 // long-running, incremental service. Traces arrive two ways — a poll-based
 // scanner over one or more watch directories (reusing the ingest
 // scan/classify front end) or kSubmit frames on an MDP1 socket — and every
-// submission flows through one path: load, validate, dedup-digest key,
-// result-cache lookup, and only on a miss the analyzer (with provenance
+// submission flows through one path: batch's per-file funnel step
+// (ingest::load_file: load, validate, dedup digest), a result-cache lookup
+// keyed by that digest, and only on a miss the analyzer (with provenance
 // capture forced on, so the cached explain artifact is byte-identical to
 // `mosaic explain --json`). Results are served as JSON over the shared
 // embedded HTTP endpoint (obs/http.hpp): /results, /explain/<trace-id>,
@@ -14,7 +15,8 @@
 // /profile — all documented in docs/API.md.
 //
 // Draining: run() returns when the stop flag is raised (the CLI wires
-// SIGINT/SIGTERM to it); in-flight submissions finish, the HTTP endpoint
+// SIGINT/SIGTERM to it); in-flight submissions finish (a session that has
+// gone quiet is closed within 5 s), the HTTP endpoint
 // and submission listener are joined, and the caller's ObsSession flushes
 // the provenance journal and metrics sinks as on every other exit path.
 #pragma once

@@ -439,7 +439,7 @@ class Scheduler {
                     task.attempts, "", error});
   }
 
-  void journal_append(const DispatchJournalEntry& entry) {
+  void journal_append(const JournaledTask& entry) {
     if (const auto status = journal_.append(dispatch_journal_line(entry));
         !status.ok()) {
       // Journal trouble must not abort the dispatch it protects.
@@ -762,16 +762,8 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
   // Expand directories and pre-partition the corpus: each task ships only
   // the files its shard owns, so wire size scales with the shard. The
   // worker's own ShardSpec filter re-checks ownership (a no-op here).
-  std::vector<std::string> files;
-  for (const std::string& arg : options.paths) {
-    if (std::filesystem::is_directory(arg, ec)) {
-      auto scanned = darshan::scan_trace_dir(arg);
-      if (!scanned.has_value()) return scanned.error();
-      files.insert(files.end(), scanned->begin(), scanned->end());
-    } else {
-      files.push_back(arg);
-    }
-  }
+  auto files = darshan::expand_trace_paths(options.paths);
+  if (!files.has_value()) return std::move(files).error();
 
   std::vector<Task> tasks(shard_count);
   for (std::size_t k = 0; k < shard_count; ++k) {
@@ -781,7 +773,7 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
                                  kRetryMultiplier,
                                  options.retry_max_delay_ms);
   }
-  for (const std::string& file : files) {
+  for (const std::string& file : *files) {
     tasks[ingest::shard_of(file, shard_count)].paths.push_back(file);
   }
 

@@ -12,11 +12,11 @@ namespace {
 
 /// Parses one journal line; nullopt for anything malformed or incomplete
 /// (most commonly the torn final line of a killed manager).
-std::optional<DispatchJournalEntry> entry_from_line(std::string_view line) {
+std::optional<JournaledTask> entry_from_line(std::string_view line) {
   const auto parsed = json::parse(line);
   if (!parsed.has_value()) return std::nullopt;
   const json::Reader r(*parsed, "dispatch journal");
-  DispatchJournalEntry entry;
+  JournaledTask entry;
   entry.shard = r.integer<std::size_t>("shard");
   entry.shard_count = r.integer<std::size_t>("count");
   entry.status = r.string("status");
@@ -36,7 +36,7 @@ std::optional<DispatchJournalEntry> entry_from_line(std::string_view line) {
 
 }  // namespace
 
-std::string dispatch_journal_line(const DispatchJournalEntry& entry) {
+std::string dispatch_journal_line(const JournaledTask& entry) {
   json::Object out;
   out.set("shard", entry.shard);
   out.set("count", entry.shard_count);
@@ -48,9 +48,9 @@ std::string dispatch_journal_line(const DispatchJournalEntry& entry) {
   return json::serialize(json::Value(std::move(out)), /*pretty=*/false);
 }
 
-util::Expected<std::map<std::size_t, DispatchJournalEntry>>
+util::Expected<std::map<std::size_t, JournaledTask>>
 load_dispatch_journal(const std::string& path, std::size_t* dropped_lines) {
-  std::map<std::size_t, DispatchJournalEntry> entries;
+  std::map<std::size_t, JournaledTask> entries;
   const util::Status status = util::read_journal_lines(
       path,
       [&entries](std::string_view line) {

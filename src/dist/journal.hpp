@@ -22,7 +22,7 @@
 namespace mosaic::dist {
 
 /// One journaled terminal task outcome.
-struct DispatchJournalEntry {
+struct JournaledTask {
   std::size_t shard = 0;
   std::size_t shard_count = 1;
   std::string status;        ///< "done" | "quarantined"
@@ -34,14 +34,13 @@ struct DispatchJournalEntry {
 };
 
 /// The entry as one JSON line (without the newline util::LineAppender adds).
-[[nodiscard]] std::string dispatch_journal_line(
-    const DispatchJournalEntry& entry);
+[[nodiscard]] std::string dispatch_journal_line(const JournaledTask& entry);
 
 /// Loads a journal into a shard-keyed map (later entries win; a resumed run
 /// may have re-journaled a shard). A missing file yields an empty map —
 /// resuming with no journal is a fresh start, not an error. Malformed lines
 /// (torn tail) are skipped and counted into `*dropped_lines` when provided.
-[[nodiscard]] util::Expected<std::map<std::size_t, DispatchJournalEntry>>
+[[nodiscard]] util::Expected<std::map<std::size_t, JournaledTask>>
 load_dispatch_journal(const std::string& path,
                       std::size_t* dropped_lines = nullptr);
 

@@ -205,12 +205,7 @@ Error task_error_from_payload(std::string_view payload) {
   const std::string_view code = r.string("code");
   if (!r.ok()) return r.error();
   // An unknown code (a newer peer) still carries its message.
-  for (std::size_t i = 0; i < util::kErrorCodeCount; ++i) {
-    if (util::error_code_name(static_cast<ErrorCode>(i)) == code) {
-      error.code = static_cast<ErrorCode>(i);
-      break;
-    }
-  }
+  error.code = util::error_code_from_name(code).value_or(ErrorCode::kInternal);
   return error;
 }
 

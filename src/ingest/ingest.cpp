@@ -78,68 +78,6 @@ void count_load_failure(ErrorCode code) {
       .add();
 }
 
-/// Worker-side result of loading one file; folded serially afterwards.
-struct LoadOutcome {
-  std::optional<trace::Trace> trace;
-  Error error;  ///< meaningful only when !trace
-  std::size_t retry_attempts = 0;
-};
-
-/// Reads and parses one file under the options' retry/deadline policy.
-LoadOutcome load_one(FileReader& reader, const std::string& path,
-                     const IngestOptions& options) {
-  MOSAIC_SPAN("load");
-  IngestMetrics& metrics = IngestMetrics::get();
-  LoadOutcome outcome;
-  const util::Deadline deadline =
-      options.file_deadline_seconds > 0.0
-          ? util::Deadline::after_seconds(options.file_deadline_seconds)
-          : util::Deadline{};
-  util::ExponentialBackoff backoff(options.backoff_initial_ms,
-                                   kBackoffMultiplier, kBackoffMaxMs);
-  int attempt = 0;
-  for (;;) {
-    auto bytes = reader.read_mapped(path, attempt);
-    if (!bytes.has_value()) {
-      Error error = std::move(bytes).error();
-      // Only kIoError is worth retrying: content does not heal, and a
-      // missing file stays missing within one batch.
-      if (error.code != ErrorCode::kIoError ||
-          attempt >= options.max_retries) {
-        outcome.error = std::move(error);
-        return outcome;
-      }
-      if (deadline.expired()) {
-        outcome.error = Error{ErrorCode::kTimeout,
-                              "deadline exceeded after " +
-                                  std::to_string(attempt + 1) +
-                                  " attempt(s) on " + path + " (last: " +
-                                  error.message + ")"};
-        return outcome;
-      }
-      double delay_ms = backoff.next_delay_ms();
-      if (deadline.finite()) {
-        delay_ms = std::min(delay_ms, deadline.remaining_seconds() * 1000.0);
-      }
-      metrics.backoff_ms.observe(delay_ms);
-      metrics.retry_attempts.add();
-      util::sleep_for_ms(delay_ms);
-      ++attempt;
-      ++outcome.retry_attempts;
-      continue;
-    }
-    MOSAIC_SPAN("parse");
-    const obs::ScopedTimerMs parse_timer(metrics.parse_ms);
-    auto parsed = parse_trace_bytes(path, bytes->bytes(), deadline);
-    if (!parsed.has_value()) {
-      outcome.error = std::move(parsed).error();
-      return outcome;
-    }
-    outcome.trace = std::move(*parsed);
-    return outcome;
-  }
-}
-
 /// Content-caused failures are worth moving aside: re-running the batch will
 /// hit them again, and operators triage them out-of-band. Environmental
 /// failures (io-error, not-found) are left in place.
@@ -170,61 +108,40 @@ void quarantine_file(FoldContext& ctx, const std::string& path) {
   }
 }
 
-void journal_append(FoldContext& ctx, const JournalEntry& entry) {
-  if (const auto status = ctx.journal->append(journal_line(entry));
-      !status.ok()) {
-    // The journal protects against crashes; its own failure must not become
-    // one. The batch continues, the entry is simply redone on resume.
-    MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
-  }
-}
-
-/// Folds one worker outcome into the funnel, journal and quarantine.
-void fold_outcome(FoldContext& ctx, const std::string& path,
-                  LoadOutcome outcome) {
+/// Folds one file loaded this run into the ingest counters, the journal,
+/// the quarantine and the funnel.
+void fold(FoldContext& ctx, LoadedFile file) {
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.processed.add();
-  ctx.stats->retry_attempts += outcome.retry_attempts;
-  const bool journaling = ctx.journal->is_open();
-  JournalEntry entry;
-  if (!outcome.trace.has_value()) {
+  ctx.stats->retry_attempts += file.retry_attempts;
+  const core::FileOutcome& outcome = file.outcome;
+  if (outcome.load_failed()) {
     ++ctx.stats->failed;
-    count_load_failure(outcome.error.code);
-    MOSAIC_LOG_DEBUG("ingest: evicting %s: %s", path.c_str(),
-                     outcome.error.to_string().c_str());
-    ctx.preprocessor->add_load_failure(outcome.error.code);
-    if (journaling) {
-      entry.digest.path = path;
-      entry.code = std::string(util::error_code_name(outcome.error.code));
-      journal_append(ctx, entry);
+    count_load_failure(outcome.error->code);
+    MOSAIC_LOG_DEBUG("ingest: evicting %s: %s", outcome.path.c_str(),
+                     outcome.error->to_string().c_str());
+  } else {
+    ++ctx.stats->loaded;
+    metrics.loaded.add();
+    metrics.retries_per_file.observe(static_cast<double>(file.retry_attempts));
+    if (file.retry_attempts > 0) {
+      ++ctx.stats->recovered;
+      metrics.recovered.add();
     }
-    if (should_quarantine(outcome.error.code)) quarantine_file(ctx, path);
-    return;
   }
-
-  ++ctx.stats->loaded;
-  metrics.loaded.add();
-  metrics.retries_per_file.observe(
-      static_cast<double>(outcome.retry_attempts));
-  if (outcome.retry_attempts > 0) {
-    ++ctx.stats->recovered;
-    metrics.recovered.add();
-  }
-
-  // A valid file journals the dedup digest the preprocessor computes.
-  const trace::ValidityReport report = ctx.preprocessor->add_trace(
-      std::move(*outcome.trace), path, journaling ? &entry.digest : nullptr);
-  if (journaling) {
-    entry.valid = report.valid();
-    if (!entry.valid) {
-      entry.digest.path = path;
-      entry.code =
-          std::string(util::error_code_name(ErrorCode::kCorruptTrace));
-      entry.corruption_kind = trace::corruption_kind_name(report.kind);
+  if (ctx.journal->is_open()) {
+    if (const auto status = ctx.journal->append(journal_line(outcome));
+        !status.ok()) {
+      // The journal protects against crashes; its own failure must not
+      // become one. The batch continues, the entry is simply redone on
+      // resume.
+      MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
     }
-    journal_append(ctx, entry);
   }
-  if (!report.valid()) quarantine_file(ctx, path);
+  if (!outcome.valid() && should_quarantine(outcome.error->code)) {
+    quarantine_file(ctx, outcome.path);
+  }
+  ctx.preprocessor->add(std::move(file.outcome), std::move(file.trace));
 }
 
 }  // namespace
@@ -255,10 +172,7 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.scanned.add(inputs->size());
 
-  FileReader& reader =
-      options.reader != nullptr ? *options.reader : system_reader();
-
-  std::map<std::string, JournalEntry> replay;
+  std::map<std::string, core::FileOutcome> replay;
   if (options.resume && !options.journal_path.empty()) {
     auto loaded = load_journal(options.journal_path,
                                &result.stats.journal_dropped);
@@ -276,7 +190,8 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
   core::StreamingPreprocessor preprocessor;
   FoldContext ctx{&preprocessor, &result.stats, &journal, &options};
 
-  // Replayed outcomes fold first; their files are excluded from the windows.
+  // Replayed outcomes fold first, through the same add() as a loaded file
+  // but without a trace; their files are excluded from the windows.
   std::vector<std::string> pending;
   pending.reserve(inputs->size());
   for (const std::string& path : *inputs) {
@@ -285,14 +200,9 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
       pending.push_back(path);
       continue;
     }
-    const JournalEntry& entry = it->second;
     ++result.stats.journal_replayed;
     metrics.journal_replayed.add();
-    if (entry.valid) {
-      preprocessor.add_valid_digest(entry.digest);
-    } else {
-      preprocessor.add_journaled_eviction(entry.code, entry.corruption_kind);
-    }
+    preprocessor.add(it->second);
   }
 
   const std::size_t window = options.max_in_flight != 0
@@ -303,17 +213,17 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
        begin += window) {
     const std::size_t end = std::min(pending.size(), begin + window);
     MOSAIC_SPAN("ingest-window");
-    std::vector<LoadOutcome> outcomes(end - begin);
+    std::vector<LoadedFile> files(end - begin);
     parallel::parallel_for(
         pool, end - begin, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
-            outcomes[i] = load_one(reader, pending[begin + i], options);
+            files[i] = load_file(pending[begin + i], options);
           }
         });
     // Serial fold in path order keeps the journal and funnel deterministic
     // regardless of worker scheduling.
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      fold_outcome(ctx, pending[begin + i], std::move(outcomes[i]));
+    for (LoadedFile& file : files) {
+      fold(ctx, std::move(file));
       ++processed;
       if (options.abort_after_files != 0 &&
           processed >= options.abort_after_files) {
@@ -325,12 +235,11 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
 
   // Journal-replayed dedup winners are re-read lazily — one file per
   // application at most, with the same retry policy.
-  result.pre = preprocessor.finish([&](const std::string& path)
-                                       -> Expected<trace::Trace> {
-    LoadOutcome outcome = load_one(reader, path, options);
-    result.stats.retry_attempts += outcome.retry_attempts;
-    if (!outcome.trace.has_value()) return std::move(outcome.error);
-    return std::move(*outcome.trace);
+  result.pre = preprocessor.finish([&](const std::string& path) {
+    std::size_t retries = 0;
+    auto trace = load_trace(path, options, &retries);
+    result.stats.retry_attempts += retries;
+    return trace;
   });
   return result;
 }
@@ -338,12 +247,58 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
 Expected<trace::Trace> load_trace(const std::string& path,
                                   const IngestOptions& options,
                                   std::size_t* retry_attempts) {
+  MOSAIC_SPAN("load");
   FileReader& reader =
       options.reader != nullptr ? *options.reader : system_reader();
-  LoadOutcome outcome = load_one(reader, path, options);
-  if (retry_attempts != nullptr) *retry_attempts = outcome.retry_attempts;
-  if (!outcome.trace.has_value()) return std::move(outcome.error);
-  return std::move(*outcome.trace);
+  IngestMetrics& metrics = IngestMetrics::get();
+  const util::Deadline deadline =
+      options.file_deadline_seconds > 0.0
+          ? util::Deadline::after_seconds(options.file_deadline_seconds)
+          : util::Deadline{};
+  util::ExponentialBackoff backoff(options.backoff_initial_ms,
+                                   kBackoffMultiplier, kBackoffMaxMs);
+  if (retry_attempts != nullptr) *retry_attempts = 0;
+  for (int attempt = 0;; ++attempt) {
+    auto bytes = reader.read_mapped(path, attempt);
+    if (bytes.has_value()) {
+      MOSAIC_SPAN("parse");
+      const obs::ScopedTimerMs parse_timer(metrics.parse_ms);
+      return parse_trace_bytes(path, bytes->bytes(), deadline);
+    }
+    Error error = std::move(bytes).error();
+    // Only kIoError is worth retrying: content does not heal, and a missing
+    // file stays missing within one batch.
+    if (error.code != ErrorCode::kIoError || attempt >= options.max_retries) {
+      return error;
+    }
+    if (deadline.expired()) {
+      return Error{ErrorCode::kTimeout,
+                   "deadline exceeded after " + std::to_string(attempt + 1) +
+                       " attempt(s) on " + path + " (last: " + error.message +
+                       ")"};
+    }
+    double delay_ms = backoff.next_delay_ms();
+    if (deadline.finite()) {
+      delay_ms = std::min(delay_ms, deadline.remaining_seconds() * 1000.0);
+    }
+    metrics.backoff_ms.observe(delay_ms);
+    metrics.retry_attempts.add();
+    util::sleep_for_ms(delay_ms);
+    if (retry_attempts != nullptr) ++*retry_attempts;
+  }
+}
+
+LoadedFile load_file(const std::string& path, const IngestOptions& options) {
+  LoadedFile file;
+  auto parsed = load_trace(path, options, &file.retry_attempts);
+  if (!parsed.has_value()) {
+    file.outcome.path = path;
+    file.outcome.error = std::move(parsed).error();
+    return file;
+  }
+  file.outcome = core::assess(*parsed, path);
+  if (file.outcome.valid()) file.trace = std::move(*parsed);
+  return file;
 }
 
 }  // namespace mosaic::ingest

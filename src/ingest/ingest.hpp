@@ -6,9 +6,11 @@
 // that:
 //   - streams files through the shared ThreadPool in bounded windows, so
 //     peak memory is O(window + unique applications) instead of O(corpus);
-//   - classifies every failure into the util::ErrorCode taxonomy and feeds
-//     it into the PreprocessStats funnel (parse-error vs corrupt-trace vs
-//     io-error vs not-found vs timeout);
+//   - turns every file into one core::FileOutcome on the pool workers
+//     (read, parse, validate, digest: load_file) and folds it in path order
+//     into the PreprocessStats funnel, failures classified by
+//     util::ErrorCode (parse-error vs corrupt-trace vs io-error vs not-found
+//     vs timeout);
 //   - retries transient kIoError reads with capped exponential backoff and
 //     bounds each file's total read+parse budget with a deadline;
 //   - optionally quarantines poison files (content-caused failures) into a
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,11 +94,25 @@ struct IngestResult {
     const std::vector<std::string>& paths, const IngestOptions& options,
     parallel::ThreadPool& pool);
 
-/// Loads one trace with the same retry/backoff/deadline/classification
-/// behavior as the batch pipeline (used by `mosaic analyze`). The attempt
-/// count used is reported via `*retry_attempts` when provided.
+/// Reads and parses one file under the options' reader, retry/backoff
+/// and deadline, classifying a failure by ErrorCode. The number of extra
+/// read attempts is reported via `*retry_attempts` when provided.
 [[nodiscard]] util::Expected<trace::Trace> load_trace(
     const std::string& path, const IngestOptions& options = {},
     std::size_t* retry_attempts = nullptr);
+
+/// One file after the per-file funnel step.
+struct LoadedFile {
+  core::FileOutcome outcome;
+  std::optional<trace::Trace> trace;  ///< engaged exactly when outcome.valid()
+  std::size_t retry_attempts = 0;     ///< extra read attempts spent
+};
+
+/// The per-file funnel step: load_trace, then core::assess (validate and
+/// digest). Batch runs it on the pool workers; the daemon, `mosaic analyze`
+/// and `mosaic explain` run it per file. It counts no funnel metric —
+/// StreamingPreprocessor::add does.
+[[nodiscard]] LoadedFile load_file(const std::string& path,
+                                   const IngestOptions& options = {});
 
 }  // namespace mosaic::ingest

@@ -13,64 +13,71 @@ namespace {
 
 /// Parses one journal line; nullopt for anything malformed or incomplete
 /// (most commonly the torn final line of a killed run).
-std::optional<JournalEntry> entry_from_line(std::string_view line) {
+std::optional<core::FileOutcome> outcome_from_line(std::string_view line) {
   const auto parsed = json::parse(line);
   if (!parsed.has_value()) return std::nullopt;
   const json::Reader r(*parsed, "ingest journal");
-  JournalEntry entry;
-  entry.digest.path = r.string("path");
-  const std::string_view outcome = r.string("outcome");
-  entry.valid = outcome == "valid";
-  if (entry.valid) {
-    entry.digest.app_key = r.string("app");
+  core::FileOutcome outcome;
+  outcome.path = r.string("path");
+  const std::string_view status = r.string("outcome");
+  if (status == "valid") {
+    outcome.app_key = r.string("app");
     const auto bytes = util::parse_uint(r.string("bytes"));
     const auto job = util::parse_uint(r.string("job"));
     if (!bytes || !job) return std::nullopt;
-    entry.digest.total_bytes = *bytes;
-    entry.digest.job_id = *job;
-  } else if (outcome == "evicted") {
-    entry.code = r.string("code");
-    entry.corruption_kind = r.string("kind", "");
+    outcome.total_bytes = *bytes;
+    outcome.job_id = *job;
+  } else if (status == "evicted") {
+    const auto code = util::error_code_from_name(r.string("code"));
+    if (!code) return std::nullopt;
+    outcome.error = util::Error{*code, ""};
+    if (const std::string_view name = r.string("kind", ""); !name.empty()) {
+      const auto corruption = trace::corruption_kind_from_name(name);
+      if (!corruption || *corruption == trace::CorruptionKind::kNone) {
+        return std::nullopt;
+      }
+      outcome.corruption = *corruption;
+    }
   } else {
     return std::nullopt;
   }
   if (!r.ok()) return std::nullopt;
-  return entry;
+  return outcome;
 }
 
 }  // namespace
 
-std::string journal_line(const JournalEntry& entry) {
+std::string journal_line(const core::FileOutcome& outcome) {
   json::Object out;
-  out.set("path", entry.digest.path);
-  out.set("outcome", entry.valid ? "valid" : "evicted");
-  if (entry.valid) {
-    out.set("app", entry.digest.app_key);
-    out.set("bytes", std::to_string(entry.digest.total_bytes));
-    out.set("job", std::to_string(entry.digest.job_id));
+  out.set("path", outcome.path);
+  out.set("outcome", outcome.valid() ? "valid" : "evicted");
+  if (outcome.valid()) {
+    out.set("app", outcome.app_key);
+    out.set("bytes", std::to_string(outcome.total_bytes));
+    out.set("job", std::to_string(outcome.job_id));
   } else {
-    out.set("code", entry.code);
-    if (!entry.corruption_kind.empty()) {
-      out.set("kind", entry.corruption_kind);
+    out.set("code", util::error_code_name(outcome.error->code));
+    if (outcome.corruption != trace::CorruptionKind::kNone) {
+      out.set("kind", trace::corruption_kind_name(outcome.corruption));
     }
   }
   return json::serialize(json::Value(std::move(out)), /*pretty=*/false);
 }
 
-util::Expected<std::map<std::string, JournalEntry>> load_journal(
+util::Expected<std::map<std::string, core::FileOutcome>> load_journal(
     const std::string& path, std::size_t* dropped_lines) {
-  std::map<std::string, JournalEntry> entries;
+  std::map<std::string, core::FileOutcome> outcomes;
   const util::Status status = util::read_journal_lines(
       path,
-      [&entries](std::string_view line) {
-        auto entry = entry_from_line(line);
-        if (!entry) return false;
-        entries[entry->digest.path] = std::move(*entry);
+      [&outcomes](std::string_view line) {
+        auto outcome = outcome_from_line(line);
+        if (!outcome) return false;
+        outcomes[outcome->path] = std::move(*outcome);
         return true;
       },
       dropped_lines);
   if (!status.ok()) return status.error();
-  return entries;
+  return outcomes;
 }
 
 }  // namespace mosaic::ingest

@@ -1,4 +1,5 @@
-// Resume journal: an append-only record of per-file ingest outcomes.
+// Resume journal: an append-only record of per-file ingest outcomes, the
+// codec of core::FileOutcome.
 //
 // A multi-hour batch over hundreds of thousands of traces must survive being
 // killed. Each file's outcome is appended as one JSON line and flushed
@@ -22,26 +23,16 @@
 
 namespace mosaic::ingest {
 
-/// One journaled per-file outcome.
-struct JournalEntry {
-  /// The file's path and, for a valid file, the rest of its dedup digest.
-  core::StreamingPreprocessor::ValidDigest digest;
-  bool valid = false;
-  /// Evicted files: ErrorCode name, plus the CorruptionKind name when the
-  /// validity check was the evicting stage (empty otherwise).
-  std::string code;
-  std::string corruption_kind;
-};
-
-/// The entry as one JSON line (without the newline util::LineAppender adds).
-[[nodiscard]] std::string journal_line(const JournalEntry& entry);
+/// The outcome as one JSON line (without the newline util::LineAppender
+/// adds). An eviction's message is not journaled, only its code.
+[[nodiscard]] std::string journal_line(const core::FileOutcome& outcome);
 
 /// Loads a journal into a path-keyed map. Later entries for the same path
 /// win (a resumed run may have re-journaled a file). A missing file yields
 /// an empty map — resuming with no journal is a fresh start, not an error.
-/// Malformed lines (torn tail, stray garbage) are skipped and counted into
-/// `*dropped_lines` when provided.
-[[nodiscard]] util::Expected<std::map<std::string, JournalEntry>> load_journal(
-    const std::string& path, std::size_t* dropped_lines = nullptr);
+/// Malformed lines (torn tail, stray garbage, an unknown code or kind name)
+/// are skipped and counted into `*dropped_lines` when provided.
+[[nodiscard]] util::Expected<std::map<std::string, core::FileOutcome>>
+load_journal(const std::string& path, std::size_t* dropped_lines = nullptr);
 
 }  // namespace mosaic::ingest

@@ -248,11 +248,6 @@ std::vector<std::string> FleetRegistry::sources() const {
   return names;
 }
 
-std::size_t FleetRegistry::source_count() const {
-  const std::scoped_lock lock(mutex_);
-  return sources_.size();
-}
-
 Snapshot FleetRegistry::merged(MergeStats* stats) const {
   std::vector<std::pair<std::string, Snapshot>> sources;
   {

@@ -110,7 +110,6 @@ class FleetRegistry {
   void set_clock_offset_ns(const std::string& source, std::int64_t offset_ns);
 
   [[nodiscard]] std::vector<std::string> sources() const;
-  [[nodiscard]] std::size_t source_count() const;
 
   /// Fleet-wide merged snapshot (labeled per-source series + totals).
   [[nodiscard]] Snapshot merged(MergeStats* stats = nullptr) const;

@@ -81,16 +81,4 @@ void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t grain = 1);
 
-/// Maps `fn` over `inputs` in parallel, preserving order of results.
-template <typename In, typename Fn>
-auto parallel_map(ThreadPool& pool, const std::vector<In>& inputs, Fn&& fn)
-    -> std::vector<decltype(fn(inputs.front()))> {
-  using Out = decltype(fn(inputs.front()));
-  std::vector<Out> results(inputs.size());
-  parallel_for(pool, inputs.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) results[i] = fn(inputs[i]);
-  });
-  return results;
-}
-
 }  // namespace mosaic::parallel

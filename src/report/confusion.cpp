@@ -274,70 +274,4 @@ std::string render_confusion(const ConfusionReport& report) {
   return md;
 }
 
-json::Value confusion_to_json(const ConfusionReport& report) {
-  json::Object out;
-  out.set("joined", report.joined);
-  out.set("missing_truth", report.missing_truth);
-
-  const auto axis_to_json = [](const AxisAccuracy& axis) {
-    json::Object a;
-    a.set("correct", axis.correct);
-    a.set("total", axis.total);
-    a.set("accuracy", axis.ratio());
-    return json::Value(std::move(a));
-  };
-  json::Object axes;
-  axes.set("read_temporality", axis_to_json(report.read_temporality));
-  axes.set("write_temporality", axis_to_json(report.write_temporality));
-  axes.set("read_periodicity", axis_to_json(report.read_periodicity));
-  axes.set("write_periodicity", axis_to_json(report.write_periodicity));
-  axes.set("metadata", axis_to_json(report.metadata));
-  axes.set("overall", axis_to_json(report.overall));
-  out.set("axes", std::move(axes));
-
-  json::Array categories;
-  for (const CategoryConfusion& cell : report.categories) {
-    json::Object c;
-    c.set("category", cell.category);
-    c.set("true_positive", cell.true_positive);
-    c.set("false_positive", cell.false_positive);
-    c.set("false_negative", cell.false_negative);
-    c.set("true_negative", cell.true_negative);
-    c.set("precision", cell.precision());
-    c.set("recall", cell.recall());
-    categories.emplace_back(std::move(c));
-  }
-  out.set("categories", std::move(categories));
-
-  json::Array confidence;
-  for (const AxisConfidence& axis : report.confidence) {
-    json::Object a;
-    a.set("axis", axis.axis);
-    json::Array bounds;
-    for (const double b : axis.bounds) bounds.emplace_back(b);
-    a.set("bounds", std::move(bounds));
-    json::Array buckets;
-    for (const std::uint64_t b : axis.buckets) buckets.emplace_back(b);
-    a.set("buckets", std::move(buckets));
-    a.set("count", axis.count);
-    a.set("mean", axis.mean());
-    confidence.emplace_back(std::move(a));
-  }
-  out.set("confidence", std::move(confidence));
-
-  json::Array straddling;
-  for (const StraddlingCase& c : report.straddling) {
-    json::Object s;
-    s.set("app_key", c.app_key);
-    s.set("job_id", c.job_id);
-    s.set("axis", c.axis);
-    s.set("confidence", c.confidence);
-    s.set("mismatched", c.mismatched);
-    s.set("truth_ambiguous", c.truth_ambiguous);
-    straddling.emplace_back(std::move(s));
-  }
-  out.set("straddling", std::move(straddling));
-  return out;
-}
-
 }  // namespace mosaic::report

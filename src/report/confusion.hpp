@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "json/json.hpp"
 #include "obs/provenance.hpp"
 #include "report/accuracy.hpp"
 #include "sim/truth.hpp"
@@ -95,8 +94,5 @@ struct ConfusionReport {
 
 /// Renders the drill-down as a markdown fragment (tables + ranked list).
 [[nodiscard]] std::string render_confusion(const ConfusionReport& report);
-
-/// Serializes the drill-down (stable key order).
-[[nodiscard]] json::Value confusion_to_json(const ConfusionReport& report);
 
 }  // namespace mosaic::report

@@ -26,8 +26,4 @@ double PfsModel::transfer_seconds(std::uint64_t bytes, std::uint32_t ranks,
   return config_.op_latency + static_cast<double>(bytes) / bandwidth;
 }
 
-double PfsModel::metadata_seconds(std::uint64_t requests) const {
-  return static_cast<double>(requests) / config_.mds_rate;
-}
-
 }  // namespace mosaic::sim

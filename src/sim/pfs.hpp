@@ -47,9 +47,6 @@ class PfsModel {
                                         std::uint32_t ranks,
                                         std::uint32_t stripe_count = 0) const;
 
-  /// Seconds for the metadata server to absorb `requests` requests.
-  [[nodiscard]] double metadata_seconds(std::uint64_t requests) const;
-
   /// Aggregate bandwidth (bytes/s) seen by `ranks` over `stripe_count` OSTs.
   [[nodiscard]] double effective_bandwidth(std::uint32_t ranks,
                                            std::uint32_t stripe_count = 0) const;

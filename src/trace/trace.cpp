@@ -17,12 +17,6 @@ std::uint64_t Trace::total_bytes_written() const noexcept {
   return total;
 }
 
-std::uint64_t Trace::total_metadata_ops() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& file : files) total += file.opens + file.closes + file.seeks;
-  return total;
-}
-
 const char* corruption_kind_name(CorruptionKind kind) noexcept {
   switch (kind) {
     case CorruptionKind::kNone: return "none";
@@ -36,6 +30,16 @@ const char* corruption_kind_name(CorruptionKind kind) noexcept {
     case CorruptionKind::kNonFiniteValue: return "non-finite-value";
   }
   return "unknown";
+}
+
+std::optional<CorruptionKind> corruption_kind_from_name(
+    std::string_view name) noexcept {
+  for (int i = 0; i <= static_cast<int>(CorruptionKind::kNonFiniteValue);
+       ++i) {
+    const auto kind = static_cast<CorruptionKind>(i);
+    if (name == corruption_kind_name(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 namespace {

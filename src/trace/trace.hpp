@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -22,10 +24,6 @@ namespace mosaic::trace {
 /// Direction of an I/O operation. MOSAIC processes reads and writes through
 /// independent classifier passes (paper §III-B2).
 enum class OpKind : std::uint8_t { kRead, kWrite };
-
-[[nodiscard]] constexpr const char* op_kind_name(OpKind kind) noexcept {
-  return kind == OpKind::kRead ? "read" : "write";
-}
 
 /// Sentinel timestamp for "never happened" (e.g. a file never read).
 inline constexpr double kNoTimestamp = -1.0;
@@ -87,8 +85,6 @@ struct Trace {
 
   [[nodiscard]] std::uint64_t total_bytes_read() const noexcept;
   [[nodiscard]] std::uint64_t total_bytes_written() const noexcept;
-  /// OPEN + CLOSE + SEEK counts summed over all records.
-  [[nodiscard]] std::uint64_t total_metadata_ops() const noexcept;
   /// Read+write bytes; the pre-processing dedup keeps the heaviest trace
   /// per application by this measure (paper §III-B1). Single pass over the
   /// file records — this runs once per valid trace in the funnel.
@@ -125,6 +121,10 @@ enum class CorruptionKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* corruption_kind_name(CorruptionKind kind) noexcept;
+
+/// The CorruptionKind corruption_kind_name() calls `name`, or nullopt.
+[[nodiscard]] std::optional<CorruptionKind> corruption_kind_from_name(
+    std::string_view name) noexcept;
 
 /// Result of validating a trace.
 struct ValidityReport {

@@ -16,6 +16,14 @@ std::string_view error_code_name(ErrorCode code) noexcept {
   return "unknown";
 }
 
+std::optional<ErrorCode> error_code_from_name(std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kErrorCodeCount; ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    if (error_code_name(code) == name) return code;
+  }
+  return std::nullopt;
+}
+
 std::string Error::to_string() const {
   std::string out{error_code_name(code)};
   out += ": ";

@@ -39,6 +39,10 @@ inline constexpr std::size_t kErrorCodeCount =
 /// Human-readable name of an ErrorCode, e.g. "corrupt-trace".
 [[nodiscard]] std::string_view error_code_name(ErrorCode code) noexcept;
 
+/// The ErrorCode error_code_name() calls `name`, or nullopt.
+[[nodiscard]] std::optional<ErrorCode> error_code_from_name(
+    std::string_view name) noexcept;
+
 /// A recoverable error: a code plus a contextual message.
 struct Error {
   ErrorCode code = ErrorCode::kInternal;

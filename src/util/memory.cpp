@@ -33,8 +33,4 @@ std::uint64_t peak_rss_bytes() noexcept {
   return read_status_kb("VmHWM") * 1024;
 }
 
-std::uint64_t current_rss_bytes() noexcept {
-  return read_status_kb("VmRSS") * 1024;
-}
-
 }  // namespace mosaic::util

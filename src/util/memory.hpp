@@ -13,7 +13,4 @@ namespace mosaic::util {
 /// platform does not expose it (non-Linux).
 [[nodiscard]] std::uint64_t peak_rss_bytes() noexcept;
 
-/// Current resident set size in bytes (VmRSS), or 0 when unavailable.
-[[nodiscard]] std::uint64_t current_rss_bytes() noexcept;
-
 }  // namespace mosaic::util

@@ -34,17 +34,13 @@ class MappedFile {
   [[nodiscard]] static Expected<MappedFile> open(const std::string& path);
 
   /// Wraps an already-materialized buffer (fault-injected reads, tests) in
-  /// the same interface. is_mapped() is false.
+  /// the same interface.
   [[nodiscard]] static MappedFile from_buffer(std::vector<std::byte> buffer);
 
   /// The mapped (or fallback-read) bytes. Valid until destruction/move.
   [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
     return {data_, size_};
   }
-
-  /// True when the contents are served by an actual mapping rather than the
-  /// heap fallback (observability for tests and bench counters).
-  [[nodiscard]] bool is_mapped() const noexcept { return mapped_; }
 
  private:
   void reset() noexcept;

@@ -98,57 +98,10 @@ double Rng::exponential(double lambda) noexcept {
   return -std::log(u) / lambda;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  MOSAIC_ASSERT(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
-    const double value = std::round(normal(mean, std::sqrt(mean)));
-    return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value);
-  }
-  const double limit = std::exp(-mean);
-  std::uint64_t count = 0;
-  double product = uniform();
-  while (product > limit) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
-}
-
 bool Rng::chance(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  MOSAIC_ASSERT(n >= 1);
-  MOSAIC_ASSERT(s > 0.0);
-  if (n == 1) return 1;
-  // Devroye's rejection method for the bounded Zipf distribution.
-  const double nd = static_cast<double>(n);
-  const double one_minus_s = 1.0 - s;
-  const auto h = [&](double x) {
-    // Integral-based envelope helper.
-    return one_minus_s == 0.0 ? std::log(x)
-                              : (std::pow(x, one_minus_s) - 1.0) / one_minus_s;
-  };
-  const auto h_inv = [&](double y) {
-    return one_minus_s == 0.0 ? std::exp(y)
-                              : std::pow(1.0 + one_minus_s * y, 1.0 / one_minus_s);
-  };
-  const double hx0 = h(0.5) - 1.0;  // h(x0) shifted so x0 maps to rank 1
-  const double hn = h(nd + 0.5);
-  for (;;) {
-    const double u = hx0 + uniform() * (hn - hx0);
-    const double x = h_inv(u);
-    const auto k = static_cast<std::uint64_t>(
-        std::min(std::max(std::round(x), 1.0), nd));
-    const double kd = static_cast<double>(k);
-    if (u >= h(kd + 0.5) - std::pow(kd, -s)) {
-      return k;
-    }
-  }
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) noexcept {

@@ -4,7 +4,7 @@
 // reproducible from a single 64-bit seed. The core generator is
 // xoshiro256++ seeded via splitmix64 (the scheme recommended by its
 // authors); distribution helpers cover everything the population generator
-// needs (uniform, normal, lognormal, exponential, Poisson, Zipf, categorical).
+// needs (uniform, normal, lognormal, exponential, categorical).
 #pragma once
 
 #include <array>
@@ -62,16 +62,8 @@ class Rng {
   /// Exponential with rate lambda > 0 (mean 1/lambda).
   [[nodiscard]] double exponential(double lambda) noexcept;
 
-  /// Poisson-distributed count with mean `mean` >= 0. Uses Knuth's method
-  /// for small means and a normal approximation above 64.
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   [[nodiscard]] bool chance(double p) noexcept;
-
-  /// Zipf-distributed rank in [1, n] with exponent s > 0, via rejection
-  /// sampling (Devroye). Heavy-tailed rerun counts use this.
-  [[nodiscard]] std::uint64_t zipf(std::uint64_t n, double s) noexcept;
 
   /// Samples an index according to non-negative weights (need not sum to 1).
   /// Precondition: at least one weight > 0.

@@ -131,12 +131,4 @@ double Histogram::total() const noexcept {
   return sum(counts_);
 }
 
-std::size_t Histogram::peak_bin() const noexcept {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < counts_.size(); ++i) {
-    if (counts_[i] > counts_[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace mosaic::util

@@ -89,15 +89,12 @@ class Histogram {
   /// Adds `weight` to the bin containing `value` (clamped).
   void add(double value, double weight = 1.0) noexcept;
 
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] double bin_width() const noexcept { return width_; }
   /// Inclusive lower edge of bin i.
   [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
   [[nodiscard]] double count(std::size_t i) const noexcept { return counts_[i]; }
   [[nodiscard]] std::span<const double> counts() const noexcept { return counts_; }
   [[nodiscard]] double total() const noexcept;
-  /// Index of the fullest bin (ties -> lowest index). Precondition: bins >= 1.
-  [[nodiscard]] std::size_t peak_bin() const noexcept;
 
  private:
   double lo_;

@@ -125,14 +125,6 @@ std::string format_percent(double ratio) {
   return buffer;
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out{text};
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -39,9 +39,6 @@ namespace mosaic::util {
 /// Formats a ratio in [0,1] as a percentage with one decimal, e.g. "37.5%".
 [[nodiscard]] std::string format_percent(double ratio);
 
-/// Lower-cases ASCII letters.
-[[nodiscard]] std::string to_lower(std::string_view text);
-
 /// Joins the elements with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);

@@ -32,6 +32,7 @@ trap cleanup EXIT
 start_worker() {
   local log="$1"
   shift
+  : > "$log"  # exists before the first scrape, however late the fork runs
   "$MOSAIC" worker --listen 127.0.0.1:0 "$@" > "$log" 2>&1 &
   WORKER_PIDS+=("$!")
   WORKER_PORT=""
@@ -72,6 +73,7 @@ WS1="$WORKER_PORT"
 start_worker "$WORK/ws2.log"
 WS2="$WORKER_PORT"
 TOKEN="test-bearer-sekrit"
+: > "$WORK/obs.txt"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$WS1,127.0.0.1:$WS2" \
     --shards 4 --partials "$WORK/parts_obs" --json "$WORK/obs.json" \
     --metrics "$WORK/fleet.json" --trace-events "$WORK/fleet_trace.json" \
@@ -244,6 +246,7 @@ WK="$WORKER_PORT"
 start_worker "$WORK/wsurv.log" \
     --net-fault-inject 'seed=11,stall=1.0,stall_ms=1500'
 WSURV="$WORKER_PORT"
+: > "$WORK/hz.txt"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$WK,127.0.0.1:$WSURV" \
     --shards 4 --partials "$WORK/parts_hz" --json "$WORK/hz.json" \
     --metrics-port 0 --progress 0.2 --heartbeat-grace 3 \

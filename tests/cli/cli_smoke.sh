@@ -63,4 +63,18 @@ expect_usage_error generate "$WORK/bad" --seed xyz
 expect_usage_error generate "$WORK/bad" --corruption 7
 expect_usage_error report "$WORK/pop" --out "$WORK/bad.md" --top-pairs abc
 
+# An input directory that cannot be listed aborts every command that expands
+# inputs, instead of running on a smaller corpus. Root lists a mode-000
+# directory anyway, so the check runs only where it can fail.
+mkdir "$WORK/locked"
+chmod 000 "$WORK/locked"
+if ! ls "$WORK/locked" > /dev/null 2>&1; then
+  expect_usage_error batch "$WORK/locked"
+  expect_usage_error report "$WORK/locked" --out "$WORK/locked.md"
+  expect_usage_error analyze "$WORK/locked"
+  expect_usage_error dispatch "$WORK/locked" --workers 127.0.0.1:9 \
+      --partials "$WORK/locked-parts"
+fi
+chmod 755 "$WORK/locked"
+
 echo "cli smoke ok"

@@ -71,22 +71,6 @@ TEST(CategorySet, InsertIsIdempotent) {
   EXPECT_EQ(set.size(), 1u);
 }
 
-TEST(CategorySet, SetAlgebra) {
-  CategorySet a;
-  a.insert(Category::kReadOnStart);
-  a.insert(Category::kWriteOnEnd);
-  CategorySet b;
-  b.insert(Category::kWriteOnEnd);
-  b.insert(Category::kMetadataHighSpike);
-
-  const CategorySet inter = a.intersect(b);
-  EXPECT_EQ(inter.size(), 1u);
-  EXPECT_TRUE(inter.contains(Category::kWriteOnEnd));
-
-  const CategorySet uni = a.unite(b);
-  EXPECT_EQ(uni.size(), 3u);
-}
-
 TEST(CategorySet, EqualityAndRaw) {
   CategorySet a;
   a.insert(Category::kReadSteady);

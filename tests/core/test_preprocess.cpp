@@ -133,6 +133,23 @@ TEST(Preprocess, TieBreakIgnoresInputOrder) {
   EXPECT_EQ(result.retained[0].meta.job_id, 7u);
 }
 
+TEST(Assess, DigestsAValidRunAndNamesAValidityEviction) {
+  const FileOutcome valid = assess(make_trace("u", "app", 7, 300), "/v");
+  EXPECT_TRUE(valid.valid());
+  EXPECT_EQ(valid.path, "/v");
+  EXPECT_EQ(valid.app_key, "u/app");
+  EXPECT_EQ(valid.total_bytes, 300u);
+  EXPECT_EQ(valid.job_id, 7u);
+
+  trace::Trace corrupt = make_trace("u", "app", 8, 300);
+  corrupt.meta.nprocs = 0;
+  const FileOutcome evicted = assess(corrupt, "/c");
+  ASSERT_FALSE(evicted.valid());
+  EXPECT_FALSE(evicted.load_failed());
+  EXPECT_EQ(evicted.error->code, util::ErrorCode::kCorruptTrace);
+  EXPECT_EQ(evicted.corruption, trace::CorruptionKind::kZeroRanks);
+}
+
 TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
   std::vector<trace::Trace> traces;
   traces.push_back(make_trace("u1", "a", 1, 100));
@@ -144,7 +161,7 @@ TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
 
   StreamingPreprocessor streaming;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    (void)streaming.add_trace(traces[i], "/t/" + std::to_string(i));
+    streaming.add(assess(traces[i], "/t/" + std::to_string(i)), traces[i]);
   }
   const PreprocessResult incremental = streaming.finish();
   const PreprocessResult oneshot = preprocess(traces);
@@ -169,7 +186,8 @@ TEST(StreamingPreprocessor, ArrivalOrderDoesNotChangeWinner) {
         {9, "/z.txt"}, {3, "/a.txt"}, {5, "/m.txt"}};
     if (reversed) std::reverse(runs.begin(), runs.end());
     for (const auto& [job, path] : runs) {
-      (void)pre.add_trace(make_trace("u", "app", job, 100), path);
+      const trace::Trace trace = make_trace("u", "app", job, 100);
+      pre.add(assess(trace, path), trace);
     }
     return pre.finish();
   };
@@ -181,14 +199,24 @@ TEST(StreamingPreprocessor, ArrivalOrderDoesNotChangeWinner) {
   EXPECT_EQ(backward.retained[0].meta.job_id, 3u);
 }
 
+FileOutcome evicted(util::ErrorCode code,
+                    trace::CorruptionKind kind = trace::CorruptionKind::kNone) {
+  FileOutcome outcome;
+  outcome.path = "/evicted";
+  outcome.error = util::Error{code, ""};
+  outcome.corruption = kind;
+  return outcome;
+}
+
 TEST(StreamingPreprocessor, LoadFailuresFeedEvictionBreakdown) {
   StreamingPreprocessor pre;
-  pre.add_load_failure(util::ErrorCode::kIoError);
-  pre.add_load_failure(util::ErrorCode::kIoError);
-  pre.add_load_failure(util::ErrorCode::kParseError);
-  pre.add_load_failure(util::ErrorCode::kNotFound);
-  pre.add_load_failure(util::ErrorCode::kTimeout);
-  (void)pre.add_trace(make_trace("u", "a", 1, 10), "/ok");
+  pre.add(evicted(util::ErrorCode::kIoError));
+  pre.add(evicted(util::ErrorCode::kIoError));
+  pre.add(evicted(util::ErrorCode::kParseError));
+  pre.add(evicted(util::ErrorCode::kNotFound));
+  pre.add(evicted(util::ErrorCode::kTimeout));
+  const trace::Trace ok = make_trace("u", "a", 1, 10);
+  pre.add(assess(ok, "/ok"), ok);
   const PreprocessResult result = pre.finish();
   EXPECT_EQ(result.stats.input_traces, 6u);
   EXPECT_EQ(result.stats.load_failed, 5u);
@@ -203,8 +231,9 @@ TEST(StreamingPreprocessor, DigestWinnerReloadedLazily) {
   StreamingPreprocessor pre;
   // Journaled digest is heavier than the in-memory trace: it must win and
   // be re-read through the reload hook; the loser must never be reloaded.
-  pre.add_valid_digest({"/journaled.txt", "u/app", 9999, 42});
-  (void)pre.add_trace(make_trace("u", "app", 1, 10), "/live.txt");
+  pre.add({"/journaled.txt", "u/app", 9999, 42});
+  const trace::Trace live = make_trace("u", "app", 1, 10);
+  pre.add(assess(live, "/live.txt"), live);
   std::vector<std::string> reloaded;
   const PreprocessResult result =
       pre.finish([&](const std::string& path) -> util::Expected<trace::Trace> {
@@ -220,7 +249,7 @@ TEST(StreamingPreprocessor, DigestWinnerReloadedLazily) {
 
 TEST(StreamingPreprocessor, FailedReloadDemotesApplication) {
   StreamingPreprocessor pre;
-  pre.add_valid_digest({"/gone.txt", "u/app", 100, 1});
+  pre.add({"/gone.txt", "u/app", 100, 1});
   const PreprocessResult result =
       pre.finish([](const std::string&) -> util::Expected<trace::Trace> {
         return util::Error{util::ErrorCode::kIoError, "disk died"};
@@ -235,8 +264,9 @@ TEST(StreamingPreprocessor, FailedReloadDemotesApplication) {
 
 TEST(StreamingPreprocessor, JournaledEvictionsReplayIntoFunnel) {
   StreamingPreprocessor pre;
-  pre.add_journaled_eviction("parse-error", "");
-  pre.add_journaled_eviction("corrupt-trace", "access-outside-job");
+  pre.add(evicted(util::ErrorCode::kParseError));
+  pre.add(evicted(util::ErrorCode::kCorruptTrace,
+                  trace::CorruptionKind::kAccessOutsideJob));
   const PreprocessResult result = pre.finish();
   EXPECT_EQ(result.stats.input_traces, 2u);
   EXPECT_EQ(result.stats.load_failed, 1u);

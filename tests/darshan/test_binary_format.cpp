@@ -136,5 +136,40 @@ TEST(TraceIo, ScanMissingDirectoryFails) {
   EXPECT_EQ(scan.error().code, util::ErrorCode::kNotFound);
 }
 
+TEST(ExpandTracePaths, ListsDirectoriesAndKeepsFilePaths) {
+  const auto dir = std::filesystem::temp_directory_path() / "mosaic_expand";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "b.mbt").string()).ok());
+  ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "a.txt").string()).ok());
+  ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "notes.md").string()).ok());
+
+  // A missing file stays in the list: it is a per-file not-found eviction.
+  const auto paths =
+      expand_trace_paths({"/definitely/not/here.mbt", dir.string()});
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(paths.has_value());
+  EXPECT_EQ(*paths, (std::vector<std::string>{"/definitely/not/here.mbt",
+                                              (dir / "a.txt").string(),
+                                              (dir / "b.mbt").string()}));
+}
+
+TEST(ExpandTracePaths, UnlistableDirectoryIsAnError) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "mosaic_expand_unlistable";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "a.mbt").string()).ok());
+  fs::permissions(dir, fs::perms::none);
+  std::error_code unlistable;
+  (void)fs::directory_iterator(dir, unlistable);
+  const auto paths = expand_trace_paths({dir.string()});
+  fs::permissions(dir, fs::perms::owner_all);
+  fs::remove_all(dir);
+  if (!unlistable) GTEST_SKIP() << "root can list a mode-000 directory";
+  ASSERT_FALSE(paths.has_value());
+  EXPECT_EQ(paths.error().code, util::ErrorCode::kIoError);
+}
+
 }  // namespace
 }  // namespace mosaic::darshan

@@ -2,20 +2,25 @@
 // never crash, never hang, never fabricate a valid-looking trace from noise.
 // A year-scale ingest job will see every kind of mangled input.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <filesystem>
 #include <functional>
+#include <map>
 
 #include "../json/decoder_samples.hpp"
 #include "core/config.hpp"
 #include "darshan/binary_format.hpp"
 #include "darshan/text_format.hpp"
+#include "dist/protocol.hpp"
 #include "dist/telemetry.hpp"
 #include "json/json.hpp"
 #include "json/reader.hpp"
+#include "obs/http.hpp"
 #include "report/json_output.hpp"
 #include "sim/truth.hpp"
 #include "util/error.hpp"
+#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace mosaic {
@@ -424,6 +429,185 @@ TEST(FuzzDecoders, MutatedDocumentsNeverCrashAndAcceptedOnesRoundTrip) {
       }
       (void)c.check(mutated);
     }
+  }
+}
+
+// --- MDP1 frames -------------------------------------------------------------
+
+/// Bytes of the MDP1 frame header, and where its fields sit in it.
+constexpr std::size_t kFrameHeaderBytes = 20;
+constexpr std::size_t kVersionAt = 4;
+constexpr std::size_t kTypeAt = 5;
+constexpr std::size_t kLengthAt = 8;
+
+/// A connected socketpair as two util::Connection ends.
+struct SocketPair {
+  util::Connection reader;
+  util::Connection writer;
+
+  SocketPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    reader = util::Connection(fds[0]);
+    writer = util::Connection(fds[1]);
+  }
+};
+
+/// The bytes write_frame puts on the wire.
+std::string frame_bytes(dist::FrameType type, std::string_view payload) {
+  SocketPair pair;
+  EXPECT_TRUE(dist::write_frame(pair.writer, type, payload).ok());
+  pair.writer.close();
+  std::string bytes;
+  char buffer[4096];
+  for (;;) {
+    const auto got = pair.reader.recv_some(buffer, sizeof buffer, 1.0);
+    if (!got.has_value() || *got == 0) break;
+    bytes.append(buffer, *got);
+  }
+  return bytes;
+}
+
+/// Sends `bytes` and reads one frame from the other end. A closed writer
+/// turns a short frame into end-of-stream; an open one into a stalled peer.
+util::Expected<dist::Frame> read_sent_frame(const std::string& bytes,
+                                            bool keep_writer_open) {
+  SocketPair pair;
+  EXPECT_TRUE(pair.writer.send_all(bytes.data(), bytes.size()).ok());
+  if (!keep_writer_open) pair.writer.close();
+  return dist::read_frame(pair.reader, keep_writer_open ? 0.01 : 1.0);
+}
+
+void store_u32_le(std::string& bytes, std::size_t at, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
+}
+
+TEST(FuzzFrames, MutatedFramesDecodeOrFailWithAWireCode) {
+  const std::vector<std::string> pristine = {
+      frame_bytes(dist::FrameType::kHello, dist::hello_payload()),
+      frame_bytes(dist::FrameType::kSubmit, dist::submit_request_to_payload(
+                                                {"a.mbt", "MBT1\x01\xff"})),
+      frame_bytes(dist::FrameType::kShutdown, ""),
+  };
+  util::Rng rng(149);
+  std::size_t decoded = 0;
+  std::map<util::ErrorCode, std::size_t> failures;
+  for (const std::string& frame : pristine) {
+    ASSERT_GE(frame.size(), kFrameHeaderBytes);
+    ASSERT_TRUE(read_sent_frame(frame, false).has_value());
+    const auto payload_bytes =
+        static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string mutated = frame;
+      bool stalled = false;
+      switch (rng.uniform_int(0, 5)) {
+        case 0:  // torn: the peer died or stalled mid-frame
+          mutated.resize(static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(frame.size()) - 1)));
+          stalled = rng.chance(0.25);
+          break;
+        case 1:  // bit flips anywhere
+          for (int f = static_cast<int>(rng.uniform_int(1, 4)); f > 0; --f) {
+            const auto at = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(mutated.size()) - 1));
+            mutated[at] = static_cast<char>(
+                mutated[at] ^ (1 << rng.uniform_int(0, 7)));
+          }
+          break;
+        case 2:  // magic
+          mutated[static_cast<std::size_t>(rng.uniform_int(0, 3))] =
+              static_cast<char>(rng.uniform_int(0, 255));
+          break;
+        case 3:  // version
+          mutated[kVersionAt] = static_cast<char>(rng.uniform_int(0, 255));
+          break;
+        case 4:  // type
+          mutated[kTypeAt] = static_cast<char>(rng.uniform_int(0, 255));
+          break;
+        default:  // length: shorter, longer than sent, or past the cap
+          store_u32_le(
+              mutated, kLengthAt,
+              rng.chance(0.7)
+                  ? static_cast<std::uint32_t>(
+                        rng.uniform_int(0, 2 * payload_bytes + 64))
+                  : dist::kMaxPayloadBytes + 1 +
+                        static_cast<std::uint32_t>(rng.uniform_int(
+                            0, 0xFFFFFFFFu - dist::kMaxPayloadBytes - 1)));
+          break;
+      }
+      const auto result = read_sent_frame(mutated, stalled);
+      if (result.has_value()) {
+        ++decoded;
+        EXPECT_TRUE(dist::frame_type_valid(
+            static_cast<std::uint8_t>(result->type)));
+        EXPECT_LE(result->payload.size(), dist::kMaxPayloadBytes);
+        continue;
+      }
+      ++failures[result.error().code];
+    }
+  }
+  // Only mutations the checksum does not cover (the reserved bytes, a
+  // magic or type byte rewritten to itself) may still decode.
+  EXPECT_LT(decoded, 900u / 10);
+  // Every failure is one of the three wire codes, and each one occurs.
+  EXPECT_EQ(failures.size(), 3u);
+  EXPECT_GT(failures[util::ErrorCode::kParseError], 0u);
+  EXPECT_GT(failures[util::ErrorCode::kIoError], 0u);
+  EXPECT_GT(failures[util::ErrorCode::kTimeout], 0u);
+}
+
+// --- HTTP request line -------------------------------------------------------
+
+TEST(FuzzHttp, MutatedRequestHeadsFillMethodAndTargetFromTheFirstLineOnly) {
+  static constexpr char kBytes[] = " \r\n?/:GEThttp";
+  const std::string pristine =
+      "GET /metrics?format=prom HTTP/1.1\r\nHost: localhost:9100\r\n"
+      "User-Agent: fuzz /other HTTP/1.0\r\n\r\n";
+  const std::size_t first_crlf = pristine.find("\r\n");
+  util::Rng rng(151);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Every fourth trial leaves the request line alone and mutates only the
+    // header lines below it, which must not change the parse.
+    const bool headers_only = trial % 4 == 0;
+    const std::size_t from = headers_only ? first_crlf + 2 : 0;
+    std::string head = pristine;
+    for (int f = static_cast<int>(rng.uniform_int(1, 4)); f > 0; --f) {
+      const auto at = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(from),
+          static_cast<std::int64_t>(head.size()) - 1));
+      head[at] = rng.chance(0.5)
+                     ? kBytes[rng.uniform_int(0, sizeof kBytes - 2)]
+                     : static_cast<char>(rng.uniform_int(1, 255));
+    }
+    if (!headers_only && rng.chance(0.3)) {
+      head.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(head.size()))));
+    }
+
+    obs::HttpRequest request;
+    request.method = "untouched";
+    request.target = "untouched";
+    if (!obs::parse_request_line(head, request)) {
+      EXPECT_FALSE(headers_only) << head;
+      EXPECT_EQ(request.method, "untouched");
+      EXPECT_EQ(request.target, "untouched");
+      continue;
+    }
+    if (headers_only) {
+      EXPECT_EQ(request.method, "GET");
+      EXPECT_EQ(request.target, "/metrics");
+    }
+    const std::string_view first_line =
+        std::string_view(head).substr(0, head.find("\r\n"));
+    EXPECT_FALSE(request.method.empty());
+    EXPECT_EQ(request.method.find(' '), std::string::npos);
+    EXPECT_EQ(request.target.find(' '), std::string::npos);
+    EXPECT_EQ(request.target.find('?'), std::string::npos);
+    EXPECT_TRUE(first_line.starts_with(request.method + " " + request.target))
+        << head;
   }
 }
 

@@ -245,13 +245,15 @@ TEST_F(IngestTest, JournalWrittenForEveryFile) {
   const auto journal = load_journal(options.journal_path);
   ASSERT_TRUE(journal.has_value());
   EXPECT_EQ(journal->size(), 7u);
-  EXPECT_TRUE(journal->at(path("alpha_run2.txt")).valid);
-  EXPECT_EQ(journal->at(path("alpha_run2.txt")).digest.app_key, "u1/alpha");
-  EXPECT_EQ(journal->at(path("garbage.txt")).code, "parse-error");
-  EXPECT_EQ(journal->at(path("missing.txt")).code, "not-found");
-  EXPECT_EQ(journal->at(path("corrupt_validity.txt")).code, "corrupt-trace");
-  EXPECT_EQ(journal->at(path("corrupt_validity.txt")).corruption_kind,
-            "access-outside-job");
+  EXPECT_TRUE(journal->at(path("alpha_run2.txt")).valid());
+  EXPECT_EQ(journal->at(path("alpha_run2.txt")).app_key, "u1/alpha");
+  EXPECT_EQ(journal->at(path("garbage.txt")).error->code,
+            util::ErrorCode::kParseError);
+  EXPECT_EQ(journal->at(path("missing.txt")).error->code,
+            util::ErrorCode::kNotFound);
+  const core::FileOutcome& corrupt = journal->at(path("corrupt_validity.txt"));
+  EXPECT_EQ(corrupt.error->code, util::ErrorCode::kCorruptTrace);
+  EXPECT_EQ(corrupt.corruption, trace::CorruptionKind::kAccessOutsideJob);
 }
 
 TEST_F(IngestTest, AbortedRunResumesToByteIdenticalSummary) {
@@ -493,25 +495,25 @@ TEST(Journal, MissingFileIsEmptyMapAndLaterEntriesWin) {
   {
     util::LineAppender writer;
     ASSERT_TRUE(writer.open(journal_path).ok());
-    JournalEntry first;
-    first.digest.path = "/a.txt";
-    first.code = "io-error";
+    core::FileOutcome first;
+    first.path = "/a.txt";
+    first.error = util::Error{util::ErrorCode::kIoError, "EIO"};
     ASSERT_TRUE(writer.append(journal_line(first)).ok());
-    JournalEntry second;  // same file journaled again by a resumed run
-    second.digest = {"/a.txt", "u/a", 18446744073709551615ull,
-                     9007199254740995ull};  // not double-representable
-    second.valid = true;
+    // The same file journaled again by a resumed run, with 64-bit fields
+    // that are not double-representable.
+    const core::FileOutcome second{"/a.txt", "u/a", 18446744073709551615ull,
+                                   9007199254740995ull};
     ASSERT_TRUE(writer.append(journal_line(second)).ok());
   }
   const auto loaded = load_journal(journal_path);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), 1u);
-  const JournalEntry& entry = loaded->at("/a.txt");
-  EXPECT_TRUE(entry.valid);
+  const core::FileOutcome& outcome = loaded->at("/a.txt");
+  EXPECT_TRUE(outcome.valid());
   // 64-bit digest fields survive exactly, or the dedup tie-break could
   // pick a different winner after resume.
-  EXPECT_EQ(entry.digest.total_bytes, 18446744073709551615ull);
-  EXPECT_EQ(entry.digest.job_id, 9007199254740995ull);
+  EXPECT_EQ(outcome.total_bytes, 18446744073709551615ull);
+  EXPECT_EQ(outcome.job_id, 9007199254740995ull);
   fs::remove_all(dir);
 }
 

@@ -111,16 +111,13 @@ inline json::Value telemetry_frame() {
   return frame;
 }
 
-inline dist::DispatchJournalEntry dispatch_entry() {
+inline dist::JournaledTask dispatch_entry() {
   return {1, 4, "done", "127.0.0.1:9100", 2, "parts/results.shard-1.json",
           ""};
 }
 
-inline ingest::JournalEntry ingest_entry() {
-  ingest::JournalEntry entry;
-  entry.digest = {"/corpus/a.mbt", "u1/app", 1u << 30, 9000002};
-  entry.valid = true;
-  return entry;
+inline core::FileOutcome ingest_entry() {
+  return {"/corpus/a.mbt", "u1/app", 1u << 30, 9000002};
 }
 
 inline obs::TraceProvenance provenance() {

@@ -251,7 +251,7 @@ TEST(FederationRegistry, FleetRegistryMergesAndLabels) {
   newer.counters.push_back(counter("tasks_total", 4));
   registry.update_snapshot("w1", std::move(newer));
 
-  EXPECT_EQ(registry.source_count(), 2u);
+  EXPECT_EQ(registry.sources().size(), 2u);
   const Snapshot merged = registry.merged();
   const CounterSample* total = find_counter(merged, "tasks_total");
   ASSERT_NE(total, nullptr);

@@ -154,18 +154,6 @@ TEST(ParallelFor, SingleElement) {
   EXPECT_EQ(value, 42);
 }
 
-TEST(ParallelMap, PreservesOrder) {
-  ThreadPool pool(4);
-  std::vector<int> inputs(500);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  const std::vector<int> outputs =
-      parallel_map(pool, inputs, [](int x) { return x * x; });
-  ASSERT_EQ(outputs.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_EQ(outputs[i], static_cast<int>(i * i));
-  }
-}
-
 TEST(ParallelFor, ReductionMatchesSerial) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 100000;

@@ -59,11 +59,5 @@ TEST(PfsModel, RealisticCheckpointDuration) {
   EXPECT_LT(seconds, 60.0);
 }
 
-TEST(PfsModel, MetadataSecondsFollowRate) {
-  const PfsModel pfs;
-  EXPECT_NEAR(pfs.metadata_seconds(3000), 1.0, 1e-9);
-  EXPECT_NEAR(pfs.metadata_seconds(1500), 0.5, 1e-9);
-}
-
 }  // namespace
 }  // namespace mosaic::sim

@@ -52,7 +52,6 @@ TEST(TraceTotals, SumsAcrossFiles) {
   EXPECT_EQ(t.total_bytes_read(), 1u << 20);
   EXPECT_EQ(t.total_bytes_written(), 2u << 20);
   EXPECT_EQ(t.total_bytes(), 3u << 20);
-  EXPECT_EQ(t.total_metadata_ops(), 8u + 8u + 2u + 1u + 1u);
 }
 
 TEST(TraceAppKey, CombinesUserAndApp) {
@@ -231,11 +230,6 @@ TEST(MetadataTimeline, SkipsZeroCountRecords) {
   quiet.seeks = 0;
   t.files.push_back(quiet);
   EXPECT_TRUE(metadata_timeline(t).empty());
-}
-
-TEST(OpKindName, Names) {
-  EXPECT_STREQ(op_kind_name(OpKind::kRead), "read");
-  EXPECT_STREQ(op_kind_name(OpKind::kWrite), "write");
 }
 
 TEST(CorruptionKindName, AllDistinct) {

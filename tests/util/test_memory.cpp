@@ -8,15 +8,10 @@ namespace mosaic::util {
 namespace {
 
 TEST(Memory, ReportsPlausibleValues) {
-  const std::uint64_t current = current_rss_bytes();
   const std::uint64_t peak = peak_rss_bytes();
-  // On Linux both must be nonzero and ordered; elsewhere both are zero.
-  if (peak == 0) {
-    EXPECT_EQ(current, 0u);
-    return;
-  }
-  EXPECT_GT(current, 1u << 20);  // a gtest binary occupies > 1 MiB
-  EXPECT_GE(peak, current / 2);  // same order of magnitude
+  // Zero where the platform does not expose it (non-Linux).
+  if (peak == 0) GTEST_SKIP() << "no /proc/self/status";
+  EXPECT_GT(peak, 1u << 20);  // a gtest binary occupies > 1 MiB
 }
 
 TEST(Memory, PeakGrowsWithAllocation) {

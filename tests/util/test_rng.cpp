@@ -115,31 +115,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / kSamples, 2.0, 0.05);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(41);
-  double sum = 0.0;
-  constexpr int kSamples = 50000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += static_cast<double>(rng.poisson(3.0));
-  }
-  EXPECT_NEAR(sum / kSamples, 3.0, 0.08);
-}
-
-TEST(Rng, PoissonZeroMeanIsZero) {
-  Rng rng(43);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApprox) {
-  Rng rng(47);
-  double sum = 0.0;
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += static_cast<double>(rng.poisson(500.0));
-  }
-  EXPECT_NEAR(sum / kSamples, 500.0, 2.0);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng rng(53);
   for (int i = 0; i < 100; ++i) {
@@ -156,34 +131,6 @@ TEST(Rng, ChanceProbability) {
     if (rng.chance(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
-}
-
-TEST(Rng, ZipfInRange) {
-  Rng rng(61);
-  for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t rank = rng.zipf(100, 1.2);
-    EXPECT_GE(rank, 1u);
-    EXPECT_LE(rank, 100u);
-  }
-}
-
-TEST(Rng, ZipfRankOneMostFrequent) {
-  Rng rng(67);
-  std::array<int, 11> counts{};
-  for (int i = 0; i < 50000; ++i) {
-    const std::uint64_t rank = rng.zipf(10, 1.0);
-    ++counts[rank];
-  }
-  for (std::size_t r = 2; r <= 10; ++r) {
-    EXPECT_GT(counts[1], counts[r]);
-  }
-  // Zipf(s=1): P(1)/P(2) == 2; loose statistical bound.
-  EXPECT_NEAR(static_cast<double>(counts[1]) / counts[2], 2.0, 0.3);
-}
-
-TEST(Rng, ZipfSingleElement) {
-  Rng rng(71);
-  EXPECT_EQ(rng.zipf(1, 1.5), 1u);
 }
 
 TEST(Rng, CategoricalRespectsWeights) {

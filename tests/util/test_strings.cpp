@@ -96,10 +96,6 @@ TEST(FormatPercent, OneDecimal) {
   EXPECT_EQ(format_percent(0.0), "0.0%");
 }
 
-TEST(ToLower, AsciiOnly) {
-  EXPECT_EQ(to_lower("MiXeD 42!"), "mixed 42!");
-}
-
 TEST(Join, WithSeparator) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");

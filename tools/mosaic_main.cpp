@@ -103,23 +103,21 @@ core::Thresholds load_thresholds(const util::CliParser& cli) {
   return *loaded;
 }
 
-/// Expands files/directories into a flat list of trace paths.
-std::vector<std::string> expand_paths(const std::vector<std::string>& args) {
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    std::error_code ec;
-    if (std::filesystem::is_directory(arg, ec)) {
-      const auto scanned = darshan::scan_trace_dir(arg);
-      if (!scanned.has_value()) {
-        std::fprintf(stderr, "%s\n", scanned.error().to_string().c_str());
-        continue;
-      }
-      paths.insert(paths.end(), scanned->begin(), scanned->end());
-    } else {
-      paths.push_back(arg);
-    }
+/// The command's input traces: files, and directories expanded through
+/// darshan::expand_trace_paths. Prints why and returns nullopt (exit 2)
+/// when a directory cannot be listed or no trace is left.
+std::optional<std::vector<std::string>> input_traces(
+    const util::CliParser& cli, const char* command) {
+  auto paths = darshan::expand_trace_paths(cli.positional());
+  if (!paths.has_value()) {
+    std::fprintf(stderr, "%s\n", paths.error().to_string().c_str());
+    return std::nullopt;
   }
-  return paths;
+  if (paths->empty()) {
+    std::fprintf(stderr, "%s: no input traces\n", command);
+    return std::nullopt;
+  }
+  return std::move(*paths);
 }
 
 // --- Shared validators --------------------------------------------------------
@@ -624,11 +622,8 @@ int cmd_analyze(int argc, char** argv) {
   if (const auto exit_code = parse_command_line(cli, argc, argv)) {
     return *exit_code;
   }
-  const auto paths = expand_paths(cli.positional());
-  if (paths.empty()) {
-    std::fprintf(stderr, "mosaic analyze: no input traces\n");
-    return 2;
-  }
+  const auto paths = input_traces(cli, "mosaic analyze");
+  if (!paths) return 2;
   std::unique_ptr<ingest::FaultyFileReader> faulty;
   const auto options = parse_ingest_options(cli, faulty);
   auto obs_options = parse_obs_options(cli);
@@ -636,21 +631,21 @@ int cmd_analyze(int argc, char** argv) {
   ObsSession obs_session(std::move(*obs_options));
   const core::Analyzer analyzer(load_thresholds(cli));
   int failures = 0;
-  for (const std::string& path : paths) {
-    auto parsed = ingest::load_trace(path, *options);
-    if (!parsed.has_value()) {
-      std::printf("%-48s LOAD ERROR (%s)\n", path.c_str(),
-                  parsed.error().to_string().c_str());
+  for (const std::string& path : *paths) {
+    const ingest::LoadedFile file = ingest::load_file(path, *options);
+    const core::FileOutcome& outcome = file.outcome;
+    if (!outcome.valid()) {
+      if (outcome.load_failed()) {
+        std::printf("%-48s LOAD ERROR (%s)\n", path.c_str(),
+                    outcome.error->to_string().c_str());
+      } else {
+        std::printf("%-48s CORRUPTED (%s)\n", path.c_str(),
+                    trace::corruption_kind_name(outcome.corruption));
+      }
       ++failures;
       continue;
     }
-    if (const auto validity = trace::validate(*parsed); !validity.valid()) {
-      std::printf("%-48s CORRUPTED (%s)\n", path.c_str(),
-                  trace::corruption_kind_name(validity.kind));
-      ++failures;
-      continue;
-    }
-    const core::TraceResult result = analyzer.analyze(*parsed);
+    const core::TraceResult result = analyzer.analyze(*file.trace);
     if (cli.get_flag("json")) {
       std::printf("%s\n",
                   json::serialize(report::trace_result_to_json(result)).c_str());
@@ -685,11 +680,8 @@ int cmd_batch(int argc, char** argv) {
   if (const auto exit_code = parse_command_line(cli, argc, argv)) {
     return *exit_code;
   }
-  const auto paths = expand_paths(cli.positional());
-  if (paths.empty()) {
-    std::fprintf(stderr, "mosaic batch: no input traces\n");
-    return 2;
-  }
+  const auto paths = input_traces(cli, "mosaic batch");
+  if (!paths) return 2;
   const auto thread_count = parse_thread_count(cli);
   std::unique_ptr<ingest::FaultyFileReader> faulty;
   const auto options = parse_ingest_options(cli, faulty);
@@ -758,7 +750,7 @@ int cmd_batch(int argc, char** argv) {
           ingest::shard_suffix_path(options->journal_path, spec.index);
     }
     util::Stopwatch watch;
-    auto run = report::run_shard(paths, shard_options, thresholds, pool);
+    auto run = report::run_shard(*paths, shard_options, thresholds, pool);
     if (!run.has_value()) {
       std::fprintf(stderr, "%s\n", run.error().to_string().c_str());
       return 2;
@@ -836,7 +828,7 @@ int cmd_batch(int argc, char** argv) {
   // Stream the corpus through the pool: bounded in-flight memory, retries
   // for transient I/O errors, every failure classified into the funnel.
   util::Stopwatch watch;
-  auto ingested = ingest::ingest_paths(paths, *options, pool);
+  auto ingested = ingest::ingest_paths(*paths, *options, pool);
   if (!ingested.has_value()) {
     std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
     return 2;
@@ -1271,11 +1263,9 @@ int cmd_report(int argc, char** argv) {
       return 2;
     }
   } else {
-    paths = expand_paths(cli.positional());
-    if (paths.empty()) {
-      std::fprintf(stderr, "mosaic report: no input traces\n");
-      return 2;
-    }
+    auto traces = input_traces(cli, "mosaic report");
+    if (!traces) return 2;
+    paths = std::move(*traces);
   }
   const auto thread_count = parse_thread_count(cli);
   std::unique_ptr<ingest::FaultyFileReader> faulty;
@@ -1485,20 +1475,21 @@ int cmd_explain(int argc, char** argv) {
   if (std::filesystem::is_regular_file(target, ec)) {
     // Live path: run the full pipeline once with evidence capture forced on
     // (the journal's sampling gate is bypassed by the explicit overload).
-    auto parsed = ingest::load_trace(target, ingest::IngestOptions{});
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+    const ingest::LoadedFile file = ingest::load_file(target);
+    const core::FileOutcome& outcome = file.outcome;
+    if (outcome.load_failed()) {
+      std::fprintf(stderr, "%s\n", outcome.error->to_string().c_str());
       return 1;
     }
-    if (const auto validity = trace::validate(*parsed); !validity.valid()) {
+    if (!outcome.valid()) {
       std::fprintf(stderr, "mosaic explain: %s is corrupted (%s)\n",
                    target.c_str(),
-                   trace::corruption_kind_name(validity.kind));
+                   trace::corruption_kind_name(outcome.corruption));
       return 1;
     }
     const core::Analyzer analyzer(load_thresholds(cli));
     obs::TraceProvenance evidence;
-    (void)analyzer.analyze(*parsed, &evidence);
+    (void)analyzer.analyze(*file.trace, &evidence);
     record = std::move(evidence);
   } else {
     // Recorded path: join against an earlier batch run's journal.
