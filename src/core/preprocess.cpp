@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/log.hpp"
 
 namespace mosaic::core {
@@ -44,7 +45,7 @@ void count_valid_metric() {
   counter.add();
 }
 
-/// Un-counts a journal-replayed winner that could not be re-loaded: its run
+/// Un-counts a dedup winner that failed its re-read in finish(): its run
 /// is no longer a valid execution. Other (non-winner) runs of the app keep
 /// their counts; aggregation only consults runs_per_app for retained apps,
 /// so a leftover key without a retained trace is inert.
@@ -145,8 +146,7 @@ FileOutcome assess(const trace::Trace& trace, std::string path) {
   return outcome;
 }
 
-void StreamingPreprocessor::add(FileOutcome outcome,
-                                std::optional<trace::Trace> trace) {
+void StreamingPreprocessor::add(FileOutcome outcome) {
   ++stats_.input_traces;
   if (!outcome.valid()) {
     count_eviction(stats_, outcome.error->code, outcome.corruption);
@@ -156,49 +156,74 @@ void StreamingPreprocessor::add(FileOutcome outcome,
   count_valid_metric();
   ++runs_per_app_[outcome.app_key];
   const auto [slot, inserted] = heaviest_.try_emplace(outcome.app_key);
-  Slot& incumbent = slot->second;
-  if (inserted ||
-      dedup_wins(outcome.dedup_key(), incumbent.outcome.dedup_key())) {
-    incumbent.outcome = std::move(outcome);
-    incumbent.trace = std::move(trace);
+  if (inserted || dedup_wins(outcome.dedup_key(), slot->second.dedup_key())) {
+    slot->second = std::move(outcome);
   }
 }
 
-PreprocessResult StreamingPreprocessor::finish(
-    const std::function<util::Expected<trace::Trace>(const std::string&)>&
-        reload) {
+PreprocessResult StreamingPreprocessor::finish(const Reload& reload,
+                                               parallel::ThreadPool* pool) {
   PreprocessResult result;
   result.stats = std::move(stats_);
   result.runs_per_app = std::move(runs_per_app_);
-  result.retained.reserve(heaviest_.size());
 
   // std::map iteration is already sorted by app key — the deterministic
-  // output order regardless of how workers raced during folding.
-  for (auto& [key, slot] : heaviest_) {
-    if (!slot.trace.has_value()) {
-      // Journal-replayed winner: the trace bytes were never loaded this run.
-      if (!reload) {
-        MOSAIC_LOG_WARN("preprocess: no reload hook for journaled winner %s; "
-                        "dropping application %s",
-                        slot.outcome.path.c_str(), key.c_str());
-        demote_app(result, key);
-        continue;
-      }
-      auto loaded = reload(slot.outcome.path);
+  // output order regardless of how the re-reads race.
+  std::vector<FileOutcome*> winners;
+  winners.reserve(heaviest_.size());
+  for (auto& [key, winner] : heaviest_) winners.push_back(&winner);
+
+  // Each winner's trace while its file still holds the run that was
+  // folded; otherwise the winner's outcome becomes why it does not.
+  std::vector<std::optional<trace::Trace>> traces(winners.size());
+  const auto reread = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      FileOutcome& winner = *winners[i];
+      auto loaded = reload(winner.path);
       if (!loaded.has_value()) {
-        MOSAIC_LOG_WARN("preprocess: journaled winner %s no longer loads "
-                        "(%s); dropping application %s",
-                        slot.outcome.path.c_str(),
-                        loaded.error().to_string().c_str(), key.c_str());
-        count_eviction(result.stats, loaded.error().code,
-                       trace::CorruptionKind::kNone);
-        demote_app(result, key);
+        winner.error = std::move(loaded).error();
         continue;
       }
-      slot.trace = std::move(*loaded);
+      const FileOutcome now = assess(*loaded, winner.path);
+      if (!now.valid()) {
+        winner.error = now.error;
+        winner.corruption = now.corruption;
+      } else if (now.app_key != winner.app_key ||
+                 now.total_bytes != winner.total_bytes ||
+                 now.job_id != winner.job_id) {
+        // The folded run is no longer at this path: as if the file had
+        // gone, whatever now stands in its place.
+        winner.error = util::Error{
+            util::ErrorCode::kNotFound,
+            winner.path + " no longer holds the run folded for " +
+                winner.app_key + " (now " + now.app_key + ", " +
+                std::to_string(now.total_bytes) + " bytes, job " +
+                std::to_string(now.job_id) + ")"};
+      } else {
+        traces[i] = std::move(*loaded);
+      }
     }
-    result.retained.push_back(std::move(*slot.trace));
-    result.retained_paths.push_back(std::move(slot.outcome.path));
+  };
+  if (pool != nullptr) {
+    parallel::parallel_for(*pool, winners.size(), reread);
+  } else {
+    reread(0, winners.size());
+  }
+
+  result.retained.reserve(winners.size());
+  for (std::size_t i = 0; i < winners.size(); ++i) {
+    FileOutcome& winner = *winners[i];
+    if (!traces[i].has_value()) {
+      MOSAIC_LOG_WARN("preprocess: dedup winner %s failed its re-read (%s); "
+                      "dropping application %s",
+                      winner.path.c_str(), winner.error->to_string().c_str(),
+                      winner.app_key.c_str());
+      count_eviction(result.stats, winner.error->code, winner.corruption);
+      demote_app(result, winner.app_key);
+      continue;
+    }
+    result.retained.push_back(std::move(*traces[i]));
+    result.retained_paths.push_back(std::move(winner.path));
   }
   heaviest_.clear();
 

@@ -31,6 +31,10 @@
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 
+namespace mosaic::parallel {
+class ThreadPool;
+}  // namespace mosaic::parallel
+
 namespace mosaic::core {
 
 /// Funnel counters matching paper Fig. 3, extended with pre-validity load
@@ -123,36 +127,34 @@ struct FileOutcome {
 /// Incremental funnel folding (evictions + dedup) with O(unique
 /// applications) state.
 ///
-/// The ingest pipeline folds files one outcome at a time; only the current
-/// heaviest trace per application key is kept in memory. A journal-replayed
-/// outcome carries no trace — if its digest wins dedup, the file is re-read
-/// lazily in finish(). Retention follows dedup_wins(); retained traces are
-/// emitted sorted by application key.
+/// The ingest pipeline folds files one outcome at a time, live and
+/// journal-replayed alike; only the digest of the current winner per
+/// application key is kept. finish() re-reads the winners. Retention
+/// follows dedup_wins(); retained traces are emitted sorted by application
+/// key.
 class StreamingPreprocessor {
  public:
-  /// Folds one file: a valid run enters dedup with its parsed `trace`, or
-  /// with none when the outcome was replayed from the resume journal; an
-  /// eviction is counted. Every funnel stat and metric is bumped here, so a
-  /// live file and a replayed one count at the same site.
-  void add(FileOutcome outcome, std::optional<trace::Trace> trace = {});
+  /// Re-reads a dedup winner's file in finish(); called concurrently when
+  /// finish() is given a pool.
+  using Reload =
+      std::function<util::Expected<trace::Trace>(const std::string& path)>;
 
-  /// Resolves digest-only dedup winners through `reload` (a failure there
-  /// demotes the file to an eviction) and returns the final funnel result
-  /// with retained traces sorted by application key. The preprocessor is
-  /// consumed.
-  [[nodiscard]] PreprocessResult finish(
-      const std::function<util::Expected<trace::Trace>(const std::string&)>&
-          reload = {});
+  /// Folds one file: a valid run enters dedup by its digest; an eviction is
+  /// counted. Every funnel stat and metric is bumped here, so a live file
+  /// and a replayed one count at the same site.
+  void add(FileOutcome outcome);
+
+  /// Re-reads every dedup winner through `reload` (on `pool` when given)
+  /// and re-runs assess() on it. A winner that no longer loads, no longer
+  /// passes the validity check, or whose app key, total bytes or job id
+  /// changed since it was folded is demoted: its application is dropped and
+  /// the eviction counted. Returns the final funnel result with retained
+  /// traces sorted by application key. The preprocessor is consumed.
+  [[nodiscard]] PreprocessResult finish(const Reload& reload,
+                                        parallel::ThreadPool* pool = nullptr);
 
  private:
-  /// Dedup slot: the outcome always describes the current winner; `trace`
-  /// is engaged unless the winner came from journal replay.
-  struct Slot {
-    FileOutcome outcome;
-    std::optional<trace::Trace> trace;
-  };
-
-  std::map<std::string, Slot> heaviest_;  // app key -> current winner
+  std::map<std::string, FileOutcome> heaviest_;  // app key -> winner
   std::map<std::string, std::size_t> runs_per_app_;
   PreprocessStats stats_;
 };

@@ -1,6 +1,9 @@
 #include "ingest/ingest.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 
 #include "ingest/journal.hpp"
@@ -86,6 +89,137 @@ bool should_quarantine(ErrorCode code) noexcept {
          code == ErrorCode::kTimeout;
 }
 
+/// A loaded file as the fold sees it: the outcome without the trace.
+struct LoadedOutcome {
+  core::FileOutcome outcome;
+  std::size_t retry_attempts = 0;
+};
+
+/// How many outcomes the workers may publish ahead of the fold. A constant,
+/// not an option: a slot holds a digest or an eviction, never a trace.
+constexpr std::size_t kRingSize = 1024;
+
+/// Loads `paths` on every pool worker and hands the outcomes to the calling
+/// thread strictly in path order. One loop per worker claims the next path,
+/// runs load_file, drops the trace and publishes the outcome into a ring
+/// slot; it waits while the ring holds kRingSize outcomes the fold has not
+/// taken.
+class OrderedLoads {
+ public:
+  OrderedLoads(const std::vector<const std::string*>& paths,
+               const IngestOptions& options, parallel::ThreadPool& pool)
+      : paths_(paths),
+        options_(options),
+        pool_(pool),
+        ring_(std::min(paths.size(), kRingSize)) {
+    const std::size_t loops = std::min(pool.thread_count(), paths.size());
+    for (std::size_t i = 0; i < loops; ++i) {
+      pool_.submit([this] { load_loop(); });
+    }
+  }
+  OrderedLoads(const OrderedLoads&) = delete;
+  OrderedLoads& operator=(const OrderedLoads&) = delete;
+
+  /// Reached without join() only while the fold itself is throwing: the
+  /// workers still stop before the ring goes, and a worker's exception is
+  /// logged behind the fold's.
+  ~OrderedLoads() {
+    if (joined_) return;
+    stop();
+    try {
+      pool_.wait_idle();
+    } catch (const std::exception& e) {
+      MOSAIC_LOG_WARN("ingest: a load worker also failed: %s", e.what());
+    } catch (...) {
+      MOSAIC_LOG_WARN("ingest: a load worker also failed");
+    }
+  }
+
+  /// The next outcome in path order; nullopt once a worker has thrown.
+  [[nodiscard]] std::optional<LoadedOutcome> next() {
+    std::unique_lock lock(mutex_);
+    Slot& slot = ring_[taken_ % ring_.size()];
+    published_.wait(lock, [&] { return stopped_ || slot.ready; });
+    if (stopped_) return std::nullopt;
+    LoadedOutcome file = std::move(slot.file);
+    slot.ready = false;
+    ++taken_;
+    lock.unlock();
+    freed_.notify_one();
+    return file;
+  }
+
+  /// Stops the workers, waits until every one has returned and rethrows
+  /// the first exception a worker threw.
+  void join() {
+    stop();
+    joined_ = true;
+    pool_.wait_idle();
+  }
+
+ private:
+  struct Slot {
+    LoadedOutcome file;
+    bool ready = false;
+  };
+
+  void load_loop() {
+    try {
+      while (const auto index = claim()) {
+        LoadedFile file = load_file(*paths_[*index], options_);
+        publish(*index, {std::move(file.outcome), file.retry_attempts});
+      }
+    } catch (...) {
+      stop();  // the fold must not wait for an outcome that never comes
+      throw;   // kept by the pool for join()
+    }
+  }
+
+  /// The next path index once its ring slot is free; nullopt when every
+  /// path is claimed or the loads stopped.
+  std::optional<std::size_t> claim() {
+    std::unique_lock lock(mutex_);
+    freed_.wait(lock, [&] {
+      return stopped_ || claimed_ == paths_.size() ||
+             claimed_ < taken_ + ring_.size();
+    });
+    if (stopped_ || claimed_ == paths_.size()) return std::nullopt;
+    return claimed_++;
+  }
+
+  void publish(std::size_t index, LoadedOutcome file) {
+    {
+      const std::scoped_lock lock(mutex_);
+      Slot& slot = ring_[index % ring_.size()];
+      slot.file = std::move(file);
+      slot.ready = true;
+      if (index != taken_) return;  // the fold is not waiting for this one
+    }
+    published_.notify_one();
+  }
+
+  void stop() {
+    {
+      const std::scoped_lock lock(mutex_);
+      stopped_ = true;
+    }
+    published_.notify_all();
+    freed_.notify_all();
+  }
+
+  const std::vector<const std::string*>& paths_;
+  const IngestOptions& options_;
+  parallel::ThreadPool& pool_;
+  std::mutex mutex_;
+  std::condition_variable published_;  ///< the fold waits for its next file
+  std::condition_variable freed_;      ///< workers wait for a free slot
+  std::vector<Slot> ring_;
+  std::size_t claimed_ = 0;  ///< paths handed to workers
+  std::size_t taken_ = 0;    ///< outcomes handed to the fold
+  bool stopped_ = false;
+  bool joined_ = false;
+};
+
 /// Serial fold-side state shared by the eviction paths.
 struct FoldContext {
   core::StreamingPreprocessor* preprocessor;
@@ -110,7 +244,7 @@ void quarantine_file(FoldContext& ctx, const std::string& path) {
 
 /// Folds one file loaded this run into the ingest counters, the journal,
 /// the quarantine and the funnel.
-void fold(FoldContext& ctx, LoadedFile file) {
+void fold(FoldContext& ctx, LoadedOutcome file) {
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.processed.add();
   ctx.stats->retry_attempts += file.retry_attempts;
@@ -141,7 +275,7 @@ void fold(FoldContext& ctx, LoadedFile file) {
   if (!outcome.valid() && should_quarantine(outcome.error->code)) {
     quarantine_file(ctx, outcome.path);
   }
-  ctx.preprocessor->add(std::move(file.outcome), std::move(file.trace));
+  ctx.preprocessor->add(std::move(file.outcome));
 }
 
 }  // namespace
@@ -190,14 +324,14 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
   core::StreamingPreprocessor preprocessor;
   FoldContext ctx{&preprocessor, &result.stats, &journal, &options};
 
-  // Replayed outcomes fold first, through the same add() as a loaded file
-  // but without a trace; their files are excluded from the windows.
-  std::vector<std::string> pending;
+  // Replayed outcomes fold first, through the same add() as a loaded file;
+  // their files are not read again.
+  std::vector<const std::string*> pending;
   pending.reserve(inputs->size());
   for (const std::string& path : *inputs) {
     const auto it = replay.find(path);
     if (it == replay.end()) {
-      pending.push_back(path);
+      pending.push_back(&path);
       continue;
     }
     ++result.stats.journal_replayed;
@@ -205,42 +339,35 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     preprocessor.add(it->second);
   }
 
-  const std::size_t window = options.max_in_flight != 0
-                                 ? options.max_in_flight
-                                 : pool.thread_count() * 4;
-  std::size_t processed = 0;
-  for (std::size_t begin = 0; begin < pending.size() && !result.stats.aborted;
-       begin += window) {
-    const std::size_t end = std::min(pending.size(), begin + window);
+  if (!pending.empty()) {
     MOSAIC_SPAN("ingest-window");
-    std::vector<LoadedFile> files(end - begin);
-    parallel::parallel_for(
-        pool, end - begin, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            files[i] = load_file(pending[begin + i], options);
-          }
-        });
+    OrderedLoads loads(pending, options, pool);
     // Serial fold in path order keeps the journal and funnel deterministic
     // regardless of worker scheduling.
-    for (LoadedFile& file : files) {
-      fold(ctx, std::move(file));
-      ++processed;
-      if (options.abort_after_files != 0 &&
-          processed >= options.abort_after_files) {
+    for (std::size_t processed = 0; processed < pending.size();) {
+      auto file = loads.next();
+      if (!file) break;  // a worker threw; join() rethrows it
+      fold(ctx, std::move(*file));
+      if (++processed == options.abort_after_files) {
         result.stats.aborted = true;
         break;
       }
     }
+    loads.join();
   }
 
-  // Journal-replayed dedup winners are re-read lazily — one file per
-  // application at most, with the same retry policy.
-  result.pre = preprocessor.finish([&](const std::string& path) {
-    std::size_t retries = 0;
-    auto trace = load_trace(path, options, &retries);
-    result.stats.retry_attempts += retries;
-    return trace;
-  });
+  // The fold kept digests only: each application's winner is re-read, on
+  // the pool and with the same retry policy, and checked against its digest.
+  std::atomic<std::size_t> reload_retries{0};
+  result.pre = preprocessor.finish(
+      [&](const std::string& path) {
+        std::size_t retries = 0;
+        auto trace = load_trace(path, options, &retries);
+        reload_retries += retries;
+        return trace;
+      },
+      &pool);
+  result.stats.retry_attempts += reload_retries;
   return result;
 }
 
@@ -259,11 +386,11 @@ Expected<trace::Trace> load_trace(const std::string& path,
                                    kBackoffMultiplier, kBackoffMaxMs);
   if (retry_attempts != nullptr) *retry_attempts = 0;
   for (int attempt = 0;; ++attempt) {
-    auto bytes = reader.read_mapped(path, attempt);
+    auto bytes = reader.read(path, attempt);
     if (bytes.has_value()) {
       MOSAIC_SPAN("parse");
       const obs::ScopedTimerMs parse_timer(metrics.parse_ms);
-      return parse_trace_bytes(path, bytes->bytes(), deadline);
+      return parse_trace_bytes(path, *bytes, deadline);
     }
     Error error = std::move(bytes).error();
     // Only kIoError is worth retrying: content does not heal, and a missing

@@ -4,13 +4,15 @@
 // 2019 traces are corrupted and must be evicted and counted, not crash the
 // run. This subsystem replaces the ad-hoc serial load loop with a pipeline
 // that:
-//   - streams files through the shared ThreadPool in bounded windows, so
-//     peak memory is O(window + unique applications) instead of O(corpus);
 //   - turns every file into one core::FileOutcome on the pool workers
-//     (read, parse, validate, digest: load_file) and folds it in path order
-//     into the PreprocessStats funnel, failures classified by
-//     util::ErrorCode (parse-error vs corrupt-trace vs io-error vs not-found
-//     vs timeout);
+//     (read, parse, validate, digest: load_file), each worker holding one
+//     trace at a time, and folds the outcomes strictly in path order into
+//     the PreprocessStats funnel while the workers run ahead, failures
+//     classified by util::ErrorCode (parse-error vs corrupt-trace vs
+//     io-error vs not-found vs timeout);
+//   - keeps only digests in the fold and re-reads the dedup winners at the
+//     end, so peak memory is O(threads + unique applications) instead of
+//     O(corpus);
 //   - retries transient kIoError reads with capped exponential backoff and
 //     bounds each file's total read+parse budget with a deadline;
 //   - optionally quarantines poison files (content-caused failures) into a
@@ -37,9 +39,6 @@ namespace mosaic::ingest {
 struct IngestOptions {
   /// Byte source; null uses the real filesystem.
   FileReader* reader = nullptr;
-  /// Files concurrently held in memory (raw bytes + parsed trace) while a
-  /// window is in flight. 0 derives 4x the pool's thread count.
-  std::size_t max_in_flight = 0;
   /// Extra read attempts after the first for transient kIoError failures.
   int max_retries = 3;
   /// First backoff delay between attempts; later ones double, capped at
@@ -89,7 +88,8 @@ struct IngestResult {
 /// Streams `paths` through the pool and folds every outcome into the
 /// pre-processing funnel. Only setup failures (unreadable journal,
 /// unusable quarantine directory) are reported as errors; per-file failures
-/// are data, not errors.
+/// are data, not errors. An exception thrown on a worker (by a reader, say)
+/// is rethrown here once every worker has stopped.
 [[nodiscard]] util::Expected<IngestResult> ingest_paths(
     const std::vector<std::string>& paths, const IngestOptions& options,
     parallel::ThreadPool& pool);

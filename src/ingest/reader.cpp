@@ -1,6 +1,5 @@
 #include "ingest/reader.hpp"
 
-#include <filesystem>
 #include <limits>
 
 #include "darshan/binary_format.hpp"
@@ -16,22 +15,11 @@ using util::Error;
 using util::ErrorCode;
 using util::Expected;
 
-namespace fs = std::filesystem;
-
 Expected<util::MappedFile> FileReader::read_mapped(const std::string& path,
                                                    int attempt) {
   auto bytes = read(path, attempt);
   if (!bytes.has_value()) return std::move(bytes).error();
   return util::MappedFile::from_buffer(std::move(bytes).value());
-}
-
-Expected<util::MappedFile> SystemFileReader::read_mapped(
-    const std::string& path, int /*attempt*/) {
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    return Error{ErrorCode::kNotFound, path + " does not exist"};
-  }
-  return util::MappedFile::open(path);
 }
 
 Expected<std::vector<std::byte>> SystemFileReader::read(const std::string& path,

@@ -17,7 +17,7 @@
 #include "trace/trace.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
-#include "util/mmap.hpp"
+#include "util/fs.hpp"
 
 namespace mosaic::ingest {
 
@@ -30,23 +30,18 @@ class FileReader {
   [[nodiscard]] virtual util::Expected<std::vector<std::byte>> read(
       const std::string& path, int attempt) = 0;
 
-  /// Zero-copy variant: the loader parses straight from the returned span.
-  /// The default wraps read() in a buffer-backed MappedFile, so injecting
-  /// readers keep their fault semantics without knowing about mmap.
+  /// read() wrapped in a util::MappedFile. Ingest calls read(); this stays
+  /// for readers outside src/ that override it.
   [[nodiscard]] virtual util::Expected<util::MappedFile> read_mapped(
       const std::string& path, int attempt);
 };
 
-/// Reads from the real filesystem. A missing file is kNotFound; any open or
-/// read failure on an existing file is kIoError (the retryable class).
+/// Reads from the real filesystem through util::read_file. A missing file
+/// is kNotFound; any open or read failure on an existing file is kIoError
+/// (the retryable class).
 class SystemFileReader final : public FileReader {
  public:
   [[nodiscard]] util::Expected<std::vector<std::byte>> read(
-      const std::string& path, int attempt) override;
-
-  /// Memory-maps the file instead of copying it (heap fallback inside
-  /// MappedFile when mmap is unavailable).
-  [[nodiscard]] util::Expected<util::MappedFile> read_mapped(
       const std::string& path, int attempt) override;
 };
 

@@ -1,12 +1,12 @@
 #include "util/fs.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace mosaic::util {
 
@@ -19,37 +19,45 @@ namespace {
 std::string staging_path(const std::string& path) {
   std::string tmp = path;
   tmp += ".tmp.";
-#if defined(__unix__) || defined(__APPLE__)
   tmp += std::to_string(static_cast<long>(::getpid()));
-#else
-  tmp += "stage";
-#endif
   return tmp;
 }
 
 }  // namespace
 
 Expected<std::vector<std::byte>> read_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     if (errno == ENOENT || errno == ENOTDIR) {
       return Error{ErrorCode::kNotFound, path + " does not exist"};
     }
     return Error{ErrorCode::kIoError, "cannot open " + path};
   }
-  // The size only sizes the buffer; the loop reads to EOF either way, so a
-  // file that grows meanwhile is still read whole.
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(path, ec);
-  std::vector<std::byte> bytes(ec ? 4096 : static_cast<std::size_t>(size) + 1);
+  // The size only sizes the buffer (one byte over, so a whole read meets
+  // EOF without growing it); the loop reads to EOF either way, so a file
+  // that grows meanwhile is still read whole.
+  struct stat st {};
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)
+          ? static_cast<std::size_t>(st.st_size)
+          : 4095;
+  std::vector<std::byte> bytes(size + 1);
   std::size_t filled = 0;
+  bool failed = false;
   while (true) {
-    filled += std::fread(bytes.data() + filled, 1, bytes.size() - filled, file);
-    if (filled < bytes.size()) break;  // EOF or error
-    bytes.resize(bytes.size() * 2);
+    if (filled == bytes.size()) bytes.resize(bytes.size() * 2);
+    const ::ssize_t got =
+        ::read(fd, bytes.data() + filled, bytes.size() - filled);
+    if (got > 0) {
+      filled += static_cast<std::size_t>(got);
+    } else if (got == 0) {
+      break;
+    } else if (errno != EINTR) {
+      failed = true;
+      break;
+    }
   }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
+  ::close(fd);
   if (failed) return Error{ErrorCode::kIoError, "read failure on " + path};
   bytes.resize(filled);
   return bytes;
@@ -65,11 +73,9 @@ Status write_file_atomic(const std::string& path, std::string_view contents) {
       contents.empty() ||
       std::fwrite(contents.data(), 1, contents.size(), file) == contents.size();
   bool flushed = written && std::fflush(file) == 0;
-#if defined(__unix__) || defined(__APPLE__)
   // Push the payload to stable storage before the rename publishes it;
   // otherwise a power loss can still expose an empty renamed file.
   flushed = flushed && ::fsync(::fileno(file)) == 0;
-#endif
   const bool closed = std::fclose(file) == 0;
   if (!written || !flushed || !closed) {
     std::error_code ec;

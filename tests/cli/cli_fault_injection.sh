@@ -51,6 +51,30 @@ rc=0
     --journal "$WORK/journal.jsonl" --resume > "$WORK/resume.txt"
 diff "$WORK/reference.json" "$WORK/resumed.json"
 
+# Same bytes at 1 and 8 threads: with delayed files finishing out of path
+# order, the ordered fold leaves the same JSON summary, journal, and
+# mosaic_funnel_*/mosaic_ingest_* counters.
+for t in 1 8; do
+  "$MOSAIC" batch "$WORK/pop" --threads "$t" --json "$WORK/threads$t.json" \
+      --fault-inject 'seed=9,delay=0.15,delay_ms=3,eio=0.2,eio_failures=1' \
+      --retries 2 --journal "$WORK/threads$t.jsonl" \
+      --metrics "$WORK/threads$t.metrics.json" > /dev/null
+done
+cmp "$WORK/threads1.json" "$WORK/threads8.json"
+cmp "$WORK/threads1.jsonl" "$WORK/threads8.jsonl"
+python3 - "$WORK/threads1.metrics.json" "$WORK/threads8.metrics.json" <<'PY'
+import json, sys
+def counters(path):
+    return json.dumps(
+        {name: value for name, value in json.load(open(path))["counters"].items()
+         if name.startswith(("mosaic_funnel_", "mosaic_ingest_"))},
+        sort_keys=True)
+one, eight = counters(sys.argv[1]), counters(sys.argv[2])
+assert "mosaic_ingest_retry_attempts_total" in one, one
+assert one == eight, (one, eight)
+print("same bytes at 1 and 8 threads")
+PY
+
 # Observability surface: a faulty run with --metrics/--trace-events/--progress
 # must dump metrics (JSON + Prometheus) whose per-ErrorCode eviction counters
 # exactly match the run's funnel summary, a Perfetto-loadable trace with

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <utility>
+
+#include "parallel/thread_pool.hpp"
 
 namespace mosaic::core {
 namespace {
@@ -150,6 +153,19 @@ TEST(Assess, DigestsAValidRunAndNamesAValidityEviction) {
   EXPECT_EQ(evicted.corruption, trace::CorruptionKind::kZeroRanks);
 }
 
+/// A reload over in-memory "files"; a path it does not hold is not-found.
+StreamingPreprocessor::Reload reload_from(
+    std::map<std::string, trace::Trace> files) {
+  return [files = std::move(files)](
+             const std::string& path) -> util::Expected<trace::Trace> {
+    const auto it = files.find(path);
+    if (it == files.end()) {
+      return util::Error{util::ErrorCode::kNotFound, path + " does not exist"};
+    }
+    return it->second;
+  };
+}
+
 TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
   std::vector<trace::Trace> traces;
   traces.push_back(make_trace("u1", "a", 1, 100));
@@ -160,10 +176,14 @@ TEST(StreamingPreprocessor, MatchesOneShotPreprocess) {
   traces.push_back(std::move(corrupt));
 
   StreamingPreprocessor streaming;
+  std::map<std::string, trace::Trace> files;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    streaming.add(assess(traces[i], "/t/" + std::to_string(i)), traces[i]);
+    const std::string path = "/t/" + std::to_string(i);
+    streaming.add(assess(traces[i], path));
+    files.emplace(path, traces[i]);
   }
-  const PreprocessResult incremental = streaming.finish();
+  const PreprocessResult incremental =
+      streaming.finish(reload_from(std::move(files)));
   const PreprocessResult oneshot = preprocess(traces);
 
   EXPECT_EQ(incremental.stats.input_traces, oneshot.stats.input_traces);
@@ -185,11 +205,13 @@ TEST(StreamingPreprocessor, ArrivalOrderDoesNotChangeWinner) {
     std::vector<std::pair<std::uint64_t, std::string>> runs = {
         {9, "/z.txt"}, {3, "/a.txt"}, {5, "/m.txt"}};
     if (reversed) std::reverse(runs.begin(), runs.end());
+    std::map<std::string, trace::Trace> files;
     for (const auto& [job, path] : runs) {
       const trace::Trace trace = make_trace("u", "app", job, 100);
-      pre.add(assess(trace, path), trace);
+      pre.add(assess(trace, path));
+      files.emplace(path, trace);
     }
-    return pre.finish();
+    return pre.finish(reload_from(std::move(files)));
   };
   const PreprocessResult forward = run(false);
   const PreprocessResult backward = run(true);
@@ -216,8 +238,8 @@ TEST(StreamingPreprocessor, LoadFailuresFeedEvictionBreakdown) {
   pre.add(evicted(util::ErrorCode::kNotFound));
   pre.add(evicted(util::ErrorCode::kTimeout));
   const trace::Trace ok = make_trace("u", "a", 1, 10);
-  pre.add(assess(ok, "/ok"), ok);
-  const PreprocessResult result = pre.finish();
+  pre.add(assess(ok, "/ok"));
+  const PreprocessResult result = pre.finish(reload_from({{"/ok", ok}}));
   EXPECT_EQ(result.stats.input_traces, 6u);
   EXPECT_EQ(result.stats.load_failed, 5u);
   EXPECT_EQ(result.stats.valid, 1u);
@@ -233,7 +255,7 @@ TEST(StreamingPreprocessor, DigestWinnerReloadedLazily) {
   // be re-read through the reload hook; the loser must never be reloaded.
   pre.add({"/journaled.txt", "u/app", 9999, 42});
   const trace::Trace live = make_trace("u", "app", 1, 10);
-  pre.add(assess(live, "/live.txt"), live);
+  pre.add(assess(live, "/live.txt"));
   std::vector<std::string> reloaded;
   const PreprocessResult result =
       pre.finish([&](const std::string& path) -> util::Expected<trace::Trace> {
@@ -262,12 +284,45 @@ TEST(StreamingPreprocessor, FailedReloadDemotesApplication) {
   EXPECT_FALSE(result.runs_per_app.count("u/app"));
 }
 
+TEST(StreamingPreprocessor, WinnerThatNoLongerMatchesItsDigestIsDemoted) {
+  // Three applications whose winners changed between fold and re-read:
+  // another run now stands at the path, the file is now corrupt, and one
+  // file is unchanged. Serial and pooled re-reads must agree.
+  trace::Trace corrupt = make_trace("u", "c", 3, 300);
+  corrupt.meta.nprocs = 0;
+  const auto run = [&](parallel::ThreadPool* pool) {
+    StreamingPreprocessor pre;
+    pre.add(assess(make_trace("u", "a", 1, 100), "/a"));
+    pre.add(assess(make_trace("u", "b", 2, 200), "/b"));
+    pre.add(assess(make_trace("u", "c", 3, 300), "/c"));
+    return pre.finish(reload_from({{"/a", make_trace("u", "other", 9, 900)},
+                                   {"/b", make_trace("u", "b", 2, 200)},
+                                   {"/c", corrupt}}),
+                      pool);
+  };
+  parallel::ThreadPool pool(3);
+  for (const PreprocessResult& result : {run(nullptr), run(&pool)}) {
+    ASSERT_EQ(result.retained.size(), 1u);
+    EXPECT_EQ(result.retained[0].meta.app_name, "b");
+    EXPECT_EQ(result.retained_paths, std::vector<std::string>{"/b"});
+    EXPECT_EQ(result.stats.input_traces, 3u);
+    EXPECT_EQ(result.stats.valid, 1u);
+    EXPECT_EQ(result.stats.load_failed, 1u);
+    EXPECT_EQ(result.stats.corrupted, 1u);
+    EXPECT_EQ(result.stats.eviction_breakdown.at("not-found"), 1u);
+    EXPECT_EQ(result.stats.eviction_breakdown.at("corrupt-trace"), 1u);
+    EXPECT_EQ(result.stats.corruption_breakdown.at("zero-ranks"), 1u);
+    EXPECT_EQ(result.runs_per_app,
+              (std::map<std::string, std::size_t>{{"u/b", 1}}));
+  }
+}
+
 TEST(StreamingPreprocessor, JournaledEvictionsReplayIntoFunnel) {
   StreamingPreprocessor pre;
   pre.add(evicted(util::ErrorCode::kParseError));
   pre.add(evicted(util::ErrorCode::kCorruptTrace,
                   trace::CorruptionKind::kAccessOutsideJob));
-  const PreprocessResult result = pre.finish();
+  const PreprocessResult result = pre.finish(reload_from({}));
   EXPECT_EQ(result.stats.input_traces, 2u);
   EXPECT_EQ(result.stats.load_failed, 1u);
   EXPECT_EQ(result.stats.corrupted, 1u);

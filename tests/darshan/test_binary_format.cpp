@@ -137,21 +137,36 @@ TEST(TraceIo, ScanMissingDirectoryFails) {
 }
 
 TEST(ExpandTracePaths, ListsDirectoriesAndKeepsFilePaths) {
-  const auto dir = std::filesystem::temp_directory_path() / "mosaic_expand";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "mosaic_expand";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
   ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "b.mbt").string()).ok());
   ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "a.txt").string()).ok());
   ASSERT_TRUE(write_mbt_file(make_trace(), (dir / "notes.md").string()).ok());
+  // Entries are kept as directory_entry::is_regular_file decides: a
+  // symlinked trace stays in; a dangling link, a link to a directory and a
+  // directory named like a trace stay out. So does a symlink loop, which
+  // is_regular_file reported by throwing.
+  fs::create_symlink(dir / "b.mbt", dir / "c_link.mbt");
+  fs::create_symlink(dir / "gone.mbt", dir / "d_dangling.mbt");
+  fs::create_directories(dir / "e_dir.mbt");
+  fs::create_directory_symlink(dir / "e_dir.mbt", dir / "f_dirlink.txt");
+  fs::create_symlink(dir / "g_loop.mbt", dir / "g_loop.mbt");
 
   // A missing file stays in the list: it is a per-file not-found eviction.
-  const auto paths =
-      expand_trace_paths({"/definitely/not/here.mbt", dir.string()});
-  std::filesystem::remove_all(dir);
+  // A trailing slash joins as std::filesystem joins: "dir/name".
+  const auto paths = expand_trace_paths(
+      {"/definitely/not/here.mbt", dir.string(), dir.string() + "/"});
+  fs::remove_all(dir);
   ASSERT_TRUE(paths.has_value());
-  EXPECT_EQ(*paths, (std::vector<std::string>{"/definitely/not/here.mbt",
-                                              (dir / "a.txt").string(),
-                                              (dir / "b.mbt").string()}));
+  const std::vector<std::string> listing = {(dir / "a.txt").string(),
+                                            (dir / "b.mbt").string(),
+                                            (dir / "c_link.mbt").string()};
+  std::vector<std::string> expected = {"/definitely/not/here.mbt"};
+  expected.insert(expected.end(), listing.begin(), listing.end());
+  expected.insert(expected.end(), listing.begin(), listing.end());
+  EXPECT_EQ(*paths, expected);
 }
 
 TEST(ExpandTracePaths, UnlistableDirectoryIsAnError) {

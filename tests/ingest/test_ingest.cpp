@@ -10,18 +10,27 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "darshan/binary_format.hpp"
+#include "darshan/io.hpp"
 #include "darshan/text_format.hpp"
 #include "ingest/journal.hpp"
 #include "ingest/reader.hpp"
 #include "json/json.hpp"
 #include "report/json_output.hpp"
+#include "sim/population.hpp"
 #include "util/jsonl.hpp"
 
 namespace mosaic::ingest {
@@ -277,7 +286,6 @@ TEST_F(IngestTest, AbortedRunResumesToByteIdenticalSummary) {
   IngestOptions crashing;
   crashing.journal_path = path("journal_b.jsonl");
   crashing.abort_after_files = 3;
-  crashing.max_in_flight = 2;  // several windows, crash lands mid-stream
   auto aborted = ingest_paths(paths, crashing, pool);
   ASSERT_TRUE(aborted.has_value());
   EXPECT_TRUE(aborted->stats.aborted);
@@ -344,6 +352,240 @@ TEST_F(IngestTest, ResumeWithFaultInjectionStaysByteIdentical) {
           .ok());
 
   EXPECT_EQ(slurp(path("full.json")), slurp(path("resumed.json")));
+}
+
+/// Reads through the real filesystem, except that every read of `path`
+/// after the first returns the bytes of `replacement`.
+class RereadSwapReader final : public FileReader {
+ public:
+  RereadSwapReader(std::string path, std::string replacement)
+      : path_(std::move(path)), replacement_(std::move(replacement)) {}
+
+  util::Expected<std::vector<std::byte>> read(const std::string& path,
+                                              int attempt) override {
+    if (path == path_ && reads_.fetch_add(1) > 0) {
+      return system_reader().read(replacement_, attempt);
+    }
+    return system_reader().read(path, attempt);
+  }
+
+ private:
+  std::string path_;
+  std::string replacement_;
+  std::atomic<int> reads_{0};
+};
+
+TEST_F(IngestTest, ResumeDemotesAWinnerRewrittenSinceItWasJournaled) {
+  const auto paths = seed_corpus();
+  parallel::ThreadPool pool(2);
+  // u1/alpha's winner no longer holds the folded run: the application is
+  // dropped, the file counted as a not-found eviction, and every retained
+  // trace's application keeps its run count.
+  const auto expect_alpha_demoted = [](const core::PreprocessResult& pre) {
+    ASSERT_EQ(pre.retained.size(), 1u);
+    EXPECT_EQ(pre.retained[0].meta.app_name, "beta");
+    EXPECT_EQ(pre.stats.retained, 1u);
+    EXPECT_EQ(pre.stats.valid, 2u);        // alpha run 1 and beta
+    EXPECT_EQ(pre.stats.load_failed, 4u);  // truncated, garbage, missing, alpha
+    EXPECT_EQ(pre.stats.eviction_breakdown.at("not-found"), 2u);
+    EXPECT_EQ(pre.runs_per_app.at("u1/alpha"), 1u);
+    for (const trace::Trace& trace : pre.retained) {
+      EXPECT_EQ(pre.runs_per_app.count(trace.app_key()), 1u)
+          << trace.app_key();
+    }
+  };
+  const trace::Trace zeta = make_trace("u9", "zeta", 9, 8 << 20);
+
+  // Resume: the journal names alpha_run2.txt as u1/alpha's heaviest run,
+  // but the file now holds another application's trace.
+  IngestOptions journaled;
+  journaled.journal_path = path("journal.jsonl");
+  ASSERT_TRUE(ingest_paths(paths, journaled, pool).has_value());
+  ASSERT_TRUE(darshan::write_text_file(zeta, path("alpha_run2.txt")).ok());
+  IngestOptions resuming = journaled;
+  resuming.resume = true;
+  auto resumed = ingest_paths(paths, resuming, pool);
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->stats.journal_replayed, 7u);
+  expect_alpha_demoted(resumed->pre);
+
+  // Live: the winner's first read is folded, its second read in finish()
+  // returns another application's bytes.
+  ASSERT_TRUE(darshan::write_text_file(make_trace("u1", "alpha", 2, 4 << 20),
+                                       path("alpha_run2.txt"))
+                  .ok());
+  ASSERT_TRUE(darshan::write_text_file(zeta, path("zeta.elsewhere")).ok());
+  RereadSwapReader swapping(path("alpha_run2.txt"), path("zeta.elsewhere"));
+  IngestOptions live;
+  live.reader = &swapping;
+  auto result = ingest_paths(paths, live, pool);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->stats.loaded, 4u);
+  expect_alpha_demoted(result->pre);
+}
+
+/// Writes `traces` executions of a seeded simulated population (corrupt
+/// runs and reruns included) as alternating darshan-text and `.mbt` files
+/// under `dir`, adds a torn `.mbt` and a garbage file, and returns the scan
+/// of `dir` followed by a path that does not exist.
+std::vector<std::string> write_population(const fs::path& dir,
+                                          std::size_t traces) {
+  fs::create_directories(dir);
+  sim::PopulationConfig config;
+  config.target_traces = traces;
+  config.seed = 23;
+  config.corruption_fraction = 0.3;
+  const sim::Population population = sim::generate_population(config);
+  for (std::size_t i = 0; i < population.traces.size(); ++i) {
+    const trace::Trace& t = population.traces[i].trace;
+    const std::string stem = (dir / ("job_" + std::to_string(t.meta.job_id)))
+                                 .string();
+    EXPECT_TRUE((i % 2 == 0 ? darshan::write_text_file(t, stem + ".txt")
+                            : darshan::write_mbt_file(t, stem + ".mbt"))
+                    .ok());
+  }
+  const auto bytes = darshan::to_mbt(population.traces[0].trace);
+  {
+    std::ofstream torn(dir / "torn.mbt", std::ios::binary);
+    torn.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size() / 2));
+    std::ofstream garbage(dir / "garbage.txt");
+    garbage << "not a darshan trace\n";
+  }
+  auto paths = darshan::scan_trace_dir(dir.string());
+  EXPECT_TRUE(paths.has_value());
+  paths->push_back((dir / "missing.mbt").string());
+  return *paths;
+}
+
+/// The counters of a run that must not depend on the thread count.
+std::string describe(const IngestResult& result) {
+  const IngestStats& io = result.stats;
+  const core::PreprocessStats& funnel = result.pre.stats;
+  std::ostringstream out;
+  out << "scanned " << io.files_scanned << " loaded " << io.loaded
+      << " failed " << io.failed << " retries " << io.retry_attempts
+      << " recovered " << io.recovered << " quarantined " << io.quarantined
+      << " replayed " << io.journal_replayed << " dropped "
+      << io.journal_dropped << " aborted " << io.aborted << " | input "
+      << funnel.input_traces << " load_failed " << funnel.load_failed
+      << " corrupted " << funnel.corrupted << " valid " << funnel.valid
+      << " apps " << funnel.unique_applications << " retained "
+      << funnel.retained;
+  for (const auto& [code, count] : funnel.eviction_breakdown) {
+    out << " " << code << "=" << count;
+  }
+  for (const auto& [kind, count] : funnel.corruption_breakdown) {
+    out << " " << kind << "=" << count;
+  }
+  return out.str();
+}
+
+TEST_F(IngestTest, SameBytesAtOneTwoAndEightThreadsWithDelayedFiles) {
+  const auto paths = write_population(dir_ / "pop", 300);
+  ASSERT_GT(paths.size(), 250u);
+  // About 10% of files stall, so outcomes complete out of path order; a
+  // fifth fail their first read, so winners' re-reads retry too.
+  FaultSpec spec;
+  spec.seed = 5;
+  spec.delay_probability = 0.1;
+  spec.delay_ms = 2.0;
+  spec.transient_eio_probability = 0.2;
+  spec.transient_eio_failures = 1;
+  FaultyFileReader faulty(spec);
+  IngestOptions base;
+  base.reader = &faulty;
+  base.backoff_initial_ms = 0.01;
+  const core::Thresholds thresholds;
+
+  struct Run {
+    std::string json, journal, counters;
+  };
+  const auto run = [&](std::size_t threads, IngestOptions options,
+                       const std::string& journal) {
+    parallel::ThreadPool pool(threads);
+    options.journal_path = path(journal);
+    auto result = ingest_paths(paths, options, pool);
+    EXPECT_TRUE(result.has_value());
+    Run out;
+    out.counters = describe(*result);
+    if (!result->stats.aborted) {
+      out.json = json::serialize(report::batch_to_json(
+          core::analyze_preprocessed(std::move(result->pre), thresholds,
+                                     &pool),
+          /*include_traces=*/true));
+    }
+    out.journal = slurp(options.journal_path);
+    return out;
+  };
+
+  const Run one = run(1, base, "journal_1.jsonl");
+  EXPECT_NE(one.counters.find("parse-error="), std::string::npos)
+      << one.counters;
+  EXPECT_NE(one.counters.find("not-found=1"), std::string::npos)
+      << one.counters;
+  EXPECT_EQ(one.counters.find(" corrupted 0 "), std::string::npos)
+      << one.counters;
+  EXPECT_EQ(one.counters.find(" retries 0 "), std::string::npos)
+      << one.counters;
+  for (const std::size_t threads : {2u, 8u}) {
+    const Run other =
+        run(threads, base, "journal_" + std::to_string(threads) + ".jsonl");
+    EXPECT_EQ(other.counters, one.counters) << threads << " threads";
+    EXPECT_EQ(other.journal, one.journal) << threads << " threads";
+    EXPECT_EQ(other.json, one.json) << threads << " threads";
+  }
+
+  // Aborted at 8 threads, then resumed: the same summary and journal.
+  IngestOptions crashing = base;
+  crashing.abort_after_files = 100;
+  EXPECT_TRUE(run(8, crashing, "journal_abort.jsonl").json.empty());
+  IngestOptions resuming = base;
+  resuming.resume = true;
+  const Run resumed = run(8, resuming, "journal_abort.jsonl");
+  EXPECT_EQ(resumed.json, one.json);
+  EXPECT_EQ(resumed.journal, one.journal);
+}
+
+/// Reads through the real filesystem but throws on one path.
+class ThrowingReader final : public FileReader {
+ public:
+  explicit ThrowingReader(std::string poison) : poison_(std::move(poison)) {}
+
+  util::Expected<std::vector<std::byte>> read(const std::string& path,
+                                              int attempt) override {
+    if (path == poison_) throw std::runtime_error("reader failed on " + path);
+    return system_reader().read(path, attempt);
+  }
+
+ private:
+  std::string poison_;
+};
+
+TEST_F(IngestTest, ReaderExceptionPropagatesWithoutHanging) {
+  const auto paths = seed_corpus();
+  ThrowingReader throwing(path("beta.mbt"));
+  for (const std::size_t threads : {1u, 8u}) {
+    parallel::ThreadPool pool(threads);
+    IngestOptions options;
+    options.reader = &throwing;
+    auto pending = std::async(std::launch::async, [&] {
+      return ingest_paths(paths, options, pool);
+    });
+    if (pending.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      // The future's destructor would wait for the hung call forever.
+      std::fprintf(stderr, "ingest_paths hung at %zu thread(s)\n", threads);
+      std::abort();
+    }
+    EXPECT_THROW((void)pending.get(), std::runtime_error) << threads;
+
+    // The pool survives the failed run.
+    auto clean = ingest_paths(paths, IngestOptions{}, pool);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_EQ(clean->pre.stats.retained, 2u);
+    EXPECT_EQ(clean->pre.stats.input_traces, 7u);
+  }
 }
 
 TEST_F(IngestTest, LoadTraceSharesRetryPolicy) {

@@ -413,12 +413,10 @@ bool parse_retry_options(const util::CliParser& cli,
   return true;
 }
 
-/// Ingest group (batch, report, analyze): the retry group plus windowing,
-/// quarantine, the resume journal and the fault-injection seams.
+/// Ingest group (batch, report, analyze): the retry group plus quarantine,
+/// the resume journal and the fault-injection seams.
 void add_ingest_options(util::CliParser& cli) {
   add_retry_options(cli);
-  cli.add_option("max-in-flight",
-                 "files concurrently in memory (0 = 4x threads)", "0");
   cli.add_option("quarantine",
                  "move poison files (parse/corrupt/timeout) to this dir", "");
   cli.add_option("journal", "append per-file outcomes to this resume journal",
@@ -436,12 +434,10 @@ std::optional<ingest::IngestOptions> parse_ingest_options(
     const util::CliParser& cli,
     std::unique_ptr<ingest::FaultyFileReader>& faulty) {
   ingest::IngestOptions options;
-  const auto in_flight = non_negative_int(cli, "max-in-flight");
   const auto abort_after = non_negative_int(cli, "abort-after");
-  if (!parse_retry_options(cli, options) || !in_flight || !abort_after) {
+  if (!parse_retry_options(cli, options) || !abort_after) {
     return std::nullopt;
   }
-  options.max_in_flight = static_cast<std::size_t>(*in_flight);
   options.abort_after_files = static_cast<std::size_t>(*abort_after);
   options.quarantine_dir = std::string(cli.get("quarantine"));
   options.journal_path = std::string(cli.get("journal"));
