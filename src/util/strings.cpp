@@ -7,15 +7,6 @@
 
 namespace mosaic::util {
 
-namespace {
-
-bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-}  // namespace
-
 std::string_view trim(std::string_view text) noexcept {
   std::size_t begin = 0;
   std::size_t end = text.size();
@@ -32,18 +23,6 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
       fields.push_back(text.substr(start, i - start));
       start = i + 1;
     }
-  }
-  return fields;
-}
-
-std::vector<std::string_view> split_whitespace(std::string_view text) {
-  std::vector<std::string_view> fields;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && is_space(text[i])) ++i;
-    const std::size_t start = i;
-    while (i < text.size() && !is_space(text[i])) ++i;
-    if (i > start) fields.push_back(text.substr(start, i - start));
   }
   return fields;
 }

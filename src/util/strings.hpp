@@ -10,16 +10,18 @@
 
 namespace mosaic::util {
 
+/// ASCII whitespace: space, tab, newline, vertical tab, form feed and
+/// carriage return.
+[[nodiscard]] inline bool is_space(char c) noexcept {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
+}
+
 /// Removes leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text) noexcept;
 
 /// Splits on a single character; adjacent separators yield empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view text,
                                                   char sep);
-
-/// Splits on runs of ASCII whitespace; never yields empty fields.
-[[nodiscard]] std::vector<std::string_view> split_whitespace(
-    std::string_view text);
 
 /// True if `text` begins with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view text,

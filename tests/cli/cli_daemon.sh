@@ -6,9 +6,9 @@
 # /explain/<trace-id> artifact is byte-identical to `mosaic explain --json`
 # on the same file. Also covers bearer auth (401 + challenge header), the
 # /results, /report, /metrics and /healthz routes, rejection of garbage
-# submissions, watch-directory mode (including content-dedup of a copied
-# file), graceful SIGTERM drain that flushes the provenance journal and
-# metrics sinks, and flag-validation error cases.
+# and NaN-count submissions, watch-directory mode (including content-dedup
+# of a copied file), graceful SIGTERM drain that flushes the provenance
+# journal and metrics sinks, and flag-validation error cases.
 set -euo pipefail
 MOSAIC="$1"
 WORK="$(mktemp -d)"
@@ -146,11 +146,22 @@ rc=0
 [ "$rc" -eq 1 ]
 grep -q 'rejected' "$WORK/reject.txt"
 
+# A darshan-text trace with a NaN count is a parse error, not a float-to-
+# integer cast: rejected per file, and the daemon stays up to drain below.
+printf '# run time: 10\nPOSIX\t0\t5\tPOSIX_OPENS\tnan\t/f\n' \
+    > "$WORK/nan_opens.txt"
+rc=0
+"$MOSAIC" submit "$WORK/nan_opens.txt" --daemon "127.0.0.1:$SPORT" \
+    > /dev/null 2> "$WORK/reject_nan.txt" || rc=$?
+[ "$rc" -eq 1 ]
+grep -q 'rejected' "$WORK/reject_nan.txt"
+grep -q 'line 2: bad numeric field' "$WORK/reject_nan.txt"
+
 # Graceful drain: SIGTERM finishes in-flight work, prints the lifetime
 # summary, and flushes the provenance journal and metrics sinks.
 kill -TERM "$DPID"
 wait "$DPID"
-grep -q 'daemon drained: 4 submission(s) (2 analyzed, 1 cache hit(s), 1 ' \
+grep -q 'daemon drained: 5 submission(s) (2 analyzed, 1 cache hit(s), 2 ' \
     "$WORK/daemon.log"
 grep -q 'metrics written to' "$WORK/daemon.log"
 grep -q 'provenance (2 record(s)) written to' "$WORK/daemon.log"

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <bit>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -18,7 +19,9 @@
 #include "json/reader.hpp"
 #include "obs/http.hpp"
 #include "report/json_output.hpp"
+#include "sim/population.hpp"
 #include "sim/truth.hpp"
+#include "text_oracle.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
 #include "util/rng.hpp"
@@ -192,6 +195,190 @@ TEST(FuzzDarshanText, HeaderOnlyVariations) {
       text += '\n';
     }
     (void)darshan::parse_text(text);
+  }
+}
+
+// ---- Differential: the one-pass parser against the reference oracle ----
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Both parsers take the same decision on `text`: the same error code and
+/// message, or traces equal field by field with doubles compared bitwise.
+::testing::AssertionResult same_parse_as_oracle(const std::string& text) {
+  const auto got = darshan::parse_text(text);
+  const auto want = darshan::oracle::parse_text(text);
+  auto failure = [&]() -> ::testing::AssertionResult {
+    return ::testing::AssertionFailure()
+           << "parser: "
+           << (got.has_value() ? "accepted" : got.error().to_string())
+           << "; oracle: "
+           << (want.has_value() ? "accepted" : want.error().to_string())
+           << "; document:\n"
+           << text;
+  };
+  if (got.has_value() != want.has_value()) return failure() << "\n(decision)";
+  if (!want.has_value()) {
+    if (got.error().code != want.error().code ||
+        got.error().message != want.error().message) {
+      return failure() << "\n(error)";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const trace::JobMeta& a = got->meta;
+  const trace::JobMeta& b = want->meta;
+  if (a.job_id != b.job_id || a.app_name != b.app_name || a.user != b.user ||
+      a.nprocs != b.nprocs || !same_bits(a.start_time, b.start_time) ||
+      !same_bits(a.run_time, b.run_time)) {
+    return failure() << "\n(meta)";
+  }
+  if (got->files.size() != want->files.size()) {
+    return failure() << "\n(" << got->files.size() << " records against "
+                     << want->files.size() << ")";
+  }
+  for (std::size_t i = 0; i < got->files.size(); ++i) {
+    const trace::FileRecord& x = got->files[i];
+    const trace::FileRecord& y = want->files[i];
+    if (x.file_id != y.file_id || x.file_name != y.file_name ||
+        x.rank != y.rank || x.bytes_read != y.bytes_read ||
+        x.bytes_written != y.bytes_written || x.reads != y.reads ||
+        x.writes != y.writes || x.opens != y.opens || x.closes != y.closes ||
+        x.seeks != y.seeks || !same_bits(x.open_ts, y.open_ts) ||
+        !same_bits(x.close_ts, y.close_ts) ||
+        !same_bits(x.first_read_ts, y.first_read_ts) ||
+        !same_bits(x.last_read_ts, y.last_read_ts) ||
+        !same_bits(x.first_write_ts, y.first_write_ts) ||
+        !same_bits(x.last_write_ts, y.last_write_ts)) {
+      return failure() << "\n(record " << i << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Documents to mutate: `to_text` renderings of a small generated population
+/// (corrupted runs included), and darshan-parser shaped rows of the MPI-IO,
+/// STDIO and LUSTRE modules that `to_text` never writes.
+std::vector<std::string> darshan_text_seeds() {
+  sim::PopulationConfig config;
+  config.target_traces = 40;
+  config.seed = 22;
+  std::vector<std::string> seeds;
+  for (auto& labeled : sim::generate_population(config).traces) {
+    // A few records per document keep each parse short.
+    if (labeled.trace.files.size() > 6) labeled.trace.files.resize(6);
+    seeds.push_back(darshan::to_text(labeled.trace));
+  }
+  const std::string header =
+      "# darshan log version: 3.10\n"
+      "# exe: /u/sciteam/user/bin/lmp_bw -in in.script\n"
+      "# uid: 380111\n"
+      "# jobid: 9807799\n"
+      "# start_time: 1554861840\n"
+      "# nprocs: 32\n"
+      "# run time: 120.5\n"
+      "\n";
+  seeds.push_back(
+      header +
+      "MPI-IO\t-1\t42\tMPIIO_COLL_OPENS\t64\t/data\t/scr\tlustre\n"
+      "MPI-IO\t-1\t42\tMPIIO_INDEP_OPENS\t4\t/data\t/scr\tlustre\n"
+      "MPI-IO\t-1\t42\tMPIIO_BYTES_WRITTEN\t1000000\t/data\t/scr\tlustre\n"
+      "MPI-IO\t-1\t42\tMPIIO_COLL_WRITES\t64\t/data\t/scr\tlustre\n"
+      "MPI-IO\t-1\t42\tMPIIO_F_OPEN_START_TIMESTAMP\t1\t/data\t/scr\tl\n"
+      "MPI-IO\t-1\t42\tMPIIO_F_WRITE_END_TIMESTAMP\t89\t/data\t/scr\tl\n"
+      "POSIX\t-1\t42\tPOSIX_OPENS\t64\t/data\t/scr\tlustre\n"
+      "POSIX\t-1\t42\tPOSIX_BYTES_WRITTEN\t1000000\t/data\t/scr\tlustre\n"
+      "POSIX\t3\t42\tPOSIX_WRITES\t640\t/data\t/scr\tlustre\n"
+      "LUSTRE\t-1\t42\tLUSTRE_OSTS\t4\t/data\t/scr\tlustre\n"
+      "LUSTRE\t-1\t42\tLUSTRE_STRIPE_SIZE\t1048576\t/data\t/scr\tlustre\n");
+  seeds.push_back(
+      header +
+      "STDIO\t0\t7\tSTDIO_OPENS\t1\t<STDOUT>\t/\tNA\n"
+      "STDIO\t0\t7\tSTDIO_WRITES\t200\t<STDOUT>\t/\tNA\n"
+      "STDIO\t0\t7\tSTDIO_BYTES_WRITTEN\t4096\t<STDOUT>\t/\tNA\n"
+      "STDIO\t0\t7\tSTDIO_F_OPEN_START_TIMESTAMP\t0\t<STDOUT>\t/\tNA\n"
+      "STDIO\t0\t7\tSTDIO_F_CLOSE_END_TIMESTAMP\t49\t<STDOUT>\t/\tNA\n"
+      "POSIX\t0\t7\tPOSIX_OPENS\t1\t/log\t/scr\tlustre\n"
+      "POSIX\t0\t7\tPOSIX_FDSYNCS\t0\t/log\t/scr\tlustre\n"
+      "POSIX\t0\t7\tPOSIX_BYTES_READ\t2048\t/log\t/scr\tlustre\n"
+      "POSIX\t0\t9\tPOSIX_READS\t2\t/log2\t/scr\tlustre\n"
+      "POSIX\t1\t9\tPOSIX_F_READ_END_TIMESTAMP\t3.25\t/log2\t/scr\tlustre\n");
+  return seeds;
+}
+
+/// Replaces one whitespace-separated field of a random line with `token`.
+void replace_field(std::string& text, util::Rng& rng, std::string_view token) {
+  const auto start = static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(text.size()) - 1));
+  const std::size_t line_begin = text.rfind('\n', start) + 1;  // npos + 1 == 0
+  const std::size_t line_end = std::min(text.find('\n', line_begin), text.size());
+  std::vector<std::pair<std::size_t, std::size_t>> fields;
+  for (std::size_t i = line_begin; i < line_end;) {
+    while (i < line_end && (text[i] == '\t' || text[i] == ' ')) ++i;
+    const std::size_t field_begin = i;
+    while (i < line_end && text[i] != '\t' && text[i] != ' ') ++i;
+    if (i > field_begin) fields.emplace_back(field_begin, i - field_begin);
+  }
+  if (fields.empty()) return;
+  const auto& [at, length] = fields[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(fields.size()) - 1))];
+  text.replace(at, length, token);
+}
+
+void mutate_darshan_text(std::string& text, util::Rng& rng) {
+  static constexpr std::string_view kTokens[] = {
+      "MPI-IO", "nan", "inf", "1e999", "18446744073709551616", "4294967296"};
+  static constexpr char kSpaces[] = {'\r', '\f', '\v', '\t'};
+  if (text.empty()) return;
+  const auto pick = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(text.size()) - 1));
+  };
+  switch (rng.uniform_int(0, 6)) {
+    case 0:  // bit flip
+      text[pick()] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
+      break;
+    case 1:  // truncation
+      text.resize(pick());
+      break;
+    case 2:  // deleted bytes
+      text.erase(pick(), static_cast<std::size_t>(rng.uniform_int(1, 8)));
+      break;
+    case 3: {  // duplicated line
+      const std::size_t at = pick();
+      const std::size_t begin = text.rfind('\n', at) + 1;  // npos + 1 == 0
+      const std::size_t end = std::min(text.find('\n', at), text.size() - 1);
+      text.insert(begin, text.substr(begin, end - begin + 1));
+      break;
+    }
+    case 4: {  // digit swap
+      const std::size_t at = text.find_first_of("0123456789", pick());
+      if (at != std::string::npos) {
+        text[at] = static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      break;
+    }
+    case 5:  // inserted whitespace other than ' ' and '\n'
+      text.insert(pick(), 1, kSpaces[rng.uniform_int(0, 3)]);
+      break;
+    default:
+      replace_field(text, rng, kTokens[rng.uniform_int(0, 5)]);
+      break;
+  }
+}
+
+TEST(FuzzDarshanText, MutatedDocumentsMatchTheOracle) {
+  const std::vector<std::string> seeds = darshan_text_seeds();
+  for (const std::string& seed : seeds) {
+    ASSERT_TRUE(same_parse_as_oracle(seed));
+  }
+  util::Rng rng(2208);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string text = seeds[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(seeds.size()) - 1))];
+    const int mutations = static_cast<int>(rng.uniform_int(1, 4));
+    for (int m = 0; m < mutations; ++m) mutate_darshan_text(text, rng);
+    ASSERT_TRUE(same_parse_as_oracle(text)) << "trial " << trial;
   }
 }
 

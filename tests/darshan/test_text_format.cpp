@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -178,14 +179,81 @@ TEST(TextFormat, MalformedRowFails) {
   const std::string text =
       "# run time: 10\n"
       "POSIX\t-1\tnot_a_number\tPOSIX_OPENS\t1\t/f\n";
-  EXPECT_FALSE(parse_text(text).has_value());
+  const auto parsed = parse_text(text);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, util::ErrorCode::kParseError);
+  EXPECT_EQ(parsed.error().message, "line 2: bad numeric field");
 }
 
 TEST(TextFormat, ShortRowFails) {
   const std::string text =
       "# run time: 10\n"
       "POSIX\t-1\t5\n";
-  EXPECT_FALSE(parse_text(text).has_value());
+  const auto parsed = parse_text(text);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, util::ErrorCode::kParseError);
+  EXPECT_EQ(parsed.error().message, "line 2: expected >=5 fields, got 3");
+}
+
+TEST(TextFormat, OutOfRangeCounterOrRankIsAParseError) {
+  // A count is stored as uint64_t and a rank as int32_t, so a value that
+  // does not fit is a bad field, not a cast: a NaN count would otherwise
+  // read as any number, and rank 2^32 would merge into rank 0's record.
+  const std::string head =
+      "# run time: 10\n"
+      "POSIX\t0\t5\tPOSIX_SEEKS\t1\t/f\n";
+  for (const char* row : {
+           "POSIX\t0\t5\tPOSIX_OPENS\tnan\t/f\n",
+           "POSIX\t0\t5\tPOSIX_OPENS\t-nan\t/f\n",
+           "POSIX\t0\t5\tPOSIX_BYTES_READ\tinf\t/f\n",
+           "POSIX\t0\t5\tPOSIX_BYTES_WRITTEN\t1e30\t/f\n",
+           "POSIX\t0\t5\tPOSIX_READS\t18446744073709551616\t/f\n",
+           "MPI-IO\t0\t5\tMPIIO_COLL_OPENS\tnan\t/f\n",
+           "POSIX\t4294967296\t5\tPOSIX_OPENS\t1\t/f\n",
+           "POSIX\t-2147483649\t5\tPOSIX_OPENS\t1\t/f\n",
+           "POSIX\t2147483648\t5\tPOSIX_FDSYNCS\t1\t/f\n",
+       }) {
+    const auto parsed = parse_text(head + row);
+    ASSERT_FALSE(parsed.has_value()) << row;
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParseError) << row;
+    EXPECT_EQ(parsed.error().message, "line 3: bad numeric field") << row;
+  }
+
+  // Still accepted: timestamps keep NaN (validation evicts the trace as a
+  // non-finite value), negative counts clamp to 0, the largest double below
+  // 2^64 and both int32_t extremes fit, and a skipped counter stores nothing.
+  const auto parsed = parse_text(
+      head +
+      "POSIX\t2147483647\t5\tPOSIX_F_OPEN_START_TIMESTAMP\tnan\t/g\n"
+      "POSIX\t2147483647\t5\tPOSIX_OPENS\t-inf\t/g\n"
+      "POSIX\t2147483647\t5\tPOSIX_BYTES_READ\t18446744073709549568\t/g\n"
+      "POSIX\t-2147483648\t6\tPOSIX_FDSYNCS\tnan\t/h\n"
+      "POSIX\t-2147483648\t6\tPOSIX_WRITES\t-2\t/h\n");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 3u);
+  const auto& big = parsed->files[1];
+  EXPECT_EQ(big.rank, 2147483647);
+  EXPECT_TRUE(std::isnan(big.open_ts));
+  EXPECT_EQ(big.opens, 0u);
+  EXPECT_EQ(big.bytes_read, 18446744073709549568ull);
+  const auto& low = parsed->files[2];
+  EXPECT_EQ(low.rank, -2147483647 - 1);
+  EXPECT_EQ(low.file_name, "/h");
+  EXPECT_EQ(low.writes, 0u);
+}
+
+TEST(TextFormat, ExpiredDeadlineStopsAtLine4096) {
+  // The parser reads the clock once every 4096 lines, so an expired
+  // deadline stops a long document at line 4096, not at line 1 or its end.
+  std::string text = "# run time: 10\n";
+  for (int line = 2; line <= 5000; ++line) {
+    text += "POSIX\t0\t5\tPOSIX_OPENS\t1\t/f\n";
+  }
+  const auto parsed = parse_text(text, util::Deadline::after_seconds(0));
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, util::ErrorCode::kTimeout);
+  EXPECT_EQ(parsed.error().message, "parse deadline exceeded at line 4096");
+  EXPECT_TRUE(parse_text(text).has_value());
 }
 
 TEST(TextFormat, PerRankRecordsStayDistinct) {

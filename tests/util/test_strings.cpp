@@ -11,6 +11,9 @@ TEST(Trim, RemovesSurroundingWhitespace) {
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("a b"), "a b");
+  EXPECT_EQ(trim("\v\f\rx\r\f\v"), "x");
+  // Control bytes next to the whitespace range are kept.
+  EXPECT_EQ(trim("\x08x\x0e"), "\x08x\x0e");
 }
 
 TEST(Split, BasicFields) {
@@ -33,19 +36,6 @@ TEST(Split, EmptyInputYieldsOneEmptyField) {
   const auto fields = split("", ',');
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0], "");
-}
-
-TEST(SplitWhitespace, CollapsesRuns) {
-  const auto fields = split_whitespace("  a \t b\n\nc  ");
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b");
-  EXPECT_EQ(fields[2], "c");
-}
-
-TEST(SplitWhitespace, EmptyAndBlank) {
-  EXPECT_TRUE(split_whitespace("").empty());
-  EXPECT_TRUE(split_whitespace("   \t ").empty());
 }
 
 TEST(StartsWith, Matches) {
