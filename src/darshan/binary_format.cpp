@@ -1,7 +1,9 @@
 #include "darshan/binary_format.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "util/fs.hpp"
 
@@ -17,6 +19,12 @@ using util::Status;
 namespace {
 
 constexpr char kMagic[4] = {'M', 'B', 'T', '1'};
+/// Magic, version and checksum trailer: anything shorter is torn.
+constexpr std::size_t kMinSize =
+    sizeof kMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
 
 /// Append-only little-endian encoder.
 class Writer {
@@ -90,16 +98,65 @@ class Reader {
 }  // namespace
 
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
+  std::uint64_t hash = kFnvOffsetBasis;
   for (std::byte b : bytes) {
     hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001B3ull;
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
 std::uint64_t fnv1a(std::string_view text) noexcept {
   return fnv1a(std::as_bytes(std::span{text.data(), text.size()}));
+}
+
+std::array<std::uint64_t, kFnvLanes> fnv1a_lanes(
+    std::span<const std::span<const std::byte>> inputs) noexcept {
+  static_assert(kFnvLanes == 4, "the lockstep loop below has four lanes");
+  std::array<std::uint64_t, kFnvLanes> hashes{};
+  std::array<const std::byte*, kFnvLanes> at{};
+  std::array<std::size_t, kFnvLanes> left{};
+  const std::size_t lanes = std::min(inputs.size(), kFnvLanes);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    hashes[i] = kFnvOffsetBasis;
+    at[i] = inputs[i].data();
+    left[i] = inputs[i].size();
+  }
+  // The lanes with bytes left run in lockstep for as many bytes as the
+  // shortest of them holds, until none has any. A lane without bytes
+  // shadows a live one, and what it computes is dropped.
+  while (true) {
+    std::size_t step = std::numeric_limits<std::size_t>::max();
+    std::size_t live = kFnvLanes;
+    for (std::size_t i = 0; i < kFnvLanes; ++i) {
+      if (left[i] == 0) continue;
+      step = std::min(step, left[i]);
+      if (live == kFnvLanes) live = i;
+    }
+    if (live == kFnvLanes) break;
+    const std::byte* p0 = left[0] > 0 ? at[0] : at[live];
+    const std::byte* p1 = left[1] > 0 ? at[1] : at[live];
+    const std::byte* p2 = left[2] > 0 ? at[2] : at[live];
+    const std::byte* p3 = left[3] > 0 ? at[3] : at[live];
+    std::uint64_t h0 = hashes[0];
+    std::uint64_t h1 = hashes[1];
+    std::uint64_t h2 = hashes[2];
+    std::uint64_t h3 = hashes[3];
+    for (std::size_t k = 0; k < step; ++k) {
+      h0 = (h0 ^ static_cast<std::uint64_t>(p0[k])) * kFnvPrime;
+      h1 = (h1 ^ static_cast<std::uint64_t>(p1[k])) * kFnvPrime;
+      h2 = (h2 ^ static_cast<std::uint64_t>(p2[k])) * kFnvPrime;
+      h3 = (h3 ^ static_cast<std::uint64_t>(p3[k])) * kFnvPrime;
+    }
+    const std::uint64_t stepped[kFnvLanes] = {h0, h1, h2, h3};
+    for (std::size_t i = 0; i < kFnvLanes; ++i) {
+      if (left[i] == 0) continue;
+      hashes[i] = stepped[i];
+      at[i] += step;
+      left[i] -= step;
+    }
+  }
+  return hashes;
 }
 
 std::vector<std::byte> to_mbt(const Trace& trace) {
@@ -143,14 +200,27 @@ std::vector<std::byte> to_mbt(const Trace& trace) {
   return out;
 }
 
+std::optional<std::span<const std::byte>> mbt_checksummed_body(
+    std::span<const std::byte> bytes) noexcept {
+  if (bytes.size() < kMinSize ||
+      std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
+    return std::nullopt;
+  }
+  return bytes.first(bytes.size() - sizeof(std::uint64_t));
+}
+
 Expected<Trace> parse_mbt(std::span<const std::byte> bytes) {
+  const auto body = mbt_checksummed_body(bytes);
+  return parse_mbt(bytes, body ? fnv1a(*body) : 0);
+}
+
+Expected<Trace> parse_mbt(std::span<const std::byte> bytes,
+                          std::uint64_t body_hash) {
   const auto corrupt = [](std::string why) {
     return Error{ErrorCode::kCorruptTrace, "mbt: " + std::move(why)};
   };
 
-  if (bytes.size() < sizeof kMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t)) {
-    return corrupt("truncated header");
-  }
+  if (bytes.size() < kMinSize) return corrupt("truncated header");
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     return corrupt("bad magic");
   }
@@ -159,7 +229,7 @@ Expected<Trace> parse_mbt(std::span<const std::byte> bytes) {
   const std::size_t body_size = bytes.size() - sizeof(std::uint64_t);
   std::uint64_t stored_checksum = 0;
   std::memcpy(&stored_checksum, bytes.data() + body_size, sizeof stored_checksum);
-  if (fnv1a(bytes.subspan(0, body_size)) != stored_checksum) {
+  if (body_hash != stored_checksum) {
     return corrupt("checksum mismatch");
   }
 

@@ -12,7 +12,10 @@
 //   | u64 fnv1a checksum of everything before the trailer
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -35,6 +38,20 @@ inline constexpr std::uint32_t kMbtVersion = 1;
 [[nodiscard]] util::Expected<trace::Trace> parse_mbt(
     std::span<const std::byte> bytes);
 
+/// parse_mbt with the trailer checksum's input already hashed: `body_hash`
+/// is fnv1a of mbt_checksummed_body(bytes) (fnv1a_lanes computes it for
+/// several files at once). The same checks, in the same order and with the
+/// same messages; when the body is nullopt the hash is never looked at.
+[[nodiscard]] util::Expected<trace::Trace> parse_mbt(
+    std::span<const std::byte> bytes, std::uint64_t body_hash);
+
+/// The bytes the trailer checksum covers (all but the last 8), once
+/// `bytes` has passed the checks parse_mbt makes before the checksum: long
+/// enough for magic, version and trailer, and starting with the magic.
+/// nullopt otherwise.
+[[nodiscard]] std::optional<std::span<const std::byte>> mbt_checksummed_body(
+    std::span<const std::byte> bytes) noexcept;
+
 /// Writes `to_mbt(trace)` to `path` (staged + renamed).
 [[nodiscard]] util::Status write_mbt_file(const trace::Trace& trace,
                                           const std::string& path);
@@ -44,5 +61,16 @@ inline constexpr std::uint32_t kMbtVersion = 1;
 
 /// FNV-1a over a string (used to derive FileRecord::file_id from paths).
 [[nodiscard]] std::uint64_t fnv1a(std::string_view text) noexcept;
+
+/// How many inputs fnv1a_lanes hashes at once.
+inline constexpr std::size_t kFnvLanes = 4;
+
+/// fnv1a of up to kFnvLanes inputs at once: lane i equals fnv1a(inputs[i])
+/// for every input, and lanes past inputs.size() are 0. fnv1a waits on one
+/// multiply per byte; the lanes' multiply chains are independent, so they
+/// overlap in the pipeline and four inputs take far less than four times
+/// as long as one.
+[[nodiscard]] std::array<std::uint64_t, kFnvLanes> fnv1a_lanes(
+    std::span<const std::span<const std::byte>> inputs) noexcept;
 
 }  // namespace mosaic::darshan

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -283,8 +284,10 @@ bool apply_counter(FileRecord& record, const CounterSpec& spec, double value) {
   return true;
 }
 
-/// Parses a `# key: value` header line into the job metadata.
-void apply_header(Trace& out, std::string_view key, std::string_view value) {
+/// Parses a `# key: value` header line into the job metadata. False when
+/// the value is a number that does not fit its field (a bad numeric
+/// field); a value that is not a number is ignored.
+bool apply_header(Trace& out, std::string_view key, std::string_view value) {
   using util::parse_double;
   using util::parse_uint;
   if (key == "exe") {
@@ -303,14 +306,24 @@ void apply_header(Trace& out, std::string_view key, std::string_view value) {
   } else if (key == "jobid") {
     if (const auto v = parse_uint(value)) out.meta.job_id = *v;
   } else if (key == "nprocs") {
-    if (const auto v = parse_uint(value)) {
-      out.meta.nprocs = static_cast<std::uint32_t>(*v);
+    // A rank count past uint32_t is a bad field, not a wrap into a smaller
+    // count.
+    std::uint64_t nprocs = 0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), nprocs);
+    if (ec == std::errc::invalid_argument || end != value.data() + value.size()) {
+      return true;
     }
+    if (ec != std::errc{} || nprocs > std::numeric_limits<std::uint32_t>::max()) {
+      return false;
+    }
+    out.meta.nprocs = static_cast<std::uint32_t>(nprocs);
   } else if (key == "start_time") {
     if (const auto v = parse_double(value)) out.meta.start_time = *v;
   } else if (key == "run time" || key == "run_time") {
     if (const auto v = parse_double(value)) out.meta.run_time = *v;
   }
+  return true;
 }
 
 Error bad_numeric_field(std::size_t line_number) {
@@ -369,8 +382,10 @@ Expected<Trace> parse_text(std::string_view text,
       const std::string_view body = util::trim(
           std::string_view(p + 1, static_cast<std::size_t>(line_end - p - 1)));
       if (const auto colon = body.find(':'); colon != std::string_view::npos) {
-        apply_header(out, util::trim(body.substr(0, colon)),
-                     util::trim(body.substr(colon + 1)));
+        if (!apply_header(out, util::trim(body.substr(0, colon)),
+                          util::trim(body.substr(colon + 1)))) {
+          return bad_numeric_field(line_number);
+        }
       }
       continue;
     }

@@ -1,11 +1,15 @@
 #include "ingest/ingest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <utility>
 
+#include "darshan/binary_format.hpp"
 #include "ingest/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -15,6 +19,7 @@
 #include "util/fs.hpp"
 #include "util/jsonl.hpp"
 #include "util/log.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mosaic::ingest {
 
@@ -89,6 +94,99 @@ bool should_quarantine(ErrorCode code) noexcept {
          code == ErrorCode::kTimeout;
 }
 
+/// The per-file budget: one deadline covers every read attempt and the
+/// parse.
+util::Deadline file_deadline(const IngestOptions& options) {
+  return options.file_deadline_seconds > 0.0
+             ? util::Deadline::after_seconds(options.file_deadline_seconds)
+             : util::Deadline{};
+}
+
+/// A file after the read step: its bytes or why it has none.
+struct FileRead {
+  util::Deadline deadline;  ///< started before the first read
+  Expected<std::vector<std::byte>> bytes;
+  std::size_t retry_attempts = 0;  ///< extra read attempts spent
+};
+
+/// The read step of every load: reads `path` through the options' reader,
+/// retrying a kIoError with capped backoff while retries and the file's
+/// deadline last.
+FileRead read_with_retry(const std::string& path,
+                         const IngestOptions& options) {
+  MOSAIC_SPAN("load");
+  FileReader& reader =
+      options.reader != nullptr ? *options.reader : system_reader();
+  IngestMetrics& metrics = IngestMetrics::get();
+  FileRead read{file_deadline(options), std::vector<std::byte>{}, 0};
+  util::ExponentialBackoff backoff(options.backoff_initial_ms,
+                                   kBackoffMultiplier, kBackoffMaxMs);
+  for (int attempt = 0;; ++attempt) {
+    read.bytes = reader.read(path, attempt);
+    if (read.bytes.has_value()) return read;
+    const Error& error = read.bytes.error();
+    // Only kIoError is worth retrying: content does not heal, and a missing
+    // file stays missing within one batch.
+    if (error.code != ErrorCode::kIoError || attempt >= options.max_retries) {
+      return read;
+    }
+    if (read.deadline.expired()) {
+      read.bytes = Error{ErrorCode::kTimeout,
+                         "deadline exceeded after " +
+                             std::to_string(attempt + 1) + " attempt(s) on " +
+                             path + " (last: " + error.message + ")"};
+      return read;
+    }
+    double delay_ms = backoff.next_delay_ms();
+    if (read.deadline.finite()) {
+      delay_ms = std::min(delay_ms, read.deadline.remaining_seconds() * 1000.0);
+    }
+    metrics.backoff_ms.observe(delay_ms);
+    metrics.retry_attempts.add();
+    util::sleep_for_ms(delay_ms);
+    ++read.retry_attempts;
+  }
+}
+
+/// An .mbt checksum input hashed for a group of files, and this file's
+/// share of the time the group's hash took.
+struct GroupChecksum {
+  std::uint64_t body_hash = 0;
+  double share_ms = 0.0;
+};
+
+/// The parse step: decodes a successful read's bytes under the file's
+/// deadline and observes parse_ms once, a group checksum's share included.
+Expected<trace::Trace> parse_read(const std::string& path,
+                                  const FileRead& read,
+                                  const GroupChecksum* checksum = nullptr) {
+  MOSAIC_SPAN("parse");
+  const obs::ScopedTimerMs parse_timer(
+      IngestMetrics::get().parse_ms,
+      checksum != nullptr ? checksum->share_ms : 0.0);
+  return parse_trace_bytes(
+      path, *read.bytes, read.deadline,
+      checksum != nullptr ? std::optional(checksum->body_hash) : std::nullopt);
+}
+
+/// The parse-and-assess step: what a read contributes to the funnel.
+LoadedFile parse_and_assess(const std::string& path, FileRead read,
+                            const GroupChecksum* checksum = nullptr) {
+  LoadedFile file;
+  file.retry_attempts = read.retry_attempts;
+  auto parsed = read.bytes.has_value()
+                    ? parse_read(path, read, checksum)
+                    : Expected<trace::Trace>(std::move(read.bytes).error());
+  if (!parsed.has_value()) {
+    file.outcome.path = path;
+    file.outcome.error = std::move(parsed).error();
+    return file;
+  }
+  file.outcome = core::assess(*parsed, path);
+  if (file.outcome.valid()) file.trace = std::move(*parsed);
+  return file;
+}
+
 /// A loaded file as the fold sees it: the outcome without the trace.
 struct LoadedOutcome {
   core::FileOutcome outcome;
@@ -99,11 +197,21 @@ struct LoadedOutcome {
 /// not an option: a slot holds a digest or an eviction, never a trace.
 constexpr std::size_t kRingSize = 1024;
 
+/// How many consecutive paths a worker claims at once. A constant: a run
+/// costs the ring one claim, one publish and at most one wake of the fold.
+/// It divides kRingSize, so no run wraps around the ring.
+constexpr std::size_t kRunSize = 16;
+static_assert(kRingSize % kRunSize == 0);
+
 /// Loads `paths` on every pool worker and hands the outcomes to the calling
-/// thread strictly in path order. One loop per worker claims the next path,
-/// runs load_file, drops the trace and publishes the outcome into a ring
-/// slot; it waits while the ring holds kRingSize outcomes the fold has not
-/// taken.
+/// thread strictly in path order. One loop per worker claims the next run
+/// of up to kRunSize paths once that many ring slots are free, loads each
+/// file into its slot and publishes the run under one lock. Inside a run a
+/// darshan-text file is parsed right after its read; an .mbt file whose
+/// header checks out waits until darshan::kFnvLanes of them (or the run's
+/// end) can be checksummed by one darshan::fnv1a_lanes call. The fold takes
+/// every consecutive published outcome at once and folds them outside the
+/// lock.
 class OrderedLoads {
  public:
   OrderedLoads(const std::vector<const std::string*>& paths,
@@ -111,8 +219,10 @@ class OrderedLoads {
       : paths_(paths),
         options_(options),
         pool_(pool),
-        ring_(std::min(paths.size(), kRingSize)) {
-    const std::size_t loops = std::min(pool.thread_count(), paths.size());
+        ring_(std::min(paths.size(), kRingSize)),
+        ready_(ring_.size(), false) {
+    const std::size_t runs = (paths.size() + kRunSize - 1) / kRunSize;
+    const std::size_t loops = std::min(pool.thread_count(), runs);
     for (std::size_t i = 0; i < loops; ++i) {
       pool_.submit([this] { load_loop(); });
     }
@@ -135,18 +245,27 @@ class OrderedLoads {
     }
   }
 
-  /// The next outcome in path order; nullopt once a worker has thrown.
-  [[nodiscard]] std::optional<LoadedOutcome> next() {
+  /// The next outcomes in path order, at least one; empty once a worker has
+  /// thrown. The caller folds (and may move from) them until its next call,
+  /// which hands their slots back to the workers. A batch stops at the
+  /// ring's end, so it holds at most kRingSize outcomes.
+  [[nodiscard]] std::span<LoadedOutcome> next_batch() {
     std::unique_lock lock(mutex_);
-    Slot& slot = ring_[taken_ % ring_.size()];
-    published_.wait(lock, [&] { return stopped_ || slot.ready; });
-    if (stopped_) return std::nullopt;
-    LoadedOutcome file = std::move(slot.file);
-    slot.ready = false;
-    ++taken_;
-    lock.unlock();
-    freed_.notify_one();
-    return file;
+    std::size_t first = taken_ % ring_.size();
+    if (held_ > 0) {
+      std::fill_n(ready_.begin() + static_cast<std::ptrdiff_t>(first), held_,
+                  false);
+      taken_ += held_;
+      held_ = 0;
+      first = taken_ % ring_.size();
+      freed_.notify_all();
+    }
+    published_.wait(lock, [&] { return stopped_ || ready_[first]; });
+    if (stopped_) return {};
+    std::size_t count = 1;
+    while (first + count < ring_.size() && ready_[first + count]) ++count;
+    held_ = count;
+    return {ring_.data() + first, count};
   }
 
   /// Stops the workers, waits until every one has returned and rethrows
@@ -158,16 +277,20 @@ class OrderedLoads {
   }
 
  private:
-  struct Slot {
-    LoadedOutcome file;
-    bool ready = false;
+  /// An .mbt file whose header checked out, waiting for its group's
+  /// checksum.
+  struct HeldMbt {
+    std::size_t index;
+    FileRead read;
   };
 
   void load_loop() {
     try {
-      while (const auto index = claim()) {
-        LoadedFile file = load_file(*paths_[*index], options_);
-        publish(*index, {std::move(file.outcome), file.retry_attempts});
+      std::vector<HeldMbt> group;
+      group.reserve(darshan::kFnvLanes);
+      while (const auto run = claim_run()) {
+        load_run(run->first, run->second, group);
+        publish_run(run->first, run->second);
       }
     } catch (...) {
       stop();  // the fold must not wait for an outcome that never comes
@@ -175,25 +298,81 @@ class OrderedLoads {
     }
   }
 
-  /// The next path index once its ring slot is free; nullopt when every
-  /// path is claimed or the loads stopped.
-  std::optional<std::size_t> claim() {
+  /// The next run [first, second) of path indices once its ring slots are
+  /// free; nullopt when every path is claimed or the loads stopped.
+  std::optional<std::pair<std::size_t, std::size_t>> claim_run() {
     std::unique_lock lock(mutex_);
+    const auto run_end = [&] {
+      return claimed_ + std::min(kRunSize, paths_.size() - claimed_);
+    };
     freed_.wait(lock, [&] {
       return stopped_ || claimed_ == paths_.size() ||
-             claimed_ < taken_ + ring_.size();
+             run_end() <= taken_ + ring_.size();
     });
     if (stopped_ || claimed_ == paths_.size()) return std::nullopt;
-    return claimed_++;
+    const std::size_t begin = claimed_;
+    claimed_ = run_end();
+    return std::pair{begin, claimed_};
   }
 
-  void publish(std::size_t index, LoadedOutcome file) {
+  /// Loads paths [begin, end) into their slots, outside the lock: the run
+  /// owns them until it is published.
+  void load_run(std::size_t begin, std::size_t end,
+                std::vector<HeldMbt>& group) {
+    for (std::size_t index = begin; index < end; ++index) {
+      const std::string& path = *paths_[index];
+      if (!is_mbt_path(path)) {
+        put(index, load_file(path, options_));
+        continue;
+      }
+      FileRead read = read_with_retry(path, options_);
+      if (!read.bytes.has_value() ||
+          !darshan::mbt_checksummed_body(*read.bytes)) {
+        put(index, parse_and_assess(path, std::move(read)));
+        continue;
+      }
+      group.push_back({index, std::move(read)});
+      if (group.size() == darshan::kFnvLanes) checksum_group(group);
+    }
+    checksum_group(group);
+  }
+
+  /// Hashes the held files' checksum inputs in one fnv1a_lanes call, then
+  /// parses and assesses each with its hash. Each file's parse_ms
+  /// observation carries an equal share of the hash time.
+  void checksum_group(std::vector<HeldMbt>& group) {
+    if (group.empty()) return;
+    std::array<std::span<const std::byte>, darshan::kFnvLanes> bodies;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      bodies[i] = *darshan::mbt_checksummed_body(*group[i].read.bytes);
+    }
+    const util::Stopwatch hash_time;
+    const auto hashes =
+        darshan::fnv1a_lanes(std::span(bodies).first(group.size()));
+    const double share_ms =
+        hash_time.elapsed_ms() / static_cast<double>(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const GroupChecksum checksum{hashes[i], share_ms};
+      put(group[i].index, parse_and_assess(*paths_[group[i].index],
+                                           std::move(group[i].read),
+                                           &checksum));
+    }
+    group.clear();
+  }
+
+  void put(std::size_t index, LoadedFile file) {
+    ring_[index % ring_.size()] = {std::move(file.outcome),
+                                   file.retry_attempts};
+  }
+
+  void publish_run(std::size_t begin, std::size_t end) {
     {
       const std::scoped_lock lock(mutex_);
-      Slot& slot = ring_[index % ring_.size()];
-      slot.file = std::move(file);
-      slot.ready = true;
-      if (index != taken_) return;  // the fold is not waiting for this one
+      for (std::size_t index = begin; index < end; ++index) {
+        ready_[index % ring_.size()] = true;
+      }
+      // The fold waits only for its next index, and that is a run's first.
+      if (begin != taken_ + held_) return;
     }
     published_.notify_one();
   }
@@ -211,11 +390,16 @@ class OrderedLoads {
   const IngestOptions& options_;
   parallel::ThreadPool& pool_;
   std::mutex mutex_;
-  std::condition_variable published_;  ///< the fold waits for its next file
-  std::condition_variable freed_;      ///< workers wait for a free slot
-  std::vector<Slot> ring_;
+  std::condition_variable published_;  ///< the fold waits for its next run
+  std::condition_variable freed_;      ///< workers wait for free slots
+  /// Outcomes by path index modulo the ring size. A claimed run's slots
+  /// are written by its worker and a published batch's are read by the
+  /// fold, each without the lock; ready_ and the counters need it.
+  std::vector<LoadedOutcome> ring_;
+  std::vector<bool> ready_;  ///< published and not yet handed back
   std::size_t claimed_ = 0;  ///< paths handed to workers
-  std::size_t taken_ = 0;    ///< outcomes handed to the fold
+  std::size_t taken_ = 0;    ///< outcomes handed back by the fold
+  std::size_t held_ = 0;     ///< outcomes of the batch the fold is folding
   bool stopped_ = false;
   bool joined_ = false;
 };
@@ -264,7 +448,8 @@ void fold(FoldContext& ctx, LoadedOutcome file) {
     }
   }
   if (ctx.journal->is_open()) {
-    if (const auto status = ctx.journal->append(journal_line(outcome));
+    if (const auto status = ctx.journal->append(
+            journal_line(outcome), util::LineAppender::Flush::kDeferred);
         !status.ok()) {
       // The journal protects against crashes; its own failure must not
       // become one. The batch continues, the entry is simply redone on
@@ -276,6 +461,14 @@ void fold(FoldContext& ctx, LoadedOutcome file) {
     quarantine_file(ctx, outcome.path);
   }
   ctx.preprocessor->add(std::move(file.outcome));
+}
+
+/// Writes out the journal lines fold() deferred: once per drained batch, so
+/// a killed run loses at most one batch, which --resume redoes.
+void flush_journal(FoldContext& ctx) {
+  if (const auto status = ctx.journal->flush(); !status.ok()) {
+    MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
+  }
 }
 
 }  // namespace
@@ -344,14 +537,18 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     OrderedLoads loads(pending, options, pool);
     // Serial fold in path order keeps the journal and funnel deterministic
     // regardless of worker scheduling.
-    for (std::size_t processed = 0; processed < pending.size();) {
-      auto file = loads.next();
-      if (!file) break;  // a worker threw; join() rethrows it
-      fold(ctx, std::move(*file));
-      if (++processed == options.abort_after_files) {
-        result.stats.aborted = true;
-        break;
+    for (std::size_t processed = 0;
+         processed < pending.size() && !result.stats.aborted;) {
+      const std::span<LoadedOutcome> batch = loads.next_batch();
+      if (batch.empty()) break;  // a worker threw; join() rethrows it
+      for (LoadedOutcome& file : batch) {
+        fold(ctx, std::move(file));
+        if (++processed == options.abort_after_files) {
+          result.stats.aborted = true;
+          break;
+        }
       }
+      flush_journal(ctx);
     }
     loads.join();
   }
@@ -374,58 +571,14 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
 Expected<trace::Trace> load_trace(const std::string& path,
                                   const IngestOptions& options,
                                   std::size_t* retry_attempts) {
-  MOSAIC_SPAN("load");
-  FileReader& reader =
-      options.reader != nullptr ? *options.reader : system_reader();
-  IngestMetrics& metrics = IngestMetrics::get();
-  const util::Deadline deadline =
-      options.file_deadline_seconds > 0.0
-          ? util::Deadline::after_seconds(options.file_deadline_seconds)
-          : util::Deadline{};
-  util::ExponentialBackoff backoff(options.backoff_initial_ms,
-                                   kBackoffMultiplier, kBackoffMaxMs);
-  if (retry_attempts != nullptr) *retry_attempts = 0;
-  for (int attempt = 0;; ++attempt) {
-    auto bytes = reader.read(path, attempt);
-    if (bytes.has_value()) {
-      MOSAIC_SPAN("parse");
-      const obs::ScopedTimerMs parse_timer(metrics.parse_ms);
-      return parse_trace_bytes(path, *bytes, deadline);
-    }
-    Error error = std::move(bytes).error();
-    // Only kIoError is worth retrying: content does not heal, and a missing
-    // file stays missing within one batch.
-    if (error.code != ErrorCode::kIoError || attempt >= options.max_retries) {
-      return error;
-    }
-    if (deadline.expired()) {
-      return Error{ErrorCode::kTimeout,
-                   "deadline exceeded after " + std::to_string(attempt + 1) +
-                       " attempt(s) on " + path + " (last: " + error.message +
-                       ")"};
-    }
-    double delay_ms = backoff.next_delay_ms();
-    if (deadline.finite()) {
-      delay_ms = std::min(delay_ms, deadline.remaining_seconds() * 1000.0);
-    }
-    metrics.backoff_ms.observe(delay_ms);
-    metrics.retry_attempts.add();
-    util::sleep_for_ms(delay_ms);
-    if (retry_attempts != nullptr) ++*retry_attempts;
-  }
+  const FileRead read = read_with_retry(path, options);
+  if (retry_attempts != nullptr) *retry_attempts = read.retry_attempts;
+  if (!read.bytes.has_value()) return read.bytes.error();
+  return parse_read(path, read);
 }
 
 LoadedFile load_file(const std::string& path, const IngestOptions& options) {
-  LoadedFile file;
-  auto parsed = load_trace(path, options, &file.retry_attempts);
-  if (!parsed.has_value()) {
-    file.outcome.path = path;
-    file.outcome.error = std::move(parsed).error();
-    return file;
-  }
-  file.outcome = core::assess(*parsed, path);
-  if (file.outcome.valid()) file.trace = std::move(*parsed);
-  return file;
+  return parse_and_assess(path, read_with_retry(path, options));
 }
 
 }  // namespace mosaic::ingest

@@ -5,11 +5,12 @@
 // run. This subsystem replaces the ad-hoc serial load loop with a pipeline
 // that:
 //   - turns every file into one core::FileOutcome on the pool workers
-//     (read, parse, validate, digest: load_file), each worker holding one
-//     trace at a time, and folds the outcomes strictly in path order into
-//     the PreprocessStats funnel while the workers run ahead, failures
-//     classified by util::ErrorCode (parse-error vs corrupt-trace vs
-//     io-error vs not-found vs timeout);
+//     (read, parse, validate, digest: the steps of load_file), each worker
+//     taking runs of consecutive paths and holding one trace, plus at most
+//     four .mbt files waiting for their checksum, at a time; and folds the
+//     outcomes strictly in path order into the PreprocessStats funnel
+//     while the workers run ahead, failures classified by util::ErrorCode
+//     (parse-error vs corrupt-trace vs io-error vs not-found vs timeout);
 //   - keeps only digests in the fold and re-reads the dedup winners at the
 //     end, so peak memory is O(threads + unique applications) instead of
 //     O(corpus);
@@ -109,9 +110,9 @@ struct LoadedFile {
 };
 
 /// The per-file funnel step: load_trace, then core::assess (validate and
-/// digest). Batch runs it on the pool workers; the daemon, `mosaic analyze`
-/// and `mosaic explain` run it per file. It counts no funnel metric —
-/// StreamingPreprocessor::add does.
+/// digest). The daemon, `mosaic analyze` and `mosaic explain` run it per
+/// file; batch workers run the same read, parse and assess steps over runs
+/// of paths. It counts no funnel metric — StreamingPreprocessor::add does.
 [[nodiscard]] LoadedFile load_file(const std::string& path,
                                    const IngestOptions& options = {});
 

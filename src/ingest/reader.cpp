@@ -143,10 +143,18 @@ Expected<std::vector<std::byte>> FaultyFileReader::read(const std::string& path,
   return bytes;
 }
 
-Expected<trace::Trace> parse_trace_bytes(const std::string& path,
-                                         std::span<const std::byte> bytes,
-                                         const util::Deadline& deadline) {
-  if (path.ends_with(".mbt")) return darshan::parse_mbt(bytes);
+bool is_mbt_path(std::string_view path) noexcept {
+  return path.ends_with(".mbt");
+}
+
+Expected<trace::Trace> parse_trace_bytes(
+    const std::string& path, std::span<const std::byte> bytes,
+    const util::Deadline& deadline,
+    std::optional<std::uint64_t> mbt_body_hash) {
+  if (is_mbt_path(path)) {
+    return mbt_body_hash ? darshan::parse_mbt(bytes, *mbt_body_hash)
+                         : darshan::parse_mbt(bytes);
+  }
   return darshan::parse_text(
       std::string_view(reinterpret_cast<const char*>(bytes.data()),
                        bytes.size()),

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -80,10 +82,15 @@ class FaultyFileReader final : public FileReader {
   FileReader* base_;
 };
 
-/// Decodes trace bytes by file extension (".mbt" binary, otherwise darshan
-/// text). The deadline bounds text parsing of pathological documents.
+/// Whether `path` names an MBT file (".mbt"); anything else is darshan text.
+[[nodiscard]] bool is_mbt_path(std::string_view path) noexcept;
+
+/// Decodes trace bytes by file extension (is_mbt_path). The deadline bounds
+/// text parsing of pathological documents. `mbt_body_hash`, when given, is
+/// the MBT checksum input already hashed (darshan::parse_mbt's overload).
 [[nodiscard]] util::Expected<trace::Trace> parse_trace_bytes(
     const std::string& path, std::span<const std::byte> bytes,
-    const util::Deadline& deadline = {});
+    const util::Deadline& deadline = {},
+    std::optional<std::uint64_t> mbt_body_hash = std::nullopt);
 
 }  // namespace mosaic::ingest

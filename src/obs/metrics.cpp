@@ -395,14 +395,15 @@ std::uint64_t steady_now_ns() noexcept {
 
 }  // namespace
 
-ScopedTimerMs::ScopedTimerMs(Histogram& hist) noexcept
-    : hist_(metrics_enabled() ? &hist : nullptr) {
+ScopedTimerMs::ScopedTimerMs(Histogram& hist, double earlier_ms) noexcept
+    : hist_(metrics_enabled() ? &hist : nullptr), earlier_ms_(earlier_ms) {
   if (hist_ != nullptr) start_ns_ = steady_now_ns();
 }
 
 ScopedTimerMs::~ScopedTimerMs() {
   if (hist_ == nullptr) return;
-  hist_->observe(static_cast<double>(steady_now_ns() - start_ns_) / 1e6);
+  hist_->observe(earlier_ms_ +
+                 static_cast<double>(steady_now_ns() - start_ns_) / 1e6);
 }
 
 }  // namespace mosaic::obs

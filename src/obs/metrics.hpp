@@ -201,16 +201,19 @@ class Registry {
                                   std::string_view value);
 
 /// RAII stage timer: observes elapsed milliseconds into `hist` at scope
-/// exit. The clock is only read when metrics are enabled.
+/// exit, plus `earlier_ms` spent on the stage's behalf before the scope
+/// (a share of work done for several items at once). The clock is only
+/// read when metrics are enabled.
 class ScopedTimerMs {
  public:
-  explicit ScopedTimerMs(Histogram& hist) noexcept;
+  explicit ScopedTimerMs(Histogram& hist, double earlier_ms = 0.0) noexcept;
   ~ScopedTimerMs();
   ScopedTimerMs(const ScopedTimerMs&) = delete;
   ScopedTimerMs& operator=(const ScopedTimerMs&) = delete;
 
  private:
   Histogram* hist_;  ///< null when metrics were disabled at entry
+  double earlier_ms_;
   std::uint64_t start_ns_ = 0;
 };
 

@@ -19,13 +19,18 @@ Status LineAppender::open(const std::string& path) {
   return Status::success();
 }
 
-Status LineAppender::append(std::string_view line) {
+Status LineAppender::append(std::string_view line, Flush when) {
   if (file_ == nullptr) return Status::success();
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fputc('\n', file_) == EOF || std::fflush(file_) != 0) {
+      std::fputc('\n', file_) == EOF) {
     return Error{ErrorCode::kIoError, "append to " + path_ + " failed"};
   }
-  return Status::success();
+  return when == Flush::kNow ? flush() : Status::success();
+}
+
+Status LineAppender::flush() {
+  if (file_ == nullptr || std::fflush(file_) == 0) return Status::success();
+  return Error{ErrorCode::kIoError, "append to " + path_ + " failed"};
 }
 
 void LineAppender::close() {

@@ -20,10 +20,15 @@
 
 namespace mosaic::util {
 
-/// Appends newline-terminated lines, flushing after each, so a killed
-/// process loses at most the line being written.
+/// Appends newline-terminated lines. By default each line is flushed as it
+/// is appended, so a killed process loses at most the line being written;
+/// a writer that appends lines in batches can defer the flush to the end of
+/// each batch, and a killed process then loses at most the batch.
 class LineAppender {
  public:
+  /// Whether append() flushes the line to the file before returning.
+  enum class Flush : bool { kDeferred, kNow };
+
   LineAppender() = default;
   ~LineAppender();
 
@@ -36,9 +41,13 @@ class LineAppender {
   [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
 
   /// Appends `line` plus '\n'; a no-op while closed (journaling disabled).
-  /// A failure leaves the appender usable: a journal write error must not
-  /// abort the run the journal protects.
-  [[nodiscard]] Status append(std::string_view line);
+  /// A deferred line reaches the file at the next flush(), when the stream
+  /// buffer fills, or at close(). A failure leaves the appender usable: a
+  /// journal write error must not abort the run the journal protects.
+  [[nodiscard]] Status append(std::string_view line, Flush when = Flush::kNow);
+
+  /// Writes the deferred lines out; a no-op while closed.
+  [[nodiscard]] Status flush();
 
   void close();
 

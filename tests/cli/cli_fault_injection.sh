@@ -75,6 +75,27 @@ assert one == eight, (one, eight)
 print("same bytes at 1 and 8 threads")
 PY
 
+# Ingest workers claim runs of 16 sorted paths and checksum .mbt files in
+# groups of four. With .mbt and darshan-text traces interleaved in sorted
+# order, and bit flips, torn reads and transient EIO injected, the JSON
+# summary and journal are the same bytes at 1, 2 and 8 threads.
+"$MOSAIC" generate "$WORK/interleaved" --traces 120 --seed 13 --format mixed \
+    --corruption 0.2 > /dev/null
+first_run=$(LC_ALL=C ls "$WORK/interleaved" | head -16)
+grep -q '\.mbt$' <<< "$first_run"
+grep -q '\.txt$' <<< "$first_run"
+for t in 1 2 8; do
+  "$MOSAIC" batch "$WORK/interleaved" --threads "$t" \
+      --fault-inject 'seed=21,flip=0.15,short=0.15,eio=0.2,eio_failures=1' \
+      --retries 2 --json "$WORK/interleaved$t.json" \
+      --journal "$WORK/interleaved$t.jsonl" > /dev/null
+done
+for t in 2 8; do
+  cmp "$WORK/interleaved1.json" "$WORK/interleaved$t.json"
+  cmp "$WORK/interleaved1.jsonl" "$WORK/interleaved$t.jsonl"
+done
+grep -q '"code":"corrupt-trace"' "$WORK/interleaved1.jsonl"
+
 # Observability surface: a faulty run with --metrics/--trace-events/--progress
 # must dump metrics (JSON + Prometheus) whose per-ErrorCode eviction counters
 # exactly match the run's funnel summary, a Perfetto-loadable trace with

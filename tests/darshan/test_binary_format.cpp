@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "darshan/io.hpp"
 #include "ingest/ingest.hpp"
@@ -42,6 +46,61 @@ TEST(Fnv1a, KnownVectors) {
   EXPECT_EQ(fnv1a(std::string_view("")), 0xCBF29CE484222325ull);
   EXPECT_EQ(fnv1a(std::string_view("a")), 0xAF63DC4C8601EC8Cull);
   EXPECT_EQ(fnv1a(std::string_view("foobar")), 0x85944171F73967E8ull);
+}
+
+TEST(Fnv1aLanes, MatchesScalarPerInput) {
+  // Every length from 0 to 64 and a few KB, each a different walk through
+  // the byte values, so a lane that mixes up lengths, positions or bytes
+  // shows.
+  std::vector<std::vector<std::byte>> inputs;
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 64; ++length) lengths.push_back(length);
+  for (const std::size_t length : {255u, 256u, 1000u, 2149u, 4096u, 4099u}) {
+    lengths.push_back(length);
+  }
+  for (const std::size_t length : lengths) {
+    std::vector<std::byte> bytes(length);
+    for (std::size_t i = 0; i < length; ++i) {
+      bytes[i] = static_cast<std::byte>((i * 167 + length * 31) & 0xFF);
+    }
+    inputs.push_back(std::move(bytes));
+  }
+  // Every byte value alone, four to a group.
+  for (int value = 0; value < 256; ++value) {
+    inputs.push_back({static_cast<std::byte>(value)});
+  }
+  std::vector<std::span<const std::byte>> views(inputs.begin(), inputs.end());
+
+  const auto check = [](std::span<const std::span<const std::byte>> group) {
+    const auto lanes = fnv1a_lanes(group);
+    for (std::size_t i = 0; i < kFnvLanes; ++i) {
+      EXPECT_EQ(lanes[i], i < group.size() ? fnv1a(group[i]) : 0u)
+          << "lane " << i << " of a group of " << group.size()
+          << (i < group.size() ? ", length " + std::to_string(group[i].size())
+                               : std::string());
+    }
+  };
+  // Groups of 0 to 4 neighbouring inputs: equal and unequal lengths, the
+  // shortest in every lane.
+  for (std::size_t size = 0; size <= kFnvLanes; ++size) {
+    for (std::size_t first = 0; first + size <= views.size(); ++first) {
+      check(std::span(views).subspan(first, size));
+    }
+  }
+  // Long and empty inputs in every lane position, and reversed lengths.
+  const std::span<const std::byte> longest = views[lengths.size() - 1];
+  const std::span<const std::byte> empty = views[0];
+  for (std::size_t at = 0; at < kFnvLanes; ++at) {
+    std::vector<std::span<const std::byte>> group(kFnvLanes, empty);
+    group[at] = longest;
+    check(group);
+    std::fill(group.begin(), group.end(), longest);
+    group[at] = empty;
+    check(group);
+  }
+  check(std::vector<std::span<const std::byte>>{views[70], views[64], views[9],
+                                                views[1]});
+  EXPECT_EQ(fnv1a_lanes({})[0], 0u);
 }
 
 TEST(Mbt, RoundTripPreservesEverything) {
@@ -134,6 +193,36 @@ TEST(TraceIo, ScanMissingDirectoryFails) {
   const auto scan = scan_trace_dir("/definitely/not/here");
   ASSERT_FALSE(scan.has_value());
   EXPECT_EQ(scan.error().code, util::ErrorCode::kNotFound);
+}
+
+TEST(TraceIo, ScanSortsAsJoinedPathsCompare) {
+  // The scan sorts names on an 8-byte key after their shared prefix and
+  // then on the bytes: names that agree past the key, end inside it, are
+  // prefixes of each other or hold bytes above 0x7F must come out in the
+  // order of sorting the joined paths.
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "mosaic_scan_order";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::string> names = {
+      "job_0.mbt",          "job_0.txt",          "job_00.mbt",
+      "job_0000000000.mbt", "job_00000000000.mbt", "job_0000000001.txt",
+      "job_000000000.txt",  "job_1.mbt",          "job_10.mbt",
+      "job_9.darshan.txt",  "job_\xc3\xa9.mbt",   "job_\x7f.mbt",
+      "job_A.mbt",          "job_a.mbt",          "job_.mbt",
+      "job_0000000000x.mbt"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(write_mbt_file(make_trace(), (dir / name).string()).ok());
+  }
+  std::vector<std::string> expected;
+  for (const std::string& name : names) expected.push_back((dir / name).string());
+  std::sort(expected.begin(), expected.end());
+  for (const std::string& input : {dir.string(), dir.string() + "/"}) {
+    const auto scan = scan_trace_dir(input);
+    ASSERT_TRUE(scan.has_value());
+    EXPECT_EQ(*scan, expected) << input;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ExpandTracePaths, ListsDirectoriesAndKeepsFilePaths) {

@@ -325,6 +325,24 @@ void replace_field(std::string& text, util::Rng& rng, std::string_view token) {
   text.replace(at, length, token);
 }
 
+/// Replaces the value of a random `# key: value` header line with `token`.
+void replace_header_value(std::string& text, util::Rng& rng,
+                          std::string_view token) {
+  std::vector<std::pair<std::size_t, std::size_t>> values;
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    const std::size_t colon = text.find(':', begin);
+    if (text[begin] == '#' && colon < end) {
+      values.emplace_back(colon + 1, end - colon - 1);
+    }
+    begin = end + 1;
+  }
+  if (values.empty()) return;
+  const auto& [at, length] = values[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(values.size()) - 1))];
+  text.replace(at, length, " " + std::string(token));
+}
+
 void mutate_darshan_text(std::string& text, util::Rng& rng) {
   static constexpr std::string_view kTokens[] = {
       "MPI-IO", "nan", "inf", "1e999", "18446744073709551616", "4294967296"};
@@ -334,7 +352,7 @@ void mutate_darshan_text(std::string& text, util::Rng& rng) {
     return static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(text.size()) - 1));
   };
-  switch (rng.uniform_int(0, 6)) {
+  switch (rng.uniform_int(0, 7)) {
     case 0:  // bit flip
       text[pick()] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
       break;
@@ -360,6 +378,9 @@ void mutate_darshan_text(std::string& text, util::Rng& rng) {
     }
     case 5:  // inserted whitespace other than ' ' and '\n'
       text.insert(pick(), 1, kSpaces[rng.uniform_int(0, 3)]);
+      break;
+    case 6:
+      replace_header_value(text, rng, kTokens[rng.uniform_int(0, 5)]);
       break;
     default:
       replace_field(text, rng, kTokens[rng.uniform_int(0, 5)]);

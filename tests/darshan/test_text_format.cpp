@@ -242,6 +242,41 @@ TEST(TextFormat, OutOfRangeCounterOrRankIsAParseError) {
   EXPECT_EQ(low.writes, 0u);
 }
 
+TEST(TextFormat, OutOfRangeNprocsIsAParseError) {
+  // nprocs is stored as uint32_t: 2^32 would read as 0 ranks and 2^32 + 1
+  // as 1, so a count that does not fit is a bad field on its own line.
+  const std::string tail =
+      "# run time: 10\n"
+      "POSIX\t0\t5\tPOSIX_OPENS\t1\t/f\n";
+  for (const char* header : {
+           "# nprocs: 4294967296\n",
+           "# nprocs: 4294967297\n",
+           "# nprocs: 18446744073709551615\n",
+           "# nprocs: 18446744073709551616\n",
+           "#   nprocs :  99999999999999999999999  \n",
+       }) {
+    const auto parsed = parse_text("# exe: /bin/app\n" + std::string(header) +
+                                   tail);
+    ASSERT_FALSE(parsed.has_value()) << header;
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParseError) << header;
+    EXPECT_EQ(parsed.error().message, "line 2: bad numeric field") << header;
+  }
+
+  // The largest count that fits is kept; a value that is not a number is
+  // still ignored and leaves the default.
+  const auto largest = parse_text("# nprocs: 4294967295\n" + tail);
+  ASSERT_TRUE(largest.has_value()) << largest.error().to_string();
+  EXPECT_EQ(largest->meta.nprocs, 4294967295u);
+  const std::uint32_t fallback = trace::Trace{}.meta.nprocs;
+  for (const char* header : {"# nprocs: -1\n", "# nprocs: 12abc\n",
+                             "# nprocs: 0x10\n", "# nprocs:\n",
+                             "# nprocs: 1e3\n"}) {
+    const auto parsed = parse_text(std::string(header) + tail);
+    ASSERT_TRUE(parsed.has_value()) << header;
+    EXPECT_EQ(parsed->meta.nprocs, fallback) << header;
+  }
+}
+
 TEST(TextFormat, ExpiredDeadlineStopsAtLine4096) {
   // The parser reads the clock once every 4096 lines, so an expired
   // deadline stops a long document at line 4096, not at line 1 or its end.

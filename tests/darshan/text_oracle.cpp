@@ -130,7 +130,7 @@ void apply_counter(FileRecord& record, const CounterSpec& spec, double value) {
   }
 }
 
-void apply_header(Trace& out, std::string_view key, std::string_view value) {
+bool apply_header(Trace& out, std::string_view key, std::string_view value) {
   using util::parse_double;
   using util::parse_uint;
   if (key == "exe") {
@@ -147,14 +147,22 @@ void apply_header(Trace& out, std::string_view key, std::string_view value) {
   } else if (key == "jobid") {
     if (const auto v = parse_uint(value)) out.meta.job_id = *v;
   } else if (key == "nprocs") {
-    if (const auto v = parse_uint(value)) {
-      out.meta.nprocs = static_cast<std::uint32_t>(*v);
+    // A count past uint32_t, even past uint64_t (all digits, yet no
+    // parse_uint value), does not fit; anything else unparseable is ignored.
+    const auto v = parse_uint(value);
+    const bool all_digits =
+        !value.empty() &&
+        value.find_first_not_of("0123456789") == std::string_view::npos;
+    if (v ? *v > std::numeric_limits<std::uint32_t>::max() : all_digits) {
+      return false;
     }
+    if (v) out.meta.nprocs = static_cast<std::uint32_t>(*v);
   } else if (key == "start_time") {
     if (const auto v = parse_double(value)) out.meta.start_time = *v;
   } else if (key == "run time" || key == "run_time") {
     if (const auto v = parse_double(value)) out.meta.run_time = *v;
   }
+  return true;
 }
 
 Error bad_numeric_field(std::size_t line_number) {
@@ -193,8 +201,10 @@ Expected<Trace> parse_text(std::string_view text,
     if (trimmed.front() == '#') {
       const std::string_view body = util::trim(trimmed.substr(1));
       if (const auto colon = body.find(':'); colon != std::string_view::npos) {
-        apply_header(out, util::trim(body.substr(0, colon)),
-                     util::trim(body.substr(colon + 1)));
+        if (!apply_header(out, util::trim(body.substr(0, colon)),
+                          util::trim(body.substr(colon + 1)))) {
+          return bad_numeric_field(line_number);
+        }
       }
       continue;
     }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,6 +31,8 @@
 #include "ingest/journal.hpp"
 #include "ingest/reader.hpp"
 #include "json/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "report/json_output.hpp"
 #include "sim/population.hpp"
 #include "util/jsonl.hpp"
@@ -545,6 +549,154 @@ TEST_F(IngestTest, SameBytesAtOneTwoAndEightThreadsWithDelayedFiles) {
   const Run resumed = run(8, resuming, "journal_abort.jsonl");
   EXPECT_EQ(resumed.json, one.json);
   EXPECT_EQ(resumed.journal, one.journal);
+}
+
+/// Reads through the real filesystem, except that the first attempt at
+/// each of `flaky` fails with a transient EIO.
+class FirstAttemptEioReader final : public FileReader {
+ public:
+  explicit FirstAttemptEioReader(std::set<std::string> flaky)
+      : flaky_(std::move(flaky)) {}
+
+  util::Expected<std::vector<std::byte>> read(const std::string& path,
+                                              int attempt) override {
+    if (attempt == 0 && flaky_.count(path) > 0) {
+      return util::Error{util::ErrorCode::kIoError, "injected EIO on " + path};
+    }
+    return system_reader().read(path, attempt);
+  }
+
+ private:
+  std::set<std::string> flaky_;
+};
+
+TEST_F(IngestTest, RunBoundariesKeepBytes) {
+  // 50 sorted paths, so workers claim runs at 0, 16, 32 and 48. Text and
+  // .mbt files interleave, and paths 14 to 23 are all .mbt: the checksum
+  // group open at path 16 closes at the run's end, and the next one holds
+  // a torn (17), a bit-flipped (19) and two valid files around a
+  // bad-magic one (18), which is parsed on its own. Path 25 does not
+  // exist, and the first reads of paths 16 and 20 fail with EIO.
+  constexpr std::size_t kPaths = 50;
+  sim::PopulationConfig config;
+  config.target_traces = 60;
+  config.seed = 31;
+  config.corruption_fraction = 0.3;
+  const sim::Population population = sim::generate_population(config);
+  ASSERT_GE(population.traces.size(), kPaths);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < kPaths; ++i) {
+    const bool mbt = (i >= 14 && i <= 23) || i % 3 == 0;
+    char name[16];
+    std::snprintf(name, sizeof name, "r%02zu.%s", i, mbt ? "mbt" : "txt");
+    paths.push_back(path(name));
+    if (i == 25) continue;
+    const trace::Trace& t = population.traces[i].trace;
+    if (!mbt) {
+      ASSERT_TRUE(darshan::write_text_file(t, paths.back()).ok());
+      continue;
+    }
+    std::vector<std::byte> bytes = darshan::to_mbt(t);
+    if (i == 17) bytes.resize(bytes.size() / 2);
+    if (i == 18) bytes[0] = std::byte{'X'};
+    if (i == 19) bytes[bytes.size() / 3] ^= std::byte{0x10};
+    std::ofstream out(paths.back(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  FirstAttemptEioReader flaky({paths[16], paths[20]});
+  IngestOptions base;
+  base.reader = &flaky;
+  base.backoff_initial_ms = 0.01;
+  const core::Thresholds thresholds;
+  const obs::Histogram& parse_ms = obs::Registry::global().histogram(
+      obs::names::kIngestParseMs, obs::latency_buckets_ms());
+
+  struct Run {
+    std::string json, journal, counters;
+    IngestStats stats;
+    std::size_t retained = 0;
+    std::uint64_t parses = 0;
+  };
+  const auto run = [&](std::size_t threads, IngestOptions options,
+                       const std::string& journal) {
+    parallel::ThreadPool pool(threads);
+    options.journal_path = path(journal);
+    const std::uint64_t parses_before = parse_ms.count();
+    auto result = ingest_paths(paths, options, pool);
+    Run out;
+    if (!result.has_value()) {
+      ADD_FAILURE() << result.error().to_string();
+      return out;
+    }
+    out.parses = parse_ms.count() - parses_before;
+    out.counters = describe(*result);
+    out.stats = result->stats;
+    out.retained = result->pre.stats.retained;
+    if (!result->stats.aborted) {
+      out.json = json::serialize(report::batch_to_json(
+          core::analyze_preprocessed(std::move(result->pre), thresholds,
+                                     &pool),
+          /*include_traces=*/true));
+    }
+    out.journal = slurp(options.journal_path);
+    return out;
+  };
+
+  const Run one = run(1, base, "journal_1.jsonl");
+  ASSERT_FALSE(one.json.empty());
+  EXPECT_EQ(one.stats.loaded + one.stats.failed, kPaths);
+  EXPECT_EQ(one.stats.recovered, 2u);
+  EXPECT_NE(one.counters.find("not-found=1"), std::string::npos)
+      << one.counters;
+  // One parse per file that was read (all but the missing one) and one per
+  // re-read winner.
+  EXPECT_EQ(one.parses, kPaths - 1 + one.retained);
+  const auto journal = load_journal(path("journal_1.jsonl"));
+  ASSERT_TRUE(journal.has_value());
+  ASSERT_EQ(journal->size(), kPaths);
+  for (const std::size_t i : {17u, 18u, 19u}) {
+    const core::FileOutcome& outcome = journal->at(paths[i]);
+    ASSERT_FALSE(outcome.valid()) << paths[i];
+    EXPECT_EQ(outcome.error->code, util::ErrorCode::kCorruptTrace) << i;
+    EXPECT_EQ(outcome.corruption, trace::CorruptionKind::kNone) << i;
+  }
+  EXPECT_TRUE(journal->at(paths[16]).valid() ||
+              journal->at(paths[16]).corruption != trace::CorruptionKind::kNone);
+  EXPECT_TRUE(journal->at(paths[20]).valid() ||
+              journal->at(paths[20]).corruption != trace::CorruptionKind::kNone);
+
+  for (const std::size_t threads : {2u, 8u}) {
+    const Run other =
+        run(threads, base, "journal_" + std::to_string(threads) + ".jsonl");
+    EXPECT_EQ(other.counters, one.counters) << threads << " threads";
+    EXPECT_EQ(other.journal, one.journal) << threads << " threads";
+    EXPECT_EQ(other.json, one.json) << threads << " threads";
+    EXPECT_EQ(other.parses, one.parses) << threads << " threads";
+  }
+
+  // A crash before, at and after a run boundary, then a resume: the
+  // journal holds exactly the folded files, and the resumed run ends with
+  // the uninterrupted run's summary and journal.
+  for (const std::size_t threads : {1u, 8u}) {
+    for (const std::size_t abort_after : {1u, 15u, 16u, 17u, 33u}) {
+      const std::string name = "abort_" + std::to_string(threads) + "_" +
+                               std::to_string(abort_after) + ".jsonl";
+      IngestOptions crashing = base;
+      crashing.abort_after_files = abort_after;
+      const Run aborted = run(threads, crashing, name);
+      EXPECT_TRUE(aborted.stats.aborted);
+      EXPECT_EQ(std::count(aborted.journal.begin(), aborted.journal.end(), '\n'),
+                static_cast<std::ptrdiff_t>(abort_after))
+          << abort_after;
+      IngestOptions resuming = base;
+      resuming.resume = true;
+      const Run resumed = run(threads, resuming, name);
+      EXPECT_EQ(resumed.stats.journal_replayed, abort_after);
+      EXPECT_EQ(resumed.json, one.json) << threads << " " << abort_after;
+      EXPECT_EQ(resumed.journal, one.journal) << threads << " " << abort_after;
+    }
+  }
 }
 
 /// Reads through the real filesystem but throws on one path.

@@ -151,5 +151,26 @@ TEST(JsonlLines, AppenderAppendsAcrossReopensAndIsANoOpWhenClosed) {
   fs::remove(path);
 }
 
+TEST(JsonlLines, DeferredLinesReachTheFileAtFlush) {
+  // The ingest fold defers its journal lines and flushes once per batch;
+  // a line appended with the default policy is on disk at once.
+  const std::string path = temp_path("deferred.jsonl");
+  fs::remove(path);
+  LineAppender appender;
+  EXPECT_TRUE(appender.flush().ok());  // closed: a no-op
+  ASSERT_TRUE(appender.open(path).ok());
+  ASSERT_TRUE(
+      appender.append(R"({"n":1})", LineAppender::Flush::kDeferred).ok());
+  ASSERT_TRUE(
+      appender.append(R"({"n":2})", LineAppender::Flush::kDeferred).ok());
+  EXPECT_EQ(slurp(path), "");
+  ASSERT_TRUE(appender.flush().ok());
+  EXPECT_EQ(slurp(path), "{\"n\":1}\n{\"n\":2}\n");
+  ASSERT_TRUE(appender.append(R"({"n":3})").ok());
+  EXPECT_EQ(slurp(path), "{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n");
+  appender.close();
+  fs::remove(path);
+}
+
 }  // namespace
 }  // namespace mosaic::util
