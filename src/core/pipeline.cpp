@@ -27,8 +27,8 @@ __attribute__((format(printf, 2, 3))) void trace_rule(
   rule_trace->emplace_back(buffer);
 }
 
-/// Per-stage instruments, resolved once; the hot path pays one relaxed load
-/// per stage plus two steady_clock reads, nothing else.
+/// Per-stage instruments, resolved once; a detailed trace pays one relaxed
+/// load per stage plus two clock reads, nothing else.
 struct StageMetrics {
   obs::Histogram& merge_ms;
   obs::Histogram& segment_ms;
@@ -316,16 +316,16 @@ TraceResult Analyzer::analyze_impl(const trace::Trace& trace,
   // per-stage detail scopes (merge x2, segment x2, periodicity x2,
   // temporality x2, metadata, categorize) — are sampled 1-in-32 per thread:
   // the histograms keep an unbiased latency distribution while the
-  // un-sampled majority of traces pays two relaxed loads per scope and no
-  // clock read. The rate is tuned against the <10% instrumentation budget
-  // that bench/perf_pipeline pins — after the zero-alloc workspace pass a
-  // trace analyzes in about a microsecond, so timing every trace (and
-  // force-detailing every provenance-sampled trace, as earlier revisions
-  // did) cost more than the analysis stages being timed. Provenance capture
-  // no longer implies timing detail: the journal records the decision path,
-  // the histograms record latency, and the two sample independently.
-  // The first trace on each thread is always detailed (tick starts at 0) so
-  // short runs still populate every stage series.
+  // un-sampled majority of traces pays a few branches per scope, no clock
+  // read. A trace analyzes in about a microsecond, so timing every trace
+  // (and force-detailing every provenance-sampled trace, as earlier
+  // revisions did) cost more than the analysis stages being timed.
+  // tests/obs/test_instrumentation_counts.cpp pins the rule exactly: 11
+  // scopes and 22 clock reads per detailed trace, none on the others.
+  // Provenance capture does not imply timing detail: the journal records the
+  // decision path, the histograms record latency, and the two sample
+  // independently. The first trace on each thread is always detailed (tick
+  // starts at 0) so short runs still populate every stage series.
   constexpr std::uint32_t kStageDetailMask = 32 - 1;
   thread_local std::uint32_t stage_detail_tick = 0;
   const bool stage_detail = (stage_detail_tick++ & kStageDetailMask) == 0;

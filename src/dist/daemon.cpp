@@ -12,7 +12,6 @@
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "report/aggregate.hpp"
 #include "report/json_output.hpp"
@@ -479,11 +478,6 @@ void Daemon::register_routes() {
     const bool failing = report.level == obs::HealthLevel::kFail;
     return obs::HttpResponse{failing ? 503 : 200, "application/json",
                              json::serialize(body), {}};
-  });
-  http_.handle("/profile", [](const obs::HttpRequest&) {
-    return obs::HttpResponse{
-        200, "application/json",
-        json::serialize(obs::Profiler::global().profile_json()), {}};
   });
 }
 

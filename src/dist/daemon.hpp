@@ -11,8 +11,8 @@
 // capture forced on, so the cached explain artifact is byte-identical to
 // `mosaic explain --json`). Results are served as JSON over the shared
 // embedded HTTP endpoint (obs/http.hpp): /results, /explain/<trace-id>,
-// /report, plus the standard /metrics, /metrics.json, /healthz and
-// /profile — all documented in docs/API.md.
+// /report, plus the standard /metrics, /metrics.json and /healthz — all
+// documented in docs/API.md.
 //
 // Draining: run() returns when the stop flag is raised (the CLI wires
 // SIGINT/SIGTERM to it); in-flight submissions finish (a session that has

@@ -7,7 +7,6 @@
 #include "json/reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "util/backoff.hpp"
 #include "util/fs.hpp"
@@ -510,11 +509,6 @@ void TelemetryHub::register_routes() {
         body.find("\"status\": \"fail\"") != std::string::npos;
     return obs::HttpResponse{failing ? 503 : 200, "application/json",
                              std::move(body), {}};
-  });
-  http_.handle("/profile", [](const obs::HttpRequest&) {
-    return obs::HttpResponse{
-        200, "application/json",
-        json::serialize(obs::Profiler::global().profile_json()), {}};
   });
 }
 

@@ -162,8 +162,8 @@ class TelemetryHub {
   [[nodiscard]] util::Status write_fleet_trace(const std::string& path);
 
   // --- embedded HTTP endpoint -------------------------------------------
-  /// Binds and serves GET /metrics, /metrics.json, /status, /healthz and
-  /// /profile (obs::HttpServer routes) on a background thread until stop().
+  /// Binds and serves GET /metrics, /metrics.json, /status and /healthz
+  /// (obs::HttpServer routes) on a background thread until stop().
   /// Port 0 binds ephemerally; endpoint_port() reports the resolved port.
   [[nodiscard]] util::Status start_endpoint(const Address& address);
   [[nodiscard]] std::uint16_t endpoint_port() const noexcept {

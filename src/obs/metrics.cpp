@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
+#include "obs/span.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::obs {
@@ -384,26 +384,15 @@ std::string labeled(std::string_view name, std::string_view key,
   return out;
 }
 
-namespace {
-
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 ScopedTimerMs::ScopedTimerMs(Histogram& hist, double earlier_ms) noexcept
     : hist_(metrics_enabled() ? &hist : nullptr), earlier_ms_(earlier_ms) {
-  if (hist_ != nullptr) start_ns_ = steady_now_ns();
+  if (hist_ != nullptr) start_ns_ = SpanTracer::now_ns();
 }
 
 ScopedTimerMs::~ScopedTimerMs() {
   if (hist_ == nullptr) return;
   hist_->observe(earlier_ms_ +
-                 static_cast<double>(steady_now_ns() - start_ns_) / 1e6);
+                 static_cast<double>(SpanTracer::now_ns() - start_ns_) / 1e6);
 }
 
 }  // namespace mosaic::obs

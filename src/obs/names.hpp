@@ -161,17 +161,6 @@ inline constexpr std::string_view kFleetEndpointUnauthorized =
 inline constexpr std::string_view kFleetWorkersStale =
     "mosaic_fleet_workers_stale";
 
-// Sampling profiler (src/obs/profiler).
-inline constexpr std::string_view kProfilerSamples =
-    "mosaic_profiler_samples_total";
-inline constexpr std::string_view kProfilerSamplesDropped =
-    "mosaic_profiler_samples_dropped_total";
-inline constexpr std::string_view kProfilerStacksTruncated =
-    "mosaic_profiler_stacks_truncated_total";
-inline constexpr std::string_view kProfilerAllocs =
-    "mosaic_profiler_allocations_attributed_total";
-inline constexpr std::string_view kProfilerThreads = "mosaic_profiler_threads";
-
 // Health engine (src/obs/health). kHealthLevel encodes the overall verdict
 // as 0 = ok, 1 = warn, 2 = fail.
 inline constexpr std::string_view kHealthLevel = "mosaic_health_level";

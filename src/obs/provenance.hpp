@@ -14,8 +14,9 @@
 //
 // Capture is gated exactly like MOSAIC_SPAN: disabled, the per-trace check
 // is one relaxed load; enabled, records are taken for one in every
-// `sample_every` traces, so batch runs stay inside the <10% instrumentation
-// budget that bench/perf_pipeline --overhead-only pins.
+// `sample_every` traces. tests/obs/test_instrumentation_counts.cpp counts
+// both: no allocation or metric update when off, exactly one record per
+// sampled trace when on.
 //
 // The structs here are deliberately dependency-free (strings and numbers
 // only): core fills them, report joins them against sim ground truth, and

@@ -4,11 +4,6 @@
 #include <chrono>
 #include <cstdio>
 
-#if defined(__x86_64__)
-#include <cpuid.h>
-#include <x86intrin.h>
-#endif
-
 #include "obs/federation.hpp"
 #include "util/fs.hpp"
 
@@ -25,60 +20,7 @@ struct ThreadSlot {
 
 thread_local ThreadSlot t_slot;
 
-std::uint64_t steady_now_ns() noexcept {
-  static const std::chrono::steady_clock::time_point t0 =
-      std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-#if defined(__x86_64__)
-/// Once-calibrated TSC-to-nanoseconds conversion. mult == 0 means the TSC
-/// is unusable (not invariant) and callers must take the steady_clock
-/// path. Fixed-point Q32: ns = (ticks * mult) >> 32, keeping the per-read
-/// conversion to one 64x64->128 multiply instead of int<->double churn.
-struct TscCalibration {
-  std::uint64_t t0_ticks = 0;
-  std::uint64_t mult = 0;  ///< ns per tick, Q32 fixed point
-};
-
-bool invariant_tsc_supported() noexcept {
-  // CPUID.80000007H:EDX[8] — invariant TSC: constant rate across P-states
-  // and synchronized across cores, the precondition for using raw ticks as
-  // a time base.
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_max(0x80000000U, nullptr) < 0x80000007U) return false;
-  if (__get_cpuid(0x80000007U, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (edx & (1U << 8)) != 0;
-}
-
-TscCalibration calibrate_tsc() noexcept {
-  TscCalibration cal;
-  if (!invariant_tsc_supported()) return cal;
-  // Measure the tick rate against steady_clock over a short spin. ~1 ms
-  // keeps the one-time cost negligible while bounding the rate error well
-  // under 0.1% — far below what millisecond-scale stage histograms resolve.
-  const std::uint64_t ticks_begin = __rdtsc();
-  const auto wall_begin = std::chrono::steady_clock::now();
-  for (;;) {
-    const auto elapsed = std::chrono::steady_clock::now() - wall_begin;
-    if (elapsed >= std::chrono::milliseconds(1)) {
-      const std::uint64_t ticks = __rdtsc() - ticks_begin;
-      if (ticks == 0) return cal;  // TSC not advancing; keep fallback
-      const double ns_per_tick =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()) /
-          static_cast<double>(ticks);
-      cal.t0_ticks = ticks_begin;
-      cal.mult = static_cast<std::uint64_t>(ns_per_tick * 4294967296.0);
-      return cal;
-    }
-  }
-}
-#endif  // defined(__x86_64__)
+thread_local std::uint64_t t_clock_reads = 0;
 
 }  // namespace
 
@@ -89,20 +31,16 @@ SpanTracer& SpanTracer::global() {
 }
 
 std::uint64_t SpanTracer::now_ns() noexcept {
-#if defined(__x86_64__)
-  // RDTSC fast path: roughly half the cost of a vDSO clock_gettime, and
-  // this is the hottest instrumentation primitive (two reads per stage
-  // scope). Calibrated once; non-invariant TSCs fall back to steady_clock.
-  static const TscCalibration cal = calibrate_tsc();
-  if (cal.mult != 0) {
-    __extension__ typedef unsigned __int128 uint128;
-    const uint128 product =
-        static_cast<uint128>(__rdtsc() - cal.t0_ticks) * cal.mult;
-    return static_cast<std::uint64_t>(product >> 32);
-  }
-#endif
-  return steady_now_ns();
+  static const std::chrono::steady_clock::time_point t0 =
+      std::chrono::steady_clock::now();
+  ++t_clock_reads;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
+
+std::uint64_t SpanTracer::clock_reads() noexcept { return t_clock_reads; }
 
 void SpanTracer::enable(std::size_t per_thread_capacity) {
   capacity_.store(std::max<std::size_t>(16, per_thread_capacity),

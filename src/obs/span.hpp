@@ -12,6 +12,8 @@
 //
 // Tracing is off by default; a disabled MOSAIC_SPAN costs one relaxed load
 // and a branch (no clock read, no buffer write).
+// tests/obs/test_instrumentation_counts.cpp pins that, and the exact number
+// of clock reads and span records with tracing on, through clock_reads().
 #pragma once
 
 #include <atomic>
@@ -24,13 +26,6 @@
 #include "util/error.hpp"
 
 namespace mosaic::obs {
-
-/// Sampling-profiler scope hooks (defined in profiler.cpp; declared here so
-/// SpanScope/StageScope can feed the profiler's per-thread frame stack
-/// without a header cycle). push returns true when a frame was pushed — the
-/// scope pops exactly then. Disabled cost: one relaxed load + branch.
-[[nodiscard]] bool profiler_push_frame(const char* name) noexcept;
-void profiler_pop_frame() noexcept;
 
 /// One completed span. `name` must be a string literal (or otherwise outlive
 /// the tracer) — spans are recorded on hot paths and must not allocate.
@@ -76,8 +71,12 @@ class SpanTracer {
   /// state are kept). Safe only while no spans are being recorded.
   void reset();
 
-  /// Nanoseconds since process start on the steady clock.
+  /// Steady-clock nanoseconds since the process first read this clock: the
+  /// one clock every obs timer (StageScope, SpanScope, ScopedTimerMs) reads.
   [[nodiscard]] static std::uint64_t now_ns() noexcept;
+
+  /// now_ns() calls made so far by the calling thread.
+  [[nodiscard]] static std::uint64_t clock_reads() noexcept;
 
  private:
   struct ThreadBuffer {
@@ -100,8 +99,7 @@ class SpanTracer {
 /// RAII span scope; prefer the MOSAIC_SPAN macro.
 class SpanScope {
  public:
-  explicit SpanScope(const char* name) noexcept
-      : pushed_(profiler_push_frame(name)) {
+  explicit SpanScope(const char* name) noexcept {
     if (SpanTracer::global().enabled()) {
       name_ = name;
       start_ns_ = SpanTracer::now_ns();
@@ -111,7 +109,6 @@ class SpanScope {
     if (name_ != nullptr) {
       SpanTracer::global().record(name_, start_ns_, SpanTracer::now_ns());
     }
-    if (pushed_) profiler_pop_frame();
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
@@ -119,7 +116,6 @@ class SpanScope {
  private:
   const char* name_ = nullptr;
   std::uint64_t start_ns_ = 0;
-  bool pushed_;
 };
 
 }  // namespace mosaic::obs

@@ -1,14 +1,15 @@
 // Combined per-stage instrumentation scope.
 //
-// MOSAIC_STAGE(histogram, "name") times the enclosing scope once and feeds
-// both the stage latency histogram and the span tracer from the same pair
-// of clock reads. The separate ScopedTimerMs + MOSAIC_SPAN composition
-// reads the steady clock four times per stage; on a pipeline whose stages
-// run in microseconds those duplicate reads are the dominant
-// instrumentation cost, so the hot path uses this fused scope instead.
+// StageScope times the enclosing scope once and feeds both the stage
+// latency histogram and the span tracer from the same pair of clock reads.
+// The separate ScopedTimerMs + MOSAIC_SPAN composition reads the steady
+// clock four times per stage; on a pipeline whose stages run in
+// microseconds those duplicate reads are the dominant instrumentation cost,
+// so the hot path uses this fused scope instead.
 //
-// Fully disabled (metrics off, tracer off) the scope costs two relaxed
-// loads and a branch — no clock read.
+// With metrics and tracer off, or sampled out, the scope costs at most two
+// relaxed loads and a few branches — no clock read
+// (tests/obs/test_instrumentation_counts.cpp counts the reads).
 #pragma once
 
 #include <cstdint>
@@ -23,22 +24,11 @@ namespace mosaic::obs {
 /// at exit, shared by both sinks.
 class StageScope {
  public:
-  StageScope(Histogram& hist, const char* span_name) noexcept
-      : hist_(metrics_enabled() ? &hist : nullptr),
-        name_(SpanTracer::global().enabled() ? span_name : nullptr),
-        pushed_(profiler_push_frame(span_name)) {
-    if (hist_ != nullptr || name_ != nullptr) {
-      start_ns_ = SpanTracer::now_ns();
-    }
-  }
   /// `active == false` makes the scope a no-op (one branch, no clock read);
-  /// the hot path uses this to sample per-stage detail per trace. The
-  /// profiler frame is pushed even for sampled-out scopes: the wall-clock
-  /// profile must stay unbiased by the 1-in-N span sampling.
+  /// the hot path uses this to sample per-stage detail per trace.
   StageScope(bool active, Histogram& hist, const char* span_name) noexcept
       : hist_(active && metrics_enabled() ? &hist : nullptr),
-        name_(active && SpanTracer::global().enabled() ? span_name : nullptr),
-        pushed_(profiler_push_frame(span_name)) {
+        name_(active && SpanTracer::global().enabled() ? span_name : nullptr) {
     if (hist_ != nullptr || name_ != nullptr) {
       start_ns_ = SpanTracer::now_ns();
     }
@@ -53,7 +43,6 @@ class StageScope {
         SpanTracer::global().record(name_, start_ns_, end_ns);
       }
     }
-    if (pushed_) profiler_pop_frame();
   }
   StageScope(const StageScope&) = delete;
   StageScope& operator=(const StageScope&) = delete;
@@ -61,15 +50,7 @@ class StageScope {
  private:
   Histogram* hist_;    ///< null when metrics were disabled at entry
   const char* name_;   ///< null when tracing was disabled at entry
-  bool pushed_;
   std::uint64_t start_ns_ = 0;
 };
 
 }  // namespace mosaic::obs
-
-/// Times the enclosing scope into `hist` and as a span named `name`.
-#define MOSAIC_STAGE(hist, name)                            \
-  const ::mosaic::obs::StageScope MOSAIC_OBS_CONCAT(        \
-      mosaic_stage_, __LINE__) {                            \
-    hist, name                                              \
-  }

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/profiler.hpp"
 #include "util/log.hpp"
 
 namespace mosaic::parallel {
@@ -115,9 +114,6 @@ void ThreadPool::worker_loop() {
       metrics.active_workers.set(static_cast<std::int64_t>(active_));
     }
     try {
-      // Root profiler frame: samples inside tasks whose stages are too fast
-      // to hold a span scope still attribute to the pool instead of idling.
-      const obs::ProfilerFrame profiler_frame("pool-task");
       const obs::ScopedTimerMs timer(metrics.task_ms);
       task();
       metrics.tasks.add();

@@ -8,10 +8,9 @@
 # /metrics + /status endpoint mid-run, then checks the merged fleet metrics
 # (bare counter totals == sum of worker-labeled series) and the multi-lane
 # Chrome trace. The observability pass also runs with --metrics-token (401
-# without the bearer token, 200 with) and --profile (collapsed-stack
-# artifact). A second endpoint pass kills a worker mid-run and polls
-# /healthz until it reports fail(worker-staleness) with a 503. Ends with
-# flag-validation error cases.
+# without the bearer token, 200 with). A second endpoint pass kills a
+# worker mid-run and polls /healthz until it reports fail(worker-staleness)
+# with a 503. Ends with flag-validation error cases.
 set -euo pipefail
 MOSAIC="$1"
 WORK="$(mktemp -d)"
@@ -78,7 +77,7 @@ TOKEN="test-bearer-sekrit"
     --shards 4 --partials "$WORK/parts_obs" --json "$WORK/obs.json" \
     --metrics "$WORK/fleet.json" --trace-events "$WORK/fleet_trace.json" \
     --metrics-port 0 --progress 0.2 --heartbeat-grace 10 \
-    --metrics-token "$TOKEN" --profile "$WORK/fleet.collapsed" \
+    --metrics-token "$TOKEN" \
     > "$WORK/obs.txt" 2> "$WORK/obs.err" &
 DISPATCH_PID=$!
 
@@ -155,24 +154,12 @@ grep -Eq 'HTTP/1.1 (200 OK|503 Service Unavailable)' "$WORK/live_healthz.txt"
 grep -Eq '"status": "(ok|warn|fail)"' "$WORK/live_healthz.txt"
 grep -q '"summary"' "$WORK/live_healthz.txt"
 grep -q '"workers"' "$WORK/live_healthz.txt"
-http_get "$mport" /profile "$TOKEN" > "$WORK/live_profile.txt" \
-    2> /dev/null || true
-grep -q '200 OK' "$WORK/live_profile.txt"
-grep -q '"samples"' "$WORK/live_profile.txt"
-grep -q '"enabled": true' "$WORK/live_profile.txt"
 
 wait "$DISPATCH_PID"
 diff "$WORK/single.json" "$WORK/obs.json"
 grep -q 'dispatch progress: shards' "$WORK/obs.err"
 grep -q 'fleet metrics written to' "$WORK/obs.txt"
 grep -q 'fleet trace events written to' "$WORK/obs.txt"
-# --profile wrote the collapsed-stack artifact and announced it.
-grep -q 'profile (' "$WORK/obs.txt"
-[ -e "$WORK/fleet.collapsed" ]
-# Any recorded stack must be flamegraph-collapsed: "frame;frame count".
-if [ -s "$WORK/fleet.collapsed" ]; then
-  grep -Eq '^[^ ]+ [0-9]+$' "$WORK/fleet.collapsed"
-fi
 
 # Merged-fleet invariant: every bare counter total must equal the sum of its
 # worker-labeled series (the manager's own lane included). Histogram and
@@ -228,7 +215,6 @@ if [ -n "${MOSAIC_ARTIFACT_DIR:-}" ]; then
   cp "$WORK/fleet.json" "$MOSAIC_ARTIFACT_DIR/fleet_metrics.json"
   cp "$WORK/fleet.json.prom" "$MOSAIC_ARTIFACT_DIR/fleet_metrics.prom"
   cp "$WORK/fleet_trace.json" "$MOSAIC_ARTIFACT_DIR/fleet_trace.json"
-  cp "$WORK/fleet.collapsed" "$MOSAIC_ARTIFACT_DIR/fleet_profile.collapsed"
   cp "$WORK/live_healthz.txt" "$MOSAIC_ARTIFACT_DIR/healthz_ok.txt"
 fi
 
@@ -359,12 +345,6 @@ fi
 if "$MOSAIC" dispatch "$WORK/pop" --workers 127.0.0.1:9 \
     --partials "$WORK/p" --max-attempts 0 > /dev/null 2>&1; then
   echo "--max-attempts 0 should fail" >&2
-  exit 1
-fi
-if "$MOSAIC" dispatch "$WORK/pop" --workers 127.0.0.1:9 \
-    --partials "$WORK/p" --profile "$WORK/p.collapsed" --profile-hz 0 \
-    > /dev/null 2>&1; then
-  echo "--profile-hz 0 should fail" >&2
   exit 1
 fi
 if "$MOSAIC" worker --listen not-an-address > /dev/null 2>&1; then

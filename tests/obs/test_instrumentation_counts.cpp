@@ -1,0 +1,323 @@
+// Exact instrumentation counts over the analyzer hot path.
+//
+// The observability surface promises two things: switched off, it costs the
+// analyzer nothing but relaxed loads and branches; switched on, it costs
+// what the 1-in-32 stage-detail rule in core/pipeline.cpp says — 11 stage
+// scopes (analyze, metadata, categorize, and merge, segment, periodicity and
+// temporality per op kind), each with two clock reads, on one trace in 32.
+// Both are structural properties, so this file counts them instead of
+// timing them: clock reads (SpanTracer::clock_reads), span records,
+// metric updates (registry snapshot deltas) and heap allocations (a
+// test-local operator new) on one thread analyzing 1,000 valid traces with
+// a warmed AnalyzerWorkspace. A count is exact, so any increase fails.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
+#include "obs/provenance.hpp"
+#include "obs/span.hpp"
+#include "sim/population.hpp"
+
+namespace {
+
+/// Allocation accounting for the calling thread, armed only around the
+/// measured loop so setup and the warm-up pass are not counted.
+thread_local bool t_count_allocations = false;
+thread_local std::uint64_t t_allocations = 0;
+
+/// Every allocating form below lands here: counts when the calling thread
+/// is armed, then allocates with malloc (nullptr on failure).
+void* counted_alloc(std::size_t size, std::size_t alignment) noexcept {
+  if (t_count_allocations) ++t_allocations;
+  if (alignment <= alignof(std::max_align_t)) {
+    return std::malloc(size == 0 ? 1 : size);
+  }
+  void* ptr = nullptr;
+  return posix_memalign(&ptr, alignment, size == 0 ? alignment : size) == 0
+             ? ptr
+             : nullptr;
+}
+
+void* counted_alloc_or_throw(std::size_t size, std::size_t alignment) {
+  if (void* ptr = counted_alloc(size, alignment)) return ptr;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// The whole replaceable set, nothrow forms included (std::stable_sort's
+// temporary buffer uses one), forwards to malloc/free so every pair stays
+// consistent under the sanitizers too.
+void* operator new(std::size_t size) {
+  return counted_alloc_or_throw(size, 0);
+}
+void* operator new[](std::size_t size) {
+  return counted_alloc_or_throw(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+
+namespace mosaic::obs {
+namespace {
+
+constexpr std::size_t kTraces = 1000;
+
+/// The stage-detail rule in core/pipeline.cpp: each thread times one
+/// analysis in 32, starting with its first, through 11 scopes of two clock
+/// reads each.
+constexpr std::uint64_t kStageDetailEvery = 32;
+constexpr std::uint64_t kScopesPerDetailedTrace = 11;
+constexpr std::uint64_t kClockReadsPerScope = 2;
+
+/// Provenance sampling rate of the surface-on run (1 in 8, a batch audit).
+constexpr std::uint64_t kProvenanceEvery = 8;
+
+/// Analyses [first, first + n) of one thread that the stage-detail rule
+/// times: those whose per-thread index is a multiple of 32.
+std::uint64_t detailed_traces(std::uint64_t first, std::uint64_t n) {
+  std::uint64_t count = 0;
+  for (std::uint64_t tick = first; tick < first + n; ++tick) {
+    if (tick % kStageDetailEvery == 0) ++count;
+  }
+  return count;
+}
+
+/// The first 1,000 valid traces of the seed-7, 4,000-trace population.
+const std::vector<trace::Trace>& traces() {
+  static const std::vector<trace::Trace> value = [] {
+    sim::PopulationConfig config;
+    config.target_traces = 4000;
+    config.seed = 7;
+    sim::Population population = sim::generate_population(config);
+    std::vector<trace::Trace> out;
+    for (sim::LabeledTrace& labeled : population.traces) {
+      if (!labeled.corrupted) out.push_back(std::move(labeled.trace));
+      if (out.size() >= kTraces) break;
+    }
+    return out;
+  }();
+  return value;
+}
+
+/// Points cluster::mean_shift shifts over traces(), read from each trace's
+/// provenance. Mean-Shift observes one iteration count per point and adds
+/// its points to a counter on every analysis, detailed or not.
+std::uint64_t mean_shift_points() {
+  const core::Analyzer analyzer;
+  std::uint64_t points = 0;
+  for (const trace::Trace& t : traces()) {
+    TraceProvenance evidence;
+    (void)analyzer.analyze(t, &evidence);
+    points += evidence.read.periodicity.mean_shift.points +
+              evidence.write.periodicity.mean_shift.points;
+  }
+  return points;
+}
+
+/// Registry movement between two snapshots, by kind.
+struct MetricUpdates {
+  std::uint64_t counter_increments = 0;
+  std::uint64_t histogram_observations = 0;
+  std::uint64_t gauge_changes = 0;
+  std::map<std::string, std::uint64_t, std::less<>> by_name;  ///< non-zero
+
+  [[nodiscard]] std::uint64_t of(std::string_view name) const {
+    const auto it = by_name.find(name);
+    return it == by_name.end() ? 0 : it->second;
+  }
+};
+
+MetricUpdates metric_updates(const Snapshot& before, const Snapshot& after) {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> observations;
+  std::map<std::string, std::int64_t> gauges;
+  for (const CounterSample& sample : before.counters) {
+    counters[sample.name] = sample.value;
+  }
+  for (const HistogramSample& sample : before.histograms) {
+    observations[sample.name] = sample.count;
+  }
+  for (const GaugeSample& sample : before.gauges) {
+    gauges[sample.name] = sample.value;
+  }
+  MetricUpdates updates;
+  for (const CounterSample& sample : after.counters) {
+    const std::uint64_t delta = sample.value - counters[sample.name];
+    updates.counter_increments += delta;
+    if (delta != 0) updates.by_name[sample.name] = delta;
+  }
+  for (const HistogramSample& sample : after.histograms) {
+    const std::uint64_t delta = sample.count - observations[sample.name];
+    updates.histogram_observations += delta;
+    if (delta != 0) updates.by_name[sample.name] = delta;
+  }
+  for (const GaugeSample& sample : after.gauges) {
+    if (sample.value != gauges[sample.name]) {
+      ++updates.gauge_changes;
+      updates.by_name[sample.name] = 1;
+    }
+  }
+  return updates;
+}
+
+/// What one thread's measured pass cost.
+struct PassCounts {
+  std::uint64_t clock_reads = 0;
+  std::uint64_t spans = 0;
+  std::uint64_t allocations = 0;
+  MetricUpdates metrics;
+};
+
+/// On a fresh thread (so the stage-detail tick starts at 0): one warm-up
+/// pass over traces() that grows the workspace to its high-water capacity
+/// and resolves every lazily registered instrument, then one counted pass.
+PassCounts analyze_on_fresh_thread() {
+  PassCounts counts;
+  std::thread([&counts] {
+    const core::Analyzer analyzer;
+    core::AnalyzerWorkspace workspace;
+    for (const trace::Trace& t : traces()) {
+      (void)analyzer.analyze(t, workspace);
+    }
+    ProvenanceJournal::global().reset();  // keeps the ring's capacity
+    const std::size_t spans_before = SpanTracer::global().collect().size();
+    const Snapshot metrics_before = Registry::global().snapshot();
+    const std::uint64_t reads_before = SpanTracer::clock_reads();
+
+    t_allocations = 0;
+    t_count_allocations = true;
+    for (const trace::Trace& t : traces()) {
+      (void)analyzer.analyze(t, workspace);
+    }
+    t_count_allocations = false;
+
+    counts.clock_reads = SpanTracer::clock_reads() - reads_before;
+    counts.allocations = t_allocations;
+    counts.metrics =
+        metric_updates(metrics_before, Registry::global().snapshot());
+    counts.spans = SpanTracer::global().collect().size() - spans_before;
+  }).join();
+  return counts;
+}
+
+class InstrumentationCounts : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_EQ(traces().size(), kTraces); }
+  void TearDown() override {
+    set_metrics_enabled(true);
+    SpanTracer::global().disable();
+    SpanTracer::global().reset();
+    ProvenanceJournal::global().disable();
+    ProvenanceJournal::global().reset();
+  }
+};
+
+TEST_F(InstrumentationCounts, SurfaceOffReadsNoClockAndRecordsNothing) {
+  set_metrics_enabled(false);
+  SpanTracer::global().disable();
+  ProvenanceJournal::global().disable();
+
+  const PassCounts counts = analyze_on_fresh_thread();
+  EXPECT_EQ(counts.clock_reads, 0u);
+  EXPECT_EQ(counts.spans, 0u);
+  EXPECT_EQ(counts.metrics.counter_increments, 0u);
+  EXPECT_EQ(counts.metrics.histogram_observations, 0u);
+  EXPECT_EQ(counts.metrics.gauge_changes, 0u);
+  // What remains is the TraceResult each analysis returns plus scratch the
+  // workspace model does not cover (DESIGN.md §12): 3.632 per trace.
+  EXPECT_LE(counts.allocations, 3632u);
+}
+
+TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
+  const std::uint64_t points = mean_shift_points();
+  set_metrics_enabled(true);
+  SpanTracer::global().enable();
+  ProvenanceJournal::global().enable(kProvenanceEvery);
+
+  const PassCounts counts = analyze_on_fresh_thread();
+  // The counted pass is analyses 1,000..1,999 of its thread: 31 detailed.
+  const std::uint64_t detailed = detailed_traces(kTraces, kTraces);
+  ASSERT_EQ(detailed, 31u);
+  EXPECT_EQ(counts.clock_reads,
+            detailed * kScopesPerDetailedTrace * kClockReadsPerScope);
+  EXPECT_EQ(counts.spans, detailed * kScopesPerDetailedTrace);
+
+  // Histograms: one observation per detailed scope, one per Mean-Shift
+  // point. Counters: one traces-analyzed increment per trace, one
+  // provenance record per sampled trace (the journal's tick restarts at
+  // enable()), and the Mean-Shift points. Nothing else moves.
+  const std::uint64_t provenance = kTraces / kProvenanceEvery;
+  EXPECT_EQ(counts.metrics.of(names::kStageAnalyzeMs), detailed);
+  EXPECT_EQ(counts.metrics.of(names::kMeanShiftIterations), points);
+  EXPECT_EQ(counts.metrics.histogram_observations,
+            detailed * kScopesPerDetailedTrace + points);
+  EXPECT_EQ(counts.metrics.of(names::kTracesAnalyzed), kTraces);
+  EXPECT_EQ(counts.metrics.of(names::kProvenanceRecords), provenance);
+  EXPECT_EQ(counts.metrics.of(names::kMeanShiftPoints), points);
+  EXPECT_EQ(counts.metrics.counter_increments,
+            kTraces + provenance + points);
+  EXPECT_EQ(counts.metrics.gauge_changes, 0u);
+  // The off-case allocations plus 125 provenance records.
+  EXPECT_LE(counts.allocations, 5886u);
+}
+
+}  // namespace
+}  // namespace mosaic::obs

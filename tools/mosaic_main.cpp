@@ -40,7 +40,6 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
@@ -232,16 +231,14 @@ std::optional<int> parse_command_line(util::CliParser& cli, int argc,
   return std::nullopt;
 }
 
-/// Telemetry group: where a run's metrics, trace, progress heartbeat,
-/// provenance and profile go.
+/// Telemetry group: where a run's metrics, trace, progress heartbeat and
+/// provenance go.
 struct ObsOptions {
   std::string metrics_path;
   std::string trace_path;
   double progress_seconds = 0.0;
   std::string provenance_dir;
   std::uint64_t provenance_sample = 1;
-  std::string profile_path;
-  double profile_hz = obs::Profiler::kDefaultHz;
 };
 
 void add_obs_options(util::CliParser& cli) {
@@ -258,12 +255,6 @@ void add_obs_options(util::CliParser& cli) {
                  "<dir>/provenance.jsonl (one record per sampled trace)", "");
   cli.add_option("provenance-sample",
                  "capture provenance for 1 in N analyzed traces", "1");
-  cli.add_option("profile",
-                 "sample the stage stack while the run executes and write "
-                 "collapsed stacks (speedscope / flamegraph.pl) to this "
-                 "path; with --trace-events the trace gains a 'profile' "
-                 "lane", "");
-  cli.add_option("profile-hz", "profiler sampling frequency", "97");
 }
 
 std::optional<ObsOptions> parse_obs_options(const util::CliParser& cli) {
@@ -273,19 +264,12 @@ std::optional<ObsOptions> parse_obs_options(const util::CliParser& cli) {
   if (!sample_ok) {
     std::fprintf(stderr, "--provenance-sample must be a positive integer\n");
   }
-  const auto hz = cli.get_double("profile-hz");
-  const bool hz_ok = hz.has_value() && *hz > 0.0;
-  if (!hz_ok) {
-    std::fprintf(stderr, "--profile-hz must be a positive frequency\n");
-  }
-  if (!progress || !sample_ok || !hz_ok) return std::nullopt;
+  if (!progress || !sample_ok) return std::nullopt;
   return ObsOptions{std::string(cli.get("metrics")),
                     std::string(cli.get("trace-events")),
                     *progress,
                     std::string(cli.get("provenance")),
-                    static_cast<std::uint64_t>(*sample),
-                    std::string(cli.get("profile")),
-                    *hz};
+                    static_cast<std::uint64_t>(*sample)};
 }
 
 /// Arms the telemetry sinks and flushes them when the subcommand returns.
@@ -297,9 +281,6 @@ class ObsSession {
     if (!options_.trace_path.empty()) obs::SpanTracer::global().enable();
     if (!options_.provenance_dir.empty()) {
       obs::ProvenanceJournal::global().enable(options_.provenance_sample);
-    }
-    if (!options_.profile_path.empty()) {
-      obs::Profiler::global().enable(options_.profile_hz);
     }
     if (options_.progress_seconds > 0.0) {
       heartbeat_ = std::make_unique<obs::Heartbeat>(options_.progress_seconds);
@@ -317,21 +298,6 @@ class ObsSession {
     if (finished_) return ok_;
     finished_ = true;
     if (heartbeat_ != nullptr) heartbeat_->stop();
-    if (!options_.profile_path.empty()) {
-      // Stop sampling before flushing any sink so the profiler's own
-      // bookkeeping never lands in the written artifacts.
-      auto& profiler = obs::Profiler::global();
-      profiler.disable();
-      if (const auto status = profiler.write_collapsed(options_.profile_path);
-          !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
-        ok_ = false;
-      } else {
-        std::printf("profile (%llu sample(s)) written to %s\n",
-                    static_cast<unsigned long long>(profiler.sample_count()),
-                    options_.profile_path.c_str());
-      }
-    }
     if (!options_.metrics_path.empty()) {
       if (const auto status = obs::write_metrics_files(options_.metrics_path);
           !status.ok()) {
@@ -345,13 +311,8 @@ class ObsSession {
     }
     if (!options_.trace_path.empty()) {
       auto& tracer = obs::SpanTracer::global();
-      // A profiled run writes the two-lane trace (spans + profile samples);
-      // a plain run keeps the single-lane span trace.
-      const auto status =
-          options_.profile_path.empty()
-              ? tracer.write_chrome_trace(options_.trace_path)
-              : obs::write_chrome_trace_with_profile(options_.trace_path);
-      if (!status.ok()) {
+      if (const auto status = tracer.write_chrome_trace(options_.trace_path);
+          !status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
         ok_ = false;
       } else {
@@ -713,11 +674,11 @@ int cmd_batch(int argc, char** argv) {
 
   // A shard run derives its obs paths from the shard id so N concurrent
   // shard processes launched from one command line never clobber each
-  // other's metrics/trace/provenance/profile files.
+  // other's metrics/trace/provenance files.
   if (shard.has_value()) {
     for (std::string* path :
          {&obs_options->metrics_path, &obs_options->trace_path,
-          &obs_options->provenance_dir, &obs_options->profile_path}) {
+          &obs_options->provenance_dir}) {
       if (!path->empty()) *path = ingest::shard_suffix_path(*path, shard->index);
     }
   }
@@ -1010,7 +971,7 @@ int cmd_dispatch(int argc, char** argv) {
                  "partials", "0");
   cli.add_option("metrics-port",
                  "serve live GET /metrics (Prometheus), /metrics.json, "
-                 "/status, /healthz and /profile on 127.0.0.1:<port> while "
+                 "/status and /healthz on 127.0.0.1:<port> while "
                  "the run is in flight (0 = ephemeral port, printed on "
                  "startup; empty = off)", "");
   add_endpoint_options(cli);
@@ -1159,8 +1120,7 @@ int cmd_dispatch(int argc, char** argv) {
   } fleet{hub, obs_options->metrics_path, obs_options->trace_path};
 
   // The hub owns the fleet views of --metrics/--trace-events/--progress;
-  // ObsSession keeps covering provenance and the manager-side profile
-  // (collapsed stacks of the dispatch/merge path itself).
+  // ObsSession keeps covering provenance.
   obs_options->metrics_path.clear();
   obs_options->trace_path.clear();
   obs_options->progress_seconds = 0.0;
