@@ -1,10 +1,7 @@
 #include "cluster/fft.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
-#include <memory>
 #include <numbers>
 #include <utility>
 
@@ -16,76 +13,11 @@ namespace mosaic::cluster {
 
 namespace {
 
-// One cached transform plan: the bit-reversal swap list plus stage-packed
-// twiddle tables (n - 1 values each direction; stage len contributes its
-// len/2 factors). Both tables are generated with exactly the recurrence the
-// cold path runs (w starts at 1 and accumulates w *= wlen), so a planned
-// transform performs the same float operations in the same order as an
-// unplanned one — bit-identical output, which the golden A/B test relies on.
-struct FftPlan {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
-  std::vector<std::complex<double>> forward;
-  std::vector<std::complex<double>> inverse;
-};
-
-std::vector<std::complex<double>> stage_twiddles(std::size_t n, bool inverse) {
-  std::vector<std::complex<double>> table;
-  table.reserve(n - 1);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen{std::cos(angle), std::sin(angle)};
-    std::complex<double> w{1.0, 0.0};
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      table.push_back(w);
-      w *= wlen;
-    }
-  }
-  return table;
-}
-
-FftPlan make_plan(std::size_t n) {
-  FftPlan plan;
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) {
-      plan.swaps.emplace_back(static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j));
-    }
-  }
-  plan.forward = stage_twiddles(n, /*inverse=*/false);
-  plan.inverse = stage_twiddles(n, /*inverse=*/true);
-  return plan;
-}
-
-// Plans are O(n) memory each, so the per-thread cache is capped; transforms
-// larger than 2^kMaxCachedLog2 points take the cold path. The cache is
-// thread-local because the batch analyzer runs one analysis per pool worker
-// concurrently and plan lookup must stay synchronization-free.
-constexpr std::size_t kMaxCachedLog2 = 16;
-
-const FftPlan* cached_plan(std::size_t n) {
-  if (n < 2 || n > (std::size_t{1} << kMaxCachedLog2)) return nullptr;
-  thread_local std::array<std::unique_ptr<FftPlan>, kMaxCachedLog2 + 1> plans;
-  auto& slot = plans[static_cast<std::size_t>(std::countr_zero(n))];
-  if (!slot) slot = std::make_unique<FftPlan>(make_plan(n));
-  return slot.get();
-}
-
-/// One butterfly stage over `count` pairs:
-///   t = odd[k] * w[k];  odd[k] = even[k] - t;  even[k] = even[k] + t
-void butterfly(std::complex<double>* even, std::complex<double>* odd,
-               const std::complex<double>* twiddles,
-               std::size_t count) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::complex<double> t = complex_mul_fma(odd[k], twiddles[k]);
-    const std::complex<double> e = even[k];
-    even[k] = e + t;
-    odd[k] = e - t;
-  }
-}
+/// Shortest lag, in bins, the detector considers a period: shorter lags sit
+/// in the Nyquist-adjacent noise.
+constexpr std::size_t kMinLag = 4;
+/// Strongest peaks reported per signal.
+constexpr std::size_t kMaxPeaks = 3;
 
 /// In-place power spectrum: data[k] = (fma(re, re, im * im), 0).
 void complex_norm(std::complex<double>* data, std::size_t n) noexcept {
@@ -102,58 +34,6 @@ void complex_scale_div(std::complex<double>* data, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) {
     data[k] = {data[k].real() / divisor, data[k].imag() / divisor};
   }
-}
-
-// The shared transform body. A null plan selects the cold path, which
-// recomputes the permutation and twiddles inline (the original, reference
-// implementation).
-void transform(std::vector<std::complex<double>>& data, bool inverse,
-               const FftPlan* plan) {
-  const std::size_t n = data.size();
-  if (n == 1) return;
-
-  if (plan != nullptr) {
-    for (const auto& [i, j] : plan->swaps) std::swap(data[i], data[j]);
-    const std::complex<double>* stage =
-        (inverse ? plan->inverse : plan->forward).data();
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len / 2;
-      for (std::size_t start = 0; start < n; start += len) {
-        butterfly(data.data() + start, data.data() + start + half, stage,
-                  half);
-      }
-      stage += half;
-    }
-  } else {
-    // Bit-reversal permutation.
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      if (i < j) std::swap(data[i], data[j]);
-    }
-
-    // Butterfly passes. The twiddle recurrence (w *= wlen) matches the plan
-    // tables exactly; the butterfly arithmetic goes through the same fused
-    // complex multiply the planned path uses.
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const double angle =
-          (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-      const std::complex<double> wlen{std::cos(angle), std::sin(angle)};
-      for (std::size_t start = 0; start < n; start += len) {
-        std::complex<double> w{1.0, 0.0};
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          const auto even = data[start + k];
-          const auto odd = complex_mul_fma(data[start + k + len / 2], w);
-          data[start + k] = even + odd;
-          data[start + k + len / 2] = even - odd;
-          w *= wlen;
-        }
-      }
-    }
-  }
-
-  if (inverse) complex_scale_div(data.data(), n, static_cast<double>(n));
 }
 
 void observe_size(std::size_t n) {
@@ -184,14 +64,35 @@ void fft(std::vector<std::complex<double>>& data, bool inverse) {
   const std::size_t n = data.size();
   MOSAIC_ASSERT(n >= 1 && (n & (n - 1)) == 0);
   observe_size(n);
-  transform(data, inverse, cached_plan(n));
-}
+  if (n == 1) return;
 
-void fft_uncached(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t n = data.size();
-  MOSAIC_ASSERT(n >= 1 && (n & (n - 1)) == 0);
-  observe_size(n);
-  transform(data, inverse, nullptr);
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+
+  // Butterfly passes; the twiddle of pair k in a stage is w = wlen^k,
+  // accumulated by the recurrence w *= wlen.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const std::complex<double> wlen{std::cos(angle), std::sin(angle)};
+    for (std::size_t start = 0; start < n; start += len) {
+      std::complex<double> w{1.0, 0.0};
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const auto even = data[start + k];
+        const auto odd = complex_mul_fma(data[start + k + len / 2], w);
+        data[start + k] = even + odd;
+        data[start + k + len / 2] = even - odd;
+        w *= wlen;
+      }
+    }
+  }
+
+  if (inverse) complex_scale_div(data.data(), n, static_cast<double>(n));
 }
 
 std::vector<double> bin_series(
@@ -261,9 +162,7 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
     return prefix[hi + 1] - prefix[lo];
   };
 
-  const auto min_lag = static_cast<std::size_t>(
-      std::max(4.0, config.min_period_bins));
-  if (min_lag >= max_lag) return result;
+  if (kMinLag >= max_lag) return result;
 
   // Noise scale of the autocorrelation, from a robust spread estimate over
   // the candidate lag range (median absolute value ~ 0.6745 sigma for a
@@ -273,8 +172,8 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
   double sigma_acf;
   {
     std::vector<double> magnitudes;
-    magnitudes.reserve(max_lag - min_lag + 1);
-    for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
+    magnitudes.reserve(max_lag - kMinLag + 1);
+    for (std::size_t lag = kMinLag; lag <= max_lag; ++lag) {
       magnitudes.push_back(std::abs(acf[lag]));
     }
     const auto middle = magnitudes.begin() +
@@ -317,7 +216,7 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
   // range is cheap and — unlike spectral peak picking — immune to harmonic
   // combs outshining the fundamental.
   std::vector<double> curve(max_lag + 1, 0.0);
-  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
+  for (std::size_t lag = kMinLag; lag <= max_lag; ++lag) {
     curve[lag] = confidence(lag).score;
   }
 
@@ -336,9 +235,9 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
     double score;
   };
   std::vector<Scored> scored;
-  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
+  for (std::size_t lag = kMinLag; lag <= max_lag; ++lag) {
     if (curve[lag] < config.min_score) continue;
-    if (lag > min_lag && curve[lag] < curve[lag - 1]) continue;
+    if (lag > kMinLag && curve[lag] < curve[lag - 1]) continue;
     if (lag < max_lag && curve[lag] <= curve[lag + 1]) continue;
     const Confidence c = confidence(lag);
     if (c.z < kMinZ) continue;
@@ -350,7 +249,7 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
             [](const Scored& a, const Scored& b) { return a.score > b.score; });
 
   for (const Scored& candidate : scored) {
-    if (result.peaks.size() >= config.max_peaks) break;
+    if (result.peaks.size() >= kMaxPeaks) break;
     // Any lag related to an accepted period by an integer factor (either
     // way) is the same behavior.
     bool related = false;
@@ -374,7 +273,7 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
     for (std::size_t m = kMaxMultiple; m >= 2; --m) {
       const auto sub = static_cast<std::size_t>(std::llround(
           static_cast<double>(candidate.lag) / static_cast<double>(m)));
-      if (sub < min_lag) continue;
+      if (sub < kMinLag) continue;
       const Confidence c = confidence(sub);
       if (c.score >= 0.25 * candidate.score && c.z >= kMinZ) {
         best_lag = sub;
@@ -389,7 +288,7 @@ DftPeriodicity detect_periodicity_dft(std::span<const double> series,
       const auto halfwidth = static_cast<std::size_t>(
           std::max(1.0, 0.05 * static_cast<double>(best_lag)));
       std::size_t snapped = best_lag;
-      for (std::size_t l = best_lag > halfwidth ? best_lag - halfwidth : min_lag;
+      for (std::size_t l = best_lag > halfwidth ? best_lag - halfwidth : kMinLag;
            l <= std::min(max_lag, best_lag + halfwidth); ++l) {
         if (acf[l] > acf[snapped]) snapped = l;
       }

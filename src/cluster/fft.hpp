@@ -16,24 +16,10 @@
 
 namespace mosaic::cluster {
 
-/// In-place iterative radix-2 Cooley-Tukey FFT.
-///
-/// Repeated transforms of the same size reuse a thread-local plan (bit-
-/// reversal swap list + per-stage twiddle tables), so the per-call setup cost
-/// is amortized across a batch. Plans are precomputed with exactly the
-/// arithmetic of the cold path, making cached and uncached transforms
-/// bit-identical (see fft_uncached and DESIGN.md §12). Sizes above the cache
-/// cap fall back to the cold path automatically.
-/// Precondition: data.size() is a power of two (>= 1).
+/// In-place iterative radix-2 Cooley-Tukey FFT. Each call computes its
+/// bit-reversal permutation and twiddle factors afresh; the inverse divides
+/// by n. Precondition: data.size() is a power of two (>= 1).
 void fft(std::vector<std::complex<double>>& data, bool inverse = false);
-
-/// Reference cold path: same transform as fft() but recomputing the
-/// bit-reversal permutation and twiddle factors on every call, never touching
-/// the plan cache. Exists so tests can assert the cached path is bit-identical
-/// and as the fallback for transforms too large to cache.
-/// Precondition: data.size() is a power of two (>= 1).
-void fft_uncached(std::vector<std::complex<double>>& data,
-                  bool inverse = false);
 
 /// Next power of two >= n (n == 0 -> 1).
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;
@@ -42,8 +28,9 @@ void fft_uncached(std::vector<std::complex<double>>& data,
 /// the final multiply-add is fused,
 ///   re = fma(a.re, b.re, -(a.im * b.im))
 ///   im = fma(a.im, b.re, +(a.re * b.im)).
-/// The planned and the cold transform both multiply through it, which keeps
-/// them bit-identical.
+/// The rounding is spelled out so it does not depend on how the compiler
+/// contracts a plain complex multiply; the frequency-backend golden
+/// (tests/golden/) pins it.
 [[nodiscard]] std::complex<double> complex_mul_fma(
     std::complex<double> a, std::complex<double> b) noexcept;
 
@@ -58,12 +45,11 @@ struct SpectralPeak {
   double score = 0.0;
 };
 
-/// Configuration for the DFT periodicity detector.
+/// Configuration for the DFT periodicity detector. It reports at most the
+/// three strongest peaks and ignores periods shorter than four bins.
 struct DftDetectorConfig {
   double bin_seconds = 1.0;     ///< time-series resolution
   double min_score = 0.15;      ///< dominance required to call it periodic
-  std::size_t max_peaks = 3;    ///< strongest peaks reported
-  double min_period_bins = 2.0; ///< ignore periods below Nyquist-adjacent noise
 };
 
 /// Result of frequency-domain analysis of one activity signal.

@@ -1,14 +1,23 @@
 #include "cluster/meanshift.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/error.hpp"
 
 namespace mosaic::cluster {
+
+namespace {
+
+/// Shift iterations per point before it is taken as converged.
+constexpr std::size_t kMaxIterations = 200;
+/// A point has converged once one shift moves it less than this.
+constexpr double kConvergenceTolerance = 1e-5;
+
+}  // namespace
 
 PointSet::PointSet(std::size_t dim) : dim_(dim) { MOSAIC_ASSERT(dim >= 1); }
 
@@ -44,140 +53,32 @@ void min_max_scale(const PointSet& points, PointSet& out) {
   const std::size_t dim = points.dim();
   const std::size_t n = points.size();
   MOSAIC_ASSERT(&out != &points);
-  // Column extrema on the stack: feature embeddings are low-dimensional by
-  // construction (the GridIndex shares the same ceiling).
-  MOSAIC_ASSERT(dim <= GridIndex::kMaxDim);
-  double lo[GridIndex::kMaxDim];
-  double hi[GridIndex::kMaxDim];
-  for (std::size_t d = 0; d < dim; ++d) {
-    lo[d] = std::numeric_limits<double>::infinity();
-    hi[d] = -std::numeric_limits<double>::infinity();
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = points.point(i);
-    for (std::size_t d = 0; d < dim; ++d) {
-      lo[d] = std::min(lo[d], p[d]);
-      hi[d] = std::max(hi[d], p[d]);
-    }
-  }
   out.reset(dim);
   out.data_.resize(n * dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = points.point(i);
-    for (std::size_t d = 0; d < dim; ++d) {
-      const double range = hi[d] - lo[d];
-      out.data_[i * dim + d] = range > 0.0 ? (p[d] - lo[d]) / range : 0.0;
+  // One column at a time, so any dimensionality scales without scratch.
+  for (std::size_t d = 0; d < dim; ++d) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      lo = std::min(lo, points.point(i)[d]);
+      hi = std::max(hi, points.point(i)[d]);
+    }
+    const double range = hi - lo;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.data_[i * dim + d] =
+          range > 0.0 ? (points.point(i)[d] - lo) / range : 0.0;
     }
   }
 }
 
-std::uint64_t GridIndex::pack_key(
-    std::span<const std::int64_t> coords) noexcept {
-  // Zigzag-encode each signed cell coordinate (negatives interleave with
-  // positives instead of wrapping to huge unsigned values), then fold into
-  // one 64-bit key with a Fibonacci-style combiner. Collisions are harmless:
-  // find_cell() always confirms the full coordinate tuple.
-  std::uint64_t key = 0x9e3779b97f4a7c15ull;
-  for (const std::int64_t c : coords) {
-    const auto zigzag = (static_cast<std::uint64_t>(c) << 1) ^
-                        static_cast<std::uint64_t>(c >> 63);
-    key ^= zigzag + 0x9e3779b97f4a7c15ull + (key << 6) + (key >> 2);
-  }
-  // splitmix64 finalizer: spreads low-entropy cell coordinates across the
-  // table so linear probing stays short.
-  key ^= key >> 30;
-  key *= 0xbf58476d1ce4e5b9ull;
-  key ^= key >> 27;
-  key *= 0x94d049bb133111ebull;
-  key ^= key >> 31;
-  return key;
-}
-
-std::uint32_t GridIndex::find_cell(
-    std::span<const std::int64_t> coords) const noexcept {
-  const std::uint64_t key = pack_key(coords);
-  for (std::size_t idx = key & mask_;; idx = (idx + 1) & mask_) {
-    const std::uint32_t cell = slots_[idx];
-    if (cell == kNoCell) return kNoCell;
-    if (cell_key_[cell] == key &&
-        std::equal(coords.begin(), coords.end(),
-                   cell_coords_.data() + cell * dim_)) {
-      return cell;
-    }
-  }
-}
-
-void GridIndex::build(const PointSet& points, double cell) {
-  points_ = &points;
-  dim_ = points.dim();
-  MOSAIC_ASSERT(dim_ <= kMaxDim);
-  cell_ = std::max(cell, 1e-12);
-  const std::size_t n = points.size();
-
-  // Power-of-two table at <= 50% load (each point adds at most one cell).
-  std::size_t capacity = 16;
-  while (capacity < 2 * n) capacity <<= 1;
-  slots_.assign(capacity, kNoCell);
-  mask_ = capacity - 1;
-  cell_key_.clear();
-  cell_coords_.clear();
-  point_cell_.resize(n);
-  // cell_start_ doubles as the per-cell counter during the first pass.
-  cell_start_.assign(1, 0);
-
-  std::int64_t coords[kMaxDim];
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = points.point(i);
-    for (std::size_t d = 0; d < dim_; ++d) coords[d] = cell_coord(p[d]);
-    const std::uint64_t key = pack_key({coords, dim_});
-    std::uint32_t cell_id = kNoCell;
-    for (std::size_t idx = key & mask_;; idx = (idx + 1) & mask_) {
-      const std::uint32_t existing = slots_[idx];
-      if (existing == kNoCell) {
-        cell_id = static_cast<std::uint32_t>(cell_key_.size());
-        slots_[idx] = cell_id;
-        cell_key_.push_back(key);
-        cell_coords_.insert(cell_coords_.end(), coords, coords + dim_);
-        cell_start_.push_back(0);
-        break;
-      }
-      if (cell_key_[existing] == key &&
-          std::equal(coords, coords + dim_,
-                     cell_coords_.data() + existing * dim_)) {
-        cell_id = existing;
-        break;
-      }
-    }
-    point_cell_[i] = cell_id;
-    ++cell_start_[cell_id + 1];
-  }
-
-  // Counts -> CSR offsets; fill in ascending point order so each cell's list
-  // preserves insertion order (the iteration-order contract of
-  // for_neighbors()).
-  const std::size_t cells = cell_key_.size();
-  for (std::size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  cell_points_.resize(n);
-  // cell_start_[c] serves as cell c's write cursor during the fill; the
-  // shift below restores it to the CSR begin-offset array.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t cell_id = point_cell_[i];
-    cell_points_[cell_start_[cell_id]] = static_cast<std::uint32_t>(i);
-    ++cell_start_[cell_id];
-  }
-  for (std::size_t c = cells; c > 0; --c) cell_start_[c] = cell_start_[c - 1];
-  cell_start_[0] = 0;
-}
-
-MeanShiftResult mean_shift(const PointSet& points,
-                           const MeanShiftConfig& config) {
+MeanShiftResult mean_shift(const PointSet& points, double bandwidth) {
   MeanShiftWorkspace workspace;
   MeanShiftResult result;
-  mean_shift(points, config, workspace, result);
+  mean_shift(points, bandwidth, workspace, result);
   return result;
 }
 
-void mean_shift(const PointSet& points, const MeanShiftConfig& config,
+void mean_shift(const PointSet& points, double bandwidth,
                 MeanShiftWorkspace& workspace, MeanShiftResult& out) {
   out.labels.clear();
   out.modes.clear();
@@ -185,22 +86,13 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
   out.total_iterations = 0;
   const std::size_t n = points.size();
   if (n == 0) return;
-  MOSAIC_ASSERT(config.bandwidth > 0.0);
+  MOSAIC_ASSERT(bandwidth > 0.0);
 
   const std::size_t dim = points.dim();
-  const double h = config.bandwidth;
-  // Gaussian support truncated at 3h; the grid cell must cover the largest
-  // query radius used.
-  const double support =
-      config.kernel == Kernel::kGaussian ? 3.0 * h : h;
-  workspace.grid.build(points, support);
-  const GridIndex& index = workspace.grid;
-
-  const double merge_radius =
-      config.mode_merge_radius > 0.0 ? config.mode_merge_radius : h / 2.0;
+  const double h2 = bandwidth * bandwidth;
 
   // Iterations-to-converge distribution: the knob the bandwidth ablation
-  // turns (a too-small bandwidth shows up as points hitting max_iterations).
+  // turns (a too-small bandwidth shows up as points hitting the cap).
   static constexpr double kIterationEdges[] = {1, 2, 4, 8, 16, 32, 64, 128,
                                                256};
   static obs::Histogram& iterations_hist = obs::Registry::global().histogram(
@@ -210,7 +102,8 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
       obs::names::kMeanShiftPoints, "points shifted by Mean-Shift");
   points_counter.add(n);
 
-  // Shift every point to its density mode. converged is a flat n*dim store;
+  // Shift every point to its density mode: the mean of the points within
+  // the bandwidth, summed in index order. converged is a flat n*dim store;
   // current/next swap roles each iteration instead of copying.
   workspace.converged.resize(n * dim);
   std::vector<double>& current = workspace.current;
@@ -220,32 +113,28 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     const auto seed = points.point(i);
     current.assign(seed.begin(), seed.end());
-    std::size_t iterations_used = config.max_iterations;
-    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+    std::size_t iterations_used = kMaxIterations;
+    for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
       std::fill(next.begin(), next.end(), 0.0);
-      double weight_sum = 0.0;
-      index.for_neighbors(current, support, [&](std::size_t j) {
+      std::size_t neighbors = 0;
+      for (std::size_t j = 0; j < n; ++j) {
         const auto q = points.point(j);
-        double w = 1.0;
-        if (config.kernel == Kernel::kGaussian) {
-          const double d2 = squared_distance(current, q);
-          w = std::exp(-d2 / (2.0 * h * h));
-        }
-        for (std::size_t d = 0; d < dim; ++d) next[d] += w * q[d];
-        weight_sum += w;
-      });
-      if (weight_sum <= 0.0) {  // isolated point: already a mode
+        if (squared_distance(q, current) > h2) continue;
+        for (std::size_t d = 0; d < dim; ++d) next[d] += q[d];
+        ++neighbors;
+      }
+      if (neighbors == 0) {  // isolated point: already a mode
         iterations_used = iter + 1;
         break;
       }
       double shift2 = 0.0;
       for (std::size_t d = 0; d < dim; ++d) {
-        next[d] /= weight_sum;
+        next[d] /= static_cast<double>(neighbors);
         const double delta = next[d] - current[d];
         shift2 += delta * delta;
       }
       current.swap(next);
-      if (shift2 < config.convergence_tol * config.convergence_tol) {
+      if (shift2 < kConvergenceTolerance * kConvergenceTolerance) {
         iterations_used = iter + 1;
         break;
       }
@@ -256,8 +145,9 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
               workspace.converged.data() + i * dim);
   }
 
-  // Merge converged modes within merge_radius into clusters (modes is a flat
-  // m*dim buffer; m is small in practice).
+  // Merge converged modes within half the bandwidth into clusters (modes is
+  // a flat m*dim buffer; m is small in practice).
+  const double merge_radius = bandwidth / 2.0;
   const double merge2 = merge_radius * merge_radius;
   workspace.raw_label.resize(n);
   workspace.modes.clear();
@@ -282,7 +172,7 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
     workspace.raw_label[i] = assigned;
   }
 
-  // Renumber clusters by decreasing size (stable: ties keep first-seen order).
+  // Renumber clusters by decreasing size; ties keep first-seen order.
   const std::size_t mode_count = workspace.modes.size() / dim;
   workspace.sizes.assign(mode_count, 0);
   for (const std::size_t label : workspace.raw_label) {
@@ -290,10 +180,12 @@ void mean_shift(const PointSet& points, const MeanShiftConfig& config,
   }
   workspace.order.resize(mode_count);
   std::iota(workspace.order.begin(), workspace.order.end(), 0);
-  std::stable_sort(workspace.order.begin(), workspace.order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return workspace.sizes[a] > workspace.sizes[b];
-                   });
+  std::sort(workspace.order.begin(), workspace.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              const std::size_t size_a = workspace.sizes[a];
+              const std::size_t size_b = workspace.sizes[b];
+              return size_a != size_b ? size_a > size_b : a < b;
+            });
   workspace.rank.resize(mode_count);
   for (std::size_t r = 0; r < mode_count; ++r) {
     workspace.rank[workspace.order[r]] = r;

@@ -7,39 +7,18 @@
 // contain zero, one or several periodic operations. Groups of size >= 2
 // correspond to repeated (periodic) segments.
 //
-// The implementation offers the flat (uniform ball) kernel the classic
-// algorithm uses and a Gaussian kernel, plus a uniform-grid neighborhood
-// index that keeps iteration cost near O(n) for the small, well-separated
-// point sets segmentation produces. The grid is an open-addressing flat hash
-// over packed (zigzag-encoded) cell keys with CSR point lists, and all
-// per-call scratch lives in a reusable MeanShiftWorkspace so the steady-state
-// batch path runs allocation-free (DESIGN.md §12).
+// The kernel is the classic flat (uniform ball) one, and each shift step
+// scans every point in index order: segmentation yields a handful of points
+// per run (EXPERIMENTS.md §IV-E), too few for a neighborhood index to pay.
+// All per-call scratch lives in a reusable MeanShiftWorkspace so the
+// steady-state batch path runs allocation-free (DESIGN.md §12).
 #pragma once
 
-#include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "util/error.hpp"
-
 namespace mosaic::cluster {
-
-/// Kernel used to weight neighbors during the shift step.
-enum class Kernel : std::uint8_t {
-  kFlat,      ///< uniform weight inside the bandwidth ball
-  kGaussian,  ///< exp(-d^2 / (2 h^2)), truncated at 3h
-};
-
-/// Mean-Shift parameters.
-struct MeanShiftConfig {
-  double bandwidth = 0.12;   ///< kernel radius in feature space
-  Kernel kernel = Kernel::kFlat;       ///< neighbor weighting
-  std::size_t max_iterations = 200;   ///< per-point shift iterations
-  double convergence_tol = 1e-5;      ///< stop when shift distance < tol
-  double mode_merge_radius = -1.0;    ///< modes closer than this merge;
-                                      ///< < 0 means bandwidth / 2
-};
 
 /// Clustering result. labels[i] is the cluster of point i; clusters are
 /// numbered 0..mode_count-1 in decreasing size order.
@@ -89,98 +68,15 @@ class PointSet {
   std::vector<double> data_;
 };
 
-/// Uniform-grid spatial index over a point set: an open-addressing flat hash
-/// maps packed cell keys to CSR point lists, so a radius query touches the
-/// 3^dim neighboring cells and nothing else. Cell size must be >= the query
-/// radius for the 1-ring scan to be exhaustive.
-///
-/// Cell coordinates come from floor(p[d] / cell), which is exact for
-/// negative coordinates too; keys are zigzag-packed so negative cells hash
-/// without wrap-around, and lookups compare the full coordinate tuple, never
-/// just the hash. All storage is reused across build() calls.
-class GridIndex {
- public:
-  /// Dimensionality ceiling of the stack-allocated cell-probe buffers.
-  static constexpr std::size_t kMaxDim = 8;
-
-  GridIndex() = default;
-
-  /// (Re)builds the index over `points` with the given cell size (clamped to
-  /// a small positive minimum). `points` must outlive the index; existing
-  /// hash and CSR storage is reused. Precondition: points.dim() <= kMaxDim.
-  void build(const PointSet& points, double cell);
-
-  /// Invokes `fn(index)` for every point within `radius` of `center`, in
-  /// cell-probe order (odometer over the 3^dim ring, first dimension
-  /// fastest) and ascending point index within a cell — a deterministic
-  /// order independent of hash layout. Precondition: radius <= cell size
-  /// used at build().
-  template <typename Fn>
-  void for_neighbors(std::span<const double> center, double radius,
-                     Fn&& fn) const {
-    MOSAIC_ASSERT(radius <= cell_ * (1.0 + 1e-9));
-    const double r2 = radius * radius;
-    const std::size_t dim = dim_;
-    std::int64_t base[kMaxDim];
-    std::int64_t probe[kMaxDim];
-    int offset[kMaxDim];
-    for (std::size_t d = 0; d < dim; ++d) {
-      base[d] = cell_coord(center[d]);
-      offset[d] = -1;
-    }
-    // Enumerate the 3^dim neighboring cells via odometer increment.
-    for (;;) {
-      for (std::size_t d = 0; d < dim; ++d) probe[d] = base[d] + offset[d];
-      if (const std::uint32_t cell = find_cell({probe, dim});
-          cell != kNoCell) {
-        for (std::uint32_t s = cell_start_[cell]; s < cell_start_[cell + 1];
-             ++s) {
-          const std::size_t i = cell_points_[s];
-          if (squared_distance(points_->point(i), center) <= r2) fn(i);
-        }
-      }
-      std::size_t d = 0;
-      while (d < dim && ++offset[d] > 1) {
-        offset[d] = -1;
-        ++d;
-      }
-      if (d == dim) break;
-    }
-  }
-
- private:
-  static constexpr std::uint32_t kNoCell = 0xffffffffu;
-
-  [[nodiscard]] std::int64_t cell_coord(double v) const noexcept {
-    return static_cast<std::int64_t>(std::floor(v / cell_));
-  }
-  [[nodiscard]] static std::uint64_t pack_key(
-      std::span<const std::int64_t> coords) noexcept;
-  [[nodiscard]] std::uint32_t find_cell(
-      std::span<const std::int64_t> coords) const noexcept;
-
-  const PointSet* points_ = nullptr;
-  double cell_ = 1.0;
-  std::size_t dim_ = 0;
-  std::size_t mask_ = 0;                    ///< slot count - 1 (power of two)
-  std::vector<std::uint32_t> slots_;        ///< open addressing: cell id
-  std::vector<std::uint64_t> cell_key_;     ///< packed key per cell
-  std::vector<std::int64_t> cell_coords_;   ///< dim coords per cell
-  std::vector<std::uint32_t> cell_start_;   ///< CSR offsets (cells + 1)
-  std::vector<std::uint32_t> cell_points_;  ///< CSR point indices
-  std::vector<std::uint32_t> point_cell_;   ///< build scratch: cell per point
-};
-
-/// Reusable scratch for mean_shift(): the grid index plus the per-point
-/// shift, label and mode-merge buffers. One instance per worker thread;
-/// after the first few traces every buffer has reached its high-water
-/// capacity and mean_shift() stops allocating (DESIGN.md §12). Contents are
-/// an implementation detail of mean_shift().
+/// Reusable scratch for mean_shift(): the per-point shift, label and
+/// mode-merge buffers. One instance per worker thread; after the first few
+/// traces every buffer has reached its high-water capacity and mean_shift()
+/// stops allocating (DESIGN.md §12). Contents are an implementation detail
+/// of mean_shift().
 struct MeanShiftWorkspace {
-  GridIndex grid;                     ///< neighbor index, storage reused
   std::vector<double> converged;      ///< n*dim converged position per point
   std::vector<double> current;        ///< dim: position being shifted
-  std::vector<double> next;           ///< dim: weighted neighbor mean
+  std::vector<double> next;           ///< dim: neighbor mean
   std::vector<double> modes;          ///< flat m*dim merged mode buffer
   std::vector<std::size_t> raw_label; ///< first-seen mode per point
   std::vector<std::size_t> sizes;     ///< points per raw mode
@@ -199,16 +95,20 @@ struct MeanShiftWorkspace {
 /// Precondition: `out` is not `points`.
 void min_max_scale(const PointSet& points, PointSet& out);
 
-/// Runs Mean-Shift over `points`. Empty input yields an empty result.
+/// Runs flat-kernel Mean-Shift over `points` with kernel radius `bandwidth`
+/// (in scaled feature space). Each point shifts for at most 200 iterations,
+/// stopping once a step moves it less than 1e-5; converged points within
+/// bandwidth / 2 share a cluster. Empty input yields an empty result.
 /// Convenience form: allocates a fresh workspace per call.
+/// Precondition: bandwidth > 0.
 [[nodiscard]] MeanShiftResult mean_shift(const PointSet& points,
-                                         const MeanShiftConfig& config = {});
+                                         double bandwidth);
 
 /// Workspace form: all scratch comes from `workspace` and the clustering is
 /// written into `out` (previous contents discarded, storage reused). Results
 /// are identical to the convenience form bit for bit — workspaces only
 /// change where the buffers live, never the arithmetic.
-void mean_shift(const PointSet& points, const MeanShiftConfig& config,
+void mean_shift(const PointSet& points, double bandwidth,
                 MeanShiftWorkspace& workspace, MeanShiftResult& out);
 
 }  // namespace mosaic::cluster

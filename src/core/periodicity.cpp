@@ -101,10 +101,8 @@ PeriodicityResult detect_periodicity(std::span<const Segment> segments,
   }
   cluster::min_max_scale(points, workspace.scaled);
 
-  cluster::MeanShiftConfig config;
-  config.bandwidth = thresholds.meanshift_bandwidth;
-  cluster::mean_shift(workspace.scaled, config, workspace.mean_shift,
-                      workspace.clusters);
+  cluster::mean_shift(workspace.scaled, thresholds.meanshift_bandwidth,
+                      workspace.mean_shift, workspace.clusters);
   const cluster::MeanShiftResult& clusters = workspace.clusters;
   if (evidence != nullptr) {
     evidence->mean_shift.points = segments.size();

@@ -5,9 +5,10 @@
 // second time. The cache key is the same identity the dedup stage already
 // computes (core::FileOutcome's digest — app key, job id, total bytes):
 // two traces the batch pipeline would dedup are one cache entry here.
-// Values are the serialized artifacts the daemon serves verbatim —
-// the compact TraceResult JSON for /results and the pretty provenance JSON
-// for /explain/<trace-id>, kept byte-identical to `mosaic explain --json`.
+// A value is the artifact the daemon serves verbatim: the pretty
+// provenance JSON for /explain/<trace-id>, kept byte-identical to
+// `mosaic explain --json`. (/results serializes the daemon's board, which
+// keeps each trace's TraceResult and source path.)
 //
 // Bounded by value bytes, not entry count, so the operator reasons in
 // memory: inserts evict least-recently-used entries until the new total
@@ -28,20 +29,17 @@
 
 namespace mosaic::core {
 
-/// The serialized artifacts cached per trace.
+/// The serialized artifact cached per trace.
 struct CachedAnalysis {
   std::string trace_id;      ///< decimal job id — the /explain/<id> handle
   std::string app_key;
-  std::string source_path;   ///< file the analysis was loaded from
-  std::string result_json;   ///< compact TraceResult JSON (served in /results)
   std::string explain_json;  ///< pretty provenance JSON + trailing newline,
                              ///< byte-identical to `mosaic explain --json`
 
   /// Accounted size: the payload strings (the parts that scale with trace
   /// complexity), ignoring map/list overhead.
   [[nodiscard]] std::size_t bytes() const {
-    return trace_id.size() + app_key.size() + source_path.size() +
-           result_json.size() + explain_json.size();
+    return trace_id.size() + app_key.size() + explain_json.size();
   }
 };
 

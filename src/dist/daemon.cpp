@@ -243,9 +243,6 @@ SubmitReply Daemon::process_file(const std::string& path) {
   core::CachedAnalysis artifact;
   artifact.trace_id = std::to_string(result.job_id);
   artifact.app_key = app_key;
-  artifact.source_path = path;
-  artifact.result_json =
-      json::serialize(report::trace_result_to_json(result));
   artifact.explain_json =
       json::serialize(obs::provenance_to_json(evidence), /*pretty=*/true) +
       "\n";

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "darshan/io.hpp"
-#include "dist/journal.hpp"
 #include "dist/protocol.hpp"
 #include "dist/telemetry.hpp"
 #include "ingest/shard.hpp"
@@ -23,7 +22,6 @@
 #include "parallel/thread_pool.hpp"
 #include "report/partial.hpp"
 #include "util/backoff.hpp"
-#include "util/jsonl.hpp"
 #include "util/log.hpp"
 
 namespace mosaic::dist {
@@ -31,7 +29,6 @@ namespace mosaic::dist {
 using util::Error;
 using util::ErrorCode;
 using util::Expected;
-using util::Status;
 
 namespace {
 
@@ -66,7 +63,7 @@ struct DispatchMetrics {
         registry.counter(obs::names::kDispatchDegradedTasks,
                          "tasks the manager ran in-process"),
         registry.counter(obs::names::kDispatchResumedTasks,
-                         "task outcomes replayed from the journal"),
+                         "shards resumed from their partial artifacts"),
         registry.counter(obs::names::kDispatchHeartbeats,
                          "heartbeat frames received from workers"),
         registry.histogram(obs::names::kDispatchTaskMs,
@@ -114,7 +111,7 @@ enum class AttemptResult {
   kConnectionLost,  ///< death / hang / deadline: reassign, conn dead
 };
 
-/// The shared scheduler: task table + stats + journal behind one mutex.
+/// The shared scheduler: task table + stats behind one mutex.
 class Scheduler {
  public:
   Scheduler(const DispatchOptions& options, std::vector<Task> tasks)
@@ -135,11 +132,6 @@ class Scheduler {
                    task.worker);
       }
     }
-  }
-
-  [[nodiscard]] Status open_journal() {
-    if (options_.journal_path.empty()) return Status::success();
-    return journal_.open(options_.journal_path);
   }
 
   enum class Claim { kTask, kFinished, kAbort };
@@ -201,8 +193,6 @@ class Scheduler {
     ++stats_.tasks_done;
     DispatchMetrics::get().done.add();
     push_board(task, "done", worker);
-    journal_append({task.shard.index, task.shard.count, "done", worker,
-                    task.attempts, partial_path, ""});
     ++partials_received_;
     if (options_.abort_after_partials != 0 &&
         partials_received_ >= options_.abort_after_partials) {
@@ -287,11 +277,6 @@ class Scheduler {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.resumed_tasks += count;
     DispatchMetrics::get().resumed.add(count);
-  }
-
-  void note_journal_dropped(std::size_t count) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.journal_dropped += count;
   }
 
   /// Flips any task stranded in kAssigned (its worker thread is gone) back
@@ -381,11 +366,6 @@ class Scheduler {
     return out;
   }
 
-  void close_journal() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    journal_.close();
-  }
-
  private:
   [[nodiscard]] bool externally_stopped() const {
     return options_.stop_flag != nullptr &&
@@ -435,16 +415,6 @@ class Scheduler {
     push_board(task, "quarantined", "");
     MOSAIC_LOG_WARN("dispatch: quarantined shard %zu after %zu attempt(s): %s",
                     task.shard.index, task.attempts, error.c_str());
-    journal_append({task.shard.index, task.shard.count, "quarantined", "",
-                    task.attempts, "", error});
-  }
-
-  void journal_append(const JournaledTask& entry) {
-    if (const auto status = journal_.append(dispatch_journal_line(entry));
-        !status.ok()) {
-      // Journal trouble must not abort the dispatch it protects.
-      MOSAIC_LOG_WARN("dispatch: %s", status.error().to_string().c_str());
-    }
   }
 
   const DispatchOptions& options_;
@@ -455,7 +425,6 @@ class Scheduler {
   bool aborted_ = false;
   std::size_t partials_received_ = 0;
   DispatchStats stats_;
-  util::LineAppender journal_;
 };
 
 /// Connects to a worker and completes the hello handshake. On success the
@@ -501,6 +470,13 @@ Expected<Connection> connect_and_handshake(const Address& address,
   return std::move(*conn);
 }
 
+/// Where shard `index`'s partial artifact lives.
+std::string partial_path(const DispatchOptions& options, std::size_t index) {
+  return (std::filesystem::path(options.out_dir) /
+          ingest::partial_filename(index))
+      .string();
+}
+
 /// Validates a received partial against the expected shard and persists it
 /// atomically. Returns the artifact path.
 Expected<std::string> accept_partial(const DispatchOptions& options,
@@ -515,10 +491,7 @@ Expected<std::string> accept_partial(const DispatchOptions& options,
                      std::to_string(shard.index) + "/" +
                      std::to_string(shard.count)};
   }
-  const std::string path =
-      (std::filesystem::path(options.out_dir) /
-       ingest::partial_filename(shard.index))
-          .string();
+  const std::string path = partial_path(options, shard.index);
   // write_partial goes through util::write_file_atomic (temp + rename), so
   // a manager killed mid-write never leaves a torn artifact for --resume.
   if (const auto status = report::write_partial(partial, path); !status.ok()) {
@@ -777,43 +750,30 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
     tasks[ingest::shard_of(file, shard_count)].paths.push_back(file);
   }
 
-  // Resume: replay journaled "done" outcomes whose artifacts still exist
-  // and still parse; everything else (including previously quarantined
-  // shards — a resume is a fresh chance) is scheduled again.
+  // Resume: accept_partial writes each artifact atomically before its shard
+  // counts as done, so every artifact in out_dir that parses as shard K of
+  // this partition is a finished shard. Everything else — a missing, torn
+  // or foreign file, or a shard quarantined last time — runs again.
   std::size_t resumed = 0;
-  std::size_t journal_dropped = 0;
-  if (options.resume && !options.journal_path.empty()) {
-    auto journal =
-        load_dispatch_journal(options.journal_path, &journal_dropped);
-    if (!journal.has_value()) return journal.error();
-    for (auto& [shard, entry] : *journal) {
-      if (entry.status != "done" || entry.shard_count != shard_count ||
-          shard >= shard_count) {
-        continue;
-      }
-      auto partial = report::read_partial(entry.partial_path);
-      if (!partial.has_value() || partial->shard_index != shard ||
+  if (options.resume) {
+    for (Task& task : tasks) {
+      const std::string path = partial_path(options, task.shard.index);
+      if (!std::filesystem::exists(path)) continue;
+      const auto partial = report::read_partial(path);
+      if (!partial.has_value() || partial->shard_index != task.shard.index ||
           partial->shard_count != shard_count) {
-        MOSAIC_LOG_WARN(
-            "dispatch: journaled partial for shard %zu unusable, "
-            "re-scheduling", shard);
+        MOSAIC_LOG_WARN("dispatch: %s is not shard %zu of %zu, re-running it",
+                        path.c_str(), task.shard.index, shard_count);
         continue;
       }
-      Task& task = tasks[shard];
       task.state = TaskState::kDone;
-      task.worker = entry.worker;
-      task.attempts = entry.attempts;
-      task.partial_path = entry.partial_path;
+      task.partial_path = path;
       ++resumed;
     }
   }
 
   Scheduler scheduler(options, std::move(tasks));
   scheduler.note_resumed(resumed);
-  scheduler.note_journal_dropped(journal_dropped);
-  if (const auto status = scheduler.open_journal(); !status.ok()) {
-    return status.error();
-  }
 
   std::vector<std::thread> threads;
   threads.reserve(options.workers.size());
@@ -863,7 +823,6 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
     }
   }
 
-  scheduler.close_journal();
   return scheduler.result();
 }
 

@@ -26,13 +26,14 @@
 // the run completes — and because partials are deterministic, the output is
 // still byte-identical to the single-shot run.
 //
-// Crash safety: terminal outcomes stream into a JSONL journal
-// (journal.hpp); `--resume` replays it and only schedules what remains.
+// Crash safety: a shard counts as done only once its partial artifact is
+// written atomically, so the partials directory is the resume record:
+// `--resume` keeps every artifact that parses as its shard and only
+// schedules what remains.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -73,9 +74,8 @@ struct DispatchOptions {
 
   /// Directory receiving the per-shard partial artifacts.
   std::string out_dir;
-  /// Append terminal task outcomes here (JSONL); empty disables.
-  std::string journal_path;
-  /// Replay the journal and only schedule the shards that remain.
+  /// Keep every `out_dir` artifact that parses as its shard (K of
+  /// shard_count) and only schedule the shards that remain.
   bool resume = false;
 
   /// Finish remaining shards in-process when every worker is lost.
@@ -83,10 +83,10 @@ struct DispatchOptions {
   std::size_t degraded_threads = 0;  ///< 0 = hardware concurrency
 
   /// Cooperative cancellation (SIGINT/SIGTERM). Checked at every scheduling
-  /// step; a stopped run flushes the journal and returns with aborted set.
+  /// step; a stopped run returns with aborted set.
   const std::atomic<bool>* stop_flag = nullptr;
   /// Test seam simulating a manager crash: stop abruptly once this many
-  /// partials have been received and journaled. 0 disables.
+  /// partials have been received and written. 0 disables.
   std::size_t abort_after_partials = 0;
 
   /// Optional fleet telemetry sink (dist/telemetry.hpp). When set, tasks ask
@@ -108,16 +108,16 @@ struct DispatchStats {
   std::size_t quarantined = 0;      ///< tasks given up on
   std::size_t workers_lost = 0;     ///< workers declared permanently dead
   std::size_t degraded_tasks = 0;   ///< tasks the manager ran in-process
-  std::size_t resumed_tasks = 0;    ///< outcomes replayed from the journal
-  std::size_t journal_dropped = 0;  ///< malformed journal lines skipped
+  std::size_t resumed_tasks = 0;    ///< shards kept from earlier partials
 };
 
 /// Terminal outcome of one shard task.
 struct TaskOutcome {
   std::size_t shard = 0;
   std::string status;        ///< "done" | "quarantined"
-  std::string worker;        ///< producer ("local" = degraded/in-process)
-  std::size_t attempts = 0;
+  std::string worker;        ///< producer ("local" = degraded/in-process,
+                             ///< "" = resumed from an earlier partial)
+  std::size_t attempts = 0;  ///< assignments in this run (0 when resumed)
   std::string partial_path;  ///< for "done"
   std::string error;         ///< last failure, for "quarantined"
 };
@@ -136,8 +136,8 @@ struct DispatchResult {
 
 /// Runs one distributed dispatch: partition, assign, retry, merge-ready.
 /// Errors only on setup-level failures (no workers and degradation
-/// disabled, unusable out_dir/journal); task failures are data in the
-/// result, not errors.
+/// disabled, unusable out_dir); task failures are data in the result, not
+/// errors.
 [[nodiscard]] util::Expected<DispatchResult> run_dispatch(
     const DispatchOptions& options);
 

@@ -1,5 +1,5 @@
 // Typed member reader: the one way MOSAIC decodes JSON it did not build in
-// this process — trace results, shard partials, resume journals, MDP1
+// this process — trace results, shard partials, the resume journal, MDP1
 // payloads, telemetry riders, rules, thresholds, provenance and truth.
 //
 // A Reader wraps one object (or, as a child, one array) and hands out its

@@ -1,11 +1,12 @@
 // JSON Lines files: the one appender and the one line reader behind every
-// JSONL artifact — the ingest and dispatch resume journals, provenance.jsonl
-// and the ground-truth sidecar.
+// JSONL artifact — the ingest resume journal (`mosaic batch --journal`),
+// provenance.jsonl and the ground-truth sidecar.
 //
 // The file layer knows lines, not JSON: each caller keeps its entry <-> JSON
 // codec and its policy for a line the codec rejects.
-//   - Resume journals skip and count it (a killed run tears its last line
-//     mid-append) and read a missing file as empty: read_journal_lines().
+//   - The resume journal skips and counts it (a killed run tears its last
+//     line mid-append) and reads a missing file as empty:
+//     read_journal_lines().
 //   - Provenance and truth files fail with `path:line`: read_lines() with a
 //     visitor that returns the codec's error (json::read_jsonl).
 #pragma once

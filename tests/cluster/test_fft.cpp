@@ -2,17 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <numbers>
 #include <vector>
-
-#include "parallel/thread_pool.hpp"
-#include "util/rng.hpp"
 
 namespace mosaic::cluster {
 namespace {
@@ -93,7 +88,7 @@ TEST(BinSeries, AccumulatesIntoBins) {
   EXPECT_DOUBLE_EQ(series[9], 3.0);  // clamped from t=99
 }
 
-TEST(SimdBinAdd, ClampsEdgesDeterministically) {
+TEST(BinSeries, ClampsEdgesDeterministically) {
   // The clamp runs in double space before the integer conversion, so
   // negative, at-or-past-the-end, huge and NaN times have defined edge bins.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -116,7 +111,7 @@ TEST(SimdBinAdd, ClampsEdgesDeterministically) {
   return ::testing::AssertionFailure() << a << " != " << b << " bitwise";
 }
 
-TEST(SimdComplexMul, MatchesFmaRoundingStructure) {
+TEST(ComplexMulFma, MatchesFmaRoundingStructure) {
   const std::complex<double> a{1.0 / 3.0, -2.0 / 7.0};
   const std::complex<double> b{5.0 / 11.0, 3.0 / 13.0};
   const auto got = complex_mul_fma(a, b);
@@ -126,7 +121,7 @@ TEST(SimdComplexMul, MatchesFmaRoundingStructure) {
   EXPECT_TRUE(bit_equal(got.imag(), im));
 }
 
-TEST(SimdComplexMul, UnitTwiddleIsExactIdentityOnDenormals) {
+TEST(ComplexMulFma, UnitTwiddleIsExactIdentityOnDenormals) {
   constexpr double kDenormal = 4.9406564584124654e-324;  // smallest subnormal
   const std::complex<double> a{kDenormal, -kDenormal};
   const auto got = complex_mul_fma(a, {1.0, 0.0});
@@ -190,80 +185,6 @@ TEST(DftDetector, ScoreWithinUnitRange) {
   for (const auto& peak : result.peaks) {
     EXPECT_GE(peak.score, 0.0);
     EXPECT_LE(peak.score, 1.0);
-  }
-}
-
-std::vector<std::complex<double>> random_signal(std::size_t n,
-                                                util::Rng& rng) {
-  std::vector<std::complex<double>> data(n);
-  for (auto& x : data) x = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  return data;
-}
-
-TEST(FftPlanCache, CachedMatchesColdBitForBit) {
-  // The plan cache (bit-reversal swap list + twiddle tables) must not change
-  // a single output bit relative to the cold path — the categorization
-  // byte-identity invariant (DESIGN.md §12) depends on it. Run every cached
-  // size twice so both the plan-building call and the warm-plan call are
-  // covered, forward and inverse.
-  util::Rng rng(123);
-  for (std::size_t n = 8; n <= 4096; n *= 2) {
-    const std::vector<std::complex<double>> input = random_signal(n, rng);
-    for (const bool inverse : {false, true}) {
-      std::vector<std::complex<double>> cold = input;
-      fft_uncached(cold, inverse);
-      for (int pass = 0; pass < 2; ++pass) {
-        std::vector<std::complex<double>> cached = input;
-        fft(cached, inverse);
-        for (std::size_t i = 0; i < n; ++i) {
-          // EXPECT_EQ on doubles is exact comparison: bit-identical, not
-          // merely close.
-          EXPECT_EQ(cached[i].real(), cold[i].real())
-              << "n=" << n << " inverse=" << inverse << " pass=" << pass
-              << " i=" << i;
-          EXPECT_EQ(cached[i].imag(), cold[i].imag())
-              << "n=" << n << " inverse=" << inverse << " pass=" << pass
-              << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(FftPlanCache, ThreadLocalPlansMatchColdUnderPool) {
-  // Plans are thread-local; interleaving sizes across pool workers exercises
-  // several independent caches at once. Whichever worker (and whichever
-  // cache state) serves a transform, the result must equal the cold path.
-  util::Rng rng(7);
-  const std::size_t sizes[] = {8, 64, 512, 4096};
-  std::vector<std::vector<std::complex<double>>> inputs;
-  std::vector<std::vector<std::complex<double>>> expected;
-  for (const std::size_t n : sizes) {
-    inputs.push_back(random_signal(n, rng));
-    expected.push_back(inputs.back());
-    fft_uncached(expected.back());
-  }
-
-  constexpr std::size_t kJobs = 32;
-  std::vector<std::vector<std::complex<double>>> results(kJobs);
-  parallel::ThreadPool pool(4);
-  for (std::size_t job = 0; job < kJobs; ++job) {
-    pool.submit([&, job] {
-      results[job] = inputs[job % std::size(sizes)];
-      fft(results[job]);
-    });
-  }
-  pool.wait_idle();
-
-  for (std::size_t job = 0; job < kJobs; ++job) {
-    const auto& want = expected[job % std::size(sizes)];
-    ASSERT_EQ(results[job].size(), want.size()) << "job=" << job;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(results[job][i].real(), want[i].real())
-          << "job=" << job << " i=" << i;
-      EXPECT_EQ(results[job][i].imag(), want[i].imag())
-          << "job=" << job << " i=" << i;
-    }
   }
 }
 

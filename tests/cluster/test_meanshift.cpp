@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
-#include <set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -50,16 +49,36 @@ TEST(MinMaxScale, ConstantColumnMapsToZero) {
   EXPECT_DOUBLE_EQ(scaled.point(1)[0], 0.0);
 }
 
+TEST(MinMaxScale, ScalesAnyNumberOfColumns) {
+  // Embeddings wider than the two Mean-Shift features (the auto-category
+  // bench scales 14) go through the same per-column pass.
+  PointSet points(14);
+  std::array<double, 14> row{};
+  for (int i = 0; i < 3; ++i) {
+    for (std::size_t d = 0; d < row.size(); ++d) {
+      row[d] = static_cast<double>(i * (d + 1));
+    }
+    points.add(row);
+  }
+  const PointSet scaled = min_max_scale(points);
+  ASSERT_EQ(scaled.dim(), 14u);
+  for (std::size_t d = 0; d < row.size(); ++d) {
+    EXPECT_DOUBLE_EQ(scaled.point(0)[d], 0.0);
+    EXPECT_DOUBLE_EQ(scaled.point(1)[d], 0.5);
+    EXPECT_DOUBLE_EQ(scaled.point(2)[d], 1.0);
+  }
+}
+
 TEST(MeanShift, EmptyInput) {
   const PointSet points(2);
-  const MeanShiftResult result = mean_shift(points);
+  const MeanShiftResult result = mean_shift(points, 0.12);
   EXPECT_TRUE(result.labels.empty());
   EXPECT_TRUE(result.modes.empty());
 }
 
 TEST(MeanShift, SinglePointIsItsOwnCluster) {
   const PointSet points = points_from({{0.5, 0.5}});
-  const MeanShiftResult result = mean_shift(points);
+  const MeanShiftResult result = mean_shift(points, 0.12);
   ASSERT_EQ(result.labels.size(), 1u);
   EXPECT_EQ(result.labels[0], 0u);
   ASSERT_EQ(result.cluster_sizes.size(), 1u);
@@ -67,15 +86,14 @@ TEST(MeanShift, SinglePointIsItsOwnCluster) {
 }
 
 TEST(MeanShift, TwoTightClustersSeparate) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.15;
+  const double bandwidth = 0.15;
   const PointSet points = points_from({{0.0, 0.0},
                                        {0.02, 0.01},
                                        {0.01, 0.03},
                                        {0.9, 0.9},
                                        {0.92, 0.91},
                                        {0.91, 0.88}});
-  const MeanShiftResult result = mean_shift(points, config);
+  const MeanShiftResult result = mean_shift(points, bandwidth);
   ASSERT_EQ(result.labels.size(), 6u);
   EXPECT_EQ(result.modes.size(), 2u);
   EXPECT_EQ(result.labels[0], result.labels[1]);
@@ -86,18 +104,16 @@ TEST(MeanShift, TwoTightClustersSeparate) {
 }
 
 TEST(MeanShift, LargeBandwidthMergesEverything) {
-  MeanShiftConfig config;
-  config.bandwidth = 2.0;
+  const double bandwidth = 2.0;
   const PointSet points =
       points_from({{0.0, 0.0}, {0.5, 0.5}, {1.0, 1.0}, {0.2, 0.8}});
-  const MeanShiftResult result = mean_shift(points, config);
+  const MeanShiftResult result = mean_shift(points, bandwidth);
   EXPECT_EQ(result.modes.size(), 1u);
   EXPECT_EQ(result.cluster_sizes[0], 4u);
 }
 
 TEST(MeanShift, ClustersOrderedBySizeDescending) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.1;
+  const double bandwidth = 0.1;
   const PointSet points = points_from({{0.0, 0.0},
                                        {0.01, 0.0},
                                        {0.0, 0.01},
@@ -105,7 +121,7 @@ TEST(MeanShift, ClustersOrderedBySizeDescending) {
                                        {0.5, 0.5},   // singleton
                                        {0.9, 0.9},
                                        {0.91, 0.9}});
-  const MeanShiftResult result = mean_shift(points, config);
+  const MeanShiftResult result = mean_shift(points, bandwidth);
   ASSERT_GE(result.cluster_sizes.size(), 3u);
   for (std::size_t i = 1; i < result.cluster_sizes.size(); ++i) {
     EXPECT_LE(result.cluster_sizes[i], result.cluster_sizes[i - 1]);
@@ -113,9 +129,18 @@ TEST(MeanShift, ClustersOrderedBySizeDescending) {
   EXPECT_EQ(result.cluster_sizes[0], 4u);
 }
 
+TEST(MeanShift, EqualSizedClustersKeepFirstSeenOrder) {
+  // Ties in cluster size are numbered in the order their first point
+  // appears, whichever cluster that is.
+  const PointSet points = points_from(
+      {{0.9, 0.9}, {0.0, 0.0}, {0.91, 0.9}, {0.01, 0.0}, {0.5, 0.5}});
+  const MeanShiftResult result = mean_shift(points, 0.1);
+  ASSERT_EQ(result.cluster_sizes, (std::vector<std::size_t>{2, 2, 1}));
+  EXPECT_EQ(result.labels, (std::vector<std::size_t>{0, 1, 0, 1, 2}));
+}
+
 TEST(MeanShift, ModeNearClusterCenter) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.2;
+  const double bandwidth = 0.2;
   util::Rng rng(3);
   PointSet points(2);
   for (int i = 0; i < 60; ++i) {
@@ -123,15 +148,14 @@ TEST(MeanShift, ModeNearClusterCenter) {
                                   0.5 + rng.normal(0.0, 0.02)};
     points.add(p);
   }
-  const MeanShiftResult result = mean_shift(points, config);
+  const MeanShiftResult result = mean_shift(points, bandwidth);
   ASSERT_EQ(result.modes.size(), 1u);
   EXPECT_NEAR(result.modes[0][0], 0.5, 0.02);
   EXPECT_NEAR(result.modes[0][1], 0.5, 0.02);
 }
 
 TEST(MeanShift, PermutationInvariantPartition) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.15;
+  const double bandwidth = 0.15;
   util::Rng rng(11);
   std::vector<std::array<double, 2>> rows;
   for (int i = 0; i < 20; ++i) {
@@ -143,8 +167,8 @@ TEST(MeanShift, PermutationInvariantPartition) {
   PointSet backward(2);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) backward.add(*it);
 
-  const MeanShiftResult a = mean_shift(forward, config);
-  const MeanShiftResult b = mean_shift(backward, config);
+  const MeanShiftResult a = mean_shift(forward, bandwidth);
+  const MeanShiftResult b = mean_shift(backward, bandwidth);
   ASSERT_EQ(a.modes.size(), b.modes.size());
   // Same partition: labels of reversed input, reversed, must be a relabeling
   // of the forward labels.
@@ -158,28 +182,15 @@ TEST(MeanShift, PermutationInvariantPartition) {
   }
 }
 
-TEST(MeanShift, GaussianKernelFindsSameTwoClusters) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.1;
-  config.kernel = Kernel::kGaussian;
-  const PointSet points = points_from(
-      {{0.1, 0.1}, {0.12, 0.11}, {0.11, 0.09}, {0.85, 0.9}, {0.88, 0.89}});
-  const MeanShiftResult result = mean_shift(points, config);
-  EXPECT_EQ(result.modes.size(), 2u);
-  EXPECT_EQ(result.cluster_sizes[0], 3u);
-  EXPECT_EQ(result.cluster_sizes[1], 2u);
-}
-
 TEST(MeanShift, LabelsConsistentWithSizes) {
-  MeanShiftConfig config;
-  config.bandwidth = 0.1;
+  const double bandwidth = 0.1;
   util::Rng rng(17);
   PointSet points(2);
   for (int i = 0; i < 50; ++i) {
     const std::array<double, 2> p{rng.uniform(), rng.uniform()};
     points.add(p);
   }
-  const MeanShiftResult result = mean_shift(points, config);
+  const MeanShiftResult result = mean_shift(points, bandwidth);
   std::vector<std::size_t> recount(result.modes.size(), 0);
   for (const std::size_t label : result.labels) {
     ASSERT_LT(label, result.modes.size());
@@ -188,73 +199,10 @@ TEST(MeanShift, LabelsConsistentWithSizes) {
   EXPECT_EQ(recount, result.cluster_sizes);
 }
 
-TEST(GridIndex, NegativeCoordinatesFindAllNeighbors) {
-  // Regression: cell keys are zigzag-packed before hashing so that negative
-  // cell coordinates (points left of / below the origin) hash without
-  // wrap-around. A plain cast would alias distant cells and silently drop
-  // neighbors. Compare every radius query against brute force on a point
-  // cloud straddling the origin in both dimensions.
-  util::Rng rng(42);
-  PointSet points(2);
-  for (int i = 0; i < 200; ++i) {
-    const std::array<double, 2> p{rng.uniform(-5.0, 5.0),
-                                  rng.uniform(-5.0, 5.0)};
-    points.add(p);
-  }
-  const double radius = 0.9;
-  GridIndex grid;
-  grid.build(points, radius);
-
-  const std::array<double, 2> centers[] = {
-      {-4.5, -4.5}, {-0.1, 0.1}, {0.0, 0.0}, {-3.0, 2.0}, {4.5, -4.5},
-  };
-  for (const auto& center : centers) {
-    std::vector<std::size_t> indexed;
-    grid.for_neighbors(center, radius,
-                       [&](std::size_t i) { indexed.push_back(i); });
-    std::sort(indexed.begin(), indexed.end());
-
-    std::vector<std::size_t> brute;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (squared_distance(points.point(i), center) <= radius * radius) {
-        brute.push_back(i);
-      }
-    }
-    EXPECT_EQ(indexed, brute)
-        << "center (" << center[0] << ", " << center[1] << ")";
-  }
-}
-
-TEST(GridIndex, RebuildReusesStorageAcrossPointSets) {
-  // The index is rebuilt per trace from a worker-owned workspace; a second
-  // build over different points must fully supersede the first.
-  PointSet first(2);
-  for (int i = 0; i < 20; ++i) {
-    const std::array<double, 2> p{static_cast<double>(i), 0.0};
-    first.add(p);
-  }
-  GridIndex grid;
-  grid.build(first, 1.0);
-
-  PointSet second(2);
-  const std::array<double, 2> lone{-7.25, -3.5};
-  second.add(lone);
-  grid.build(second, 1.0);
-
-  std::vector<std::size_t> hits;
-  grid.for_neighbors(lone, 1.0, [&](std::size_t i) { hits.push_back(i); });
-  EXPECT_EQ(hits, std::vector<std::size_t>{0});
-
-  const std::array<double, 2> far{5.0, 5.0};
-  hits.clear();
-  grid.for_neighbors(far, 1.0, [&](std::size_t i) { hits.push_back(i); });
-  EXPECT_TRUE(hits.empty());
-}
-
 TEST(MeanShift, NegativeCoordinateClustersMatchShiftedCopy) {
   // Translating the whole point cloud must not change the partition: the
-  // grid, the kernel, and mode merging are all translation-invariant, and
-  // the negative quadrant must behave exactly like the positive one.
+  // kernel and mode merging are both translation-invariant, and the
+  // negative quadrant must behave exactly like the positive one.
   util::Rng rng(9);
   PointSet positive(2);
   PointSet negative(2);
@@ -267,10 +215,9 @@ TEST(MeanShift, NegativeCoordinateClustersMatchShiftedCopy) {
     const std::array<double, 2> shifted{p[0] - 10.0, p[1] - 10.0};
     negative.add(shifted);
   }
-  MeanShiftConfig config;
-  config.bandwidth = 0.15;
-  const MeanShiftResult a = mean_shift(positive, config);
-  const MeanShiftResult b = mean_shift(negative, config);
+  const double bandwidth = 0.15;
+  const MeanShiftResult a = mean_shift(positive, bandwidth);
+  const MeanShiftResult b = mean_shift(negative, bandwidth);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.cluster_sizes, b.cluster_sizes);
 }

@@ -21,7 +21,7 @@ using mosaic::core::result_cache_key;
 CachedAnalysis sized(const std::string& id, std::size_t total_bytes) {
   CachedAnalysis value;
   value.trace_id = id;
-  value.result_json.assign(total_bytes - id.size(), 'x');
+  value.explain_json.assign(total_bytes - id.size(), 'x');
   return value;
 }
 
@@ -39,8 +39,6 @@ TEST(ResultCache, LookupReturnsInsertedArtifactsVerbatim) {
   CachedAnalysis value;
   value.trace_id = "7";
   value.app_key = "u0/app";
-  value.source_path = "/spool/a.mbt";
-  value.result_json = "{\"r\":1}";
   value.explain_json = "{\n  \"e\": 1\n}\n";
   cache.insert("k", value);
 
@@ -48,8 +46,6 @@ TEST(ResultCache, LookupReturnsInsertedArtifactsVerbatim) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->trace_id, "7");
   EXPECT_EQ(found->app_key, "u0/app");
-  EXPECT_EQ(found->source_path, "/spool/a.mbt");
-  EXPECT_EQ(found->result_json, "{\"r\":1}");
   EXPECT_EQ(found->explain_json, "{\n  \"e\": 1\n}\n");
   EXPECT_FALSE(cache.lookup("unknown").has_value());
 }

@@ -596,18 +596,6 @@ std::vector<DecoderCase> decoder_cases() {
                        loaded->begin()->second))));
                    return true;
                  }});
-  const auto dispatch_load = from_line([](const std::string& path) {
-    return dist::load_dispatch_journal(path);
-  });
-  out.push_back({"dispatch journal",
-                 dist::dispatch_journal_line(dispatch_entry()),
-                 [dispatch_load, one_entry](std::string_view line) {
-                   const auto loaded = dispatch_load(line);
-                   if (!one_entry(loaded)) return false;
-                   EXPECT_TRUE(one_entry(dispatch_load(
-                       dist::dispatch_journal_line(loaded->begin()->second))));
-                   return true;
-                 }});
   return out;
 }
 

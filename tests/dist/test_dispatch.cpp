@@ -131,6 +131,41 @@ class DispatchTest : public ::testing::Test {
     return options;
   }
 
+  /// Where dispatch keeps shard `index`'s artifact under base_options().
+  std::string partial_slot(std::size_t index) const {
+    return path("parts/results.shard-" + std::to_string(index) + ".json");
+  }
+
+  /// Shard `index` of `count` over the corpus, as one artifact's bytes.
+  std::string partial_text(std::size_t index, std::size_t count) {
+    parallel::ThreadPool pool(2);
+    ingest::IngestOptions options;
+    options.shard = {index, count};
+    auto partial = report::run_shard(corpus_, options, {}, pool);
+    EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
+    return json::serialize(report::partial_to_json(*partial));
+  }
+
+  void write_text(const std::string& file, const std::string& text) {
+    fs::create_directories(fs::path(file).parent_path());
+    std::ofstream(file, std::ios::binary) << text;
+  }
+
+  void write_shard_partial(std::size_t index, std::size_t count,
+                           const std::string& file) {
+    write_text(file, partial_text(index, count));
+  }
+
+  /// A --resume run with no workers: whatever it does not keep from
+  /// --partials runs in-process. An empty result (not complete()) on error.
+  DispatchResult resume_without_workers(std::size_t shards) {
+    auto options = base_options({}, shards);
+    options.resume = true;
+    auto result = run_dispatch(options);
+    EXPECT_TRUE(result.has_value()) << result.error().to_string();
+    return result.has_value() ? std::move(*result) : DispatchResult{};
+  }
+
   fs::path dir_;
   std::vector<std::string> corpus_;
 };
@@ -215,62 +250,91 @@ TEST_F(DispatchTest, PoisonedTaskIsQuarantinedNotRetriedForever) {
   }
 }
 
-TEST_F(DispatchTest, KilledManagerResumesFromJournalByteIdentically) {
+TEST_F(DispatchTest, KilledManagerResumesFromPartialsByteIdentically) {
   TestWorker w1{WorkerOptions{}};
 
-  // First run "crashes" (abort seam) after one journaled partial.
+  // First run "crashes" (abort seam) after one written partial.
   auto options = base_options({&w1}, 3);
-  options.journal_path = path("dispatch.jsonl");
   options.abort_after_partials = 1;
   auto first = run_dispatch(options);
   ASSERT_TRUE(first.has_value()) << first.error().to_string();
   EXPECT_TRUE(first->aborted);
   EXPECT_FALSE(first->complete());
-  EXPECT_GE(first->stats.tasks_done, 1U);
+  ASSERT_EQ(first->stats.tasks_done, 1U);
 
-  // The resumed run replays the journal and only schedules the remainder —
-  // and the merge is still byte-identical to the uninterrupted run.
+  // The resumed run keeps the partial already in --partials and only
+  // schedules the remainder — and the merge is still byte-identical to the
+  // uninterrupted run.
   options.abort_after_partials = 0;
   options.resume = true;
   auto second = run_dispatch(options);
   ASSERT_TRUE(second.has_value()) << second.error().to_string();
   ASSERT_TRUE(second->complete());
-  EXPECT_GE(second->stats.resumed_tasks, 1U);
-  EXPECT_LE(second->stats.tasks_done, 2U);
+  EXPECT_EQ(second->stats.resumed_tasks, 1U);
+  EXPECT_EQ(second->stats.tasks_done, 2U);
+  for (const TaskOutcome& outcome : second->outcomes) {
+    // Only the shard the first run finished is kept, without an attempt.
+    const bool kept = outcome.partial_path == first->partial_paths[0];
+    EXPECT_EQ(outcome.attempts == 0, kept) << "shard " << outcome.shard;
+  }
   EXPECT_EQ(merged_json(*second), single_shot_json());
 }
 
-TEST_F(DispatchTest, ResumesFromInlineJournalLines) {
-  // A done shard 0 whose artifact exists and a quarantined shard 1, as the
-  // journal stores them on disk: the resume replays shard 0 and runs shard
+TEST_F(DispatchTest, ResumeRerunsATornPartial) {
+  // Shard 0's artifact is whole; shard 1's slot holds the first half of a
+  // valid artifact, as a non-atomic writer killed mid-write would leave
+  // it. The resume keeps shard 0 (worker "-", no attempts) and runs shard
   // 1 again (in-process here — there are no workers).
-  parallel::ThreadPool pool(2);
-  ingest::IngestOptions shard0;
-  shard0.shard = {0, 2};
-  auto partial = report::run_shard(corpus_, shard0, {}, pool);
-  ASSERT_TRUE(partial.has_value()) << partial.error().to_string();
-  fs::create_directories(path("parts"));
-  const std::string artifact = path("parts/results.shard-0.json");
-  ASSERT_TRUE(report::write_partial(*partial, artifact).ok());
-  {
-    std::ofstream journal(path("dispatch.jsonl"), std::ios::binary);
-    journal << R"({"shard":0,"count":2,"status":"done",)"
-            << R"("worker":"127.0.0.1:9100","attempts":1,"partial":")"
-            << artifact << "\"}\n"
-            << R"({"shard":1,"count":2,"status":"quarantined","worker":"",)"
-            << R"("attempts":3,"error":"io-error: connection lost"})" << "\n";
-  }
+  write_shard_partial(0, 2, partial_slot(0));
+  const std::string whole = partial_text(1, 2);
+  write_text(partial_slot(1), whole.substr(0, whole.size() / 2));
 
-  auto options = base_options({}, 2);
-  options.journal_path = path("dispatch.jsonl");
-  options.resume = true;
-  auto result = run_dispatch(options);
-  ASSERT_TRUE(result.has_value()) << result.error().to_string();
-  ASSERT_TRUE(result->complete());
-  EXPECT_EQ(result->stats.resumed_tasks, 1U);
-  EXPECT_EQ(result->stats.degraded_tasks, 1U);
-  EXPECT_EQ(result->stats.journal_dropped, 0U);
-  EXPECT_EQ(merged_json(*result), single_shot_json());
+  const DispatchResult result = resume_without_workers(2);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(result.stats.resumed_tasks, 1U);
+  EXPECT_EQ(result.stats.degraded_tasks, 1U);
+  EXPECT_EQ(result.outcomes[0].worker, "");
+  EXPECT_EQ(result.outcomes[0].attempts, 0U);
+  EXPECT_EQ(result.outcomes[1].worker, "local");
+  EXPECT_EQ(merged_json(result), single_shot_json());
+}
+
+TEST_F(DispatchTest, ResumeRerunsAFileThatIsNotAPartial) {
+  // Well-formed JSON in a shard's slot is not enough: the single-shot
+  // summary fails the partial schema, so shard 0 runs again.
+  write_text(partial_slot(0), single_shot_json());
+  write_shard_partial(1, 2, partial_slot(1));
+
+  const DispatchResult result = resume_without_workers(2);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(result.stats.resumed_tasks, 1U);
+  EXPECT_EQ(result.stats.degraded_tasks, 1U);
+  EXPECT_EQ(result.outcomes[0].worker, "local");
+  EXPECT_EQ(merged_json(result), single_shot_json());
+}
+
+TEST_F(DispatchTest, ResumeRerunsAnotherPartitionsArtifact) {
+  // Slot 0 holds shard 0 of a 2-way partition and slot 1 holds shard 2 of
+  // this 3-way one: neither parses as its slot's shard K of 3, so both
+  // run again; slot 2's own artifact is kept.
+  write_shard_partial(0, 2, partial_slot(0));
+  write_shard_partial(2, 3, partial_slot(1));
+  write_shard_partial(2, 3, partial_slot(2));
+
+  const DispatchResult result = resume_without_workers(3);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(result.stats.resumed_tasks, 1U);
+  EXPECT_EQ(result.stats.degraded_tasks, 2U);
+  EXPECT_EQ(result.outcomes[2].attempts, 0U);
+  EXPECT_EQ(merged_json(result), single_shot_json());
+}
+
+TEST_F(DispatchTest, ResumeOverEmptyPartialsIsAFreshRun) {
+  const DispatchResult result = resume_without_workers(2);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(result.stats.resumed_tasks, 0U);
+  EXPECT_EQ(result.stats.degraded_tasks, 2U);
+  EXPECT_EQ(merged_json(result), single_shot_json());
 }
 
 TEST_F(DispatchTest, NoWorkersReachableStillCompletesDegraded) {

@@ -2,26 +2,20 @@
 // loopback sockets: framing round-trips, the error taxonomy the task
 // lifecycle classifies on (truncated frame -> kIoError, corrupt frame ->
 // kParseError with the stream still framed, silence -> kTimeout), address
-// validation, deterministic network fault specs, and the dispatch journal.
+// validation, and deterministic network fault specs.
 #include "dist/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/faults.hpp"
-#include "dist/journal.hpp"
 #include "dist/net.hpp"
 #include "util/error.hpp"
-#include "util/fs.hpp"
-#include "util/jsonl.hpp"
 
 namespace mosaic::dist {
 namespace {
@@ -190,69 +184,6 @@ TEST(NetFaults, ParseAndDeterminism) {
 
   EXPECT_FALSE(NetFaultSpec::parse("close=2.0").has_value());
   EXPECT_FALSE(NetFaultSpec::parse("bogus=1").has_value());
-}
-
-TEST(DispatchJournal, RoundTripsAndToleratesTornTail) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "mosaic_dispatch_journal_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = (dir / "dispatch.jsonl").string();
-
-  {
-    util::LineAppender writer;
-    ASSERT_TRUE(writer.open(path).ok());
-    ASSERT_TRUE(writer
-                    .append(dispatch_journal_line(
-                        {0, 4, "done", "127.0.0.1:9100", 1,
-                         "parts/results.shard-0.json", ""}))
-                    .ok());
-    ASSERT_TRUE(writer
-                    .append(dispatch_journal_line(
-                        {2, 4, "quarantined", "", 3, "",
-                         "io-error: connection lost"}))
-                    .ok());
-  }
-  // The on-disk format, byte for byte: one done and one quarantined entry.
-  {
-    std::ifstream in(path, std::ios::binary);
-    const std::string written{std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>()};
-    EXPECT_EQ(written,
-              R"({"shard":0,"count":4,"status":"done",)"
-              R"("worker":"127.0.0.1:9100","attempts":1,)"
-              R"("partial":"parts/results.shard-0.json"})"
-              "\n"
-              R"({"shard":2,"count":4,"status":"quarantined","worker":"",)"
-              R"("attempts":3,"error":"io-error: connection lost"})"
-              "\n");
-  }
-  // Simulate a manager killed mid-append: a torn, half-written line.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"shard\": 3, \"count\": 4, \"status\": \"do", f);
-    std::fclose(f);
-  }
-
-  std::size_t dropped = 0;
-  auto loaded = load_dispatch_journal(path, &dropped);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().to_string();
-  EXPECT_EQ(loaded->size(), 2U);
-  EXPECT_EQ(dropped, 1U);
-  EXPECT_EQ(loaded->at(0).status, "done");
-  EXPECT_EQ(loaded->at(0).partial_path, "parts/results.shard-0.json");
-  EXPECT_EQ(loaded->at(0).worker, "127.0.0.1:9100");
-  EXPECT_EQ(loaded->at(2).status, "quarantined");
-  EXPECT_EQ(loaded->at(2).attempts, 3U);
-  EXPECT_EQ(loaded->at(2).error, "io-error: connection lost");
-
-  // Missing journal = fresh start, not an error.
-  auto missing = load_dispatch_journal((dir / "absent.jsonl").string());
-  ASSERT_TRUE(missing.has_value());
-  EXPECT_TRUE(missing->empty());
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Byte-identity guard for the hot-path performance work (DESIGN.md §12).
+// Byte-identity guard for the analyzer (DESIGN.md §12).
 //
-// The zero-alloc analyzer workspaces, the flat Mean-Shift grid, and the FFT
-// plan cache are all required to change *where bytes live*, never *what the
-// pipeline computes*. These tests re-run the exact populations behind the
-// committed goldens in tests/golden/ (captured from the pre-optimization
-// pipeline via tools/dump_ab_golden) and compare the serialized batch output
-// byte for byte — once per detector backend, and across worker counts, since
-// each pool worker owns a separate workspace.
+// Any rework of the analysis stages — the per-worker workspaces, the
+// Mean-Shift shift loop, the FFT — may change *where bytes live*, never
+// *what the pipeline computes*. These tests re-run the exact populations
+// behind the committed goldens in tests/golden/ (written by
+// tools/dump_ab_golden) and compare the serialized batch output byte for
+// byte — once per detector backend, and across worker counts, since each
+// pool worker owns a separate workspace.
 //
 // If a test here fails after an *intentional* behavior change (new threshold
 // default, new category), regenerate the goldens:

@@ -13,7 +13,6 @@
 
 #include "core/categories.hpp"
 #include "core/pipeline.hpp"
-#include "dist/journal.hpp"
 #include "dist/protocol.hpp"
 #include "ingest/journal.hpp"
 #include "obs/federation.hpp"
@@ -109,11 +108,6 @@ inline json::Value telemetry_frame() {
   json::Object frame;
   frame.set("telemetry", std::move(rider));
   return frame;
-}
-
-inline dist::JournaledTask dispatch_entry() {
-  return {1, 4, "done", "127.0.0.1:9100", 2, "parts/results.shard-1.json",
-          ""};
 }
 
 inline core::FileOutcome ingest_entry() {

@@ -134,16 +134,6 @@ std::vector<Case> cases() {
                  {{"min_bytes"}, {"temporality_chunks"}, {"min_group_size"},
                   {"multiple_spike_count"}, {"frequency_max_bins"}}});
   out.push_back(
-      {"dispatch journal",
-       *json::parse(dist::dispatch_journal_line(samples::dispatch_entry())),
-       [](const json::Value& v) {
-         return journal_accepts(v, [](const std::string& path,
-                                      std::size_t* dropped) {
-           return dist::load_dispatch_journal(path, dropped);
-         });
-       },
-       {{"shard"}, {"count"}, {"attempts"}}});
-  out.push_back(
       {"ingest journal",
        *json::parse(ingest::journal_line(samples::ingest_entry())),
        [](const json::Value& v) {

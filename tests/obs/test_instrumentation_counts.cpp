@@ -56,9 +56,9 @@ void* counted_alloc_or_throw(std::size_t size, std::size_t alignment) {
 
 }  // namespace
 
-// The whole replaceable set, nothrow forms included (std::stable_sort's
-// temporary buffer uses one), forwards to malloc/free so every pair stays
-// consistent under the sanitizers too.
+// The whole replaceable set, nothrow forms included (a temporary buffer
+// such as std::stable_sort's uses one), forwards to malloc/free so every
+// pair stays consistent under the sanitizers too.
 void* operator new(std::size_t size) {
   return counted_alloc_or_throw(size, 0);
 }
@@ -282,8 +282,8 @@ TEST_F(InstrumentationCounts, SurfaceOffReadsNoClockAndRecordsNothing) {
   EXPECT_EQ(counts.metrics.histogram_observations, 0u);
   EXPECT_EQ(counts.metrics.gauge_changes, 0u);
   // What remains is the TraceResult each analysis returns plus scratch the
-  // workspace model does not cover (DESIGN.md §12): 3.632 per trace.
-  EXPECT_LE(counts.allocations, 3632u);
+  // workspace model does not cover (DESIGN.md §12): 3.589 per trace.
+  EXPECT_LE(counts.allocations, 3589u);
 }
 
 TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
@@ -316,7 +316,7 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
             kTraces + provenance + points);
   EXPECT_EQ(counts.metrics.gauge_changes, 0u);
   // The off-case allocations plus 125 provenance records.
-  EXPECT_LE(counts.allocations, 5886u);
+  EXPECT_LE(counts.allocations, 5843u);
 }
 
 }  // namespace

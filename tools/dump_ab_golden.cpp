@@ -1,9 +1,9 @@
 // Regenerates the A/B categorization goldens used by test_golden_ab.
 //
-// The perf work in src/cluster/ and src/core/ must keep categorization
-// byte-identical; these goldens were captured from the pre-optimization
-// pipeline and the integration test re-serializes the same populations and
-// compares bytes. Run from anywhere:
+// Reworking src/cluster/ or src/core/ must keep categorization
+// byte-identical: the integration test re-serializes the populations these
+// goldens were written from, per detector backend, and compares bytes. Run
+// from anywhere:
 //
 //   ./build/tools/dump_ab_golden <output-dir>
 //

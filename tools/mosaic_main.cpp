@@ -837,7 +837,7 @@ int cmd_merge(int argc, char** argv) {
 }
 
 /// Cooperative stop for SIGINT/SIGTERM: dispatch polls the flag at every
-/// scheduling step and flushes its journal before returning; a worker exits
+/// scheduling step and returns once in-flight tasks finish; a worker exits
 /// at its next accept/idle check.
 std::atomic<bool> g_stop_requested{false};
 dist::Worker* g_signal_worker = nullptr;
@@ -960,9 +960,8 @@ int cmd_dispatch(int argc, char** argv) {
   add_retry_options(cli);
   cli.add_option("threads",
                  "in-process threads for degraded mode (0 = hardware)", "0");
-  cli.add_option("journal",
-                 "append task outcomes to this resume journal (JSONL)", "");
-  cli.add_flag("resume", "replay outcomes already in --journal");
+  cli.add_flag("resume",
+               "keep the shards whose partials are already in --partials");
   cli.add_flag("no-degraded",
                "fail instead of finishing in-process when every worker is "
                "lost");
@@ -1039,12 +1038,7 @@ int cmd_dispatch(int argc, char** argv) {
   options.connect_timeout_seconds = *connect_timeout;
   options.degraded_threads = *thread_count;
   options.thresholds = load_thresholds(cli);
-  options.journal_path = std::string(cli.get("journal"));
   options.resume = cli.get_flag("resume");
-  if (options.resume && options.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal\n");
-    return 2;
-  }
   options.allow_degraded = !cli.get_flag("no-degraded");
   options.stop_flag = &g_stop_requested;
 
@@ -1143,7 +1137,7 @@ int cmd_dispatch(int argc, char** argv) {
   const dist::DispatchStats& stats = result->stats;
   std::printf("dispatch: %zu task(s) done in %s (%zu retried, %zu "
               "reassigned, %zu quarantined, %zu worker(s) lost, %zu run "
-              "degraded, %zu resumed from journal)\n",
+              "degraded, %zu resumed from partials)\n",
               stats.tasks_done,
               util::format_duration(watch.elapsed_seconds()).c_str(),
               stats.retries, stats.reassigned, stats.quarantined,
@@ -1153,11 +1147,9 @@ int cmd_dispatch(int argc, char** argv) {
   if (result->aborted) {
     std::fprintf(stderr,
                  "mosaic dispatch: interrupted with %zu shard(s) done; "
-                 "re-run with --journal %s --resume to continue\n",
+                 "re-run with --partials %s --resume to continue\n",
                  stats.tasks_done + stats.resumed_tasks,
-                 options.journal_path.empty()
-                     ? "<path>"
-                     : options.journal_path.c_str());
+                 options.out_dir.c_str());
     return 3;
   }
   if (!result->complete()) {
