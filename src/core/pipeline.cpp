@@ -289,10 +289,12 @@ TraceResult Analyzer::analyze(const trace::Trace& trace) const {
 
 TraceResult Analyzer::analyze(const trace::Trace& trace,
                               AnalyzerWorkspace& workspace) const {
-  // Journal gate: one relaxed load when provenance is off; when on, one in
-  // every sample_every traces pays the capture cost.
+  // Journal gate: one relaxed load when provenance is off; when on, about
+  // one in every sample_every traces, picked by app key and job id, pays
+  // the capture cost.
   obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
-  if (journal.should_sample()) {
+  if (journal.should_sample(trace.meta.user, trace.meta.app_name,
+                            trace.meta.job_id)) {
     obs::TraceProvenance evidence;
     TraceResult result = analyze_impl(trace, &evidence, workspace);
     journal.record(std::move(evidence));

@@ -1,6 +1,8 @@
 #include "core/preprocess.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -43,18 +45,6 @@ void count_valid_metric() {
   static obs::Counter& counter = obs::Registry::global().counter(
       obs::names::kFunnelValid, "traces that passed the validity check");
   counter.add();
-}
-
-/// Un-counts a dedup winner that failed its re-read in finish(): its run
-/// is no longer a valid execution. Other (non-winner) runs of the app keep
-/// their counts; aggregation only consults runs_per_app for retained apps,
-/// so a leftover key without a retained trace is inert.
-void demote_app(PreprocessResult& result, const std::string& key) {
-  if (result.stats.valid > 0) --result.stats.valid;
-  const auto it = result.runs_per_app.find(key);
-  if (it != result.runs_per_app.end() && --it->second == 0) {
-    result.runs_per_app.erase(it);
-  }
 }
 
 /// Per-application dedup state: run count plus the incumbent winner. A
@@ -113,7 +103,6 @@ PreprocessResult preprocess(std::span<const trace::Trace> traces) {
   for (std::size_t i = 0; i < traces.size(); ++i) {
     if (keep[i]) result.retained.push_back(traces[i]);
   }
-  result.retained_paths.assign(result.retained.size(), std::string());
   result.stats.unique_applications = apps.size();
   result.stats.retained = result.retained.size();
   return result;
@@ -147,60 +136,95 @@ FileOutcome assess(const trace::Trace& trace, std::string path) {
 }
 
 void StreamingPreprocessor::add(FileOutcome outcome) {
-  ++stats_.input_traces;
+  PreprocessStats& stats = state_.stats;
+  ++stats.input_traces;
   if (!outcome.valid()) {
-    count_eviction(stats_, outcome.error->code, outcome.corruption);
+    count_eviction(stats, outcome.error->code, outcome.corruption);
     return;
   }
-  ++stats_.valid;
+  ++stats.valid;
   count_valid_metric();
-  ++runs_per_app_[outcome.app_key];
-  const auto [slot, inserted] = heaviest_.try_emplace(outcome.app_key);
-  if (inserted || dedup_wins(outcome.dedup_key(), slot->second.dedup_key())) {
-    slot->second = std::move(outcome);
+  const DedupKey run = outcome.dedup_key();
+  const auto [slot, inserted] =
+      state_.apps.try_emplace(std::move(outcome.app_key));
+  AppFold& app = slot->second;
+  ++app.runs;
+  if (inserted || dedup_wins(run, app.dedup_key())) {
+    app.total_bytes = outcome.total_bytes;
+    app.job_id = outcome.job_id;
+    app.path = std::move(outcome.path);
+  }
+}
+
+void StreamingPreprocessor::absorb(FoldState other) {
+  PreprocessStats& stats = state_.stats;
+  stats.input_traces += other.stats.input_traces;
+  stats.load_failed += other.stats.load_failed;
+  stats.corrupted += other.stats.corrupted;
+  stats.valid += other.stats.valid;
+  for (const auto& [kind, count] : other.stats.corruption_breakdown) {
+    stats.corruption_breakdown[kind] += count;
+  }
+  for (const auto& [code, count] : other.stats.eviction_breakdown) {
+    stats.eviction_breakdown[code] += count;
+  }
+  // Applications this fold has not seen move over whole; what is left in
+  // `other` ran in both.
+  state_.apps.merge(other.apps);
+  for (auto& [key, theirs] : other.apps) {
+    AppFold& mine = state_.apps.find(key)->second;
+    const std::size_t runs = mine.runs + theirs.runs;
+    if (dedup_wins(theirs.dedup_key(), mine.dedup_key())) {
+      mine = std::move(theirs);
+    }
+    mine.runs = runs;
   }
 }
 
 PreprocessResult StreamingPreprocessor::finish(const Reload& reload,
                                                parallel::ThreadPool* pool) {
   PreprocessResult result;
-  result.stats = std::move(stats_);
-  result.runs_per_app = std::move(runs_per_app_);
+  result.stats = std::move(state_.stats);
 
   // std::map iteration is already sorted by app key — the deterministic
   // output order regardless of how the re-reads race.
-  std::vector<FileOutcome*> winners;
-  winners.reserve(heaviest_.size());
-  for (auto& [key, winner] : heaviest_) winners.push_back(&winner);
+  std::vector<std::pair<const std::string, AppFold>*> winners;
+  winners.reserve(state_.apps.size());
+  for (auto& entry : state_.apps) winners.push_back(&entry);
 
   // Each winner's trace while its file still holds the run that was
-  // folded; otherwise the winner's outcome becomes why it does not.
-  std::vector<std::optional<trace::Trace>> traces(winners.size());
+  // folded; otherwise why it does not.
+  struct Reread {
+    std::optional<trace::Trace> trace;
+    std::optional<util::Error> error;
+    trace::CorruptionKind corruption = trace::CorruptionKind::kNone;
+  };
+  std::vector<Reread> rereads(winners.size());
   const auto reread = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      FileOutcome& winner = *winners[i];
+      const auto& [key, winner] = *winners[i];
+      Reread& out = rereads[i];
       auto loaded = reload(winner.path);
       if (!loaded.has_value()) {
-        winner.error = std::move(loaded).error();
+        out.error = std::move(loaded).error();
         continue;
       }
-      const FileOutcome now = assess(*loaded, winner.path);
+      FileOutcome now = assess(*loaded, winner.path);
       if (!now.valid()) {
-        winner.error = now.error;
-        winner.corruption = now.corruption;
-      } else if (now.app_key != winner.app_key ||
-                 now.total_bytes != winner.total_bytes ||
+        out.error = std::move(now.error);
+        out.corruption = now.corruption;
+      } else if (now.app_key != key || now.total_bytes != winner.total_bytes ||
                  now.job_id != winner.job_id) {
         // The folded run is no longer at this path: as if the file had
         // gone, whatever now stands in its place.
-        winner.error = util::Error{
+        out.error = util::Error{
             util::ErrorCode::kNotFound,
-            winner.path + " no longer holds the run folded for " +
-                winner.app_key + " (now " + now.app_key + ", " +
+            winner.path + " no longer holds the run folded for " + key +
+                " (now " + now.app_key + ", " +
                 std::to_string(now.total_bytes) + " bytes, job " +
                 std::to_string(now.job_id) + ")"};
       } else {
-        traces[i] = std::move(*loaded);
+        out.trace = std::move(*loaded);
       }
     }
   };
@@ -212,20 +236,31 @@ PreprocessResult StreamingPreprocessor::finish(const Reload& reload,
 
   result.retained.reserve(winners.size());
   for (std::size_t i = 0; i < winners.size(); ++i) {
-    FileOutcome& winner = *winners[i];
-    if (!traces[i].has_value()) {
-      MOSAIC_LOG_WARN("preprocess: dedup winner %s failed its re-read (%s); "
-                      "dropping application %s",
-                      winner.path.c_str(), winner.error->to_string().c_str(),
-                      winner.app_key.c_str());
-      count_eviction(result.stats, winner.error->code, winner.corruption);
-      demote_app(result, winner.app_key);
+    auto& [key, winner] = *winners[i];
+    Reread& out = rereads[i];
+    if (out.trace.has_value()) {
+      result.retained.push_back(std::move(*out.trace));
       continue;
     }
-    result.retained.push_back(std::move(*traces[i]));
-    result.retained_paths.push_back(std::move(winner.path));
+    MOSAIC_LOG_WARN("preprocess: dedup winner %s failed its re-read (%s); "
+                    "dropping application %s",
+                    winner.path.c_str(), out.error->to_string().c_str(),
+                    key.c_str());
+    count_eviction(result.stats, out.error->code, out.corruption);
+    // The winner is no longer a valid run. The application's other runs
+    // keep their counts; aggregation only consults runs_per_app for
+    // retained applications, so a leftover weight is inert.
+    if (result.stats.valid > 0) --result.stats.valid;
+    --winner.runs;
   }
-  heaviest_.clear();
+
+  while (!state_.apps.empty()) {
+    auto node = state_.apps.extract(state_.apps.begin());
+    if (node.mapped().runs == 0) continue;
+    result.runs_per_app.emplace_hint(result.runs_per_app.end(),
+                                     std::move(node.key()),
+                                     node.mapped().runs);
+  }
 
   result.stats.unique_applications = result.retained.size();
   result.stats.retained = result.retained.size();

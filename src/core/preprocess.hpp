@@ -16,7 +16,8 @@
 //   - StreamingPreprocessor: folds one FileOutcome per scanned file for the
 //     fault-tolerant ingest path, loads that failed before validation
 //     (io-error, parse-error, …) included, so the funnel covers every file
-//     scanned, not just the parseable ones.
+//     scanned, not just the parseable ones. Its state (FoldState) is what a
+//     shard ships as its partial, and folds combine with absorb().
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -56,11 +58,6 @@ struct PreprocessStats {
 /// Pre-processing output: the retained traces plus bookkeeping.
 struct PreprocessResult {
   std::vector<trace::Trace> retained;
-  /// Source path of retained[i] — the dedup tiebreak identity a sharded
-  /// batch records into its partial artifact so the merge can replay the
-  /// cross-shard dedup. Empty strings when the one-shot driver was fed
-  /// in-memory traces that never had files.
-  std::vector<std::string> retained_paths;
   /// Valid executions per application key (user/app), including the retained
   /// one. Drives the "all runs" weighting in reports.
   std::map<std::string, std::size_t> runs_per_app;
@@ -80,12 +77,12 @@ struct DedupKey {
   std::string_view path;  ///< source file
 };
 
-/// The dedup retention rule, defined once for the streaming preprocessor
-/// and the cross-shard merge (report/partial.hpp) so a merged winner is
-/// always the run a single-shot batch retains: heavier total bytes win,
-/// ties break on the smaller job id, then the smaller source path. It looks
-/// only at the runs' identities, so the winner does not depend on arrival
-/// order (parallel workers, journal replay, shard layout).
+/// The dedup retention rule, defined once for the streaming preprocessor's
+/// add() and absorb() so a reduced winner is always the run a single-shot
+/// batch retains: heavier total bytes win, ties break on the smaller job
+/// id, then the smaller source path. It looks only at the runs' identities,
+/// so the winner does not depend on arrival order (parallel workers,
+/// journal replay, shard layout).
 [[nodiscard]] bool dedup_wins(const DedupKey& challenger,
                               const DedupKey& incumbent) noexcept;
 
@@ -124,6 +121,27 @@ struct FileOutcome {
 /// run. Pure; counts nothing.
 [[nodiscard]] FileOutcome assess(const trace::Trace& trace, std::string path);
 
+/// One application in the fold: its valid runs so far and the dedup digest
+/// of the heaviest.
+struct AppFold {
+  std::size_t runs = 0;
+  std::string path;  ///< the winner's source file
+  std::uint64_t total_bytes = 0;
+  std::uint64_t job_id = 0;
+
+  [[nodiscard]] DedupKey dedup_key() const noexcept {
+    return {total_bytes, job_id, path};
+  }
+};
+
+/// What the fold keeps between files: the funnel counters
+/// (unique_applications and retained stay 0 until finish) and one AppFold
+/// per application key. It is O(unique applications), never O(corpus).
+struct FoldState {
+  PreprocessStats stats;
+  std::map<std::string, AppFold> apps;
+};
+
 /// Incremental funnel folding (evictions + dedup) with O(unique
 /// applications) state.
 ///
@@ -144,19 +162,27 @@ class StreamingPreprocessor {
   /// and a replayed one count at the same site.
   void add(FileOutcome outcome);
 
+  /// Folds another fold in as if its files had been added here: counters
+  /// and runs are summed, and each application keeps the winner
+  /// dedup_wins() picks of the two. Counts no metric — the fold that built
+  /// `other` counted its files.
+  void absorb(FoldState other);
+
+  /// The fold so far. The preprocessor is consumed.
+  [[nodiscard]] FoldState state() && { return std::move(state_); }
+
   /// Re-reads every dedup winner through `reload` (on `pool` when given)
   /// and re-runs assess() on it. A winner that no longer loads, no longer
   /// passes the validity check, or whose app key, total bytes or job id
-  /// changed since it was folded is demoted: its application is dropped and
-  /// the eviction counted. Returns the final funnel result with retained
-  /// traces sorted by application key. The preprocessor is consumed.
+  /// changed since it was folded is demoted: its application is dropped
+  /// (no other run takes its place) and the eviction counted. Returns the
+  /// final funnel result with retained traces sorted by application key.
+  /// The preprocessor is consumed.
   [[nodiscard]] PreprocessResult finish(const Reload& reload,
                                         parallel::ThreadPool* pool = nullptr);
 
  private:
-  std::map<std::string, FileOutcome> heaviest_;  // app key -> winner
-  std::map<std::string, std::size_t> runs_per_app_;
-  PreprocessStats stats_;
+  FoldState state_;
 };
 
 }  // namespace mosaic::core

@@ -331,7 +331,6 @@ class Scheduler {
     request.paths = task.paths;
     request.max_retries = options_.ingest_max_retries;
     request.file_deadline_seconds = options_.ingest_file_deadline_seconds;
-    request.thresholds = options_.thresholds;
     request.telemetry = options_.telemetry != nullptr;
     request.collect_spans = options_.collect_spans;
     return request;
@@ -746,9 +745,12 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
                                  kRetryMultiplier,
                                  options.retry_max_delay_ms);
   }
-  for (const std::string& file : *files) {
-    tasks[ingest::shard_of(file, shard_count)].paths.push_back(file);
+  // Each path moves to its task: the manager keeps one copy of the list.
+  for (std::string& file : *files) {
+    tasks[ingest::shard_of(file, shard_count)].paths.push_back(
+        std::move(file));
   }
+  *files = {};
 
   // Resume: accept_partial writes each artifact atomically before its shard
   // counts as done, so every artifact in out_dir that parses as shard K of
@@ -805,8 +807,8 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
         scheduler.note_running(claimed, "local");
         MOSAIC_SPAN("dispatch-degraded-task");
         const double start = now_ms();
-        auto partial = report::run_shard(
-            request.paths, request.ingest_options(), request.thresholds, pool);
+        auto partial =
+            report::run_shard(request.paths, request.ingest_options(), pool);
         DispatchMetrics::get().task_ms.observe(now_ms() - start);
         if (!partial.has_value()) {
           scheduler.task_fatal(claimed, partial.error().to_string());

@@ -26,6 +26,10 @@
 // the run completes — and because partials are deterministic, the output is
 // still byte-identical to the single-shot run.
 //
+// A task is a fold: workers ship digest partials (report/partial.hpp) and
+// analyze nothing. The caller reduces the partials, which re-reads and
+// analyzes each global winner on the manager.
+//
 // Crash safety: a shard counts as done only once its partial artifact is
 // written atomically, so the partials directory is the resume record:
 // `--resume` keeps every artifact that parses as its shard and only
@@ -37,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thresholds.hpp"
 #include "dist/net.hpp"
 #include "util/error.hpp"
 
@@ -50,7 +53,6 @@ struct DispatchOptions {
   std::size_t shard_count = 0;  ///< 0 = one shard per worker
   /// Corpus files/directories as given on the command line.
   std::vector<std::string> paths;
-  core::Thresholds thresholds;
 
   /// Per-file ingest knobs forwarded to workers inside each task.
   int ingest_max_retries = 3;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "core/config.hpp"
 #include "darshan/binary_format.hpp"
 #include "json/json.hpp"
 #include "json/reader.hpp"
@@ -21,6 +20,10 @@ using util::Status;
 namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 1 + 1 + 2 + 4 + 8;
+
+/// The hello tag. v2 tasks carry no thresholds and v2 partials hold fold
+/// digests, so a v1 peer is turned away at the handshake.
+constexpr std::string_view kHelloProtocol = "mosaic-dispatch-v2";
 
 void store_u32(unsigned char* out, std::uint32_t value) noexcept {
   out[0] = static_cast<unsigned char>(value & 0xFF);
@@ -148,7 +151,6 @@ std::string task_request_to_payload(const TaskRequest& task) {
   out.set("paths", std::move(paths));
   out.set("max_retries", task.max_retries);
   out.set("file_deadline_seconds", task.file_deadline_seconds);
-  out.set("thresholds", core::thresholds_to_json(task.thresholds));
   // Optional telemetry opt-ins: omitted when off, so payloads sent to (and
   // parsed by) pre-federation peers are unchanged byte for byte.
   if (task.telemetry) out.set("telemetry", true);
@@ -175,16 +177,7 @@ Expected<TaskRequest> task_request_from_payload(std::string_view payload) {
   task.file_deadline_seconds = r.number("file_deadline_seconds");
   task.telemetry = r.boolean("telemetry", false);
   task.collect_spans = r.boolean("collect_spans", false);
-  const Value* thresholds = r.find("thresholds");
-  if (thresholds == nullptr) r.fail("thresholds", "is missing");
-  if (!r.ok()) return r.error();
-  auto parsed_thresholds = core::thresholds_from_json(*thresholds);
-  if (!parsed_thresholds.has_value()) {
-    return proto_error("task payload thresholds: " +
-                       parsed_thresholds.error().message);
-  }
-  task.thresholds = *parsed_thresholds;
-  return task;
+  return r.finish(std::move(task));
 }
 
 std::string task_error_to_payload(const Error& error) {
@@ -211,7 +204,7 @@ Error task_error_from_payload(std::string_view payload) {
 
 std::string hello_payload() {
   Object out;
-  out.set("protocol", std::string("mosaic-dispatch-v1"));
+  out.set("protocol", std::string(kHelloProtocol));
   // Span clock at send time; check_hello_payload ignores it, so peers that
   // predate telemetry federation interoperate unchanged.
   out.set("now_ns", obs::SpanTracer::now_ns());
@@ -224,7 +217,7 @@ Status check_hello_payload(std::string_view payload) {
   const json::Reader r(*parsed, "protocol: hello payload");
   // A failed read leaves "" here, and fail() keeps the first error.
   if (const std::string_view protocol = r.string("protocol");
-      protocol != "mosaic-dispatch-v1") {
+      protocol != kHelloProtocol) {
     r.fail("protocol", "is '" + std::string(protocol) +
                            "': the peer speaks a different protocol");
   }

@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/thresholds.hpp"
 #include "dist/net.hpp"
 #include "ingest/ingest.hpp"
 #include "util/error.hpp"
@@ -90,7 +89,6 @@ struct TaskRequest {
   std::vector<std::string> paths;
   int max_retries = 3;                  ///< per-file ingest retries
   double file_deadline_seconds = 30.0;  ///< per-file ingest budget
-  core::Thresholds thresholds;
   /// Telemetry federation opt-ins (obs/federation.hpp). Encoded as optional
   /// payload fields that old managers never send and old workers ignore, so
   /// a mixed-version fleet keeps dispatching — it just loses telemetry from
@@ -119,7 +117,8 @@ struct TaskRequest {
 [[nodiscard]] util::Error task_error_from_payload(std::string_view payload);
 
 /// Hello payload and its check. Besides the protocol tag
-/// ("mosaic-dispatch-v1", the only field the check enforces) the payload
+/// ("mosaic-dispatch-v2", the only field the check enforces: a v1 peer
+/// sends thresholds and expects analyzed partials) the payload
 /// carries `now_ns`, the sender's span clock at send time — the raw
 /// material for the handshake clock-offset estimate that aligns worker
 /// span timestamps onto the manager timeline (obs/federation.hpp).

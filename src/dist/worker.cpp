@@ -207,8 +207,7 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
     obs::ScopedTimerMs timer(WorkerMetrics::get().task_ms);
     HeartbeatPump pump(conn, send_mutex,
                        options_.heartbeat_interval_seconds, task.telemetry);
-    auto partial = report::run_shard(task.paths, task.ingest_options(),
-                                     task.thresholds, pool_);
+    auto partial = report::run_shard(task.paths, task.ingest_options(), pool_);
     pump.stop();
     if (partial.has_value()) {
       reply_type = FrameType::kPartial;

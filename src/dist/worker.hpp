@@ -2,11 +2,12 @@
 // tasks over the socket protocol.
 //
 // A worker listens on one address, accepts one manager session at a time,
-// and for every kTask frame runs the in-process shard driver
-// (report::run_shard) and streams the resulting `mosaic-partial-v1` artifact
-// back as a kPartial frame. While a task runs, a background thread emits
-// kHeartbeat frames so the manager can tell "slow but alive" from "hung" —
-// the worker-side half of the failure-detection contract.
+// and for every kTask frame runs the in-process shard fold
+// (report::run_shard) and streams the resulting `mosaic-partial-v2` digest
+// artifact back as a kPartial frame; the manager analyzes. While a task
+// runs, a background thread emits kHeartbeat frames so the manager can tell
+// "slow but alive" from "hung" — the worker-side half of the
+// failure-detection contract.
 //
 // Workers are deliberately stateless between tasks: everything a task needs
 // arrives in its request, and everything it produces leaves in its reply.

@@ -473,9 +473,9 @@ void flush_journal(FoldContext& ctx) {
 
 }  // namespace
 
-Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
-                                    const IngestOptions& options,
-                                    parallel::ThreadPool& pool) {
+Expected<IngestFold> fold_paths(const std::vector<std::string>& paths,
+                                const IngestOptions& options,
+                                parallel::ThreadPool& pool) {
   // Shard filter first: files owned by other shards must not appear in any
   // counter, journal or funnel of this run, or merged partials would count
   // them N times.
@@ -494,7 +494,7 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
         .set(static_cast<std::int64_t>(options.shard.count));
   }
 
-  IngestResult result;
+  IngestFold result;
   result.stats.files_scanned = inputs->size();
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.scanned.add(inputs->size());
@@ -514,7 +514,7 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     }
   }
 
-  core::StreamingPreprocessor preprocessor;
+  core::StreamingPreprocessor& preprocessor = result.preprocessor;
   FoldContext ctx{&preprocessor, &result.stats, &journal, &options};
 
   // Replayed outcomes fold first, through the same add() as a loaded file;
@@ -553,10 +553,17 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
     loads.join();
   }
 
+  return result;
+}
+
+IngestResult finish_fold(IngestFold fold, const IngestOptions& options,
+                         parallel::ThreadPool& pool) {
   // The fold kept digests only: each application's winner is re-read, on
   // the pool and with the same retry policy, and checked against its digest.
+  IngestResult result;
+  result.stats = fold.stats;
   std::atomic<std::size_t> reload_retries{0};
-  result.pre = preprocessor.finish(
+  result.pre = fold.preprocessor.finish(
       [&](const std::string& path) {
         std::size_t retries = 0;
         auto trace = load_trace(path, options, &retries);
@@ -566,6 +573,14 @@ Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
       &pool);
   result.stats.retry_attempts += reload_retries;
   return result;
+}
+
+Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
+                                    const IngestOptions& options,
+                                    parallel::ThreadPool& pool) {
+  auto fold = fold_paths(paths, options, pool);
+  if (!fold.has_value()) return std::move(fold).error();
+  return finish_fold(std::move(*fold), options, pool);
 }
 
 Expected<trace::Trace> load_trace(const std::string& path,

@@ -86,11 +86,31 @@ struct IngestResult {
   IngestStats stats;
 };
 
+/// The funnel after the fold: digests only, no trace.
+struct IngestFold {
+  core::StreamingPreprocessor preprocessor;
+  IngestStats stats;
+};
+
 /// Streams `paths` through the pool and folds every outcome into the
-/// pre-processing funnel. Only setup failures (unreadable journal,
-/// unusable quarantine directory) are reported as errors; per-file failures
-/// are data, not errors. An exception thrown on a worker (by a reader, say)
-/// is rethrown here once every worker has stopped.
+/// pre-processing funnel, keeping each application's winner digest. Only
+/// setup failures (unreadable journal, unusable quarantine directory) are
+/// reported as errors; per-file failures are data, not errors. An exception
+/// thrown on a worker (by a reader, say) is rethrown here once every worker
+/// has stopped. A shard runs this alone (report/partial.hpp).
+[[nodiscard]] util::Expected<IngestFold> fold_paths(
+    const std::vector<std::string>& paths, const IngestOptions& options,
+    parallel::ThreadPool& pool);
+
+/// The finish step after a fold, or after folds combined by the partial
+/// reduce: re-reads each dedup winner on the pool with the options' reader,
+/// retry policy and deadline (StreamingPreprocessor::finish demotes one
+/// that changed), adding the retries to the counters.
+[[nodiscard]] IngestResult finish_fold(IngestFold fold,
+                                       const IngestOptions& options,
+                                       parallel::ThreadPool& pool);
+
+/// fold_paths then finish_fold: the funnel of a single-shot batch.
 [[nodiscard]] util::Expected<IngestResult> ingest_paths(
     const std::vector<std::string>& paths, const IngestOptions& options,
     parallel::ThreadPool& pool);

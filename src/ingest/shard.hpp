@@ -1,15 +1,15 @@
-// Deterministic corpus sharding for out-of-core / multi-process batch runs.
+// Deterministic corpus sharding for multi-process batch runs.
 //
 // The paper processes a year of Blue Waters traces (462,502 files) in one
-// pass; at the ROADMAP's "millions of traces" scale a single process cannot
-// hold every per-trace result until report time. Sharding splits the scanned
-// file list into N disjoint subsets by a stable hash of each file's name, so
+// pass, and reading and parsing them is almost all of it. Sharding splits
+// the scanned file list into N disjoint subsets by a stable hash of each
+// file's name, so
 //   - every file belongs to exactly one shard,
 //   - the assignment depends only on (file name, N) — not on scan order,
 //     argument order, thread count, or the directory the corpus is mounted
 //     under — and
 //   - N independent `mosaic batch --shard K/N` processes (or one process
-//     looping K in-process via --shards N) can each analyze their subset and
+//     looping K in-process via --shards N) can each fold their subset and
 //     write a mergeable partial artifact (see report/partial.hpp).
 #pragma once
 

@@ -4,11 +4,14 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
 
 #include "json/reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/fs.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace mosaic::obs {
@@ -251,7 +254,7 @@ KindProvenance kind_from_json(const json::Reader& r) {
   return k;
 }
 
-MetadataProvenance metadata_from_json(const json::Reader& r) {
+MetadataProvenance metadata_provenance_from_json(const json::Reader& r) {
   MetadataProvenance m;
   m.total_requests = r.integer<std::uint64_t>("total_requests", 0);
   m.nprocs = r.integer<std::uint64_t>("nprocs", 0);
@@ -410,7 +413,7 @@ util::Expected<TraceProvenance> provenance_from_json(const json::Value& value) {
   record.read = kind_from_json(r.object("read", Presence::kOptional));
   record.write = kind_from_json(r.object("write", Presence::kOptional));
   record.metadata =
-      metadata_from_json(r.object("metadata", Presence::kOptional));
+      metadata_provenance_from_json(r.object("metadata", Presence::kOptional));
   record.rules = strings_from_json(r, "rules");
   record.categories = strings_from_json(r, "categories");
   return r.finish(std::move(record));
@@ -464,7 +467,6 @@ void ProvenanceJournal::enable(std::uint64_t sample_every,
   sample_every_.store(sample_every == 0 ? 1 : sample_every,
                       std::memory_order_relaxed);
   capacity_.store(capacity == 0 ? 1 : capacity, std::memory_order_relaxed);
-  tick_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -476,10 +478,24 @@ std::uint64_t ProvenanceJournal::sample_every() const noexcept {
   return sample_every_.load(std::memory_order_relaxed);
 }
 
-bool ProvenanceJournal::should_sample() noexcept {
+bool ProvenanceJournal::should_sample(std::string_view user,
+                                      std::string_view app,
+                                      std::uint64_t job_id) const noexcept {
   if (!enabled_.load(std::memory_order_relaxed)) return false;
   const std::uint64_t every = sample_every_.load(std::memory_order_relaxed);
-  return tick_.fetch_add(1, std::memory_order_relaxed) % every == 0;
+  if (every == 1) return true;
+  // FNV-1a of the app key "user/app", read in its two parts.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](std::string_view text) {
+    for (const char c : text) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  add(user);
+  add("/");
+  add(app);
+  return util::mix64(hash ^ util::mix64(job_id)) % every == 0;
 }
 
 void ProvenanceJournal::record(TraceProvenance record) {
@@ -523,6 +539,29 @@ util::Status ProvenanceJournal::write_jsonl(const std::string& path) const {
     payload += '\n';
   }
   return util::write_file_atomic(path, payload);
+}
+
+util::Expected<std::string> ProvenanceJournal::write_to_dir(
+    const std::string& dir) const {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return util::Error{util::ErrorCode::kIoError,
+                       "cannot create " + dir + ": " + ec.message()};
+  }
+  const std::string path = dir + "/provenance.jsonl";
+  if (const auto status = write_jsonl(path); !status.ok()) {
+    return status.error();
+  }
+  std::string records = std::to_string(size()) + " record(s)";
+  if (const std::uint64_t lost = dropped(); lost > 0) {
+    MOSAIC_LOG_WARN("provenance: %llu record(s) dropped; %s holds the newest "
+                    "%zu",
+                    static_cast<unsigned long long>(lost), path.c_str(),
+                    size());
+    records += ", " + std::to_string(lost) + " dropped";
+  }
+  return "provenance (" + records + ") written to " + path;
 }
 
 std::uint64_t ProvenanceJournal::dropped() const {

@@ -13,10 +13,11 @@
 // renders as a human-readable decision path (`mosaic explain`).
 //
 // Capture is gated exactly like MOSAIC_SPAN: disabled, the per-trace check
-// is one relaxed load; enabled, records are taken for one in every
-// `sample_every` traces. tests/obs/test_instrumentation_counts.cpp counts
-// both: no allocation or metric update when off, exactly one record per
-// sampled trace when on.
+// is one relaxed load; enabled, records are taken for about one in every
+// `sample_every` traces, chosen by a hash of the trace's app key and job
+// id, so every driver samples the same traces.
+// tests/obs/test_instrumentation_counts.cpp counts both: no allocation or
+// metric update when off, exactly one record per sampled trace when on.
 //
 // The structs here are deliberately dependency-free (strings and numbers
 // only): core fills them, report joins them against sim ground truth, and
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.hpp"
@@ -178,8 +180,8 @@ struct TraceProvenance {
 [[nodiscard]] std::string explain_text(const TraceProvenance& record);
 
 /// Process-wide provenance collector. Off by default; when enabled it
-/// samples one in every `sample_every` analyze() calls. Sampled records are
-/// buffered in memory (bounded by the sampling rate) and written as one
+/// samples about one in every `sample_every` analyzed traces. Sampled
+/// records are buffered in memory (bounded by the ring) and written as one
 /// JSONL line per trace, atomically, at end of run.
 class ProvenanceJournal {
  public:
@@ -202,9 +204,13 @@ class ProvenanceJournal {
   }
   [[nodiscard]] std::uint64_t sample_every() const noexcept;
 
-  /// True when the calling analysis should capture provenance: one relaxed
-  /// load when disabled, one atomic increment when enabled.
-  [[nodiscard]] bool should_sample() noexcept;
+  /// True when the analysis of the trace with app key `user`/`app` and job
+  /// id `job_id` should capture provenance: one relaxed load when disabled.
+  /// When enabled, a hash of the app key and job id decides, so a trace is
+  /// sampled or not whatever driver, thread or arrival order analyzes it.
+  /// Allocates nothing.
+  [[nodiscard]] bool should_sample(std::string_view user, std::string_view app,
+                                   std::uint64_t job_id) const noexcept;
 
   void record(TraceProvenance record);
 
@@ -222,12 +228,18 @@ class ProvenanceJournal {
   /// temp+rename writer.
   [[nodiscard]] util::Status write_jsonl(const std::string& path) const;
 
+  /// Writes collect() to `<dir>/provenance.jsonl`, creating `dir`, and
+  /// returns the line a run prints about it. When the ring overwrote
+  /// records the file holds only the newest: the line names how many were
+  /// dropped, and a warning is logged.
+  [[nodiscard]] util::Expected<std::string> write_to_dir(
+      const std::string& dir) const;
+
   /// Drops all buffered records (enabled state and sampling rate are kept).
   void reset();
 
  private:
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> sample_every_{1};
   std::atomic<std::size_t> capacity_{kDefaultCapacity};
   mutable std::mutex mutex_;

@@ -1,6 +1,5 @@
 #include "report/json_output.hpp"
 
-#include "json/reader.hpp"
 #include "util/fs.hpp"
 
 namespace mosaic::report {
@@ -53,58 +52,6 @@ Value metadata_to_json(const core::MetadataResult& metadata) {
   return out;
 }
 
-template <typename Label>
-Label label_from_name(const json::Reader& r, std::string_view key,
-                      Label last, const char* (*name_of)(Label) noexcept) {
-  const std::string_view name = r.string(key);
-  for (int i = 0; i <= static_cast<int>(last); ++i) {
-    if (name == name_of(static_cast<Label>(i))) return static_cast<Label>(i);
-  }
-  r.fail(key, "names an unknown label '" + std::string(name) + "'");
-  return Label{};
-}
-
-core::KindAnalysis kind_analysis_from_json(const json::Reader& r) {
-  core::KindAnalysis analysis;
-  analysis.temporality.label =
-      label_from_name(r, "temporality", core::Temporality::kUnclassified,
-                      core::temporality_name);
-  analysis.temporality.total_bytes = r.number("total_bytes");
-  analysis.temporality.chunk_bytes = r.array("chunk_bytes").elements<double>();
-  analysis.raw_ops = r.integer<std::size_t>("raw_ops");
-  analysis.merged_ops = r.integer<std::size_t>("merged_ops");
-
-  const json::Reader periodicity = r.object("periodicity");
-  analysis.periodicity.periodic = periodicity.boolean("periodic");
-  const json::Reader groups = periodicity.array("groups");
-  for (std::size_t i = 0; i < groups.size() && r.ok(); ++i) {
-    const json::Reader g = groups.object(i);
-    core::PeriodicGroup group;
-    group.period_seconds = g.number("period_seconds");
-    group.magnitude =
-        label_from_name(g, "magnitude", core::PeriodMagnitude::kDayOrMore,
-                        core::period_magnitude_name);
-    group.mean_bytes = g.number("mean_bytes");
-    group.busy_ratio = g.number("busy_ratio");
-    group.occurrences = g.integer<std::size_t>("occurrences");
-    analysis.periodicity.groups.push_back(group);
-  }
-  return analysis;
-}
-
-core::MetadataResult metadata_from_json(const json::Reader& r) {
-  core::MetadataResult metadata;
-  metadata.insignificant = r.boolean("insignificant");
-  metadata.high_spike = r.boolean("high_spike");
-  metadata.multiple_spikes = r.boolean("multiple_spikes");
-  metadata.high_density = r.boolean("high_density");
-  metadata.total_requests = r.integer<std::uint64_t>("total_requests");
-  metadata.max_requests_per_second = r.number("max_requests_per_second");
-  metadata.spike_seconds = r.integer<std::size_t>("spike_seconds");
-  metadata.mean_requests_per_second = r.number("mean_requests_per_second");
-  return metadata;
-}
-
 }  // namespace
 
 Value trace_result_to_json(const core::TraceResult& result) {
@@ -126,33 +73,6 @@ Value trace_result_to_json(const core::TraceResult& result) {
   out.set("write", kind_analysis_to_json(result.write));
   out.set("metadata", metadata_to_json(result.metadata));
   return out;
-}
-
-util::Expected<core::TraceResult> trace_result_from_json(
-    const json::Value& value) {
-  const json::Reader r(value, "trace result JSON");
-  core::TraceResult result;
-  result.app_key = r.string("app");
-  result.job_id = r.integer<std::uint64_t>("job_id");
-  result.runtime = r.number("runtime_seconds");
-  result.nprocs = r.integer<std::uint32_t>("nprocs");
-  result.bytes_read = r.integer<std::uint64_t>("bytes_read");
-  result.bytes_written = r.integer<std::uint64_t>("bytes_written");
-  const json::Reader categories = r.array("categories");
-  for (std::size_t i = 0; i < categories.size() && r.ok(); ++i) {
-    const std::string_view name = categories.string(i);
-    const auto category = core::category_from_name(name);
-    if (category.has_value()) {
-      result.categories.insert(*category);
-    } else {
-      categories.fail(i, "names an unknown category '" + std::string(name) +
-                             "'");
-    }
-  }
-  result.read = kind_analysis_from_json(r.object("read"));
-  result.write = kind_analysis_from_json(r.object("write"));
-  result.metadata = metadata_from_json(r.object("metadata"));
-  return r.finish(std::move(result));
 }
 
 Value batch_to_json(const core::BatchResult& batch, bool include_traces) {

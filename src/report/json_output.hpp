@@ -17,15 +17,6 @@ namespace mosaic::report {
 /// One trace's categorization as a JSON object.
 [[nodiscard]] json::Value trace_result_to_json(const core::TraceResult& result);
 
-/// Inverse of trace_result_to_json — the deserialization the sharded batch
-/// path uses to reload per-trace results from partial artifacts without
-/// re-analyzing. Round-trips exactly: for any result r,
-/// trace_result_from_json(trace_result_to_json(r)) reproduces r (doubles
-/// are serialized with 17 significant digits). kParseError on schema
-/// mismatch.
-[[nodiscard]] util::Expected<core::TraceResult> trace_result_from_json(
-    const json::Value& value);
-
 /// Population summary: pre-processing funnel, category distribution
 /// (single/all-runs) and run-weight bookkeeping. Per-trace entries are
 /// included when `include_traces` (large at year scale).

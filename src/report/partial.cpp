@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <utility>
 
 #include "ingest/shard.hpp"
 #include "json/reader.hpp"
-#include "report/json_output.hpp"
 #include "util/fs.hpp"
 
 namespace mosaic::report {
 
-using json::Array;
 using json::Object;
 using json::Value;
 using util::Error;
@@ -34,45 +33,78 @@ std::map<std::string, std::size_t> counts_from_json(const json::Reader& r) {
   return counts;
 }
 
-core::DedupKey dedup_key(const ShardTraceResult& entry) noexcept {
-  return {entry.total_bytes, entry.result.job_id, entry.source_path};
+void add_ingest(ingest::IngestStats& sum, const ingest::IngestStats& more) {
+  sum.files_scanned += more.files_scanned;
+  sum.loaded += more.loaded;
+  sum.failed += more.failed;
+  sum.retry_attempts += more.retry_attempts;
+  sum.recovered += more.recovered;
+  sum.quarantined += more.quarantined;
+  sum.journal_replayed += more.journal_replayed;
+  sum.journal_dropped += more.journal_dropped;
+}
+
+/// Every problem that keeps `shards` from being one complete partition,
+/// in one message; empty when there is none.
+std::string partition_problems(std::vector<ingest::ShardSpec> shards) {
+  if (shards.empty()) return "no partials to merge";
+  std::sort(shards.begin(), shards.end(),
+            [](const ingest::ShardSpec& a, const ingest::ShardSpec& b) {
+              return a.index < b.index;
+            });
+  // Validate the whole partition before failing, so an operator piecing a
+  // run back together sees every missing, duplicated and mismatched shard
+  // in one message instead of fixing them one re-run at a time.
+  const std::size_t count = shards.front().count;
+  std::vector<std::string> problems;
+  for (const ingest::ShardSpec& shard : shards) {
+    if (shard.count != count) {
+      problems.push_back("shard " + std::to_string(shard.index) +
+                         " declares a " + std::to_string(shard.count) +
+                         "-way partition, expected " + std::to_string(count));
+    }
+  }
+  std::vector<std::size_t> copies(count, 0);
+  for (const ingest::ShardSpec& shard : shards) {
+    if (shard.index >= count) {
+      problems.push_back("shard index " + std::to_string(shard.index) +
+                         " is out of range for " + std::to_string(count) +
+                         " shard(s)");
+      continue;
+    }
+    ++copies[shard.index];
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (copies[i] == 0) {
+      problems.push_back("shard " + std::to_string(i) + " is missing");
+    } else if (copies[i] > 1) {
+      problems.push_back("shard " + std::to_string(i) + " appears " +
+                         std::to_string(copies[i]) + " times");
+    }
+  }
+  if (problems.empty()) return {};
+  std::string message = "invalid partition (" +
+                        std::to_string(shards.size()) + " partial(s) for " +
+                        std::to_string(count) + " shard(s)): ";
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    if (i != 0) message += "; ";
+    message += problems[i];
+  }
+  return message;
 }
 
 }  // namespace
 
 Expected<PartialArtifact> run_shard(const std::vector<std::string>& paths,
                                     const ingest::IngestOptions& options,
-                                    const core::Thresholds& thresholds,
                                     parallel::ThreadPool& pool) {
-  auto ingested = ingest::ingest_paths(paths, options, pool);
-  if (!ingested.has_value()) return std::move(ingested).error();
+  auto fold = ingest::fold_paths(paths, options, pool);
+  if (!fold.has_value()) return std::move(fold).error();
   PartialArtifact out;
   out.shard_index = options.shard.index;
   out.shard_count = options.shard.count;
-  out.ingest = ingested->stats;
-  out.journal_path = options.journal_path;
-  if (out.ingest.aborted) return out;
-
-  // Snapshot the dedup digests before analysis consumes the traces: the
-  // merge needs (total bytes, source path) to replay cross-shard dedup.
-  std::vector<std::uint64_t> retained_bytes;
-  retained_bytes.reserve(ingested->pre.retained.size());
-  for (const trace::Trace& t : ingested->pre.retained) {
-    retained_bytes.push_back(t.total_bytes());
-  }
-  std::vector<std::string> retained_paths =
-      std::move(ingested->pre.retained_paths);
-  core::BatchResult batch =
-      core::analyze_preprocessed(std::move(ingested->pre), thresholds, &pool);
-  MOSAIC_ASSERT(batch.results.size() == retained_paths.size());
-
-  out.stats = batch.preprocess;
-  out.runs_per_app = std::move(batch.runs_per_app);
-  out.traces.reserve(batch.results.size());
-  for (std::size_t i = 0; i < batch.results.size(); ++i) {
-    out.traces.push_back({std::move(batch.results[i]),
-                          std::move(retained_paths[i]), retained_bytes[i]});
-  }
+  out.ingest = fold->stats;
+  if (!out.ingest.aborted) out.fold = std::move(fold->preprocessor).state();
   return out;
 }
 
@@ -96,38 +128,27 @@ Value partial_to_json(const PartialArtifact& partial) {
   ingest.set("journal_dropped", partial.ingest.journal_dropped);
   out.set("ingest", std::move(ingest));
 
+  const core::PreprocessStats& stats = partial.fold.stats;
   Object funnel;
-  funnel.set("input_traces", partial.stats.input_traces);
-  funnel.set("load_failed", partial.stats.load_failed);
-  funnel.set("corrupted", partial.stats.corrupted);
-  funnel.set("valid", partial.stats.valid);
-  funnel.set("unique_applications", partial.stats.unique_applications);
-  funnel.set("retained", partial.stats.retained);
+  funnel.set("input_traces", stats.input_traces);
+  funnel.set("load_failed", stats.load_failed);
+  funnel.set("corrupted", stats.corrupted);
+  funnel.set("valid", stats.valid);
   funnel.set("corruption_breakdown",
-             counts_to_json(partial.stats.corruption_breakdown));
-  funnel.set("eviction_breakdown",
-             counts_to_json(partial.stats.eviction_breakdown));
+             counts_to_json(stats.corruption_breakdown));
+  funnel.set("eviction_breakdown", counts_to_json(stats.eviction_breakdown));
   out.set("preprocessing", std::move(funnel));
 
-  out.set("runs_per_app", counts_to_json(partial.runs_per_app));
-
-  Object artifacts;
-  artifacts.set("journal", partial.journal_path);
-  artifacts.set("metrics", partial.metrics_path);
-  artifacts.set("provenance", partial.provenance_path);
-  out.set("artifacts", std::move(artifacts));
-
-  Array traces;
-  traces.reserve(partial.traces.size());
-  for (const ShardTraceResult& entry : partial.traces) {
-    Value value = trace_result_to_json(entry.result);
-    Object dedup;
-    dedup.set("path", entry.source_path);
-    dedup.set("total_bytes", entry.total_bytes);
-    value.as_object().set("dedup", std::move(dedup));
-    traces.push_back(std::move(value));
+  Object apps;
+  for (const auto& [key, app] : partial.fold.apps) {
+    Object entry;
+    entry.set("runs", app.runs);
+    entry.set("path", app.path);
+    entry.set("total_bytes", app.total_bytes);
+    entry.set("job_id", app.job_id);
+    apps.set(key, std::move(entry));
   }
-  out.set("traces", std::move(traces));
+  out.set("apps", std::move(apps));
   return out;
 }
 
@@ -159,41 +180,36 @@ Expected<PartialArtifact> partial_from_json(const Value& value) {
   partial.ingest.journal_dropped =
       ingest.integer<std::size_t>("journal_dropped");
 
+  core::PreprocessStats& stats = partial.fold.stats;
   const json::Reader funnel = r.object("preprocessing");
-  partial.stats.input_traces = funnel.integer<std::size_t>("input_traces");
-  partial.stats.load_failed = funnel.integer<std::size_t>("load_failed");
-  partial.stats.corrupted = funnel.integer<std::size_t>("corrupted");
-  partial.stats.valid = funnel.integer<std::size_t>("valid");
-  partial.stats.unique_applications =
-      funnel.integer<std::size_t>("unique_applications");
-  partial.stats.retained = funnel.integer<std::size_t>("retained");
-  partial.stats.corruption_breakdown =
+  stats.input_traces = funnel.integer<std::size_t>("input_traces");
+  stats.load_failed = funnel.integer<std::size_t>("load_failed");
+  stats.corrupted = funnel.integer<std::size_t>("corrupted");
+  stats.valid = funnel.integer<std::size_t>("valid");
+  stats.corruption_breakdown =
       counts_from_json(funnel.object("corruption_breakdown"));
-  partial.stats.eviction_breakdown =
+  stats.eviction_breakdown =
       counts_from_json(funnel.object("eviction_breakdown"));
-  partial.runs_per_app = counts_from_json(r.object("runs_per_app"));
 
-  const json::Reader artifacts = r.object("artifacts");
-  partial.journal_path = artifacts.string("journal");
-  partial.metrics_path = artifacts.string("metrics");
-  partial.provenance_path = artifacts.string("provenance");
-
-  const json::Reader traces = r.array("traces");
-  partial.traces.reserve(traces.size());
-  for (std::size_t i = 0; i < traces.size() && r.ok(); ++i) {
-    auto result = trace_result_from_json(*traces.find(i));
-    if (!result.has_value()) return std::move(result).error();
-    const json::Reader dedup = traces.object(i).object("dedup");
-    partial.traces.push_back({std::move(*result),
-                              std::string(dedup.string("path")),
-                              dedup.integer<std::uint64_t>("total_bytes")});
+  const json::Reader apps = r.object("apps");
+  for (const auto& [key, entry] : apps.members()) {
+    if (!r.ok()) break;
+    const json::Reader app = apps.object(key);
+    const auto runs = app.integer<std::size_t>("runs");
+    // A fold only holds applications with a valid run.
+    if (runs == 0) app.fail("runs", "is 0");
+    partial.fold.apps.emplace_hint(
+        partial.fold.apps.end(), key,
+        core::AppFold{runs, std::string(app.string("path")),
+                      app.integer<std::uint64_t>("total_bytes"),
+                      app.integer<std::uint64_t>("job_id")});
   }
   return r.finish(std::move(partial));
 }
 
 Status write_partial(const PartialArtifact& partial, const std::string& path) {
   return util::write_file_atomic(
-      path, json::serialize(partial_to_json(partial)));
+      path, json::serialize(partial_to_json(partial), /*pretty=*/false));
 }
 
 Expected<PartialArtifact> read_partial(const std::string& path) {
@@ -241,105 +257,29 @@ Expected<std::vector<std::string>> expand_partial_paths(
   return paths;
 }
 
-Expected<MergedPartials> merge_partials(std::vector<PartialArtifact> partials) {
-  if (partials.empty()) {
-    return Error{ErrorCode::kInvalidArgument, "no partials to merge"};
+Expected<MergedPartials> reduce_partials(const std::vector<std::string>& paths,
+                                         const ingest::IngestOptions& options,
+                                         const core::Thresholds& thresholds,
+                                         parallel::ThreadPool& pool) {
+  std::vector<ingest::ShardSpec> shards;
+  ingest::IngestFold fold;
+  for (const std::string& path : paths) {
+    auto partial = read_partial(path);
+    if (!partial.has_value()) return std::move(partial).error();
+    shards.push_back({partial->shard_index, partial->shard_count});
+    add_ingest(fold.stats, partial->ingest);
+    fold.preprocessor.absorb(std::move(partial->fold));
   }
-  std::sort(partials.begin(), partials.end(),
-            [](const PartialArtifact& a, const PartialArtifact& b) {
-              return a.shard_index < b.shard_index;
-            });
-  // Validate the whole partition before failing, so an operator piecing a
-  // run back together sees every missing, duplicated and mismatched shard
-  // in one message instead of fixing them one re-run at a time.
-  const std::size_t count = partials.front().shard_count;
-  std::vector<std::string> problems;
-  for (const PartialArtifact& partial : partials) {
-    if (partial.shard_count != count) {
-      problems.push_back("shard " + std::to_string(partial.shard_index) +
-                         " declares a " +
-                         std::to_string(partial.shard_count) +
-                         "-way partition, expected " + std::to_string(count));
-    }
+  if (std::string problems = partition_problems(std::move(shards));
+      !problems.empty()) {
+    return Error{ErrorCode::kInvalidArgument, std::move(problems)};
   }
-  std::vector<std::size_t> copies(count, 0);
-  for (const PartialArtifact& partial : partials) {
-    if (partial.shard_index >= count) {
-      problems.push_back("shard index " +
-                         std::to_string(partial.shard_index) +
-                         " is out of range for " + std::to_string(count) +
-                         " shard(s)");
-      continue;
-    }
-    ++copies[partial.shard_index];
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (copies[i] == 0) {
-      problems.push_back("shard " + std::to_string(i) + " is missing");
-    } else if (copies[i] > 1) {
-      problems.push_back("shard " + std::to_string(i) + " appears " +
-                         std::to_string(copies[i]) + " times");
-    }
-  }
-  if (!problems.empty()) {
-    std::string message =
-        "invalid partition (" + std::to_string(partials.size()) +
-        " partial(s) for " + std::to_string(count) + " shard(s)): ";
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      if (i != 0) message += "; ";
-      message += problems[i];
-    }
-    return Error{ErrorCode::kInvalidArgument, std::move(message)};
-  }
-
+  ingest::IngestResult finished =
+      ingest::finish_fold(std::move(fold), options, pool);
   MergedPartials merged;
-  core::PreprocessStats& stats = merged.batch.preprocess;
-  std::map<std::string, ShardTraceResult> winners;
-  for (PartialArtifact& partial : partials) {
-    merged.ingest.files_scanned += partial.ingest.files_scanned;
-    merged.ingest.loaded += partial.ingest.loaded;
-    merged.ingest.failed += partial.ingest.failed;
-    merged.ingest.retry_attempts += partial.ingest.retry_attempts;
-    merged.ingest.recovered += partial.ingest.recovered;
-    merged.ingest.quarantined += partial.ingest.quarantined;
-    merged.ingest.journal_replayed += partial.ingest.journal_replayed;
-    merged.ingest.journal_dropped += partial.ingest.journal_dropped;
-
-    stats.input_traces += partial.stats.input_traces;
-    stats.load_failed += partial.stats.load_failed;
-    stats.corrupted += partial.stats.corrupted;
-    stats.valid += partial.stats.valid;
-    for (const auto& [kind, n] : partial.stats.corruption_breakdown) {
-      stats.corruption_breakdown[kind] += n;
-    }
-    for (const auto& [code, n] : partial.stats.eviction_breakdown) {
-      stats.eviction_breakdown[code] += n;
-    }
-    for (const auto& [app, runs] : partial.runs_per_app) {
-      merged.batch.runs_per_app[app] += runs;
-    }
-    if (!partial.provenance_path.empty()) {
-      merged.provenance_paths.push_back(partial.provenance_path);
-    }
-
-    for (ShardTraceResult& entry : partial.traces) {
-      const auto [slot, inserted] =
-          winners.try_emplace(entry.result.app_key, std::move(entry));
-      if (!inserted &&
-          core::dedup_wins(dedup_key(entry), dedup_key(slot->second))) {
-        slot->second = std::move(entry);
-      }
-    }
-  }
-
-  // std::map iteration is sorted by application key — the same output order
-  // the single-shot StreamingPreprocessor::finish emits.
-  merged.batch.results.reserve(winners.size());
-  for (auto& [app, entry] : winners) {
-    merged.batch.results.push_back(std::move(entry.result));
-  }
-  stats.unique_applications = merged.batch.results.size();
-  stats.retained = merged.batch.results.size();
+  merged.ingest = finished.stats;
+  merged.batch =
+      core::analyze_preprocessed(std::move(finished.pre), thresholds, &pool);
   return merged;
 }
 

@@ -49,7 +49,8 @@ start_worker() {
 
 "$MOSAIC" generate "$WORK/pop" --traces 50 --seed 9 --format mixed \
     --corruption 0.25
-"$MOSAIC" batch "$WORK/pop" --json "$WORK/single.json" > /dev/null
+"$MOSAIC" batch "$WORK/pop" --json "$WORK/single.json" \
+    --provenance "$WORK/prov_single" > /dev/null
 
 # Happy path: two healthy workers, four shards, byte-identical merge.
 start_worker "$WORK/w1.log"
@@ -284,8 +285,12 @@ start_worker "$WORK/w4.log"
 P4="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P3,127.0.0.1:$P4" \
     --shards 4 --partials "$WORK/parts_kill" --json "$WORK/kill.json" \
+    --provenance "$WORK/prov_kill" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/kill.txt"
 diff "$WORK/single.json" "$WORK/kill.json"
+# Workers ship digests; the manager analyzes each winner once, so its
+# provenance is the single-shot file.
+diff "$WORK/prov_single/provenance.jsonl" "$WORK/prov_kill/provenance.jsonl"
 grep -q '1 worker(s) lost' "$WORK/kill.txt"
 grep -Eq '[1-9][0-9]* reassigned' "$WORK/kill.txt"
 
@@ -295,8 +300,10 @@ start_worker "$WORK/w5.log" --net-fault-inject 'seed=7,kill_after=1'
 P5="$WORKER_PORT"
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P5" \
     --shards 3 --partials "$WORK/parts_deg" --json "$WORK/degraded.json" \
+    --provenance "$WORK/prov_deg" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/degraded.txt"
 diff "$WORK/single.json" "$WORK/degraded.json"
+diff "$WORK/prov_single/provenance.jsonl" "$WORK/prov_deg/provenance.jsonl"
 grep -Eq '[1-9][0-9]* run degraded' "$WORK/degraded.txt"
 
 # Manager crash + resume: abort after one written partial (exit 3, no
@@ -313,8 +320,10 @@ rc=0
 [ ! -e "$WORK/resumed.json" ]
 "$MOSAIC" dispatch "$WORK/pop" --workers "127.0.0.1:$P6" \
     --shards 3 --partials "$WORK/parts_resume" --json "$WORK/resumed.json" \
-    --resume > "$WORK/resume.txt"
+    --provenance "$WORK/prov_resume" --resume > "$WORK/resume.txt"
 diff "$WORK/single.json" "$WORK/resumed.json"
+diff "$WORK/prov_single/provenance.jsonl" \
+    "$WORK/prov_resume/provenance.jsonl"
 grep -q ' 1 resumed from partials' "$WORK/resume.txt"
 
 # Flag validation: malformed addresses and non-numeric/absurd durations must

@@ -8,7 +8,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 "$MOSAIC" generate "$WORK/pop" --traces 40 --seed 11 --format mixed \
-    --corruption 0.25
+    --corruption 0.25 --truth "$WORK/truth.jsonl"
 
 # Transient EIO on every file: with retries available everything recovers and
 # the funnel matches a fault-free run.
@@ -185,6 +185,8 @@ fi
 # `mosaic merge` — and the in-process --shards N driver — must both
 # reproduce the single-shot JSON summary byte for byte, including under
 # fault injection (the shard filter runs before retry/eviction counting).
+# Shards only fold; the reduce re-reads and analyzes each winner once, so
+# its provenance is the single-shot file too.
 for k in 0 1; do
   "$MOSAIC" batch "$WORK/pop" --shard "$k/2" --partials "$WORK/parts2" \
       --fault-inject 'seed=3,eio=1.0,eio_failures=1' --retries 3 \
@@ -198,15 +200,42 @@ done
     > "$WORK/merge.txt"
 diff "$WORK/clean.json" "$WORK/sharded.json"
 grep -q 'merged 2 partial' "$WORK/merge.txt"
-"$MOSAIC" batch "$WORK/pop" --shards 4 --partials "$WORK/parts4" \
-    --json "$WORK/inprocess.json" > /dev/null
-diff "$WORK/clean.json" "$WORK/inprocess.json"
+"$MOSAIC" batch "$WORK/pop" --provenance "$WORK/prov_single" > /dev/null
+for n in 1 2 3 8 16; do
+  "$MOSAIC" batch "$WORK/pop" --shards "$n" --partials "$WORK/parts_n$n" \
+      --json "$WORK/inprocess$n.json" --provenance "$WORK/prov_n$n" \
+      > /dev/null
+  diff "$WORK/clean.json" "$WORK/inprocess$n.json"
+  diff "$WORK/prov_single/provenance.jsonl" "$WORK/prov_n$n/provenance.jsonl"
+done
+
+# `mosaic merge` takes the analysis settings: with the same --thresholds
+# file it prints what a single-shot batch prints.
+"$MOSAIC" thresholds > "$WORK/thresholds.json"
+python3 - "$WORK/thresholds.json" <<'PY'
+import json, sys
+config = json.load(open(sys.argv[1]))
+config["min_bytes"] = 1e18
+json.dump(config, open(sys.argv[1], "w"))
+PY
+"$MOSAIC" batch "$WORK/pop" --thresholds "$WORK/thresholds.json" \
+    --json "$WORK/strict.json" > /dev/null
+"$MOSAIC" merge "$WORK/parts2" --thresholds "$WORK/thresholds.json" \
+    --json "$WORK/strict_merged.json" > /dev/null
+diff "$WORK/strict.json" "$WORK/strict_merged.json"
+if diff -q "$WORK/clean.json" "$WORK/strict.json" > /dev/null; then
+  echo "--thresholds should change the summary" >&2
+  exit 1
+fi
 
 # The markdown report reduced from partials must match the ingest-path
-# report (the drill-down sections differ only when --confusion is used).
-"$MOSAIC" report "$WORK/pop" --out "$WORK/single.md" > /dev/null
+# report, the accuracy drill-down included: the reduce analyzes, so
+# --confusion arms the journal on both paths.
+"$MOSAIC" report "$WORK/pop" --out "$WORK/single.md" \
+    --confusion --truth "$WORK/truth.jsonl" > /dev/null
 "$MOSAIC" report --from-partials "$WORK/parts2" --out "$WORK/merged.md" \
-    > /dev/null
+    --confusion --truth "$WORK/truth.jsonl" > /dev/null
+grep -q 'Accuracy drill-down' "$WORK/merged.md"
 diff "$WORK/single.md" "$WORK/merged.md"
 
 # Partition validation: merging an incomplete partition must fail loudly.
@@ -228,6 +257,18 @@ if "$MOSAIC" batch "$WORK/pop" --shard 0/2 > /dev/null 2>&1; then
   echo "--shard without --partials should fail" >&2
   exit 1
 fi
+# A shard run analyzes nothing: the analysis options belong to the reduce.
+for option in "--json $WORK/x.json" "--thresholds $WORK/thresholds.json" \
+    "--provenance $WORK/xprov"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$MOSAIC" batch "$WORK/pop" --shard 0/2 --partials "$WORK/p" $option \
+      > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "--shard with $option should be a usage error (exit $rc)" >&2
+    exit 1
+  fi
+done
 
 # --resume without --journal is a usage error, as is a negative --threads.
 if "$MOSAIC" batch "$WORK/pop" --resume > /dev/null 2>&1; then

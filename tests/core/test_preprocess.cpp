@@ -304,7 +304,6 @@ TEST(StreamingPreprocessor, WinnerThatNoLongerMatchesItsDigestIsDemoted) {
   for (const PreprocessResult& result : {run(nullptr), run(&pool)}) {
     ASSERT_EQ(result.retained.size(), 1u);
     EXPECT_EQ(result.retained[0].meta.app_name, "b");
-    EXPECT_EQ(result.retained_paths, std::vector<std::string>{"/b"});
     EXPECT_EQ(result.stats.input_traces, 3u);
     EXPECT_EQ(result.stats.valid, 1u);
     EXPECT_EQ(result.stats.load_failed, 1u);

@@ -518,10 +518,6 @@ std::vector<DecoderCase> decoder_cases() {
     return json::serialize(value, /*pretty=*/false);
   };
   std::vector<DecoderCase> out;
-  out.push_back({"trace result",
-                 serialize(report::trace_result_to_json(trace_result())),
-                 round_trip(from_text(report::trace_result_from_json),
-                            to_text(report::trace_result_to_json))});
   out.push_back({"partial", serialize(report::partial_to_json(partial())),
                  round_trip(from_text(report::partial_from_json),
                             to_text(report::partial_to_json))});

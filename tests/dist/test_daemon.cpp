@@ -138,13 +138,12 @@ TEST(DaemonFunnel, AgreesWithBatchFileByFile) {
   ASSERT_EQ(journal->size(), paths.size());
   const std::map<std::string, std::size_t> evictions =
       batch->pre.stats.eviction_breakdown;
-  const std::vector<std::string> retained = batch->pre.retained_paths;
   const core::BatchResult analyzed =
       core::analyze_preprocessed(std::move(batch->pre), {}, &pool);
-  ASSERT_EQ(analyzed.results.size(), retained.size());
-  std::map<std::string, std::vector<std::string>> batch_categories;
-  for (std::size_t i = 0; i < retained.size(); ++i) {
-    batch_categories[retained[i]] = analyzed.results[i].categories.names();
+  // Retained results by job id, which the journal names per path.
+  std::map<std::uint64_t, std::vector<std::string>> batch_categories;
+  for (const core::TraceResult& result : analyzed.results) {
+    batch_categories[result.job_id] = result.categories.names();
   }
 
   obs::Registry::global().reset();
@@ -156,9 +155,10 @@ TEST(DaemonFunnel, AgreesWithBatchFileByFile) {
     SCOPED_TRACE(path);
     const auto reply = daemon.submit_path(path);
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->ok, journal->at(path).valid()) << reply->error;
-    if (const auto it = batch_categories.find(path);
-        it != batch_categories.end()) {
+    const core::FileOutcome& outcome = journal->at(path);
+    EXPECT_EQ(reply->ok, outcome.valid()) << reply->error;
+    if (const auto it = batch_categories.find(outcome.job_id);
+        outcome.valid() && it != batch_categories.end()) {
       EXPECT_EQ(reply->categories, it->second);
       ++compared;
     }

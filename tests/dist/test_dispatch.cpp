@@ -97,16 +97,11 @@ class DispatchTest : public ::testing::Test {
         report::batch_to_json(batch, /*include_traces=*/true));
   }
 
-  /// Merges a dispatch result's partials and serializes like the single
-  /// shot (through the same on-disk artifacts the CLI would read).
+  /// Reduces a dispatch result's partials, as the manager does, and
+  /// serializes like the single shot.
   std::string merged_json(const DispatchResult& result) {
-    std::vector<report::PartialArtifact> partials;
-    for (const std::string& artifact : result.partial_paths) {
-      auto partial = report::read_partial(artifact);
-      EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
-      partials.push_back(std::move(*partial));
-    }
-    auto merged = report::merge_partials(std::move(partials));
+    parallel::ThreadPool pool(2);
+    auto merged = report::reduce_partials(result.partial_paths, {}, {}, pool);
     EXPECT_TRUE(merged.has_value()) << merged.error().to_string();
     return json::serialize(
         report::batch_to_json(merged->batch, /*include_traces=*/true));
@@ -141,7 +136,7 @@ class DispatchTest : public ::testing::Test {
     parallel::ThreadPool pool(2);
     ingest::IngestOptions options;
     options.shard = {index, count};
-    auto partial = report::run_shard(corpus_, options, {}, pool);
+    auto partial = report::run_shard(corpus_, options, pool);
     EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
     return json::serialize(report::partial_to_json(*partial));
   }

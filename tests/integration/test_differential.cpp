@@ -1,0 +1,269 @@
+// Differential test of the batch drivers. Over seeded random populations
+// (size, corruption rate, .mbt/darshan-text mix, transient read faults and
+// slow reads), every way Mosaic turns a directory of traces into a batch
+// summary must produce the same bytes — batch_to_json with per-trace
+// entries, and the provenance journal at sample 1 and at sample 4:
+//   - single-shot ingest and analysis at 1 and 8 threads;
+//   - the partial reduce over run_shard folds for N in {1, 2, 3, 16};
+//   - dispatch with no worker, so every shard runs degraded in-process;
+//   - a journal run aborted halfway, then resumed.
+// A failure names the population's seed and parameters.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "darshan/binary_format.hpp"
+#include "darshan/text_format.hpp"
+#include "dist/dispatch.hpp"
+#include "ingest/ingest.hpp"
+#include "ingest/shard.hpp"
+#include "json/json.hpp"
+#include "obs/provenance.hpp"
+#include "parallel/thread_pool.hpp"
+#include "report/json_output.hpp"
+#include "report/partial.hpp"
+#include "sim/population.hpp"
+#include "util/rng.hpp"
+
+namespace mosaic {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// One seeded population and the faults its reads see.
+struct Population {
+  std::uint64_t seed = 0;
+  std::size_t traces = 0;
+  double corruption = 0.0;  ///< corrupted share of executions
+  double text_share = 0.0;  ///< share written as darshan text, not .mbt
+  double eio = 0.0;         ///< share of files whose first read fails
+  double delay = 0.0;       ///< share of files read slowly
+
+  [[nodiscard]] std::string describe() const {
+    return "seed " + std::to_string(seed) + ": " + std::to_string(traces) +
+           " traces, corruption " + std::to_string(corruption) + ", text " +
+           std::to_string(text_share) + ", eio " + std::to_string(eio) +
+           ", delay " + std::to_string(delay);
+  }
+};
+
+/// Draws everything but the size from `seed`.
+Population draw(std::uint64_t seed, std::size_t traces) {
+  util::Rng rng(seed);
+  Population out;
+  out.seed = seed;
+  out.traces = traces;
+  out.corruption = rng.uniform(0.0, 0.5);
+  out.text_share = rng.uniform(0.0, 1.0);
+  out.eio = rng.uniform(0.0, 0.2);
+  out.delay = rng.uniform(0.0, 0.03);
+  return out;
+}
+
+/// A driver's output: the summary JSON and the provenance JSONL.
+struct Output {
+  std::string json;
+  std::string provenance;
+};
+
+class Differential : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() / "mosaic_differential_test";
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    obs::ProvenanceJournal::global().disable();
+    obs::ProvenanceJournal::global().reset();
+    fs::remove_all(dir_);
+  }
+
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  /// Writes the population under pop-<seed>/ and returns its files.
+  std::vector<std::string> write(const Population& population) {
+    sim::PopulationConfig config;
+    config.target_traces = population.traces;
+    config.corruption_fraction = population.corruption;
+    config.seed = population.seed;
+    parallel::ThreadPool pool(4);
+    const sim::Population generated = sim::generate_population(config, &pool);
+    const fs::path pop = dir_ / ("pop-" + std::to_string(population.seed));
+    fs::create_directories(pop);
+    util::Rng format(population.seed ^ 0x5eedULL);
+    std::vector<std::string> paths;
+    for (const sim::LabeledTrace& labeled : generated.traces) {
+      const trace::Trace& t = labeled.trace;
+      const std::string stem =
+          (pop / ("job_" + std::to_string(t.meta.job_id))).string();
+      const bool text = format.uniform(0.0, 1.0) < population.text_share;
+      paths.push_back(stem + (text ? ".darshan.txt" : ".mbt"));
+      const util::Status status =
+          text ? darshan::write_text_file(t, paths.back())
+               : darshan::write_mbt_file(t, paths.back());
+      EXPECT_TRUE(status.ok()) << status.error().to_string();
+    }
+    return paths;
+  }
+
+  /// Runs `driver` with the provenance journal at 1 in `sample` and
+  /// serializes its batch and the journal.
+  static Output capture(std::uint64_t sample,
+                        const std::function<core::BatchResult()>& driver) {
+    obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
+    journal.reset();
+    journal.enable(sample);
+    Output out;
+    out.json = json::serialize(
+        report::batch_to_json(driver(), /*include_traces=*/true));
+    journal.disable();
+    EXPECT_EQ(journal.dropped(), 0u);
+    for (const obs::TraceProvenance& record : journal.collect()) {
+      out.provenance += json::serialize(obs::provenance_to_json(record),
+                                        /*pretty=*/false);
+      out.provenance += '\n';
+    }
+    journal.reset();
+    return out;
+  }
+
+  static core::BatchResult single_shot(const std::vector<std::string>& paths,
+                                       const ingest::IngestOptions& options,
+                                       std::size_t threads) {
+    parallel::ThreadPool pool(threads);
+    auto ingested = ingest::ingest_paths(paths, options, pool);
+    EXPECT_TRUE(ingested.has_value());
+    if (!ingested.has_value()) return {};
+    return core::analyze_preprocessed(std::move(ingested->pre), {}, &pool);
+  }
+
+  static core::BatchResult reduce(const std::vector<std::string>& artifacts,
+                                  const ingest::IngestOptions& options) {
+    parallel::ThreadPool pool(2);
+    auto merged = report::reduce_partials(artifacts, options, {}, pool);
+    EXPECT_TRUE(merged.has_value()) << merged.error().to_string();
+    return merged.has_value() ? std::move(merged->batch)
+                              : core::BatchResult{};
+  }
+
+  core::BatchResult sharded(const std::vector<std::string>& paths,
+                            const ingest::IngestOptions& options,
+                            std::size_t count, const std::string& name) {
+    fs::create_directories(path(name));
+    parallel::ThreadPool pool(2);
+    std::vector<std::string> artifacts;
+    for (std::size_t k = 0; k < count; ++k) {
+      ingest::IngestOptions shard = options;
+      shard.shard = {k, count};
+      auto partial = report::run_shard(paths, shard, pool);
+      EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
+      if (!partial.has_value()) return {};
+      artifacts.push_back(path(name + "/" + ingest::partial_filename(k)));
+      EXPECT_TRUE(report::write_partial(*partial, artifacts.back()).ok());
+    }
+    return reduce(artifacts, options);
+  }
+
+  core::BatchResult degraded_dispatch(const std::vector<std::string>& paths,
+                                      const ingest::IngestOptions& options,
+                                      const std::string& name) {
+    dist::DispatchOptions dispatch;
+    dispatch.shard_count = 3;
+    dispatch.paths = paths;
+    dispatch.out_dir = path(name);
+    dispatch.degraded_threads = 2;
+    auto result = dist::run_dispatch(dispatch);
+    EXPECT_TRUE(result.has_value()) << result.error().to_string();
+    if (!result.has_value()) return {};
+    EXPECT_TRUE(result->complete());
+    EXPECT_EQ(result->stats.degraded_tasks, 3u);
+    return reduce(result->partial_paths, options);
+  }
+
+  core::BatchResult aborted_then_resumed(const std::vector<std::string>& paths,
+                                         ingest::IngestOptions options,
+                                         const std::string& name) {
+    parallel::ThreadPool pool(4);
+    options.journal_path = path(name);
+    ingest::IngestOptions crashing = options;
+    crashing.abort_after_files = paths.size() / 2;
+    auto aborted = ingest::ingest_paths(paths, crashing, pool);
+    EXPECT_TRUE(aborted.has_value() && aborted->stats.aborted);
+    options.resume = true;
+    auto resumed = ingest::ingest_paths(paths, options, pool);
+    EXPECT_TRUE(resumed.has_value());
+    if (!resumed.has_value()) return {};
+    EXPECT_EQ(resumed->stats.journal_replayed, paths.size() / 2);
+    return core::analyze_preprocessed(std::move(resumed->pre), {}, &pool);
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(Differential, EveryBatchDriverPrintsTheSameBytes) {
+  const std::pair<std::uint64_t, std::size_t> populations[] = {
+      {20261, 200}, {20262, 900}, {20263, 1700}, {20264, 3000}};
+  for (const auto& [seed, traces] : populations) {
+    const Population population = draw(seed, traces);
+    SCOPED_TRACE(population.describe());
+    const std::vector<std::string> paths = write(population);
+
+    ingest::FaultSpec faults;
+    faults.seed = seed;
+    faults.transient_eio_probability = population.eio;
+    faults.transient_eio_failures = 1;
+    faults.delay_probability = population.delay;
+    faults.delay_ms = 1.0;
+    ingest::FaultyFileReader reader(faults);
+    ingest::IngestOptions options;
+    options.reader = &reader;
+    options.backoff_initial_ms = 0.01;
+
+    for (const std::uint64_t sample : {1u, 4u}) {
+      SCOPED_TRACE("provenance sample " + std::to_string(sample));
+      const std::string tag =
+          std::to_string(seed) + "-" + std::to_string(sample);
+      const Output reference = capture(
+          sample, [&] { return single_shot(paths, options, 1); });
+      ASSERT_NE(reference.json.find("\"traces\""), std::string::npos);
+      ASSERT_FALSE(reference.provenance.empty());
+
+      std::vector<std::pair<std::string, Output>> drivers;
+      drivers.emplace_back("single-shot, 8 threads", capture(sample, [&] {
+                             return single_shot(paths, options, 8);
+                           }));
+      for (const std::size_t count : {1u, 2u, 3u, 16u}) {
+        drivers.emplace_back(
+            "reduce of " + std::to_string(count) + " shard(s)",
+            capture(sample, [&] {
+              return sharded(paths, options, count,
+                             "parts-" + tag + "-" + std::to_string(count));
+            }));
+      }
+      drivers.emplace_back("degraded dispatch", capture(sample, [&] {
+                             return degraded_dispatch(paths, options,
+                                                      "dispatch-" + tag);
+                           }));
+      drivers.emplace_back("aborted then resumed", capture(sample, [&] {
+                             return aborted_then_resumed(
+                                 paths, options, "journal-" + tag + ".jsonl");
+                           }));
+      for (const auto& [driver, output] : drivers) {
+        EXPECT_EQ(output.json, reference.json) << driver;
+        EXPECT_EQ(output.provenance, reference.provenance) << driver;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace mosaic

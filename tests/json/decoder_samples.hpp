@@ -11,8 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/categories.hpp"
-#include "core/pipeline.hpp"
 #include "dist/protocol.hpp"
 #include "ingest/journal.hpp"
 #include "obs/federation.hpp"
@@ -24,28 +22,6 @@
 #include "util/fs.hpp"
 
 namespace mosaic::samples {
-
-inline core::TraceResult trace_result() {
-  core::TraceResult result;
-  result.app_key = "u1/app";
-  result.job_id = 9000002;
-  result.runtime = 3600.5;
-  result.nprocs = 64;
-  result.bytes_read = 1u << 30;
-  result.bytes_written = 1u << 20;
-  result.read.temporality.label = core::Temporality::kSteady;
-  result.read.temporality.chunk_bytes = {1.0, 2.0, 3.0, 4.0};
-  result.read.temporality.total_bytes = 10.0;
-  result.read.raw_ops = 12;
-  result.read.merged_ops = 7;
-  result.read.periodicity.periodic = true;
-  result.read.periodicity.groups.push_back(
-      {60.0, 4096.0, 0.25, 5, core::PeriodMagnitude::kMinute});
-  result.metadata.total_requests = 100;
-  result.metadata.spike_seconds = 2;
-  result.categories.insert(core::Category::kReadSteady);
-  return result;
-}
 
 inline report::PartialArtifact partial() {
   report::PartialArtifact partial;
@@ -59,16 +35,14 @@ inline report::PartialArtifact partial() {
   partial.ingest.quarantined = 1;
   partial.ingest.journal_replayed = 3;
   partial.ingest.journal_dropped = 1;
-  partial.stats.input_traces = 9;
-  partial.stats.load_failed = 1;
-  partial.stats.corrupted = 1;
-  partial.stats.valid = 7;
-  partial.stats.unique_applications = 1;
-  partial.stats.retained = 1;
-  partial.stats.corruption_breakdown = {{"truncated", 1}};
-  partial.stats.eviction_breakdown = {{"io-error", 1}, {"corrupt-trace", 1}};
-  partial.runs_per_app = {{"u1/app", 7}};
-  partial.traces.push_back({trace_result(), "/corpus/a.mbt", 1u << 30});
+  partial.fold.stats.input_traces = 9;
+  partial.fold.stats.load_failed = 1;
+  partial.fold.stats.corrupted = 1;
+  partial.fold.stats.valid = 7;
+  partial.fold.stats.corruption_breakdown = {{"truncated", 1}};
+  partial.fold.stats.eviction_breakdown = {{"io-error", 1},
+                                           {"corrupt-trace", 1}};
+  partial.fold.apps = {{"u1/app", {7, "/corpus/a.mbt", 1u << 30, 9000002}}};
   return partial;
 }
 

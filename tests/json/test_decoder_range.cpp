@@ -70,15 +70,6 @@ std::vector<Case> cases() {
   };
   std::vector<Case> out;
   out.push_back(
-      {"trace result", report::trace_result_to_json(samples::trace_result()),
-       [](const json::Value& v) {
-         return report::trace_result_from_json(v).has_value();
-       },
-       {{"job_id"}, {"nprocs"}, {"bytes_read"}, {"bytes_written"},
-        {"read.raw_ops"}, {"read.merged_ops"},
-        {"read.periodicity.groups.0.occurrences"},
-        {"metadata.total_requests"}, {"metadata.spike_seconds"}}});
-  out.push_back(
       {"partial", report::partial_to_json(samples::partial()),
        [](const json::Value& v) {
          return report::partial_from_json(v).has_value();
@@ -89,11 +80,10 @@ std::vector<Case> cases() {
         {"ingest.journal_replayed"}, {"ingest.journal_dropped"},
         {"preprocessing.input_traces"}, {"preprocessing.load_failed"},
         {"preprocessing.corrupted"}, {"preprocessing.valid"},
-        {"preprocessing.unique_applications"}, {"preprocessing.retained"},
         {"preprocessing.corruption_breakdown.truncated"},
         {"preprocessing.eviction_breakdown.io-error"},
-        {"runs_per_app.u1/app"}, {"traces.0.job_id"},
-        {"traces.0.dedup.total_bytes"}}});
+        {"apps.u1/app.runs"}, {"apps.u1/app.total_bytes"},
+        {"apps.u1/app.job_id"}}});
   out.push_back(
       {"task request",
        *json::parse(dist::task_request_to_payload(samples::task_request())),
@@ -101,8 +91,7 @@ std::vector<Case> cases() {
          return dist::task_request_from_payload(payload(v)).has_value();
        },
        {{"shard.index"}, {"shard.count"}, {"attempt"},
-        {"max_retries", /*is_signed=*/true},
-        {"thresholds.min_bytes"}, {"thresholds.temporality_chunks"}}});
+        {"max_retries", /*is_signed=*/true}}});
   out.push_back({"hello", *json::parse(dist::hello_payload()),
                  [payload](const json::Value& v) {
                    return dist::hello_now_ns(payload(v)).has_value();

@@ -127,8 +127,10 @@ constexpr std::uint64_t kStageDetailEvery = 32;
 constexpr std::uint64_t kScopesPerDetailedTrace = 11;
 constexpr std::uint64_t kClockReadsPerScope = 2;
 
-/// Provenance sampling rate of the surface-on run (1 in 8, a batch audit).
+/// Provenance sampling rate of the surface-on run (1 in 8, a batch audit),
+/// and how many of traces() the journal's predicate samples at that rate.
 constexpr std::uint64_t kProvenanceEvery = 8;
+constexpr std::uint64_t kSampledTraces = 110;
 
 /// Analyses [first, first + n) of one thread that the stage-detail rule
 /// times: those whose per-thread index is a multiple of 32.
@@ -302,9 +304,16 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
 
   // Histograms: one observation per detailed scope, one per Mean-Shift
   // point. Counters: one traces-analyzed increment per trace, one
-  // provenance record per sampled trace (the journal's tick restarts at
-  // enable()), and the Mean-Shift points. Nothing else moves.
-  const std::uint64_t provenance = kTraces / kProvenanceEvery;
+  // provenance record per sampled trace (the journal's own predicate on
+  // app key and job id), and the Mean-Shift points. Nothing else moves.
+  std::uint64_t provenance = 0;
+  for (const trace::Trace& t : traces()) {
+    if (ProvenanceJournal::global().should_sample(
+            t.meta.user, t.meta.app_name, t.meta.job_id)) {
+      ++provenance;
+    }
+  }
+  ASSERT_EQ(provenance, kSampledTraces);
   EXPECT_EQ(counts.metrics.of(names::kStageAnalyzeMs), detailed);
   EXPECT_EQ(counts.metrics.of(names::kMeanShiftIterations), points);
   EXPECT_EQ(counts.metrics.histogram_observations,
@@ -315,8 +324,8 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
   EXPECT_EQ(counts.metrics.counter_increments,
             kTraces + provenance + points);
   EXPECT_EQ(counts.metrics.gauge_changes, 0u);
-  // The off-case allocations plus 125 provenance records.
-  EXPECT_LE(counts.allocations, 5843u);
+  // The off-case allocations plus 110 provenance records.
+  EXPECT_LE(counts.allocations, 5595u);
 }
 
 }  // namespace

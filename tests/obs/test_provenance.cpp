@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -14,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "sim/population.hpp"
+#include "util/log.hpp"
 
 namespace fs = std::filesystem;
 using namespace mosaic;
@@ -135,19 +137,37 @@ TEST(ProvenanceExplain, RendersTheDecisionPath) {
 }
 
 TEST(ProvenanceJournal, SamplesOneInEvery) {
+  // About one trace in three, chosen by app key and job id: asking again,
+  // in any order, gives the same answer, and every trace is sampled at 1.
   auto& journal = obs::ProvenanceJournal::global();
   journal.disable();
   journal.reset();
-  EXPECT_FALSE(journal.should_sample());
+  EXPECT_FALSE(journal.should_sample("u", "app", 1));
 
   journal.enable(3);
-  int sampled = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (journal.should_sample()) ++sampled;
+  std::vector<bool> first;
+  for (std::uint64_t job = 0; job < 900; ++job) {
+    first.push_back(journal.should_sample("u", "app", job));
   }
-  EXPECT_EQ(sampled, 3);
+  const auto sampled = std::count(first.begin(), first.end(), true);
+  EXPECT_GE(sampled, 240);
+  EXPECT_LE(sampled, 360);
+  for (std::uint64_t job = 900; job-- > 0;) {
+    EXPECT_EQ(journal.should_sample("u", "app", job), first[job]) << job;
+  }
+  // The app key is part of the decision, not only the job id.
+  std::size_t differs = 0;
+  for (std::uint64_t job = 0; job < 900; ++job) {
+    if (journal.should_sample("v", "app", job) != first[job]) ++differs;
+  }
+  EXPECT_GT(differs, 0u);
+
+  journal.enable(1);
+  for (std::uint64_t job = 0; job < 10; ++job) {
+    EXPECT_TRUE(journal.should_sample("u", "app", job));
+  }
   journal.disable();
-  EXPECT_FALSE(journal.should_sample());
+  EXPECT_FALSE(journal.should_sample("u", "app", 1));
   journal.reset();
 }
 
@@ -305,6 +325,47 @@ TEST(ProvenanceJournal, RingOverwritesOldestOnceCapacityIsReached) {
   journal.reset();
   EXPECT_EQ(journal.size(), 0u);
   EXPECT_EQ(journal.dropped(), 0u);
+}
+
+TEST(ProvenanceJournal, WriteToDirNamesDroppedRecords) {
+  auto& journal = obs::ProvenanceJournal::global();
+  journal.reset();
+  journal.enable(/*sample_every=*/1, /*capacity=*/2);
+  const std::string dir =
+      (fs::temp_directory_path() / "mosaic_provenance_dropped").string();
+  fs::remove_all(dir);
+
+  obs::TraceProvenance record;
+  record.app_key = "u/app";
+  journal.record(record);
+  journal.record(record);
+  auto written = journal.write_to_dir(dir);
+  ASSERT_TRUE(written.has_value()) << written.error().to_string();
+  EXPECT_EQ(*written, "provenance (2 record(s)) written to " + dir +
+                          "/provenance.jsonl");
+
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  util::set_log_stream(log);
+  journal.record(record);
+  written = journal.write_to_dir(dir);
+  util::set_log_stream(nullptr);
+  std::rewind(log);
+  std::string logged(256, '\0');
+  logged.resize(std::fread(logged.data(), 1, logged.size(), log));
+  std::fclose(log);
+
+  ASSERT_TRUE(written.has_value()) << written.error().to_string();
+  EXPECT_EQ(*written, "provenance (2 record(s), 1 dropped) written to " +
+                          dir + "/provenance.jsonl");
+  EXPECT_NE(logged.find("1 record(s) dropped"), std::string::npos) << logged;
+  auto records = obs::read_provenance_jsonl(dir + "/provenance.jsonl");
+  ASSERT_TRUE(records.has_value());
+  EXPECT_EQ(records->size(), 2u);
+
+  journal.disable();
+  journal.reset();
+  fs::remove_all(dir);
 }
 
 TEST(ProvenanceJournal, ZeroCapacityClampsToOne) {

@@ -1,13 +1,15 @@
 // Mergeable partial artifacts (report/partial.hpp): serialization round
-// trips exactly, the merge validates its partition, and — the acceptance
-// criterion for sharded execution — reducing 1, 2 or 8 shard partials
+// trips exactly, the reduce validates its partition, and — the acceptance
+// criterion for sharded execution — reducing 1, 2 or 8 shard folds
 // reproduces the single-shot batch JSON byte for byte, including when one
 // application's runs straddle shards and cross-shard dedup must re-choose
-// the winner.
+// the winner, and when a winner changes between its shard's fold and the
+// reduce's re-read.
 #include "report/partial.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -67,17 +69,17 @@ class PartialTest : public ::testing::Test {
   /// One shard (or the whole corpus with the default spec) through
   /// report::run_shard, which the CLI and the dispatch workers run.
   PartialArtifact run_shard(const std::vector<std::string>& paths,
-                            const ingest::ShardSpec& spec) {
-    ingest::IngestOptions options;
+                            const ingest::ShardSpec& spec,
+                            ingest::IngestOptions options = {}) {
     options.shard = spec;
-    auto partial = report::run_shard(paths, options, {}, pool_);
+    auto partial = report::run_shard(paths, options, pool_);
     EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
     return std::move(*partial);
   }
 
-  /// The single-shot reference output the merge must reproduce.
-  std::string single_shot_json(const std::vector<std::string>& paths) {
-    ingest::IngestOptions options;
+  /// The single-shot reference output the reduce must reproduce.
+  std::string single_shot_json(const std::vector<std::string>& paths,
+                               const ingest::IngestOptions& options = {}) {
     auto ingested = ingest::ingest_paths(paths, options, pool_);
     EXPECT_TRUE(ingested.has_value());
     const core::BatchResult batch =
@@ -85,25 +87,33 @@ class PartialTest : public ::testing::Test {
     return json::serialize(batch_to_json(batch, /*include_traces=*/true));
   }
 
-  /// Shards the corpus N ways, routes every partial through the on-disk
-  /// write/read round trip, merges, and serializes like the single shot.
+  /// Shards the corpus N ways, writes every partial to disk, reduces the
+  /// files, and serializes like the single shot.
   std::string sharded_json(const std::vector<std::string>& paths,
-                           std::size_t count) {
-    std::vector<PartialArtifact> partials;
+                           std::size_t count,
+                           const ingest::IngestOptions& options = {}) {
+    std::vector<std::string> artifacts;
     for (std::size_t k = 0; k < count; ++k) {
-      ingest::ShardSpec spec;
-      spec.index = k;
-      spec.count = count;
-      const std::string artifact = path(ingest::partial_filename(k));
-      EXPECT_TRUE(write_partial(run_shard(paths, spec), artifact).ok());
-      auto reloaded = read_partial(artifact);
-      EXPECT_TRUE(reloaded.has_value()) << reloaded.error().to_string();
-      partials.push_back(std::move(*reloaded));
+      artifacts.push_back(path(ingest::partial_filename(k)));
+      EXPECT_TRUE(write_partial(run_shard(paths, {k, count}, options),
+                                artifacts.back())
+                      .ok());
     }
-    auto merged = merge_partials(std::move(partials));
+    auto merged = reduce_partials(artifacts, options, {}, pool_);
     EXPECT_TRUE(merged.has_value()) << merged.error().to_string();
     return json::serialize(
         batch_to_json(merged->batch, /*include_traces=*/true));
+  }
+
+  /// The reduce of `partials`, each written to its own file first.
+  util::Expected<MergedPartials> reduce(
+      const std::vector<PartialArtifact>& partials) {
+    std::vector<std::string> artifacts;
+    for (const PartialArtifact& partial : partials) {
+      artifacts.push_back(path("in-" + std::to_string(artifacts.size())));
+      EXPECT_TRUE(write_partial(partial, artifacts.back()).ok());
+    }
+    return reduce_partials(artifacts, {}, {}, pool_);
   }
 
   fs::path dir_;
@@ -116,7 +126,7 @@ TEST_F(PartialTest, ArtifactRoundTripsThroughJson) {
   spec.index = 1;
   spec.count = 2;
   const PartialArtifact partial = run_shard(paths, spec);
-  ASSERT_FALSE(partial.traces.empty());
+  ASSERT_FALSE(partial.fold.apps.empty());
 
   const std::string serialized = json::serialize(partial_to_json(partial));
   auto parsed = json::parse(serialized);
@@ -124,15 +134,21 @@ TEST_F(PartialTest, ArtifactRoundTripsThroughJson) {
   auto restored = partial_from_json(*parsed);
   ASSERT_TRUE(restored.has_value()) << restored.error().to_string();
 
-  // Byte-identical re-serialization is the strongest round-trip statement:
-  // every double survived 17-significant-digit printing exactly.
+  // Byte-identical re-serialization is the strongest round-trip statement.
   EXPECT_EQ(json::serialize(partial_to_json(*restored)), serialized);
   EXPECT_EQ(restored->shard_index, 1U);
   EXPECT_EQ(restored->shard_count, 2U);
-  EXPECT_EQ(restored->traces.size(), partial.traces.size());
-  EXPECT_EQ(restored->runs_per_app, partial.runs_per_app);
-  EXPECT_EQ(restored->stats.eviction_breakdown,
-            partial.stats.eviction_breakdown);
+  ASSERT_EQ(restored->fold.apps.size(), partial.fold.apps.size());
+  for (const auto& [key, app] : partial.fold.apps) {
+    const core::AppFold& back = restored->fold.apps.at(key);
+    EXPECT_EQ(back.runs, app.runs) << key;
+    EXPECT_EQ(back.path, app.path) << key;
+    EXPECT_EQ(back.total_bytes, app.total_bytes) << key;
+    EXPECT_EQ(back.job_id, app.job_id) << key;
+  }
+  EXPECT_EQ(restored->fold.stats.valid, partial.fold.stats.valid);
+  EXPECT_EQ(restored->fold.stats.eviction_breakdown,
+            partial.fold.stats.eviction_breakdown);
 }
 
 TEST_F(PartialTest, MergeOfOneTwoAndEightShardsMatchesSingleShotByteForByte) {
@@ -189,13 +205,12 @@ TEST_F(PartialTest, MergeReplaysCrossShardDedup) {
   ingest::ShardSpec shard1;
   shard1.index = 1;
   shard1.count = 2;
-  std::vector<PartialArtifact> partials;
-  partials.push_back(run_shard(paths, shard0));
-  partials.push_back(run_shard(paths, shard1));
-  ASSERT_EQ(partials[0].traces.size(), 1U);
-  ASSERT_EQ(partials[1].traces.size(), 1U);
+  const std::vector<PartialArtifact> partials = {run_shard(paths, shard0),
+                                                 run_shard(paths, shard1)};
+  ASSERT_EQ(partials[0].fold.apps.size(), 1U);
+  ASSERT_EQ(partials[1].fold.apps.size(), 1U);
 
-  auto merged = merge_partials(std::move(partials));
+  auto merged = reduce(partials);
   ASSERT_TRUE(merged.has_value()) << merged.error().to_string();
   ASSERT_EQ(merged->batch.results.size(), 1U);
   EXPECT_EQ(merged->batch.results[0].job_id, 12U);  // heavier run won
@@ -215,21 +230,21 @@ TEST_F(PartialTest, MergeRejectsIncompleteOrInconsistentPartitions) {
   const PartialArtifact p0 = run_shard(paths, spec0);
   const PartialArtifact p1 = run_shard(paths, spec1);
 
-  EXPECT_FALSE(merge_partials({}).has_value());
+  EXPECT_FALSE(reduce({}).has_value());
 
   // Missing shard 1 of 2.
-  EXPECT_FALSE(merge_partials({p0}).has_value());
+  EXPECT_FALSE(reduce({p0}).has_value());
 
   // Duplicate shard 0.
-  EXPECT_FALSE(merge_partials({p0, p0}).has_value());
+  EXPECT_FALSE(reduce({p0, p0}).has_value());
 
   // Disagreeing shard counts.
   PartialArtifact wrong_count = p1;
   wrong_count.shard_count = 3;
-  EXPECT_FALSE(merge_partials({p0, wrong_count}).has_value());
+  EXPECT_FALSE(reduce({p0, wrong_count}).has_value());
 
-  // The complete partition merges.
-  EXPECT_TRUE(merge_partials({p0, p1}).has_value());
+  // The complete partition reduces.
+  EXPECT_TRUE(reduce({p0, p1}).has_value());
 }
 
 TEST_F(PartialTest, MergeReportsEveryPartitionProblemAtOnce) {
@@ -245,8 +260,9 @@ TEST_F(PartialTest, MergeReportsEveryPartitionProblemAtOnce) {
   PartialArtifact wrong_count = p0;
   wrong_count.shard_index = 2;
   wrong_count.shard_count = 5;
-  auto merged = merge_partials({p0, dup, wrong_count});
+  auto merged = reduce({p0, dup, wrong_count});
   ASSERT_FALSE(merged.has_value());
+  EXPECT_EQ(merged.error().code, util::ErrorCode::kInvalidArgument);
   const std::string& message = merged.error().message;
   EXPECT_NE(message.find("shard 0 appears 2 times"), std::string::npos)
       << message;
@@ -265,6 +281,16 @@ TEST_F(PartialTest, ReadPartialRejectsOtherSchemas) {
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, util::ErrorCode::kParseError);
   EXPECT_FALSE(read_partial(path("missing.json")).has_value());
+
+  // A v1 artifact carried analyzed results, not a fold: it must be re-run.
+  json::Value v1 = partial_to_json(PartialArtifact{});
+  v1.as_object().set("schema", "mosaic-partial-v1");
+  ASSERT_TRUE(
+      util::write_file_atomic(path("v1.json"), json::serialize(v1)).ok());
+  const auto old = read_partial(path("v1.json"));
+  ASSERT_FALSE(old.has_value());
+  EXPECT_NE(old.error().message.find("mosaic-partial-v2"), std::string::npos)
+      << old.error().message;
 }
 
 TEST_F(PartialTest, ExpandPartialPathsScansDirectories) {
@@ -286,6 +312,96 @@ TEST_F(PartialTest, ExpandPartialPathsScansDirectories) {
   const fs::path empty = dir_ / "empty";
   fs::create_directories(empty);
   EXPECT_FALSE(expand_partial_paths({empty.string()}).has_value());
+}
+
+/// Serves `target`'s file on its first read and `replacement`'s bytes on
+/// every later one: a dedup winner rewritten after its fold.
+class RewrittenAfterFirstRead final : public ingest::FileReader {
+ public:
+  RewrittenAfterFirstRead(std::string target, std::string replacement)
+      : target_(std::move(target)), replacement_(std::move(replacement)) {}
+
+  util::Expected<std::vector<std::byte>> read(const std::string& path,
+                                              int attempt) override {
+    if (path == target_ && reads_.fetch_add(1) > 0) {
+      return ingest::system_reader().read(replacement_, attempt);
+    }
+    return ingest::system_reader().read(path, attempt);
+  }
+
+ private:
+  std::string target_;
+  std::string replacement_;
+  std::atomic<int> reads_{0};
+};
+
+TEST_F(PartialTest, WinnerRewrittenAfterItsShardFoldedIsDemotedAsInSingleShot) {
+  // Two runs of one application in different shards of two. The heavier
+  // run's file changes between its shard's fold and the reduce's re-read:
+  // single-shot demotes the application (no other run takes the winner's
+  // place), and so must the reduce — a shard that analyzed its own winner
+  // would demote it there and let the other shard's run through.
+  trace::Trace light;
+  light.meta.job_id = 21;
+  light.meta.app_name = "solver";
+  light.meta.user = "u1";
+  light.meta.nprocs = 4;
+  light.meta.run_time = 100.0;
+  trace::FileRecord file;
+  file.file_id = 1;
+  file.bytes_written = 1 << 20;
+  file.writes = 4;
+  file.opens = 1;
+  file.closes = 1;
+  file.open_ts = 1.0;
+  file.close_ts = 90.0;
+  file.first_write_ts = 2.0;
+  file.last_write_ts = 80.0;
+  light.files.push_back(file);
+  trace::Trace heavy = light;
+  heavy.meta.job_id = 22;
+  heavy.files[0].bytes_written = 8 << 20;
+  trace::Trace rewritten = heavy;
+  rewritten.files[0].bytes_written = 2 << 20;
+
+  std::string light_name;
+  std::string heavy_name;
+  for (int i = 0; light_name.empty() || heavy_name.empty(); ++i) {
+    const std::string name = "run_" + std::to_string(i) + ".mbt";
+    if (ingest::shard_of(name, 2) == 0 && light_name.empty()) {
+      light_name = name;
+    } else if (ingest::shard_of(name, 2) == 1 && heavy_name.empty()) {
+      heavy_name = name;
+    }
+  }
+  ASSERT_TRUE(darshan::write_mbt_file(light, path(light_name)).ok());
+  ASSERT_TRUE(darshan::write_mbt_file(heavy, path(heavy_name)).ok());
+  ASSERT_TRUE(darshan::write_mbt_file(rewritten, path("rewritten.mbt")).ok());
+  const std::vector<std::string> paths = {path(light_name), path(heavy_name)};
+
+  RewrittenAfterFirstRead single_reader(path(heavy_name),
+                                        path("rewritten.mbt"));
+  ingest::IngestOptions single;
+  single.reader = &single_reader;
+  const std::string reference = single_shot_json(paths, single);
+
+  RewrittenAfterFirstRead sharded_reader(path(heavy_name),
+                                         path("rewritten.mbt"));
+  ingest::IngestOptions sharded;
+  sharded.reader = &sharded_reader;
+  EXPECT_EQ(sharded_json(paths, 2, sharded), reference);
+
+  const auto summary = json::parse(reference);
+  ASSERT_TRUE(summary.has_value());
+  const json::Object& funnel =
+      summary->as_object().find("preprocessing")->as_object();
+  EXPECT_EQ(funnel.find("retained")->as_number(), 0.0);
+  EXPECT_EQ(funnel.find("valid")->as_number(), 1.0);
+  EXPECT_EQ(funnel.find("eviction_breakdown")
+                ->as_object()
+                .find("not-found")
+                ->as_number(),
+            1.0);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -327,19 +328,12 @@ class ObsSession {
     }
     if (!options_.provenance_dir.empty()) {
       auto& journal = obs::ProvenanceJournal::global();
-      std::error_code ec;
-      std::filesystem::create_directories(options_.provenance_dir, ec);
-      const std::string path = options_.provenance_dir + "/provenance.jsonl";
-      if (ec) {
-        std::fprintf(stderr, "cannot create %s: %s\n",
-                     options_.provenance_dir.c_str(), ec.message().c_str());
-        ok_ = false;
-      } else if (const auto status = journal.write_jsonl(path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
+      if (const auto written = journal.write_to_dir(options_.provenance_dir);
+          !written.has_value()) {
+        std::fprintf(stderr, "%s\n", written.error().to_string().c_str());
         ok_ = false;
       } else {
-        std::printf("provenance (%zu record(s)) written to %s\n",
-                    journal.size(), path.c_str());
+        std::printf("%s\n", written->c_str());
       }
       journal.disable();
       journal.reset();
@@ -538,32 +532,26 @@ bool print_batch_summary(const core::BatchResult& batch,
   return true;
 }
 
-/// Reads + merges partial artifacts named by files/directories. Returns
-/// nullopt after printing (exit code in `*exit_code`).
-std::optional<report::MergedPartials> load_and_merge_partials(
-    const std::vector<std::string>& args, std::size_t* artifact_count,
-    int* exit_code) {
+/// Reduces the partial artifacts named by files/directories: re-reads each
+/// winner under `options` and analyzes it on `pool`. Returns nullopt after
+/// printing, with the exit code in `*exit_code` (2 for a usage or
+/// partition problem, 1 for an artifact that does not read).
+std::optional<report::MergedPartials> reduce_partial_args(
+    const std::vector<std::string>& args, const ingest::IngestOptions& options,
+    const core::Thresholds& thresholds, parallel::ThreadPool& pool,
+    std::size_t* artifact_count, int* exit_code) {
   auto artifact_paths = report::expand_partial_paths(args);
   if (!artifact_paths.has_value()) {
     std::fprintf(stderr, "%s\n", artifact_paths.error().to_string().c_str());
     *exit_code = 2;
     return std::nullopt;
   }
-  std::vector<report::PartialArtifact> partials;
-  partials.reserve(artifact_paths->size());
-  for (const std::string& path : *artifact_paths) {
-    auto partial = report::read_partial(path);
-    if (!partial.has_value()) {
-      std::fprintf(stderr, "%s\n", partial.error().to_string().c_str());
-      *exit_code = 1;
-      return std::nullopt;
-    }
-    partials.push_back(std::move(*partial));
-  }
-  auto merged = report::merge_partials(std::move(partials));
+  auto merged =
+      report::reduce_partials(*artifact_paths, options, thresholds, pool);
   if (!merged.has_value()) {
     std::fprintf(stderr, "%s\n", merged.error().to_string().c_str());
-    *exit_code = 2;
+    *exit_code =
+        merged.error().code == util::ErrorCode::kInvalidArgument ? 2 : 1;
     return std::nullopt;
   }
   if (artifact_count != nullptr) *artifact_count = artifact_paths->size();
@@ -624,11 +612,11 @@ int cmd_batch(int argc, char** argv) {
   cli.add_option("json", "write the JSON summary to this path", "");
   cli.add_flag("heatmap", "render the Jaccard heatmap");
   cli.add_option("shard",
-                 "own only shard K of N (format K/N) and write a partial "
-                 "artifact to --partials; reduce with `mosaic merge`", "");
+                 "fold only shard K of N (format K/N) into a partial "
+                 "artifact in --partials; reduce with `mosaic merge`", "");
   cli.add_option("shards",
-                 "out-of-core mode: analyze all N shards sequentially "
-                 "in-process, writing partials, then merge (0 = off)", "0");
+                 "fold all N shards sequentially in-process, writing "
+                 "partials, then reduce them (0 = off)", "0");
   cli.add_option("partials",
                  "directory for partial artifacts (results.shard-K.json)",
                  "");
@@ -665,20 +653,23 @@ int cmd_batch(int argc, char** argv) {
     std::fprintf(stderr, "--shard/--shards require --partials <dir>\n");
     return 2;
   }
-  if (shard.has_value() && !cli.get("json").empty()) {
-    std::fprintf(stderr,
-                 "--json applies to the merged result; run `mosaic merge` "
-                 "over the partials instead\n");
-    return 2;
-  }
-
-  // A shard run derives its obs paths from the shard id so N concurrent
-  // shard processes launched from one command line never clobber each
-  // other's metrics/trace/provenance files.
   if (shard.has_value()) {
+    // A shard run only folds its slice; the reduce analyzes.
+    for (const auto& [option, reduce] :
+         {std::pair{"json", "mosaic merge"},
+          std::pair{"thresholds", "mosaic merge"},
+          std::pair{"provenance", "mosaic report --from-partials"}}) {
+      if (cli.get(option).empty()) continue;
+      std::fprintf(stderr,
+                   "--%s applies to the reduce, not to a --shard run: pass "
+                   "it to `%s` over the partials instead\n",
+                   option, reduce);
+      return 2;
+    }
+    // Its obs paths carry the shard id so N concurrent shard processes
+    // launched from one command line never clobber each other's files.
     for (std::string* path :
-         {&obs_options->metrics_path, &obs_options->trace_path,
-          &obs_options->provenance_dir}) {
+         {&obs_options->metrics_path, &obs_options->trace_path}) {
       if (!path->empty()) *path = ingest::shard_suffix_path(*path, shard->index);
     }
   }
@@ -693,13 +684,13 @@ int cmd_batch(int argc, char** argv) {
     }
   }
   parallel::ThreadPool pool(*thread_count);
-  const core::Thresholds thresholds = load_thresholds(cli);
 
   // One shard through report::run_shard, with the resume journal
-  // suffixed per shard so shard runs never share one. Returns an exit code;
-  // 0 fills `partial`.
-  const auto run_one_shard = [&](const ingest::ShardSpec& spec,
-                                 report::PartialArtifact& partial) {
+  // suffixed per shard so shard runs never share one, written to its
+  // artifact in partials_dir. Returns an exit code; 0 appends the
+  // artifact's path to `artifacts`.
+  std::vector<std::string> artifacts;
+  const auto run_one_shard = [&](const ingest::ShardSpec& spec) {
     ingest::IngestOptions shard_options = *options;
     shard_options.shard = spec;
     if (!shard_options.journal_path.empty()) {
@@ -707,7 +698,7 @@ int cmd_batch(int argc, char** argv) {
           ingest::shard_suffix_path(options->journal_path, spec.index);
     }
     util::Stopwatch watch;
-    auto run = report::run_shard(*paths, shard_options, thresholds, pool);
+    auto run = report::run_shard(*paths, shard_options, pool);
     if (!run.has_value()) {
       std::fprintf(stderr, "%s\n", run.error().to_string().c_str());
       return 2;
@@ -718,59 +709,38 @@ int cmd_batch(int argc, char** argv) {
                        shard_options)) {
       return 3;
     }
-    partial = std::move(*run);
-    return 0;
-  };
-
-  if (shard.has_value()) {
-    report::PartialArtifact partial;
-    if (const int rc = run_one_shard(*shard, partial); rc != 0) return rc;
-    partial.metrics_path = obs_options->metrics_path;
-    partial.provenance_path =
-        obs_options->provenance_dir.empty()
-            ? std::string()
-            : obs_options->provenance_dir + "/provenance.jsonl";
     const std::string out_path =
-        partials_dir + "/" + ingest::partial_filename(shard->index);
-    if (const auto status = report::write_partial(partial, out_path);
+        partials_dir + "/" + ingest::partial_filename(spec.index);
+    if (const auto status = report::write_partial(*run, out_path);
         !status.ok()) {
       std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
       return 1;
     }
     std::printf("partial artifact (%zu application(s)) written to %s\n",
-                partial.traces.size(), out_path.c_str());
+                run->fold.apps.size(), out_path.c_str());
+    artifacts.push_back(out_path);
+    return 0;
+  };
+
+  if (shard.has_value()) {
+    if (const int rc = run_one_shard(*shard); rc != 0) return rc;
     if (!obs_session.finish()) return 1;
     return 0;
   }
 
+  const core::Thresholds thresholds = load_thresholds(cli);
   if (*shard_total > 0) {
-    // Out-of-core mode: one shard's traces in memory at a time; every
-    // partial goes through the disk round trip `mosaic merge` uses, so
-    // serialization fidelity is exercised on every run, not just in tests.
-    std::vector<report::PartialArtifact> partials;
+    // Every partial goes through the disk round trip `mosaic merge` uses,
+    // so serialization fidelity is exercised on every run, not just in
+    // tests; the reduce then reads them back one at a time.
     const auto count = static_cast<std::size_t>(*shard_total);
-    partials.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
-      report::PartialArtifact partial;
-      if (const int rc = run_one_shard(ingest::ShardSpec{k, count}, partial);
-          rc != 0) {
+      if (const int rc = run_one_shard(ingest::ShardSpec{k, count}); rc != 0) {
         return rc;
       }
-      const std::string out_path =
-          partials_dir + "/" + ingest::partial_filename(k);
-      if (const auto status = report::write_partial(partial, out_path);
-          !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
-        return 1;
-      }
-      auto reloaded = report::read_partial(out_path);
-      if (!reloaded.has_value()) {
-        std::fprintf(stderr, "%s\n", reloaded.error().to_string().c_str());
-        return 1;
-      }
-      partials.push_back(std::move(*reloaded));
     }
-    auto merged = report::merge_partials(std::move(partials));
+    auto merged =
+        report::reduce_partials(artifacts, *options, thresholds, pool);
     if (!merged.has_value()) {
       std::fprintf(stderr, "%s\n", merged.error().to_string().c_str());
       return 1;
@@ -809,7 +779,8 @@ int cmd_batch(int argc, char** argv) {
 int cmd_merge(int argc, char** argv) {
   util::CliParser cli("mosaic merge",
                       "reduce shard partial artifacts into the single-shot "
-                      "batch summary");
+                      "batch summary (re-reads and analyzes each winner)");
+  cli.add_option("thresholds", "JSON thresholds config", "");
   cli.add_option("json", "write the JSON summary to this path", "");
   cli.add_flag("heatmap", "render the Jaccard heatmap");
   if (const auto exit_code = parse_command_line(cli, argc, argv)) {
@@ -823,8 +794,10 @@ int cmd_merge(int argc, char** argv) {
   }
   std::size_t artifact_count = 0;
   int exit_code = 0;
-  auto merged = load_and_merge_partials(cli.positional(), &artifact_count,
-                                        &exit_code);
+  parallel::ThreadPool pool;
+  auto merged =
+      reduce_partial_args(cli.positional(), {}, load_thresholds(cli), pool,
+                          &artifact_count, &exit_code);
   if (!merged.has_value()) return exit_code;
   const ingest::IngestStats& io = merged->ingest;
   std::printf("merged %zu partial(s): %zu files scanned, %zu loaded, %zu "
@@ -959,7 +932,8 @@ int cmd_dispatch(int argc, char** argv) {
                  "reconnects before a worker is declared lost", "2");
   add_retry_options(cli);
   cli.add_option("threads",
-                 "in-process threads for degraded mode (0 = hardware)", "0");
+                 "in-process threads for degraded mode and the reduce "
+                 "(0 = hardware)", "0");
   cli.add_flag("resume",
                "keep the shards whose partials are already in --partials");
   cli.add_flag("no-degraded",
@@ -1037,7 +1011,7 @@ int cmd_dispatch(int argc, char** argv) {
   options.heartbeat_grace_seconds = *grace;
   options.connect_timeout_seconds = *connect_timeout;
   options.degraded_threads = *thread_count;
-  options.thresholds = load_thresholds(cli);
+  const core::Thresholds thresholds = load_thresholds(cli);
   options.resume = cli.get_flag("resume");
   options.allow_degraded = !cli.get_flag("no-degraded");
   options.stop_flag = &g_stop_requested;
@@ -1162,12 +1136,13 @@ int cmd_dispatch(int argc, char** argv) {
 
   std::size_t artifact_count = 0;
   int exit_code = 0;
+  parallel::ThreadPool pool(*thread_count);
   auto merged = [&] {
     obs::ScopedTimerMs merge_timer(obs::Registry::global().histogram(
         obs::names::kDispatchMergeMs, obs::latency_buckets_ms(),
-        "partial load + merge wall time on the manager"));
-    return load_and_merge_partials(result->partial_paths, &artifact_count,
-                                   &exit_code);
+        "partial reduce wall time on the manager"));
+    return reduce_partial_args(result->partial_paths, per_file, thresholds,
+                               pool, &artifact_count, &exit_code);
   }();
   if (!merged.has_value()) return exit_code;
   std::printf("merged %zu shard partial(s) from %s\n\n", artifact_count,
@@ -1234,37 +1209,22 @@ int cmd_report(int argc, char** argv) {
   const std::uint64_t provenance_sample = obs_options->provenance_sample;
   ObsSession obs_session(std::move(*obs_options));
   // The drill-down is computed from journal records, not by re-analyzing, so
-  // --confusion needs the journal armed even without a --provenance dir. A
-  // partials reduce never analyzes, so it reads the shard runs' recorded
-  // provenance files instead.
+  // --confusion needs the journal armed even without a --provenance dir.
   obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
-  const bool confusion_armed_journal =
-      confusion && !from_partials && !journal.enabled();
+  const bool confusion_armed_journal = confusion && !journal.enabled();
   if (confusion_armed_journal) journal.enable(provenance_sample);
 
   parallel::ThreadPool pool(*thread_count);
+  const core::Thresholds thresholds = load_thresholds(cli);
   core::BatchResult batch;
   std::size_t loaded = 0;
-  std::vector<obs::TraceProvenance> partial_records;
   if (from_partials) {
     int exit_code = 0;
-    auto merged =
-        load_and_merge_partials(cli.positional(), nullptr, &exit_code);
+    auto merged = reduce_partial_args(cli.positional(), *options, thresholds,
+                                      pool, nullptr, &exit_code);
     if (!merged.has_value()) return exit_code;
     batch = std::move(merged->batch);
     loaded = merged->ingest.loaded;
-    if (confusion) {
-      for (const std::string& path : merged->provenance_paths) {
-        auto records = obs::read_provenance_jsonl(path);
-        if (!records.has_value()) {
-          std::fprintf(stderr, "%s\n", records.error().to_string().c_str());
-          return 1;
-        }
-        for (obs::TraceProvenance& record : *records) {
-          partial_records.push_back(std::move(record));
-        }
-      }
-    }
   } else {
     auto ingested = ingest::ingest_paths(paths, *options, pool);
     if (!ingested.has_value()) {
@@ -1278,8 +1238,8 @@ int cmd_report(int argc, char** argv) {
       return 3;
     }
     loaded = ingested->stats.loaded;
-    batch = core::analyze_preprocessed(std::move(ingested->pre),
-                                       load_thresholds(cli), &pool);
+    batch = core::analyze_preprocessed(std::move(ingested->pre), thresholds,
+                                       &pool);
   }
   const report::CategoryDistribution distribution =
       report::aggregate_categories(batch);
@@ -1367,8 +1327,7 @@ int cmd_report(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", truths.error().to_string().c_str());
       return 1;
     }
-    const std::vector<obs::TraceProvenance> records =
-        from_partials ? std::move(partial_records) : journal.collect();
+    const std::vector<obs::TraceProvenance> records = journal.collect();
     const report::ConfusionReport drill = report::build_confusion(
         records, *truths, static_cast<std::size_t>(*straddling_cap));
     if (confusion_armed_journal) {
