@@ -74,12 +74,13 @@ void min_max_scale(const PointSet& points, PointSet& out) {
 MeanShiftResult mean_shift(const PointSet& points, double bandwidth) {
   MeanShiftWorkspace workspace;
   MeanShiftResult result;
-  mean_shift(points, bandwidth, workspace, result);
+  mean_shift(points, bandwidth, workspace, result, /*observe=*/false);
   return result;
 }
 
 void mean_shift(const PointSet& points, double bandwidth,
-                MeanShiftWorkspace& workspace, MeanShiftResult& out) {
+                MeanShiftWorkspace& workspace, MeanShiftResult& out,
+                bool observe) {
   out.labels.clear();
   out.modes.clear();
   out.cluster_sizes.clear();
@@ -93,14 +94,20 @@ void mean_shift(const PointSet& points, double bandwidth,
 
   // Iterations-to-converge distribution: the knob the bandwidth ablation
   // turns (a too-small bandwidth shows up as points hitting the cap).
-  static constexpr double kIterationEdges[] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                               256};
-  static obs::Histogram& iterations_hist = obs::Registry::global().histogram(
-      obs::names::kMeanShiftIterations, kIterationEdges,
-      "Mean-Shift iterations until a point converged");
-  static obs::Counter& points_counter = obs::Registry::global().counter(
-      obs::names::kMeanShiftPoints, "points shifted by Mean-Shift");
-  points_counter.add(n);
+  // Sampled runs only, like the stage histograms.
+  obs::Histogram* iterations_hist = nullptr;
+  if (observe) {
+    static constexpr double kIterationEdges[] = {1,  2,  4,   8,  16,
+                                                 32, 64, 128, 256};
+    static obs::Histogram& hist = obs::Registry::global().histogram(
+        obs::names::kMeanShiftIterations, kIterationEdges,
+        "Mean-Shift iterations until a point converged (sampled runs)");
+    static obs::Counter& points_counter = obs::Registry::global().counter(
+        obs::names::kMeanShiftPoints,
+        "points shifted by Mean-Shift (sampled runs)");
+    points_counter.add(n);
+    iterations_hist = &hist;
+  }
 
   // Shift every point to its density mode: the mean of the points within
   // the bandwidth, summed in index order. converged is a flat n*dim store;
@@ -139,7 +146,9 @@ void mean_shift(const PointSet& points, double bandwidth,
         break;
       }
     }
-    iterations_hist.observe(static_cast<double>(iterations_used));
+    if (iterations_hist != nullptr) {
+      iterations_hist->observe(static_cast<double>(iterations_used));
+    }
     out.total_iterations += iterations_used;
     std::copy(current.begin(), current.end(),
               workspace.converged.data() + i * dim);

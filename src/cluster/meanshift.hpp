@@ -107,8 +107,12 @@ void min_max_scale(const PointSet& points, PointSet& out);
 /// Workspace form: all scratch comes from `workspace` and the clustering is
 /// written into `out` (previous contents discarded, storage reused). Results
 /// are identical to the convenience form bit for bit — workspaces only
-/// change where the buffers live, never the arithmetic.
+/// change where the buffers live, never the arithmetic. `observe` feeds the
+/// mosaic_meanshift_* metrics (one iteration count per point, the points
+/// shifted); the analyzer passes its 1-in-32 stage-detail sample, and the
+/// convenience form observes nothing.
 void mean_shift(const PointSet& points, double bandwidth,
-                MeanShiftWorkspace& workspace, MeanShiftResult& out);
+                MeanShiftWorkspace& workspace, MeanShiftResult& out,
+                bool observe);
 
 }  // namespace mosaic::cluster

@@ -69,13 +69,15 @@ PeriodicityResult detect_periodicity(std::span<const Segment> segments,
                                      const Thresholds& thresholds,
                                      obs::PeriodicityProvenance* evidence) {
   PeriodicityWorkspace workspace;
-  return detect_periodicity(segments, thresholds, evidence, workspace);
+  return detect_periodicity(segments, thresholds, evidence, workspace,
+                            /*stage_detail=*/false);
 }
 
 PeriodicityResult detect_periodicity(std::span<const Segment> segments,
                                      const Thresholds& thresholds,
                                      obs::PeriodicityProvenance* evidence,
-                                     PeriodicityWorkspace& workspace) {
+                                     PeriodicityWorkspace& workspace,
+                                     bool stage_detail) {
   PeriodicityResult result;
   if (evidence != nullptr) {
     evidence->mean_shift.ran = true;
@@ -102,7 +104,7 @@ PeriodicityResult detect_periodicity(std::span<const Segment> segments,
   cluster::min_max_scale(points, workspace.scaled);
 
   cluster::mean_shift(workspace.scaled, thresholds.meanshift_bandwidth,
-                      workspace.mean_shift, workspace.clusters);
+                      workspace.mean_shift, workspace.clusters, stage_detail);
   const cluster::MeanShiftResult& clusters = workspace.clusters;
   if (evidence != nullptr) {
     evidence->mean_shift.points = segments.size();

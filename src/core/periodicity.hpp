@@ -81,9 +81,12 @@ struct PeriodicityWorkspace {
 
 /// Workspace form of the Mean-Shift detector: all scratch comes from
 /// `workspace`. Results are identical to the convenience form bit for bit.
+/// `stage_detail` (the analyzer's 1-in-32 sample) lets Mean-Shift feed its
+/// metrics; the convenience form passes false.
 [[nodiscard]] PeriodicityResult detect_periodicity(
     std::span<const Segment> segments, const Thresholds& thresholds,
-    obs::PeriodicityProvenance* evidence, PeriodicityWorkspace& workspace);
+    obs::PeriodicityProvenance* evidence, PeriodicityWorkspace& workspace,
+    bool stage_detail);
 
 /// Frequency-domain detector (paper SV future work): bins the merged op
 /// stream into a volume-per-second activity signal, runs the FFT +

@@ -239,7 +239,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
       case PeriodicityBackend::kMeanShift:
         analysis.periodicity =
             detect_periodicity(segment(), thresholds_, periodicity_evidence,
-                               workspace.periodicity);
+                               workspace.periodicity, stage_detail);
         if (evidence != nullptr) evidence->periodicity.backend = "mean-shift";
         break;
       case PeriodicityBackend::kFrequency:
@@ -251,7 +251,7 @@ KindAnalysis Analyzer::analyze_ops_impl(AnalyzerWorkspace& workspace,
       case PeriodicityBackend::kHybrid:
         analysis.periodicity =
             detect_periodicity(segment(), thresholds_, periodicity_evidence,
-                               workspace.periodicity);
+                               workspace.periodicity, stage_detail);
         if (!analysis.periodicity.periodic) {
           analysis.periodicity = detect_periodicity_frequency(
               ops, runtime, thresholds_, periodicity_evidence,
@@ -322,6 +322,7 @@ TraceResult Analyzer::analyze_impl(const trace::Trace& trace,
   // read. A trace analyzes in about a microsecond, so timing every trace
   // (and force-detailing every provenance-sampled trace, as earlier
   // revisions did) cost more than the analysis stages being timed.
+  // The Mean-Shift iteration and point metrics follow the same sample.
   // tests/obs/test_instrumentation_counts.cpp pins the rule exactly: 11
   // scopes and 22 clock reads per detailed trace, none on the others.
   // Provenance capture does not imply timing detail: the journal records the

@@ -171,6 +171,11 @@ class StreamingPreprocessor {
   /// The fold so far. The preprocessor is consumed.
   [[nodiscard]] FoldState state() && { return std::move(state_); }
 
+  /// Each application's winner digest so far, by application key.
+  [[nodiscard]] const std::map<std::string, AppFold>& apps() const noexcept {
+    return state_.apps;
+  }
+
   /// Re-reads every dedup winner through `reload` (on `pool` when given)
   /// and re-runs assess() on it. A winner that no longer loads, no longer
   /// passes the validity check, or whose app key, total bytes or job id

@@ -27,7 +27,7 @@ struct CacheMetrics {
                          "result-cache entries evicted to fit the byte "
                          "capacity"),
         registry.gauge(obs::names::kCacheBytes,
-                       "bytes of cached analysis artifacts"),
+                       "estimated heap bytes of the cached analysis evidence"),
         registry.gauge(obs::names::kCacheEntries,
                        "entries in the analysis result cache"),
     };
@@ -36,6 +36,14 @@ struct CacheMetrics {
 };
 
 }  // namespace
+
+CachedAnalysis CachedAnalysis::of(obs::TraceProvenance evidence) {
+  CachedAnalysis value;
+  value.evidence =
+      std::make_shared<const obs::TraceProvenance>(std::move(evidence));
+  value.bytes = obs::provenance_heap_bytes(*value.evidence);
+  return value;
+}
 
 std::string result_cache_key(const std::string& app_key,
                              std::uint64_t job_id,
@@ -79,7 +87,7 @@ void ResultCache::note_eviction_locked(std::size_t entry_bytes) {
 void ResultCache::evict_to_fit_locked() {
   while (bytes_ > capacity_bytes_ && !order_.empty()) {
     const auto& [key, value] = order_.back();
-    note_eviction_locked(value.bytes());
+    note_eviction_locked(value.bytes);
     index_.erase(key);
     order_.pop_back();
   }
@@ -93,14 +101,14 @@ void ResultCache::insert(const std::string& key, CachedAnalysis value) {
   if (it != index_.end()) {
     // Replace in place, keeping the entry most-recently-used. Not an
     // eviction: the identity stays cached.
-    bytes_ -= it->second->second.bytes();
+    bytes_ -= it->second->second.bytes;
     it->second->second = std::move(value);
-    bytes_ += it->second->second.bytes();
+    bytes_ += it->second->second.bytes;
     order_.splice(order_.begin(), order_, it->second);
   } else {
     order_.emplace_front(key, std::move(value));
     index_.emplace(key, order_.begin());
-    bytes_ += order_.front().second.bytes();
+    bytes_ += order_.front().second.bytes;
   }
   evict_to_fit_locked();
 }

@@ -5,42 +5,47 @@
 // second time. The cache key is the same identity the dedup stage already
 // computes (core::FileOutcome's digest — app key, job id, total bytes):
 // two traces the batch pipeline would dedup are one cache entry here.
-// A value is the artifact the daemon serves verbatim: the pretty
-// provenance JSON for /explain/<trace-id>, kept byte-identical to
-// `mosaic explain --json`. (/results serializes the daemon's board, which
-// keeps each trace's TraceResult and source path.)
+// A value is the evidence behind the verdict: the miss's
+// obs::TraceProvenance, shared and immutable, which /explain/<trace-id>
+// serializes on demand into the bytes of `mosaic explain --json`. A miss
+// moves it in without serializing it, and a hit or an HTTP read copies a
+// pointer. (/results serializes the daemon's board, which keeps each
+// trace's TraceResult and source path.)
 //
 // Bounded by value bytes, not entry count, so the operator reasons in
-// memory: inserts evict least-recently-used entries until the new total
-// fits. Thread-safe (one mutex; the daemon's scan loop, submission
-// sessions and HTTP handlers all touch it). lookup() and insert() feed the
-// mosaic_cache_{hits,misses,evictions}_total counters and the
-// mosaic_cache_{bytes,entries} gauges; peek() is a metrics-silent read for
-// HTTP serving, so scrapes don't masquerade as submission traffic.
+// memory: each value counts the estimated heap footprint of its evidence
+// (obs::provenance_heap_bytes), and inserts evict least-recently-used
+// entries until the new total fits. Thread-safe (one mutex; the daemon's
+// scan loop, submission sessions and HTTP handlers all touch it). lookup()
+// and insert() feed the mosaic_cache_{hits,misses,evictions}_total
+// counters and the mosaic_cache_{bytes,entries} gauges; peek() is a
+// metrics-silent read for HTTP serving, so scrapes don't masquerade as
+// submission traffic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <mutex>
 
+#include "obs/provenance.hpp"
+
 namespace mosaic::core {
 
-/// The serialized artifact cached per trace.
+/// The evidence cached per trace. The cache key carries the job id and the
+/// app key, so the value holds neither.
 struct CachedAnalysis {
-  std::string trace_id;      ///< decimal job id — the /explain/<id> handle
-  std::string app_key;
-  std::string explain_json;  ///< pretty provenance JSON + trailing newline,
-                             ///< byte-identical to `mosaic explain --json`
+  std::shared_ptr<const obs::TraceProvenance> evidence;
+  /// Accounted size: obs::provenance_heap_bytes(*evidence), ignoring the
+  /// cache's own map/list overhead.
+  std::size_t bytes = 0;
 
-  /// Accounted size: the payload strings (the parts that scale with trace
-  /// complexity), ignoring map/list overhead.
-  [[nodiscard]] std::size_t bytes() const {
-    return trace_id.size() + app_key.size() + explain_json.size();
-  }
+  /// Takes `evidence` over without copying it and accounts its footprint.
+  [[nodiscard]] static CachedAnalysis of(obs::TraceProvenance evidence);
 };
 
 /// The cache key for a trace with the dedup-digest identity fields.
@@ -51,13 +56,13 @@ struct CachedAnalysis {
 /// Byte-bounded LRU over CachedAnalysis values. All methods thread-safe.
 class ResultCache {
  public:
-  /// `capacity_bytes` bounds the sum of CachedAnalysis::bytes() across
+  /// `capacity_bytes` bounds the sum of CachedAnalysis::bytes across
   /// entries. 0 keeps nothing: every lookup misses and every insert is
   /// evicted on the spot.
   explicit ResultCache(std::size_t capacity_bytes);
 
-  /// Returns a copy of the entry and marks it most-recently-used. Counts a
-  /// hit or a miss.
+  /// Returns the entry (a pointer copy) and marks it most-recently-used.
+  /// Counts a hit or a miss.
   [[nodiscard]] std::optional<CachedAnalysis> lookup(const std::string& key);
 
   /// Metrics-silent, recency-neutral read (HTTP serving path).

@@ -214,13 +214,13 @@ SubmitReply Daemon::process_file(const std::string& path) {
     ++runs_per_app_[app_key];
   }
 
-  if (auto cached = cache_.lookup(key)) {
+  reply.ok = true;
+  reply.trace_id = std::to_string(outcome.job_id);
+  reply.app_key = app_key;
+  if (cache_.lookup(key).has_value()) {
     // Cache hit: the rerun re-submitted a trace we already categorized.
     // No analysis runs — no pipeline spans, no provenance capture.
-    reply.ok = true;
     reply.cached = true;
-    reply.trace_id = cached->trace_id;
-    reply.app_key = cached->app_key;
     const std::scoped_lock lock(board_mutex_);
     ++stats_.cache_hits;
     if (const auto slot = board_slots_.find(key); slot != board_slots_.end()) {
@@ -232,26 +232,15 @@ SubmitReply Daemon::process_file(const std::string& path) {
   }
 
   // Cache miss (counted by the cache): run the pipeline with evidence
-  // capture forced on, exactly as `mosaic explain` does live, so the cached
-  // artifact serves byte-identical output.
+  // capture forced on, exactly as `mosaic explain` does live, and cache the
+  // evidence itself; /explain serializes it on demand.
   obs::TraceProvenance evidence;
   core::TraceResult result = analyzer_.analyze(*file.trace, &evidence);
   DaemonMetrics::get().analyzed.add();
   auto& journal = obs::ProvenanceJournal::global();
   if (journal.enabled()) journal.record(evidence);
+  cache_.insert(key, core::CachedAnalysis::of(std::move(evidence)));
 
-  core::CachedAnalysis artifact;
-  artifact.trace_id = std::to_string(result.job_id);
-  artifact.app_key = app_key;
-  artifact.explain_json =
-      json::serialize(obs::provenance_to_json(evidence), /*pretty=*/true) +
-      "\n";
-  cache_.insert(key, artifact);
-
-  reply.ok = true;
-  reply.cached = false;
-  reply.trace_id = artifact.trace_id;
-  reply.app_key = app_key;
   reply.categories = result.categories.names();
 
   const std::scoped_lock lock(board_mutex_);
@@ -259,7 +248,7 @@ SubmitReply Daemon::process_file(const std::string& path) {
   const auto [slot, inserted] = board_slots_.try_emplace(key, board_.size());
   if (inserted) {
     BoardEntry& fresh = board_.emplace_back();
-    fresh.trace_id = artifact.trace_id;
+    fresh.trace_id = reply.trace_id;
     fresh.app_key = app_key;
     fresh.cache_key = key;
   }
@@ -425,10 +414,14 @@ std::optional<std::string> Daemon::explain_body(
   }
   if (cache_key.empty()) return std::nullopt;
   // Metrics-silent read: an HTTP scrape must not masquerade as submission
-  // traffic in the hit/miss counters.
-  auto cached = cache_.peek(cache_key);
+  // traffic in the hit/miss counters. The pointer keeps the evidence alive
+  // while it serializes outside the cache's lock, even if an insert evicts
+  // the entry meanwhile.
+  const auto cached = cache_.peek(cache_key);
   if (!cached.has_value()) return std::nullopt;
-  return std::move(cached->explain_json);
+  return json::serialize(obs::provenance_to_json(*cached->evidence),
+                         /*pretty=*/true) +
+         "\n";
 }
 
 void Daemon::register_routes() {

@@ -8,11 +8,11 @@
 // submission flows through one path: batch's per-file funnel step
 // (ingest::load_file: load, validate, dedup digest), a result-cache lookup
 // keyed by that digest, and only on a miss the analyzer (with provenance
-// capture forced on, so the cached explain artifact is byte-identical to
-// `mosaic explain --json`). Results are served as JSON over the shared
-// embedded HTTP endpoint (obs/http.hpp): /results, /explain/<trace-id>,
-// /report, plus the standard /metrics, /metrics.json and /healthz — all
-// documented in docs/API.md.
+// capture forced on; the cache keeps that evidence, and /explain serializes
+// it on demand into the bytes of `mosaic explain --json`). Results are
+// served as JSON over the shared embedded HTTP endpoint (obs/http.hpp):
+// /results, /explain/<trace-id>, /report, plus the standard /metrics,
+// /metrics.json and /healthz — all documented in docs/API.md.
 //
 // Draining: run() returns when the stop flag is raised (the CLI wires
 // SIGINT/SIGTERM to it); in-flight submissions finish (a session that has
@@ -143,8 +143,9 @@ class Daemon {
 
   [[nodiscard]] std::string results_json() const;
   [[nodiscard]] std::string report_markdown() const;
-  /// /explain/<trace-id> body lookup: nullopt when the id is unknown or the
-  /// cached artifact was evicted.
+  /// /explain/<trace-id> body, serialized from the cached evidence outside
+  /// the cache's lock: nullopt when the id is unknown or the evidence was
+  /// evicted.
   [[nodiscard]] std::optional<std::string> explain_body(
       const std::string& trace_id) const;
 

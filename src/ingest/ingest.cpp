@@ -563,15 +563,21 @@ IngestResult finish_fold(IngestFold fold, const IngestOptions& options,
   IngestResult result;
   result.stats = fold.stats;
   std::atomic<std::size_t> reload_retries{0};
+  std::atomic<std::size_t> missing{0};
   result.pre = fold.preprocessor.finish(
       [&](const std::string& path) {
         std::size_t retries = 0;
         auto trace = load_trace(path, options, &retries);
         reload_retries += retries;
+        if (!trace.has_value() &&
+            trace.error().code == util::ErrorCode::kNotFound) {
+          ++missing;
+        }
         return trace;
       },
       &pool);
   result.stats.retry_attempts += reload_retries;
+  result.winners_missing = missing;
   return result;
 }
 

@@ -84,6 +84,9 @@ struct IngestStats {
 struct IngestResult {
   core::PreprocessResult pre;
   IngestStats stats;
+  /// Dedup winners demoted because their file was gone at the re-read
+  /// (kNotFound from the read, not a changed run).
+  std::size_t winners_missing = 0;
 };
 
 /// The funnel after the fold: digests only, no trace.

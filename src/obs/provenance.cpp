@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
+#include <type_traits>
 
 #include "json/reader.hpp"
 #include "obs/metrics.hpp"
@@ -147,6 +148,41 @@ json::Value metadata_to_json(const MetadataProvenance& m) {
   out.set("high_density", m.high_density);
   out.set("confidence", m.confidence);
   return out;
+}
+
+// --- heap footprint: the buffers a record owns, by capacity --------------
+
+std::size_t heap_bytes(const std::string& s) {
+  // A string within the small-string buffer owns no heap block; a longer one
+  // owns capacity + 1 bytes (the terminator).
+  static const std::size_t kInline = std::string().capacity();
+  return s.capacity() > kInline ? s.capacity() + 1 : 0;
+}
+
+template <typename T>
+std::size_t heap_bytes(const std::vector<T>& values) {
+  std::size_t bytes = values.capacity() * sizeof(T);
+  if constexpr (std::is_same_v<T, std::string>) {
+    for (const std::string& v : values) bytes += heap_bytes(v);
+  }
+  return bytes;
+}
+
+std::size_t heap_bytes(const KindProvenance& k) {
+  const PeriodicityProvenance& p = k.periodicity;
+  std::size_t bytes = heap_bytes(p.backend) +
+                      heap_bytes(p.mean_shift.candidates) +
+                      heap_bytes(p.frequency.peaks) + heap_bytes(p.groups) +
+                      heap_bytes(k.temporality.chunk_bytes) +
+                      heap_bytes(k.temporality.rule) +
+                      heap_bytes(k.temporality.label);
+  for (const MeanShiftCandidate& c : p.mean_shift.candidates) {
+    bytes += heap_bytes(c.rejected_by);
+  }
+  for (const PeriodicGroupProvenance& g : p.groups) {
+    bytes += heap_bytes(g.magnitude);
+  }
+  return bytes;
 }
 
 // --- parsing: every member is optional (absent -> the struct default) ----
@@ -400,6 +436,12 @@ json::Value provenance_to_json(const TraceProvenance& record) {
   out.set("rules", strings_to_json(record.rules));
   out.set("categories", strings_to_json(record.categories));
   return out;
+}
+
+std::size_t provenance_heap_bytes(const TraceProvenance& record) {
+  return sizeof(TraceProvenance) + heap_bytes(record.app_key) +
+         heap_bytes(record.read) + heap_bytes(record.write) +
+         heap_bytes(record.rules) + heap_bytes(record.categories);
 }
 
 util::Expected<TraceProvenance> provenance_from_json(const json::Value& value) {

@@ -170,6 +170,12 @@ struct TraceProvenance {
 /// Serializes one record as a JSON object (stable key order).
 [[nodiscard]] json::Value provenance_to_json(const TraceProvenance& record);
 
+/// Estimated heap footprint of one record: the struct itself plus every
+/// buffer it owns (string capacities past the small-string buffer, vector
+/// capacities), without allocator overhead. The daemon's result cache
+/// accounts its entries with it.
+[[nodiscard]] std::size_t provenance_heap_bytes(const TraceProvenance& record);
+
 /// Inverse of provenance_to_json; missing keys default, wrong shapes error.
 [[nodiscard]] util::Expected<TraceProvenance> provenance_from_json(
     const json::Value& value);

@@ -274,8 +274,23 @@ Expected<MergedPartials> reduce_partials(const std::vector<std::string>& paths,
       !problems.empty()) {
     return Error{ErrorCode::kInvalidArgument, std::move(problems)};
   }
+  // A reduce that finds no winner's file where its shard read it runs where
+  // the corpus is not (moved, or mounted elsewhere): that is an error, not
+  // a summary of zero applications. Some missing winners are demoted one
+  // by one, as single-shot demotes them.
+  const std::size_t winners = fold.preprocessor.apps().size();
+  const std::string first_winner =
+      winners == 0 ? std::string()
+                   : fold.preprocessor.apps().begin()->second.path;
   ingest::IngestResult finished =
       ingest::finish_fold(std::move(fold), options, pool);
+  if (winners > 0 && finished.winners_missing == winners) {
+    return Error{ErrorCode::kNotFound,
+                 first_winner + " does not exist, nor does any of the " +
+                     std::to_string(winners) +
+                     " dedup winner(s) the partials name; the reduce "
+                     "re-reads each winner at the path its shard read"};
+  }
   MergedPartials merged;
   merged.ingest = finished.stats;
   merged.batch =

@@ -92,7 +92,10 @@ struct MergedPartials {
 /// partition (the same shard count, every index once) — a missing shard
 /// would silently under-count the corpus — naming every problem in one
 /// kInvalidArgument message. Last, re-reads the winners under `options` on
-/// `pool` and analyzes each once with `thresholds`.
+/// `pool` and analyzes each once with `thresholds`. A winner whose file is
+/// gone is demoted, as single-shot demotes it; when every winner's file is
+/// gone, the reduce fails with kNotFound naming the first (by application
+/// key), because it is running where the corpus is not.
 [[nodiscard]] util::Expected<MergedPartials> reduce_partials(
     const std::vector<std::string>& paths,
     const ingest::IngestOptions& options, const core::Thresholds& thresholds,

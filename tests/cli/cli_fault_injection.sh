@@ -246,6 +246,22 @@ if "$MOSAIC" merge "$WORK/partial_only" > /dev/null 2>&1; then
   exit 1
 fi
 
+# The reduce re-reads each winner at its shard's path: with the population
+# moved away, merge and report --from-partials fail (exit 1) naming a
+# missing winner instead of summarizing zero applications.
+mv "$WORK/pop" "$WORK/pop_moved"
+for cmd in "merge $WORK/parts2" "report --from-partials $WORK/parts2"; do
+  rc=0
+  # shellcheck disable=SC2086  # $cmd is a subcommand plus its arguments
+  "$MOSAIC" $cmd > /dev/null 2> "$WORK/moved.err" || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "'mosaic $cmd' over a moved population exited $rc, not 1" >&2
+    exit 1
+  fi
+  grep -q "$WORK/pop/.* does not exist, nor does any of the" "$WORK/moved.err"
+done
+mv "$WORK/pop_moved" "$WORK/pop"
+
 # Shard CLI validation: malformed specs and missing --partials are usage
 # errors.
 if "$MOSAIC" batch "$WORK/pop" --shard 2/2 --partials "$WORK/p" \

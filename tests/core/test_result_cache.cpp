@@ -5,24 +5,27 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/result_cache.hpp"
+#include "obs/provenance.hpp"
 
 namespace {
 
 using mosaic::core::CachedAnalysis;
 using mosaic::core::ResultCache;
 using mosaic::core::result_cache_key;
+using mosaic::obs::TraceProvenance;
 
-/// An entry whose accounted size is exactly `total_bytes`.
+/// An entry for app key `id` whose accounted size is exactly `total_bytes`.
 CachedAnalysis sized(const std::string& id, std::size_t total_bytes) {
-  CachedAnalysis value;
-  value.trace_id = id;
-  value.explain_json.assign(total_bytes - id.size(), 'x');
-  return value;
+  TraceProvenance evidence;
+  evidence.app_key = id;
+  return {std::make_shared<const TraceProvenance>(std::move(evidence)),
+          total_bytes};
 }
 
 TEST(ResultCacheKey, EncodesTheDedupIdentityFields) {
@@ -35,18 +38,26 @@ TEST(ResultCacheKey, EncodesTheDedupIdentityFields) {
 }
 
 TEST(ResultCache, LookupReturnsInsertedArtifactsVerbatim) {
-  ResultCache cache(1024);
-  CachedAnalysis value;
-  value.trace_id = "7";
-  value.app_key = "u0/app";
-  value.explain_json = "{\n  \"e\": 1\n}\n";
+  ResultCache cache(4096);
+  TraceProvenance evidence;
+  evidence.app_key = "u0/app";
+  evidence.job_id = 7;
+  evidence.rules = {"a rule long enough to leave the small-string buffer"};
+  const std::string* rules = evidence.rules.data();
+  const CachedAnalysis value = CachedAnalysis::of(std::move(evidence));
+  // Taken over, not copied, and accounted at its estimated footprint.
+  EXPECT_EQ(value.evidence->rules.data(), rules);
+  EXPECT_EQ(value.bytes, mosaic::obs::provenance_heap_bytes(*value.evidence));
+  EXPECT_GT(value.bytes, sizeof(TraceProvenance));
   cache.insert("k", value);
 
+  // A lookup hands back the same evidence, not a copy of it.
   const auto found = cache.lookup("k");
   ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->trace_id, "7");
-  EXPECT_EQ(found->app_key, "u0/app");
-  EXPECT_EQ(found->explain_json, "{\n  \"e\": 1\n}\n");
+  EXPECT_EQ(found->evidence, value.evidence);
+  EXPECT_EQ(found->evidence->app_key, "u0/app");
+  EXPECT_EQ(found->evidence->job_id, 7u);
+  EXPECT_EQ(cache.bytes(), value.bytes);
   EXPECT_FALSE(cache.lookup("unknown").has_value());
 }
 
@@ -144,7 +155,7 @@ TEST(ResultCache, ConcurrentLookupAndInsertKeepInvariants) {
           cache.insert(key, sized(key, 256));
         } else if (i % 3 == 1) {
           if (const auto found = cache.lookup(key); found.has_value()) {
-            EXPECT_EQ(found->trace_id, key);
+            EXPECT_EQ(found->evidence->app_key, key);
           }
         } else {
           (void)cache.peek(key);
@@ -161,7 +172,7 @@ TEST(ResultCache, ConcurrentLookupAndInsertKeepInvariants) {
   for (int k = 0; k < 16; ++k) {
     const std::string key = "k" + std::to_string(k);
     if (const auto found = cache.peek(key); found.has_value()) {
-      EXPECT_EQ(found->bytes(), 256u);
+      EXPECT_EQ(found->bytes, 256u);
     }
   }
 }

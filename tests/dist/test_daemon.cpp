@@ -5,11 +5,13 @@
 // file by file, to the daemon; both must reject the same files under the
 // same error codes and categorize every retained run the same way.
 // DaemonSessions holds a connection open after the hello and checks that
-// another client is still served.
+// another client is still served. DaemonExplain serves /explain while
+// submissions evict the very entry being served (the tsan preset runs it).
 #include "dist/daemon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -20,17 +22,23 @@
 #include "core/pipeline.hpp"
 #include "darshan/binary_format.hpp"
 #include "darshan/text_format.hpp"
+#include "daemon_probe.hpp"
 #include "dist/protocol.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/journal.hpp"
+#include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/provenance.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mosaic::dist {
 namespace {
 
 namespace fs = std::filesystem;
+using daemon_probe::daemon_rejections;
+using daemon_probe::http_get;
+using daemon_probe::ok_body;
 
 trace::Trace make_trace(const std::string& user, const std::string& app,
                         std::uint64_t job_id, std::uint64_t bytes) {
@@ -105,21 +113,6 @@ std::vector<std::string> seed_corpus(const ScratchDir& dir) {
           dir.path("beta.mbt"),             dir.path("corrupt_validity.txt"),
           dir.path("truncated.mbt"),        dir.path("garbage.txt"),
           dir.path("missing.txt")};
-}
-
-/// mosaic_daemon_rejected_total{code="..."} values by code, zeros left out.
-std::map<std::string, std::size_t> daemon_rejections() {
-  const std::string prefix =
-      std::string(obs::names::kDaemonRejected) + "{code=\"";
-  std::map<std::string, std::size_t> out;
-  for (const obs::CounterSample& sample :
-       obs::Registry::global().snapshot().counters) {
-    if (sample.value == 0 || sample.name.rfind(prefix, 0) != 0) continue;
-    const std::string code = sample.name.substr(
-        prefix.size(), sample.name.size() - prefix.size() - 2);  // `"}`
-    out[code] = sample.value;
-  }
-  return out;
 }
 
 TEST(DaemonFunnel, AgreesWithBatchFileByFile) {
@@ -202,6 +195,58 @@ TEST(DaemonSessions, IdleClientDoesNotBlockOtherSubmitters) {
   const auto reply = submit_trace_file(address, trace_path, 15.0);
   ASSERT_TRUE(reply.has_value()) << reply.error().to_string();
   EXPECT_TRUE(reply->ok) << reply->error;
+}
+
+TEST(DaemonExplain, ServesWhileInsertsEvictItsEntry) {
+  // A cache that holds one trace's evidence: each submission of the other
+  // trace misses and evicts the entry /explain may be serializing at that
+  // moment. Every answer is 404 or exactly `mosaic explain --json`'s bytes.
+  const ScratchDir dir;
+  const trace::Trace traces[] = {make_trace("u1", "alpha", 1, 1 << 20),
+                                 make_trace("u2", "beta", 2, 4 << 20)};
+  const std::string paths[] = {dir.path("alpha.mbt"), dir.path("beta.mbt")};
+  std::string expected[2];
+  std::size_t largest = 0;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(darshan::write_mbt_file(traces[i], paths[i]).ok());
+    obs::TraceProvenance evidence;
+    (void)core::Analyzer().analyze(traces[i], &evidence);
+    expected[i] =
+        json::serialize(obs::provenance_to_json(evidence), /*pretty=*/true) +
+        "\n";
+    largest = std::max(largest, obs::provenance_heap_bytes(evidence));
+  }
+
+  DaemonOptions options;
+  options.cache_capacity_bytes = largest;
+  Daemon daemon(std::move(options));
+  ASSERT_TRUE(daemon.start().ok());
+  constexpr int kRounds = 50;
+  std::thread submitter([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (const std::string& path : paths) {
+        EXPECT_TRUE(daemon.submit_path(path)->ok);
+      }
+    }
+  });
+  std::size_t served = 0;
+  for (int request = 0; request < 4 * kRounds; ++request) {
+    const int i = request % 2;
+    const std::string response =
+        http_get(daemon.http_port(), "/explain/" + std::to_string(i + 1));
+    if (response.rfind("HTTP/1.1 404", 0) == 0) continue;
+    EXPECT_EQ(ok_body(response), expected[i]);
+    ++served;
+  }
+  submitter.join();
+  // Every submission missed: the other trace had always evicted it.
+  EXPECT_EQ(daemon.stats().analyzed, 2u * kRounds);
+  EXPECT_EQ(daemon.stats().cache_hits, 0u);
+  // The last insert (beta) stays until the next one.
+  EXPECT_EQ(ok_body(http_get(daemon.http_port(), "/explain/2")), expected[1]);
+  EXPECT_EQ(http_get(daemon.http_port(), "/explain/1").rfind("HTTP/1.1 404", 0),
+            0u);
+  EXPECT_GT(served, 0u);
 }
 
 }  // namespace

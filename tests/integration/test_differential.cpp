@@ -7,23 +7,31 @@
 //   - the partial reduce over run_shard folds for N in {1, 2, 3, 16};
 //   - dispatch with no worker, so every shard runs degraded in-process;
 //   - a journal run aborted halfway, then resumed.
+// The daemon, fed every file through the same faulty reader, must agree
+// per trace: each retained trace's reply names batch's categories, its
+// GET /explain/<job id> is batch's provenance record at sample 1 printed
+// pretty, and its rejections by code are batch's evictions.
 // A failure names the population's seed and parameters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../dist/daemon_probe.hpp"
 #include "core/pipeline.hpp"
 #include "darshan/binary_format.hpp"
 #include "darshan/text_format.hpp"
+#include "dist/daemon.hpp"
 #include "dist/dispatch.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/shard.hpp"
 #include "json/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "parallel/thread_pool.hpp"
 #include "report/json_output.hpp"
@@ -206,6 +214,50 @@ class Differential : public ::testing::Test {
     return core::analyze_preprocessed(std::move(resumed->pre), {}, &pool);
   }
 
+  /// Submits every file to an in-process daemon reading through
+  /// options.reader and checks it per trace against single-shot batch.
+  static void check_daemon(const std::vector<std::string>& paths,
+                           const ingest::IngestOptions& options) {
+    obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
+    journal.reset();
+    journal.enable(1);
+    const core::BatchResult batch = single_shot(paths, options, 1);
+    journal.disable();
+    const std::vector<obs::TraceProvenance> records = journal.collect();
+    journal.reset();
+    ASSERT_FALSE(records.empty());
+    ASSERT_EQ(records.size(), batch.results.size());
+
+    obs::Registry::global().reset();
+    dist::DaemonOptions daemon_options;
+    daemon_options.ingest = options;
+    dist::Daemon daemon(std::move(daemon_options));
+    ASSERT_TRUE(daemon.start().ok());
+    std::map<std::string, std::vector<std::string>> replied;  // by job id
+    for (const std::string& path : paths) {
+      const auto reply = daemon.submit_path(path);
+      ASSERT_TRUE(reply.has_value());
+      if (reply->ok) replied[reply->trace_id] = reply->categories;
+    }
+    for (const core::TraceResult& result : batch.results) {
+      const auto it = replied.find(std::to_string(result.job_id));
+      ASSERT_NE(it, replied.end()) << "job " << result.job_id;
+      EXPECT_EQ(it->second, result.categories.names())
+          << "job " << result.job_id;
+    }
+    for (const obs::TraceProvenance& record : records) {
+      EXPECT_EQ(daemon_probe::ok_body(daemon_probe::http_get(
+                    daemon.http_port(),
+                    "/explain/" + std::to_string(record.job_id))),
+                json::serialize(obs::provenance_to_json(record),
+                                /*pretty=*/true) +
+                    "\n")
+          << "job " << record.job_id;
+    }
+    EXPECT_EQ(daemon_probe::daemon_rejections(),
+              batch.preprocess.eviction_breakdown);
+  }
+
   fs::path dir_;
 };
 
@@ -262,6 +314,8 @@ TEST_F(Differential, EveryBatchDriverPrintsTheSameBytes) {
         EXPECT_EQ(output.provenance, reference.provenance) << driver;
       }
     }
+    SCOPED_TRACE("daemon");
+    check_daemon(paths, options);
   }
 }
 

@@ -9,12 +9,15 @@
 // timing them: clock reads (SpanTracer::clock_reads), span records,
 // metric updates (registry snapshot deltas) and heap allocations (a
 // test-local operator new) on one thread analyzing 1,000 valid traces with
-// a warmed AnalyzerWorkspace. A count is exact, so any increase fails.
+// a warmed AnalyzerWorkspace. A count is exact, so any increase fails. The
+// daemon's cache-miss path is pinned the same way: allocations per
+// Daemon::submit_path of a trace it has not seen.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <new>
 #include <string>
@@ -23,6 +26,8 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "darshan/binary_format.hpp"
+#include "dist/daemon.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/provenance.hpp"
@@ -159,15 +164,17 @@ const std::vector<trace::Trace>& traces() {
   return value;
 }
 
-/// Points cluster::mean_shift shifts over traces(), read from each trace's
-/// provenance. Mean-Shift observes one iteration count per point and adds
-/// its points to a counter on every analysis, detailed or not.
-std::uint64_t mean_shift_points() {
+/// Points cluster::mean_shift shifts in the stage-detailed analyses of the
+/// counted pass (its thread's analyses 1,000..1,999), read from each
+/// trace's provenance. Mean-Shift observes one iteration count per point
+/// and adds its points to a counter on a detailed analysis only.
+std::uint64_t detailed_mean_shift_points() {
   const core::Analyzer analyzer;
   std::uint64_t points = 0;
-  for (const trace::Trace& t : traces()) {
+  for (std::size_t i = 0; i < traces().size(); ++i) {
+    if ((kTraces + i) % kStageDetailEvery != 0) continue;
     TraceProvenance evidence;
-    (void)analyzer.analyze(t, &evidence);
+    (void)analyzer.analyze(traces()[i], &evidence);
     points += evidence.read.periodicity.mean_shift.points +
               evidence.write.periodicity.mean_shift.points;
   }
@@ -289,7 +296,7 @@ TEST_F(InstrumentationCounts, SurfaceOffReadsNoClockAndRecordsNothing) {
 }
 
 TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
-  const std::uint64_t points = mean_shift_points();
+  const std::uint64_t points = detailed_mean_shift_points();
   set_metrics_enabled(true);
   SpanTracer::global().enable();
   ProvenanceJournal::global().enable(kProvenanceEvery);
@@ -302,10 +309,11 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
             detailed * kScopesPerDetailedTrace * kClockReadsPerScope);
   EXPECT_EQ(counts.spans, detailed * kScopesPerDetailedTrace);
 
-  // Histograms: one observation per detailed scope, one per Mean-Shift
-  // point. Counters: one traces-analyzed increment per trace, one
-  // provenance record per sampled trace (the journal's own predicate on
-  // app key and job id), and the Mean-Shift points. Nothing else moves.
+  // Histograms: one observation per detailed scope and one per Mean-Shift
+  // point of a detailed trace. Counters: one traces-analyzed increment per
+  // trace, one provenance record per sampled trace (the journal's own
+  // predicate on app key and job id), and the detailed traces' Mean-Shift
+  // points. Nothing else moves.
   std::uint64_t provenance = 0;
   for (const trace::Trace& t : traces()) {
     if (ProvenanceJournal::global().should_sample(
@@ -314,6 +322,8 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
     }
   }
   ASSERT_EQ(provenance, kSampledTraces);
+  // The 31 detailed traces shift 9 of the pass's 263 Mean-Shift points.
+  ASSERT_EQ(points, 9u);
   EXPECT_EQ(counts.metrics.of(names::kStageAnalyzeMs), detailed);
   EXPECT_EQ(counts.metrics.of(names::kMeanShiftIterations), points);
   EXPECT_EQ(counts.metrics.histogram_observations,
@@ -326,6 +336,47 @@ TEST_F(InstrumentationCounts, SurfaceOnCostsExactlyTheStageDetailRule) {
   EXPECT_EQ(counts.metrics.gauge_changes, 0u);
   // The off-case allocations plus 110 provenance records.
   EXPECT_LE(counts.allocations, 5595u);
+}
+
+/// Allocations of one thread submitting `misses` traces the daemon has not
+/// seen, after `warm` others resolved its instruments: each submission
+/// reads, parses, validates and digests the file, misses the cache, analyzes
+/// with evidence capture, caches the evidence and fills its board row.
+std::uint64_t daemon_miss_allocations(std::size_t warm, std::size_t misses) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mosaic_daemon_miss_counts";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < warm + misses; ++i) {
+    paths.push_back((dir / ("trace_" + std::to_string(i) + ".mbt")).string());
+    EXPECT_TRUE(darshan::write_mbt_file(traces()[i], paths.back()).ok());
+  }
+  std::uint64_t allocations = 0;
+  std::thread([&] {
+    dist::Daemon daemon(dist::DaemonOptions{});
+    for (std::size_t i = 0; i < warm; ++i) {
+      EXPECT_TRUE(daemon.submit_path(paths[i])->ok);
+    }
+    t_allocations = 0;
+    t_count_allocations = true;
+    for (std::size_t i = warm; i < warm + misses; ++i) {
+      (void)daemon.submit_path(paths[i]);
+    }
+    t_count_allocations = false;
+    allocations = t_allocations;
+    EXPECT_EQ(daemon.stats().analyzed, warm + misses);
+  }).join();
+  std::filesystem::remove_all(dir);
+  return allocations;
+}
+
+TEST_F(InstrumentationCounts, DaemonCacheMissAllocatesWithinItsBound) {
+  // The cache keeps the miss's evidence, moved in: serializing it to the
+  // pretty /explain JSON on every miss, as the cache once did, builds a
+  // JSON tree and its string per miss and fails this bound.
+  // 13,140 over 200 misses: 65.7 per miss.
+  EXPECT_LE(daemon_miss_allocations(100, 200), 13140u);
 }
 
 }  // namespace

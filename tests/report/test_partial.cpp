@@ -314,6 +314,48 @@ TEST_F(PartialTest, ExpandPartialPathsScansDirectories) {
   EXPECT_FALSE(expand_partial_paths({empty.string()}).has_value());
 }
 
+TEST_F(PartialTest, ReduceFailsWhenEveryWinnerMovedAndDemotesAFewMissing) {
+  // The population moves between the shards' fold and the reduce: no
+  // winner is where its shard read it, so the reduce fails naming the
+  // first winner (by application key) instead of summarizing zero
+  // applications. With only that winner missing, it is demoted as
+  // single-shot demotes a vanished winner, and the rest reduce.
+  const auto paths = seed_population(60, 20190410);
+  std::vector<PartialArtifact> partials;
+  for (std::size_t k = 0; k < 2; ++k) {
+    partials.push_back(run_shard(paths, {k, 2}));
+  }
+  // One shard of one folds the whole corpus: the global winners.
+  const core::FoldState whole = run_shard(paths, {0, 1}).fold;
+  const std::size_t winners = whole.apps.size();
+  ASSERT_GT(winners, 1U);
+  const std::string first = whole.apps.begin()->second.path;
+
+  const fs::path moved = dir_ / "moved";
+  fs::create_directories(moved);
+  for (const std::string& file : paths) {
+    fs::rename(file, moved / fs::path(file).filename());
+  }
+  auto everywhere_missing = reduce(partials);
+  ASSERT_FALSE(everywhere_missing.has_value());
+  EXPECT_EQ(everywhere_missing.error().code, util::ErrorCode::kNotFound);
+  EXPECT_EQ(everywhere_missing.error().message.rfind(first + " ", 0), 0U)
+      << everywhere_missing.error().message;
+  EXPECT_NE(everywhere_missing.error().message.find(
+                std::to_string(winners) + " dedup winner(s)"),
+            std::string::npos)
+      << everywhere_missing.error().message;
+
+  for (const std::string& file : paths) {
+    if (file != first) fs::rename(moved / fs::path(file).filename(), file);
+  }
+  auto one_missing = reduce(partials);
+  ASSERT_TRUE(one_missing.has_value()) << one_missing.error().to_string();
+  EXPECT_EQ(one_missing->batch.preprocess.retained, winners - 1);
+  EXPECT_EQ(one_missing->batch.preprocess.eviction_breakdown.at("not-found"),
+            1U);
+}
+
 /// Serves `target`'s file on its first read and `replacement`'s bytes on
 /// every later one: a dedup winner rewritten after its fold.
 class RewrittenAfterFirstRead final : public ingest::FileReader {

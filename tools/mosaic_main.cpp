@@ -535,7 +535,8 @@ bool print_batch_summary(const core::BatchResult& batch,
 /// Reduces the partial artifacts named by files/directories: re-reads each
 /// winner under `options` and analyzes it on `pool`. Returns nullopt after
 /// printing, with the exit code in `*exit_code` (2 for a usage or
-/// partition problem, 1 for an artifact that does not read).
+/// partition problem, 1 for an artifact that does not read or for winners
+/// that are all missing).
 std::optional<report::MergedPartials> reduce_partial_args(
     const std::vector<std::string>& args, const ingest::IngestOptions& options,
     const core::Thresholds& thresholds, parallel::ThreadPool& pool,
@@ -1587,8 +1588,9 @@ int cmd_daemon(int argc, char** argv) {
   cli.add_option("poll-interval",
                  "seconds between watch-directory sweeps", "0.5");
   cli.add_option("cache-bytes",
-                 "result-cache capacity in bytes; least recently used "
-                 "analyses are evicted beyond this", "67108864");
+                 "result-cache capacity in bytes, each analysis counted at "
+                 "its evidence's estimated heap footprint; least recently "
+                 "used analyses are evicted beyond this", "67108864");
   cli.add_option("spool-dir",
                  "directory for submitted trace bytes (default: a "
                  "per-process dir under the system temp dir)", "");
