@@ -17,8 +17,8 @@ namespace {
 /// the file, by corruption kind; any other eviction is a load failure. The
 /// funnel metrics mirror the PreprocessStats breakdown maps series for entry
 /// and are bumped only here, so a --metrics dump always agrees with the
-/// printed funnel summary — on --resume too, where journal-replayed
-/// evictions land on the same labeled series as live ones.
+/// printed funnel summary — on --resume too, where count_funnel adds a kept
+/// shard's evictions to the same labeled series.
 void count_eviction(PreprocessStats& stats, util::ErrorCode code,
                     trace::CorruptionKind kind) {
   auto& registry = obs::Registry::global();
@@ -106,6 +106,26 @@ PreprocessResult preprocess(std::span<const trace::Trace> traces) {
   result.stats.unique_applications = apps.size();
   result.stats.retained = result.retained.size();
   return result;
+}
+
+void count_funnel(const PreprocessStats& stats) {
+  auto& registry = obs::Registry::global();
+  for (const auto& [code, count] : stats.eviction_breakdown) {
+    registry
+        .counter(obs::labeled(obs::names::kFunnelEvictions, "code", code),
+                 "files evicted from the funnel, by error code")
+        .add(count);
+  }
+  for (const auto& [kind, count] : stats.corruption_breakdown) {
+    registry
+        .counter(obs::labeled(obs::names::kFunnelCorruption, "kind", kind),
+                 "validity evictions, by corruption kind")
+        .add(count);
+  }
+  registry
+      .counter(obs::names::kFunnelValid,
+               "traces that passed the validity check")
+      .add(stats.valid);
 }
 
 bool dedup_wins(const DedupKey& challenger,

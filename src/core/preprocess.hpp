@@ -70,6 +70,11 @@ struct PreprocessResult {
 /// total and job id; retained traces keep their input order.
 [[nodiscard]] PreprocessResult preprocess(std::span<const trace::Trace> traces);
 
+/// Adds a fold's funnel counters to this process's funnel metrics, as if
+/// its files had been added here: how a shard kept by a resumed `--shards`
+/// run keeps the metrics equal to the printed funnel.
+void count_funnel(const PreprocessStats& stats);
+
 /// What dedup compares two valid runs of one application by.
 struct DedupKey {
   std::uint64_t total_bytes = 0;
@@ -81,16 +86,15 @@ struct DedupKey {
 /// add() and absorb() so a reduced winner is always the run a single-shot
 /// batch retains: heavier total bytes win, ties break on the smaller job
 /// id, then the smaller source path. It looks only at the runs' identities,
-/// so the winner does not depend on arrival order (parallel workers,
-/// journal replay, shard layout).
+/// so the winner does not depend on arrival order (parallel workers, shard
+/// layout).
 [[nodiscard]] bool dedup_wins(const DedupKey& challenger,
                               const DedupKey& incumbent) noexcept;
 
 /// What one trace file contributed to the funnel. A valid run contributes
 /// its dedup digest; an evicted file, why it was evicted. ingest::load_file
 /// produces it for batch workers, the daemon, `mosaic analyze` and
-/// `mosaic explain`; the resume journal reads and writes it; and
-/// StreamingPreprocessor::add folds it.
+/// `mosaic explain`, and StreamingPreprocessor::add folds it.
 struct FileOutcome {
   std::string path;  ///< source file
   /// Valid runs: the dedup digest (application key, read+write bytes, job
@@ -98,9 +102,8 @@ struct FileOutcome {
   std::string app_key;
   std::uint64_t total_bytes = 0;
   std::uint64_t job_id = 0;
-  /// Evicted files: the ErrorCode and, for a file evicted in this process,
-  /// the reader's, parser's or validity check's message (the journal keeps
-  /// only the code). Empty for a valid run.
+  /// Evicted files: the ErrorCode and the reader's, parser's or validity
+  /// check's message. Empty for a valid run.
   std::optional<util::Error> error;
   /// Validity evictions: what the check found. kNone for every other
   /// outcome, so an eviction with kNone failed before validation (io,
@@ -145,9 +148,9 @@ struct FoldState {
 /// Incremental funnel folding (evictions + dedup) with O(unique
 /// applications) state.
 ///
-/// The ingest pipeline folds files one outcome at a time, live and
-/// journal-replayed alike; only the digest of the current winner per
-/// application key is kept. finish() re-reads the winners. Retention
+/// The ingest pipeline folds files one outcome at a time, one preprocessor
+/// per worker; only the digest of the current winner per application key
+/// is kept. finish() re-reads the winners. Retention
 /// follows dedup_wins(); retained traces are emitted sorted by application
 /// key.
 class StreamingPreprocessor {
@@ -158,8 +161,7 @@ class StreamingPreprocessor {
       std::function<util::Expected<trace::Trace>(const std::string& path)>;
 
   /// Folds one file: a valid run enters dedup by its digest; an eviction is
-  /// counted. Every funnel stat and metric is bumped here, so a live file
-  /// and a replayed one count at the same site.
+  /// counted. Every funnel stat and metric of a folded file is bumped here.
   void add(FileOutcome outcome);
 
   /// Folds another fold in as if its files had been added here: counters

@@ -753,19 +753,16 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
   *files = {};
 
   // Resume: accept_partial writes each artifact atomically before its shard
-  // counts as done, so every artifact in out_dir that parses as shard K of
-  // this partition is a finished shard. Everything else — a missing, torn
-  // or foreign file, or a shard quarantined last time — runs again.
+  // counts as done, so every artifact in out_dir that passes the keep rule
+  // (shard K of this partition, folded over the paths this run hands shard
+  // K) is a finished shard. Everything else — a missing, torn or foreign
+  // file, another corpus's, or a shard quarantined last time — runs again.
   std::size_t resumed = 0;
   if (options.resume) {
     for (Task& task : tasks) {
       const std::string path = partial_path(options, task.shard.index);
-      if (!std::filesystem::exists(path)) continue;
-      const auto partial = report::read_partial(path);
-      if (!partial.has_value() || partial->shard_index != task.shard.index ||
-          partial->shard_count != shard_count) {
-        MOSAIC_LOG_WARN("dispatch: %s is not shard %zu of %zu, re-running it",
-                        path.c_str(), task.shard.index, shard_count);
+      if (!report::keep_partial(path, task.shard,
+                                report::shard_inputs(task.paths))) {
         continue;
       }
       task.state = TaskState::kDone;
@@ -807,14 +804,10 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
         scheduler.note_running(claimed, "local");
         MOSAIC_SPAN("dispatch-degraded-task");
         const double start = now_ms();
-        auto partial =
+        const report::PartialArtifact partial =
             report::run_shard(request.paths, request.ingest_options(), pool);
         DispatchMetrics::get().task_ms.observe(now_ms() - start);
-        if (!partial.has_value()) {
-          scheduler.task_fatal(claimed, partial.error().to_string());
-          continue;
-        }
-        auto path = accept_partial(options, request.shard, *partial);
+        auto path = accept_partial(options, request.shard, partial);
         if (!path.has_value()) {
           scheduler.task_fatal(claimed, path.error().to_string());
           continue;

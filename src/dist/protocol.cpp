@@ -21,9 +21,10 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 1 + 1 + 2 + 4 + 8;
 
-/// The hello tag. v2 tasks carry no thresholds and v2 partials hold fold
-/// digests, so a v1 peer is turned away at the handshake.
-constexpr std::string_view kHelloProtocol = "mosaic-dispatch-v2";
+/// The hello tag. v3 partials record their shard's inputs, which v2 peers
+/// neither send nor check, and v2 tasks carried no thresholds, so an older
+/// peer is turned away at the handshake.
+constexpr std::string_view kHelloProtocol = "mosaic-dispatch-v3";
 
 void store_u32(unsigned char* out, std::uint32_t value) noexcept {
   out[0] = static_cast<unsigned char>(value & 0xFF);

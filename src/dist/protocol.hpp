@@ -117,8 +117,8 @@ struct TaskRequest {
 [[nodiscard]] util::Error task_error_from_payload(std::string_view payload);
 
 /// Hello payload and its check. Besides the protocol tag
-/// ("mosaic-dispatch-v2", the only field the check enforces: a v1 peer
-/// sends thresholds and expects analyzed partials) the payload
+/// ("mosaic-dispatch-v3", the only field the check enforces: a v2 peer
+/// writes partials without their inputs) the payload
 /// carries `now_ns`, the sender's span clock at send time — the raw
 /// material for the handshake clock-offset estimate that aligns worker
 /// span timestamps onto the manager timeline (obs/federation.hpp).

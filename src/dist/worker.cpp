@@ -202,27 +202,21 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
 
   std::mutex send_mutex;
   std::string reply_payload;
-  FrameType reply_type;
   {
     obs::ScopedTimerMs timer(WorkerMetrics::get().task_ms);
     HeartbeatPump pump(conn, send_mutex,
                        options_.heartbeat_interval_seconds, task.telemetry);
-    auto partial = report::run_shard(task.paths, task.ingest_options(), pool_);
+    const report::PartialArtifact partial =
+        report::run_shard(task.paths, task.ingest_options(), pool_);
     pump.stop();
-    if (partial.has_value()) {
-      reply_type = FrameType::kPartial;
-      json::Value partial_json = report::partial_to_json(*partial);
-      if (task.telemetry) {
-        // Unknown top-level keys are ignored by partial_from_json, so this
-        // rides along without a partial-format version bump.
-        partial_json.as_object().set(
-            "telemetry", telemetry_wire_json(task.collect_spans));
-      }
-      reply_payload = json::serialize(partial_json);
-    } else {
-      reply_type = FrameType::kTaskError;
-      reply_payload = task_error_to_payload(partial.error());
+    json::Value partial_json = report::partial_to_json(partial);
+    if (task.telemetry) {
+      // Unknown top-level keys are ignored by partial_from_json, so this
+      // rides along without a partial-format version bump.
+      partial_json.as_object().set("telemetry",
+                                   telemetry_wire_json(task.collect_spans));
     }
+    reply_payload = json::serialize(partial_json);
   }
 
   if (fault != nullptr && fault->should_close(task.shard.index,
@@ -239,16 +233,11 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
       fault->should_corrupt(task.shard.index, task.attempt);
 
   std::lock_guard<std::mutex> lock(send_mutex);
-  if (!write_frame(conn, reply_type, reply_payload, corrupt).ok()) {
+  if (!write_frame(conn, FrameType::kPartial, reply_payload, corrupt).ok()) {
     return false;
   }
-  if (reply_type == FrameType::kPartial) {
-    ++stats_.tasks_done;
-    WorkerMetrics::get().tasks.add();
-  } else {
-    ++stats_.task_errors;
-    WorkerMetrics::get().task_errors.add();
-  }
+  ++stats_.tasks_done;
+  WorkerMetrics::get().tasks.add();
   return true;
 }
 

@@ -3,7 +3,7 @@
 //
 // A worker listens on one address, accepts one manager session at a time,
 // and for every kTask frame runs the in-process shard fold
-// (report::run_shard) and streams the resulting `mosaic-partial-v2` digest
+// (report::run_shard) and streams the resulting `mosaic-partial-v3` digest
 // artifact back as a kPartial frame; the manager analyzes. While a task
 // runs, a background thread emits kHeartbeat frames so the manager can tell
 // "slow but alive" from "hung" — the worker-side half of the

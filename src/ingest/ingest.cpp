@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
 
 #include "darshan/binary_format.hpp"
-#include "ingest/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
 #include "util/backoff.hpp"
 #include "util/deadline.hpp"
 #include "util/fs.hpp"
-#include "util/jsonl.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
@@ -41,7 +37,6 @@ struct IngestMetrics {
   obs::Counter& retry_attempts;
   obs::Counter& recovered;
   obs::Counter& quarantined;
-  obs::Counter& journal_replayed;
   obs::Histogram& backoff_ms;
   obs::Histogram& retries_per_file;
   obs::Histogram& parse_ms;
@@ -54,7 +49,7 @@ struct IngestMetrics {
         registry.counter(obs::names::kIngestScanned,
                          "files handed to the ingest loop"),
         registry.counter(obs::names::kIngestProcessed,
-                         "files whose outcome was folded (live, not replayed)"),
+                         "files whose outcome was folded"),
         registry.counter(obs::names::kIngestLoaded,
                          "files read and parsed successfully"),
         registry.counter(obs::names::kIngestRetryAttempts,
@@ -63,8 +58,6 @@ struct IngestMetrics {
                          "files loaded successfully after at least one retry"),
         registry.counter(obs::names::kIngestQuarantined,
                          "files moved to the quarantine directory"),
-        registry.counter(obs::names::kIngestJournalReplayed,
-                         "outcomes replayed from the resume journal"),
         registry.histogram(obs::names::kIngestBackoffMs, latency,
                            "per-retry backoff sleep (ms)"),
         registry.histogram(obs::names::kIngestRetriesPerFile, kRetryEdges,
@@ -187,236 +180,12 @@ LoadedFile parse_and_assess(const std::string& path, FileRead read,
   return file;
 }
 
-/// A loaded file as the fold sees it: the outcome without the trace.
-struct LoadedOutcome {
-  core::FileOutcome outcome;
-  std::size_t retry_attempts = 0;
-};
-
-/// How many outcomes the workers may publish ahead of the fold. A constant,
-/// not an option: a slot holds a digest or an eviction, never a trace.
-constexpr std::size_t kRingSize = 1024;
-
-/// How many consecutive paths a worker claims at once. A constant: a run
-/// costs the ring one claim, one publish and at most one wake of the fold.
-/// It divides kRingSize, so no run wraps around the ring.
-constexpr std::size_t kRunSize = 16;
-static_assert(kRingSize % kRunSize == 0);
-
-/// Loads `paths` on every pool worker and hands the outcomes to the calling
-/// thread strictly in path order. One loop per worker claims the next run
-/// of up to kRunSize paths once that many ring slots are free, loads each
-/// file into its slot and publishes the run under one lock. Inside a run a
-/// darshan-text file is parsed right after its read; an .mbt file whose
-/// header checks out waits until darshan::kFnvLanes of them (or the run's
-/// end) can be checksummed by one darshan::fnv1a_lanes call. The fold takes
-/// every consecutive published outcome at once and folds them outside the
-/// lock.
-class OrderedLoads {
- public:
-  OrderedLoads(const std::vector<const std::string*>& paths,
-               const IngestOptions& options, parallel::ThreadPool& pool)
-      : paths_(paths),
-        options_(options),
-        pool_(pool),
-        ring_(std::min(paths.size(), kRingSize)),
-        ready_(ring_.size(), false) {
-    const std::size_t runs = (paths.size() + kRunSize - 1) / kRunSize;
-    const std::size_t loops = std::min(pool.thread_count(), runs);
-    for (std::size_t i = 0; i < loops; ++i) {
-      pool_.submit([this] { load_loop(); });
-    }
-  }
-  OrderedLoads(const OrderedLoads&) = delete;
-  OrderedLoads& operator=(const OrderedLoads&) = delete;
-
-  /// Reached without join() only while the fold itself is throwing: the
-  /// workers still stop before the ring goes, and a worker's exception is
-  /// logged behind the fold's.
-  ~OrderedLoads() {
-    if (joined_) return;
-    stop();
-    try {
-      pool_.wait_idle();
-    } catch (const std::exception& e) {
-      MOSAIC_LOG_WARN("ingest: a load worker also failed: %s", e.what());
-    } catch (...) {
-      MOSAIC_LOG_WARN("ingest: a load worker also failed");
-    }
-  }
-
-  /// The next outcomes in path order, at least one; empty once a worker has
-  /// thrown. The caller folds (and may move from) them until its next call,
-  /// which hands their slots back to the workers. A batch stops at the
-  /// ring's end, so it holds at most kRingSize outcomes.
-  [[nodiscard]] std::span<LoadedOutcome> next_batch() {
-    std::unique_lock lock(mutex_);
-    std::size_t first = taken_ % ring_.size();
-    if (held_ > 0) {
-      std::fill_n(ready_.begin() + static_cast<std::ptrdiff_t>(first), held_,
-                  false);
-      taken_ += held_;
-      held_ = 0;
-      first = taken_ % ring_.size();
-      freed_.notify_all();
-    }
-    published_.wait(lock, [&] { return stopped_ || ready_[first]; });
-    if (stopped_) return {};
-    std::size_t count = 1;
-    while (first + count < ring_.size() && ready_[first + count]) ++count;
-    held_ = count;
-    return {ring_.data() + first, count};
-  }
-
-  /// Stops the workers, waits until every one has returned and rethrows
-  /// the first exception a worker threw.
-  void join() {
-    stop();
-    joined_ = true;
-    pool_.wait_idle();
-  }
-
- private:
-  /// An .mbt file whose header checked out, waiting for its group's
-  /// checksum.
-  struct HeldMbt {
-    std::size_t index;
-    FileRead read;
-  };
-
-  void load_loop() {
-    try {
-      std::vector<HeldMbt> group;
-      group.reserve(darshan::kFnvLanes);
-      while (const auto run = claim_run()) {
-        load_run(run->first, run->second, group);
-        publish_run(run->first, run->second);
-      }
-    } catch (...) {
-      stop();  // the fold must not wait for an outcome that never comes
-      throw;   // kept by the pool for join()
-    }
-  }
-
-  /// The next run [first, second) of path indices once its ring slots are
-  /// free; nullopt when every path is claimed or the loads stopped.
-  std::optional<std::pair<std::size_t, std::size_t>> claim_run() {
-    std::unique_lock lock(mutex_);
-    const auto run_end = [&] {
-      return claimed_ + std::min(kRunSize, paths_.size() - claimed_);
-    };
-    freed_.wait(lock, [&] {
-      return stopped_ || claimed_ == paths_.size() ||
-             run_end() <= taken_ + ring_.size();
-    });
-    if (stopped_ || claimed_ == paths_.size()) return std::nullopt;
-    const std::size_t begin = claimed_;
-    claimed_ = run_end();
-    return std::pair{begin, claimed_};
-  }
-
-  /// Loads paths [begin, end) into their slots, outside the lock: the run
-  /// owns them until it is published.
-  void load_run(std::size_t begin, std::size_t end,
-                std::vector<HeldMbt>& group) {
-    for (std::size_t index = begin; index < end; ++index) {
-      const std::string& path = *paths_[index];
-      if (!is_mbt_path(path)) {
-        put(index, load_file(path, options_));
-        continue;
-      }
-      FileRead read = read_with_retry(path, options_);
-      if (!read.bytes.has_value() ||
-          !darshan::mbt_checksummed_body(*read.bytes)) {
-        put(index, parse_and_assess(path, std::move(read)));
-        continue;
-      }
-      group.push_back({index, std::move(read)});
-      if (group.size() == darshan::kFnvLanes) checksum_group(group);
-    }
-    checksum_group(group);
-  }
-
-  /// Hashes the held files' checksum inputs in one fnv1a_lanes call, then
-  /// parses and assesses each with its hash. Each file's parse_ms
-  /// observation carries an equal share of the hash time.
-  void checksum_group(std::vector<HeldMbt>& group) {
-    if (group.empty()) return;
-    std::array<std::span<const std::byte>, darshan::kFnvLanes> bodies;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      bodies[i] = *darshan::mbt_checksummed_body(*group[i].read.bytes);
-    }
-    const util::Stopwatch hash_time;
-    const auto hashes =
-        darshan::fnv1a_lanes(std::span(bodies).first(group.size()));
-    const double share_ms =
-        hash_time.elapsed_ms() / static_cast<double>(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const GroupChecksum checksum{hashes[i], share_ms};
-      put(group[i].index, parse_and_assess(*paths_[group[i].index],
-                                           std::move(group[i].read),
-                                           &checksum));
-    }
-    group.clear();
-  }
-
-  void put(std::size_t index, LoadedFile file) {
-    ring_[index % ring_.size()] = {std::move(file.outcome),
-                                   file.retry_attempts};
-  }
-
-  void publish_run(std::size_t begin, std::size_t end) {
-    {
-      const std::scoped_lock lock(mutex_);
-      for (std::size_t index = begin; index < end; ++index) {
-        ready_[index % ring_.size()] = true;
-      }
-      // The fold waits only for its next index, and that is a run's first.
-      if (begin != taken_ + held_) return;
-    }
-    published_.notify_one();
-  }
-
-  void stop() {
-    {
-      const std::scoped_lock lock(mutex_);
-      stopped_ = true;
-    }
-    published_.notify_all();
-    freed_.notify_all();
-  }
-
-  const std::vector<const std::string*>& paths_;
-  const IngestOptions& options_;
-  parallel::ThreadPool& pool_;
-  std::mutex mutex_;
-  std::condition_variable published_;  ///< the fold waits for its next run
-  std::condition_variable freed_;      ///< workers wait for free slots
-  /// Outcomes by path index modulo the ring size. A claimed run's slots
-  /// are written by its worker and a published batch's are read by the
-  /// fold, each without the lock; ready_ and the counters need it.
-  std::vector<LoadedOutcome> ring_;
-  std::vector<bool> ready_;  ///< published and not yet handed back
-  std::size_t claimed_ = 0;  ///< paths handed to workers
-  std::size_t taken_ = 0;    ///< outcomes handed back by the fold
-  std::size_t held_ = 0;     ///< outcomes of the batch the fold is folding
-  bool stopped_ = false;
-  bool joined_ = false;
-};
-
-/// Serial fold-side state shared by the eviction paths.
-struct FoldContext {
-  core::StreamingPreprocessor* preprocessor;
-  IngestStats* stats;
-  util::LineAppender* journal;
-  const IngestOptions* options;
-};
-
-void quarantine_file(FoldContext& ctx, const std::string& path) {
-  if (ctx.options->quarantine_dir.empty()) return;
-  auto moved = util::move_file_into_dir(path, ctx.options->quarantine_dir);
+void quarantine_file(IngestStats& stats, const std::string& path,
+                     const IngestOptions& options) {
+  if (options.quarantine_dir.empty()) return;
+  auto moved = util::move_file_into_dir(path, options.quarantine_dir);
   if (moved.has_value()) {
-    ++ctx.stats->quarantined;
+    ++stats.quarantined;
     IngestMetrics::get().quarantined.add();
     MOSAIC_LOG_INFO("ingest: quarantined %s -> %s", path.c_str(),
                     moved->c_str());
@@ -426,133 +195,144 @@ void quarantine_file(FoldContext& ctx, const std::string& path) {
   }
 }
 
-/// Folds one file loaded this run into the ingest counters, the journal,
-/// the quarantine and the funnel.
-void fold(FoldContext& ctx, LoadedOutcome file) {
+/// Folds one loaded file into a worker's ingest counters, the quarantine
+/// and its funnel. The trace, if any, is dropped here: the fold keeps its
+/// digest only.
+void fold(IngestFold& into, LoadedFile file, const IngestOptions& options) {
   IngestMetrics& metrics = IngestMetrics::get();
   metrics.processed.add();
-  ctx.stats->retry_attempts += file.retry_attempts;
+  IngestStats& stats = into.stats;
+  stats.retry_attempts += file.retry_attempts;
   const core::FileOutcome& outcome = file.outcome;
   if (outcome.load_failed()) {
-    ++ctx.stats->failed;
+    ++stats.failed;
     count_load_failure(outcome.error->code);
     MOSAIC_LOG_DEBUG("ingest: evicting %s: %s", outcome.path.c_str(),
                      outcome.error->to_string().c_str());
   } else {
-    ++ctx.stats->loaded;
+    ++stats.loaded;
     metrics.loaded.add();
     metrics.retries_per_file.observe(static_cast<double>(file.retry_attempts));
     if (file.retry_attempts > 0) {
-      ++ctx.stats->recovered;
+      ++stats.recovered;
       metrics.recovered.add();
     }
   }
-  if (ctx.journal->is_open()) {
-    if (const auto status = ctx.journal->append(
-            journal_line(outcome), util::LineAppender::Flush::kDeferred);
-        !status.ok()) {
-      // The journal protects against crashes; its own failure must not
-      // become one. The batch continues, the entry is simply redone on
-      // resume.
-      MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
-    }
-  }
   if (!outcome.valid() && should_quarantine(outcome.error->code)) {
-    quarantine_file(ctx, outcome.path);
+    quarantine_file(stats, outcome.path, options);
   }
-  ctx.preprocessor->add(std::move(file.outcome));
+  into.preprocessor.add(std::move(file.outcome));
 }
 
-/// Writes out the journal lines fold() deferred: once per drained batch, so
-/// a killed run loses at most one batch, which --resume redoes.
-void flush_journal(FoldContext& ctx) {
-  if (const auto status = ctx.journal->flush(); !status.ok()) {
-    MOSAIC_LOG_WARN("ingest: %s", status.error().to_string().c_str());
+/// How many consecutive paths a worker claims at once. A constant: a run
+/// costs one atomic claim, and no .mbt checksum group spans two runs.
+constexpr std::size_t kRunSize = 16;
+
+/// An .mbt file whose header checked out, waiting for its group's
+/// checksum.
+struct HeldMbt {
+  const std::string* path;
+  FileRead read;
+};
+
+/// Hashes the held files' checksum inputs in one fnv1a_lanes call, then
+/// parses, assesses and folds each with its hash. Each file's parse_ms
+/// observation carries an equal share of the hash time.
+void fold_group(IngestFold& into, std::vector<HeldMbt>& group,
+                const IngestOptions& options) {
+  if (group.empty()) return;
+  std::array<std::span<const std::byte>, darshan::kFnvLanes> bodies;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    bodies[i] = *darshan::mbt_checksummed_body(*group[i].read.bytes);
+  }
+  const util::Stopwatch hash_time;
+  const auto hashes =
+      darshan::fnv1a_lanes(std::span(bodies).first(group.size()));
+  const double share_ms =
+      hash_time.elapsed_ms() / static_cast<double>(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const GroupChecksum checksum{hashes[i], share_ms};
+    fold(into,
+         parse_and_assess(*group[i].path, std::move(group[i].read), &checksum),
+         options);
+  }
+  group.clear();
+}
+
+/// One pool worker's loop: claims the next run of up to kRunSize paths
+/// from `next` until every path is claimed, and folds each file into
+/// `into`. Inside a run a darshan-text file is parsed right after its read;
+/// an .mbt file whose header checks out waits until darshan::kFnvLanes of
+/// them (or the run's end) can be checksummed by one darshan::fnv1a_lanes
+/// call. A loop that throws claims every remaining path first, so the
+/// other loops stop at their next claim.
+void fold_loop(const std::vector<std::string>& paths,
+               const IngestOptions& options, std::atomic<std::size_t>& next,
+               IngestFold& into) {
+  try {
+    std::vector<HeldMbt> group;
+    group.reserve(darshan::kFnvLanes);
+    for (;;) {
+      const std::size_t begin = next.fetch_add(kRunSize);
+      if (begin >= paths.size()) return;
+      const std::size_t end = std::min(begin + kRunSize, paths.size());
+      for (std::size_t index = begin; index < end; ++index) {
+        const std::string& path = paths[index];
+        if (!is_mbt_path(path)) {
+          fold(into, load_file(path, options), options);
+          continue;
+        }
+        FileRead read = read_with_retry(path, options);
+        if (!read.bytes.has_value() ||
+            !darshan::mbt_checksummed_body(*read.bytes)) {
+          fold(into, parse_and_assess(path, std::move(read)), options);
+          continue;
+        }
+        group.push_back({&path, std::move(read)});
+        if (group.size() == darshan::kFnvLanes) {
+          fold_group(into, group, options);
+        }
+      }
+      fold_group(into, group, options);
+    }
+  } catch (...) {
+    next.store(paths.size());
+    throw;  // kept by the pool for wait_idle()
   }
 }
 
 }  // namespace
 
-Expected<IngestFold> fold_paths(const std::vector<std::string>& paths,
-                                const IngestOptions& options,
-                                parallel::ThreadPool& pool) {
-  // Shard filter first: files owned by other shards must not appear in any
-  // counter, journal or funnel of this run, or merged partials would count
-  // them N times.
-  std::vector<std::string> owned;
-  const std::vector<std::string>* inputs = &paths;
-  if (options.shard.active()) {
-    owned.reserve(paths.size() / options.shard.count + 1);
-    for (const std::string& path : paths) {
-      if (shard_owns(options.shard, path)) owned.push_back(path);
-    }
-    inputs = &owned;
-    auto& registry = obs::Registry::global();
-    registry.gauge(obs::names::kShardIndex, "shard this run owns (--shard K/N)")
-        .set(static_cast<std::int64_t>(options.shard.index));
-    registry.gauge(obs::names::kShardCount, "total shards in the partition")
-        .set(static_cast<std::int64_t>(options.shard.count));
-  }
+IngestStats& IngestStats::operator+=(const IngestStats& more) noexcept {
+  files_scanned += more.files_scanned;
+  loaded += more.loaded;
+  failed += more.failed;
+  retry_attempts += more.retry_attempts;
+  recovered += more.recovered;
+  quarantined += more.quarantined;
+  return *this;
+}
 
+IngestFold fold_paths(const std::vector<std::string>& paths,
+                      const IngestOptions& options,
+                      parallel::ThreadPool& pool) {
   IngestFold result;
-  result.stats.files_scanned = inputs->size();
-  IngestMetrics& metrics = IngestMetrics::get();
-  metrics.scanned.add(inputs->size());
+  result.stats.files_scanned = paths.size();
+  IngestMetrics::get().scanned.add(paths.size());
+  if (paths.empty()) return result;
 
-  std::map<std::string, core::FileOutcome> replay;
-  if (options.resume && !options.journal_path.empty()) {
-    auto loaded = load_journal(options.journal_path,
-                               &result.stats.journal_dropped);
-    if (!loaded.has_value()) return std::move(loaded).error();
-    replay = std::move(*loaded);
+  MOSAIC_SPAN("ingest");
+  const std::size_t runs = (paths.size() + kRunSize - 1) / kRunSize;
+  std::vector<IngestFold> folds(std::min(pool.thread_count(), runs));
+  std::atomic<std::size_t> next{0};
+  for (IngestFold& into : folds) {
+    pool.submit([&] { fold_loop(paths, options, next, into); });
   }
-
-  util::LineAppender journal;
-  if (!options.journal_path.empty()) {
-    if (const auto status = journal.open(options.journal_path); !status.ok()) {
-      return status.error();
-    }
+  pool.wait_idle();
+  for (IngestFold& worker : folds) {
+    result.preprocessor.absorb(std::move(worker.preprocessor).state());
+    result.stats += worker.stats;
   }
-
-  core::StreamingPreprocessor& preprocessor = result.preprocessor;
-  FoldContext ctx{&preprocessor, &result.stats, &journal, &options};
-
-  // Replayed outcomes fold first, through the same add() as a loaded file;
-  // their files are not read again.
-  std::vector<const std::string*> pending;
-  pending.reserve(inputs->size());
-  for (const std::string& path : *inputs) {
-    const auto it = replay.find(path);
-    if (it == replay.end()) {
-      pending.push_back(&path);
-      continue;
-    }
-    ++result.stats.journal_replayed;
-    metrics.journal_replayed.add();
-    preprocessor.add(it->second);
-  }
-
-  if (!pending.empty()) {
-    MOSAIC_SPAN("ingest-window");
-    OrderedLoads loads(pending, options, pool);
-    // Serial fold in path order keeps the journal and funnel deterministic
-    // regardless of worker scheduling.
-    for (std::size_t processed = 0;
-         processed < pending.size() && !result.stats.aborted;) {
-      const std::span<LoadedOutcome> batch = loads.next_batch();
-      if (batch.empty()) break;  // a worker threw; join() rethrows it
-      for (LoadedOutcome& file : batch) {
-        fold(ctx, std::move(file));
-        if (++processed == options.abort_after_files) {
-          result.stats.aborted = true;
-          break;
-        }
-      }
-      flush_journal(ctx);
-    }
-    loads.join();
-  }
-
   return result;
 }
 
@@ -584,9 +364,7 @@ IngestResult finish_fold(IngestFold fold, const IngestOptions& options,
 Expected<IngestResult> ingest_paths(const std::vector<std::string>& paths,
                                     const IngestOptions& options,
                                     parallel::ThreadPool& pool) {
-  auto fold = fold_paths(paths, options, pool);
-  if (!fold.has_value()) return std::move(fold).error();
-  return finish_fold(std::move(*fold), options, pool);
+  return finish_fold(fold_paths(paths, options, pool), options, pool);
 }
 
 Expected<trace::Trace> load_trace(const std::string& path,

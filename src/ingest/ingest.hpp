@@ -7,19 +7,18 @@
 //   - turns every file into one core::FileOutcome on the pool workers
 //     (read, parse, validate, digest: the steps of load_file), each worker
 //     taking runs of consecutive paths and holding one trace, plus at most
-//     four .mbt files waiting for their checksum, at a time; and folds the
-//     outcomes strictly in path order into the PreprocessStats funnel
-//     while the workers run ahead, failures classified by util::ErrorCode
-//     (parse-error vs corrupt-trace vs io-error vs not-found vs timeout);
+//     four .mbt files waiting for their checksum, at a time; each worker
+//     folds its outcomes into its own PreprocessStats funnel, failures
+//     classified by util::ErrorCode (parse-error vs corrupt-trace vs
+//     io-error vs not-found vs timeout), and the workers' folds are
+//     combined at the end: dedup does not depend on arrival order;
 //   - keeps only digests in the fold and re-reads the dedup winners at the
-//     end, so peak memory is O(threads + unique applications) instead of
+//     end, so peak memory is O(threads × unique applications) instead of
 //     O(corpus);
 //   - retries transient kIoError reads with capped exponential backoff and
 //     bounds each file's total read+parse budget with a deadline;
 //   - optionally quarantines poison files (content-caused failures) into a
 //     side directory;
-//   - journals per-file outcomes so an interrupted batch resumes where it
-//     left off (see journal.hpp);
 //   - reads through the FileReader seam, so the fault-injection harness can
 //     exercise all of the above deterministically (see reader.hpp).
 #pragma once
@@ -52,18 +51,11 @@ struct IngestOptions {
   /// When set, files evicted for content reasons (parse-error,
   /// corrupt-trace, timeout) are moved here.
   std::string quarantine_dir;
-  /// When set, per-file outcomes are appended here.
-  std::string journal_path;
-  /// Replay journal entries instead of re-reading their files.
-  bool resume = false;
-  /// Test seam simulating a crash: stop (with stats.aborted set) once this
-  /// many files have been processed and journaled. 0 disables.
-  std::size_t abort_after_files = 0;
-  /// Slice of the corpus this run owns (see shard.hpp). When active
-  /// (count > 1), paths hashing to a different shard are dropped before any
-  /// counting — each file is scanned, journaled, and folded by exactly one
+  /// Slice of the corpus a shard run owns (see shard.hpp), read by
+  /// report::run_shard: paths hashing to a different shard are dropped
+  /// before any counting, so each file is scanned and folded by exactly one
   /// shard, which is what makes shard partials mergeable back into the
-  /// single-shot funnel.
+  /// single-shot funnel. fold_paths folds every path it is given.
   ShardSpec shard;
 };
 
@@ -75,9 +67,9 @@ struct IngestStats {
   std::size_t retry_attempts = 0;    ///< extra read attempts issued
   std::size_t recovered = 0;         ///< files that loaded after >= 1 retry
   std::size_t quarantined = 0;       ///< files moved to the quarantine dir
-  std::size_t journal_replayed = 0;  ///< outcomes taken from the journal
-  std::size_t journal_dropped = 0;   ///< malformed journal lines skipped
-  bool aborted = false;              ///< abort_after_files tripped
+
+  /// Adds another fold's counters (a worker's, a shard's).
+  IngestStats& operator+=(const IngestStats& more) noexcept;
 };
 
 /// Streaming ingest output: the pre-processed funnel plus ingest counters.
@@ -96,14 +88,16 @@ struct IngestFold {
 };
 
 /// Streams `paths` through the pool and folds every outcome into the
-/// pre-processing funnel, keeping each application's winner digest. Only
-/// setup failures (unreadable journal, unusable quarantine directory) are
-/// reported as errors; per-file failures are data, not errors. An exception
-/// thrown on a worker (by a reader, say) is rethrown here once every worker
-/// has stopped. A shard runs this alone (report/partial.hpp).
-[[nodiscard]] util::Expected<IngestFold> fold_paths(
-    const std::vector<std::string>& paths, const IngestOptions& options,
-    parallel::ThreadPool& pool);
+/// pre-processing funnel, keeping each application's winner digest. One
+/// loop per pool worker claims runs of consecutive paths and folds them into
+/// its own funnel; the loops' folds are combined with
+/// StreamingPreprocessor::absorb, so the result does not depend on which
+/// worker took which run. Per-file failures are funnel data, not errors. An
+/// exception thrown on a worker (by a reader, say) is rethrown here once
+/// every worker has stopped. A shard runs this alone (report/partial.hpp).
+[[nodiscard]] IngestFold fold_paths(const std::vector<std::string>& paths,
+                                    const IngestOptions& options,
+                                    parallel::ThreadPool& pool);
 
 /// The finish step after a fold, or after folds combined by the partial
 /// reduce: re-reads each dedup winner on the pool with the options' reader,
@@ -113,7 +107,8 @@ struct IngestFold {
                                        const IngestOptions& options,
                                        parallel::ThreadPool& pool);
 
-/// fold_paths then finish_fold: the funnel of a single-shot batch.
+/// fold_paths then finish_fold: the funnel of a single-shot batch. Per-file
+/// failures are funnel data, so no error is returned today.
 [[nodiscard]] util::Expected<IngestResult> ingest_paths(
     const std::vector<std::string>& paths, const IngestOptions& options,
     parallel::ThreadPool& pool);

@@ -52,7 +52,7 @@ struct ShardSpec {
 /// final extension: "metrics.json" -> "metrics.shard-2.json";
 /// extensionless paths get the suffix appended. Keeps N concurrent shard
 /// processes launched from one command line from clobbering each other's
-/// journal/metrics/provenance files.
+/// metrics and trace-event files.
 [[nodiscard]] std::string shard_suffix_path(const std::string& path,
                                             std::size_t index);
 

@@ -1,6 +1,6 @@
 // Typed member reader: the one way MOSAIC decodes JSON it did not build in
-// this process — shard partials, the resume journal, MDP1 payloads,
-// telemetry riders, rules, thresholds, provenance and truth.
+// this process — shard partials, MDP1 payloads, telemetry riders, rules,
+// thresholds, provenance and truth.
 //
 // A Reader wraps one object (or, as a child, one array) and hands out its
 // members by type. Every accessor comes in two forms:

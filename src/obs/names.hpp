@@ -24,8 +24,6 @@ inline constexpr std::string_view kIngestRecovered =
     "mosaic_ingest_recovered_total";
 inline constexpr std::string_view kIngestQuarantined =
     "mosaic_ingest_quarantined_total";
-inline constexpr std::string_view kIngestJournalReplayed =
-    "mosaic_ingest_journal_replayed_total";
 inline constexpr std::string_view kIngestBackoffMs =
     "mosaic_ingest_retry_backoff_ms";
 inline constexpr std::string_view kIngestRetriesPerFile =
@@ -40,9 +38,10 @@ inline constexpr std::string_view kShardCount = "mosaic_shard_count";
 
 // Pre-processing funnel (src/core/preprocess). Per-ErrorCode eviction
 // series carry a {code="..."} label; validity evictions additionally feed
-// the {kind="..."} corruption series. Both live and journal-replayed
-// evictions increment the same series, which is what keeps a resumed run's
-// funnel metrics byte-identical to the uninterrupted run's.
+// the {kind="..."} corruption series. A shard kept by a resumed --shards
+// run adds its partial's funnel to the same series (core::count_funnel),
+// which is what keeps a resumed run's funnel metrics byte-identical to the
+// uninterrupted run's.
 inline constexpr std::string_view kFunnelEvictions =
     "mosaic_funnel_evictions_total";
 inline constexpr std::string_view kFunnelCorruption =

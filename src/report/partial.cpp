@@ -4,9 +4,16 @@
 #include <filesystem>
 #include <utility>
 
+#include "darshan/binary_format.hpp"
 #include "ingest/shard.hpp"
 #include "json/reader.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "util/fs.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace mosaic::report {
 
@@ -33,15 +40,39 @@ std::map<std::string, std::size_t> counts_from_json(const json::Reader& r) {
   return counts;
 }
 
-void add_ingest(ingest::IngestStats& sum, const ingest::IngestStats& more) {
-  sum.files_scanned += more.files_scanned;
-  sum.loaded += more.loaded;
-  sum.failed += more.failed;
-  sum.retry_attempts += more.retry_attempts;
-  sum.recovered += more.recovered;
-  sum.quarantined += more.quarantined;
-  sum.journal_replayed += more.journal_replayed;
-  sum.journal_dropped += more.journal_dropped;
+/// The paths of `paths` that `spec` owns, in order: `paths` itself when the
+/// spec does not partition, else a copy of the owned ones in `storage`.
+const std::vector<std::string>& owned_paths(
+    const ingest::ShardSpec& spec, const std::vector<std::string>& paths,
+    std::vector<std::string>& storage) {
+  if (!spec.active()) return paths;
+  storage.reserve(paths.size() / spec.count + 1);
+  for (const std::string& path : paths) {
+    if (ingest::shard_owns(spec, path)) storage.push_back(path);
+  }
+  return storage;
+}
+
+/// Folds `owned`, the paths shard `spec` owns, into its artifact.
+PartialArtifact fold_shard(const std::vector<std::string>& owned,
+                           const ingest::ShardSpec& spec,
+                           const ingest::IngestOptions& options,
+                           parallel::ThreadPool& pool) {
+  if (spec.active()) {
+    auto& registry = obs::Registry::global();
+    registry.gauge(obs::names::kShardIndex, "shard this run owns (--shard K/N)")
+        .set(static_cast<std::int64_t>(spec.index));
+    registry.gauge(obs::names::kShardCount, "total shards in the partition")
+        .set(static_cast<std::int64_t>(spec.count));
+  }
+  PartialArtifact out;
+  out.shard_index = spec.index;
+  out.shard_count = spec.count;
+  out.inputs = shard_inputs(owned);
+  ingest::IngestFold fold = ingest::fold_paths(owned, options, pool);
+  out.ingest = fold.stats;
+  out.fold = std::move(fold.preprocessor).state();
+  return out;
 }
 
 /// Every problem that keeps `shards` from being one complete partition,
@@ -95,17 +126,89 @@ std::string partition_problems(std::vector<ingest::ShardSpec> shards) {
 
 }  // namespace
 
-Expected<PartialArtifact> run_shard(const std::vector<std::string>& paths,
-                                    const ingest::IngestOptions& options,
-                                    parallel::ThreadPool& pool) {
-  auto fold = ingest::fold_paths(paths, options, pool);
-  if (!fold.has_value()) return std::move(fold).error();
-  PartialArtifact out;
-  out.shard_index = options.shard.index;
-  out.shard_count = options.shard.count;
-  out.ingest = fold->stats;
-  if (!out.ingest.aborted) out.fold = std::move(fold->preprocessor).state();
-  return out;
+ShardInputs shard_inputs(const std::vector<std::string>& paths) {
+  ShardInputs inputs;
+  inputs.paths = paths.size();
+  for (const std::string& path : paths) {
+    inputs.digest += util::mix64(darshan::fnv1a(path));
+  }
+  return inputs;
+}
+
+PartialArtifact run_shard(const std::vector<std::string>& paths,
+                          const ingest::IngestOptions& options,
+                          parallel::ThreadPool& pool) {
+  std::vector<std::string> storage;
+  return fold_shard(owned_paths(options.shard, paths, storage), options.shard,
+                    options, pool);
+}
+
+std::optional<PartialArtifact> keep_partial(const std::string& path,
+                                            const ingest::ShardSpec& spec,
+                                            const ShardInputs& inputs) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
+  auto partial = read_partial(path);
+  std::string reason;
+  if (!partial.has_value()) {
+    reason = partial.error().to_string();
+  } else if (partial->shard_index != spec.index ||
+             partial->shard_count != spec.count) {
+    reason = "it is shard " + std::to_string(partial->shard_index) + " of " +
+             std::to_string(partial->shard_count);
+  } else if (partial->inputs != inputs) {
+    reason = "it folded " + std::to_string(partial->inputs.paths) +
+             " path(s), this run hands the shard " +
+             std::to_string(inputs.paths) +
+             (partial->inputs.paths == inputs.paths ? " other ones" : "");
+  } else {
+    return std::move(*partial);
+  }
+  MOSAIC_LOG_WARN("resume: %s is not shard %zu of %zu over this run's inputs "
+                  "(%s); running the shard again",
+                  path.c_str(), spec.index, spec.count, reason.c_str());
+  return std::nullopt;
+}
+
+Expected<std::vector<std::string>> run_shards(
+    const std::vector<std::string>& paths, const ingest::IngestOptions& options,
+    std::size_t count, const std::string& dir, bool resume,
+    parallel::ThreadPool& pool,
+    const std::function<void(const ShardRun&)>& on_shard) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Error{ErrorCode::kIoError,
+                 "cannot create " + dir + ": " + ec.message()};
+  }
+  std::vector<std::string> artifacts;
+  for (std::size_t k = 0; k < count; ++k) {
+    const util::Stopwatch watch;
+    ShardRun run;
+    run.spec = {k, count};
+    run.path =
+        (std::filesystem::path(dir) / ingest::partial_filename(k)).string();
+    std::vector<std::string> storage;
+    const std::vector<std::string>& owned =
+        owned_paths(run.spec, paths, storage);
+    std::optional<PartialArtifact> partial;
+    if (resume) partial = keep_partial(run.path, run.spec, shard_inputs(owned));
+    run.kept = partial.has_value();
+    if (run.kept) {
+      core::count_funnel(partial->fold.stats);
+    } else {
+      partial = fold_shard(owned, run.spec, options, pool);
+      if (const auto status = write_partial(*partial, run.path); !status.ok()) {
+        return status.error();
+      }
+    }
+    run.ingest = partial->ingest;
+    run.apps = partial->fold.apps.size();
+    run.seconds = watch.elapsed_seconds();
+    if (on_shard) on_shard(run);
+    artifacts.push_back(std::move(run.path));
+  }
+  return artifacts;
 }
 
 Value partial_to_json(const PartialArtifact& partial) {
@@ -117,6 +220,13 @@ Value partial_to_json(const PartialArtifact& partial) {
   shard.set("count", partial.shard_count);
   out.set("shard", std::move(shard));
 
+  Object inputs;
+  inputs.set("paths", partial.inputs.paths);
+  // A decimal string: JSON numbers are doubles here, and the digest uses
+  // all 64 bits.
+  inputs.set("digest", std::to_string(partial.inputs.digest));
+  out.set("inputs", std::move(inputs));
+
   Object ingest;
   ingest.set("files_scanned", partial.ingest.files_scanned);
   ingest.set("loaded", partial.ingest.loaded);
@@ -124,8 +234,6 @@ Value partial_to_json(const PartialArtifact& partial) {
   ingest.set("retry_attempts", partial.ingest.retry_attempts);
   ingest.set("recovered", partial.ingest.recovered);
   ingest.set("quarantined", partial.ingest.quarantined);
-  ingest.set("journal_replayed", partial.ingest.journal_replayed);
-  ingest.set("journal_dropped", partial.ingest.journal_dropped);
   out.set("ingest", std::move(ingest));
 
   const core::PreprocessStats& stats = partial.fold.stats;
@@ -168,6 +276,14 @@ Expected<PartialArtifact> partial_from_json(const Value& value) {
     shard.fail("index", "is out of range for 'count'");
   }
 
+  const json::Reader inputs = r.object("inputs");
+  partial.inputs.paths = inputs.integer<std::size_t>("paths");
+  if (const auto digest = util::parse_uint(inputs.string("digest"))) {
+    partial.inputs.digest = *digest;
+  } else {
+    inputs.fail("digest", "is not an unsigned 64-bit decimal");
+  }
+
   const json::Reader ingest = r.object("ingest");
   partial.ingest.files_scanned = ingest.integer<std::size_t>("files_scanned");
   partial.ingest.loaded = ingest.integer<std::size_t>("loaded");
@@ -175,10 +291,6 @@ Expected<PartialArtifact> partial_from_json(const Value& value) {
   partial.ingest.retry_attempts = ingest.integer<std::size_t>("retry_attempts");
   partial.ingest.recovered = ingest.integer<std::size_t>("recovered");
   partial.ingest.quarantined = ingest.integer<std::size_t>("quarantined");
-  partial.ingest.journal_replayed =
-      ingest.integer<std::size_t>("journal_replayed");
-  partial.ingest.journal_dropped =
-      ingest.integer<std::size_t>("journal_dropped");
 
   core::PreprocessStats& stats = partial.fold.stats;
   const json::Reader funnel = r.object("preprocessing");
@@ -267,7 +379,7 @@ Expected<MergedPartials> reduce_partials(const std::vector<std::string>& paths,
     auto partial = read_partial(path);
     if (!partial.has_value()) return std::move(partial).error();
     shards.push_back({partial->shard_index, partial->shard_count});
-    add_ingest(fold.stats, partial->ingest);
+    fold.stats += partial->ingest;
     fold.preprocessor.absorb(std::move(partial->fold));
   }
   if (std::string problems = partition_problems(std::move(shards));

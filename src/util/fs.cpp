@@ -101,20 +101,38 @@ Expected<std::string> move_file_into_dir(const std::string& path,
     return Error{ErrorCode::kIoError,
                  "cannot create " + directory + ": " + ec.message()};
   }
-  const fs::path destination = fs::path(directory) / fs::path(path).filename();
-  fs::rename(path, destination, ec);
-  if (ec) {
-    // EXDEV and friends: stage a copy, then drop the original.
-    ec.clear();
-    fs::copy_file(path, destination, fs::copy_options::overwrite_existing, ec);
-    if (ec) {
-      return Error{ErrorCode::kIoError, "cannot move " + path + " to " +
-                                            destination.string() + ": " +
-                                            ec.message()};
+  // Each candidate name is claimed atomically, so two files that share a
+  // name (from two input directories, moved by two workers at once) never
+  // replace one another: the first takes x.txt, the next x.1.txt.
+  const fs::path name = fs::path(path).filename();
+  for (std::size_t n = 0;; ++n) {
+    const std::string destination =
+        (fs::path(directory) /
+         (n == 0 ? name
+                 : fs::path(name.stem().string() + "." + std::to_string(n) +
+                            name.extension().string())))
+            .string();
+    if (::renameat2(AT_FDCWD, path.c_str(), AT_FDCWD, destination.c_str(),
+                    RENAME_NOREPLACE) == 0) {
+      return destination;
     }
-    fs::remove(path, ec);
+    const int error = errno;
+    ec.assign(error, std::generic_category());
+    if (error == EXDEV || error == EINVAL || error == ENOSYS) {
+      // Across filesystems (or where rename cannot refuse to replace): copy
+      // into a new file, which copy_options::none creates exclusively, then
+      // drop the original.
+      ec.clear();
+      if (fs::copy_file(path, destination, fs::copy_options::none, ec)) {
+        fs::remove(path, ec);
+        return destination;
+      }
+    }
+    if (ec != std::errc::file_exists) {
+      return Error{ErrorCode::kIoError, "cannot move " + path + " to " +
+                                            destination + ": " + ec.message()};
+    }
   }
-  return destination.string();
 }
 
 }  // namespace mosaic::util

@@ -57,9 +57,10 @@ class MappedFile {
 [[nodiscard]] Status write_file_atomic(const std::string& path,
                                        std::string_view contents);
 
-/// Moves `path` into `directory` (created on demand), e.g. a quarantine dir.
-/// Falls back to copy+remove when rename crosses filesystems. Returns the
-/// destination path on success.
+/// Moves `path` into `directory` (created on demand), e.g. a quarantine dir,
+/// never replacing a file there: when the name is taken, the file becomes
+/// "stem.1.ext", "stem.2.ext", ... Falls back to copy+remove when rename
+/// crosses filesystems. Returns the destination path on success.
 [[nodiscard]] Expected<std::string> move_file_into_dir(
     const std::string& path, const std::string& directory);
 

@@ -7,39 +7,6 @@
 
 namespace mosaic::util {
 
-LineAppender::~LineAppender() { close(); }
-
-Status LineAppender::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Error{ErrorCode::kIoError, "cannot open " + path + " to append"};
-  }
-  path_ = path;
-  return Status::success();
-}
-
-Status LineAppender::append(std::string_view line, Flush when) {
-  if (file_ == nullptr) return Status::success();
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fputc('\n', file_) == EOF) {
-    return Error{ErrorCode::kIoError, "append to " + path_ + " failed"};
-  }
-  return when == Flush::kNow ? flush() : Status::success();
-}
-
-Status LineAppender::flush() {
-  if (file_ == nullptr || std::fflush(file_) == 0) return Status::success();
-  return Error{ErrorCode::kIoError, "append to " + path_ + " failed"};
-}
-
-void LineAppender::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
 Status read_lines(const std::string& path,
                   const std::function<Status(std::string_view line)>& visit) {
   std::ifstream in(path, std::ios::binary);
@@ -59,22 +26,6 @@ Status read_lines(const std::string& path,
     }
   }
   if (in.bad()) return Error{ErrorCode::kIoError, "read failure on " + path};
-  return Status::success();
-}
-
-Status read_journal_lines(
-    const std::string& path,
-    const std::function<bool(std::string_view line)>& accept,
-    std::size_t* dropped_lines) {
-  std::size_t dropped = 0;
-  const Status status = read_lines(path, [&](std::string_view line) {
-    if (!accept(line)) ++dropped;
-    return Status::success();
-  });
-  if (dropped_lines != nullptr) *dropped_lines = dropped;
-  if (!status.ok() && status.error().code != ErrorCode::kNotFound) {
-    return status;
-  }
   return Status::success();
 }
 

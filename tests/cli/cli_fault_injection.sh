@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Exercises the fault-tolerant ingest CLI surface: --fault-inject retry
-# recovery, --quarantine, --journal + --abort-after + --resume (the resumed
-# run must produce a byte-identical JSON summary), and --threads validation.
+# recovery, --quarantine, --shards N --resume after a kill (the resumed run
+# must write the uninterrupted run's JSON summary, provenance and funnel
+# counters), and --threads validation.
 set -euo pipefail
 MOSAIC="$1"
 WORK="$(mktemp -d)"
@@ -38,30 +39,54 @@ if grep -q 'corrupt-trace' "$WORK/requarantine.txt"; then
   exit 1
 fi
 
-# Crash-and-resume: abort after 10 files, resume from the journal, and demand
-# a byte-identical summary versus the uninterrupted run.
-"$MOSAIC" batch "$WORK/pop" --json "$WORK/reference.json" > /dev/null
-rc=0
-"$MOSAIC" batch "$WORK/pop" --json "$WORK/resumed.json" \
-    --journal "$WORK/journal.jsonl" --abort-after 10 > /dev/null || rc=$?
-[ "$rc" -eq 3 ]
-[ -s "$WORK/journal.jsonl" ]
-[ ! -e "$WORK/resumed.json" ]
-"$MOSAIC" batch "$WORK/pop" --json "$WORK/resumed.json" \
-    --journal "$WORK/journal.jsonl" --resume > "$WORK/resume.txt"
-diff "$WORK/reference.json" "$WORK/resumed.json"
+# Crash-and-resume: a --shards 4 run under injected faults finishes, then
+# one partial is deleted and another torn in half (a kill leaves whole
+# partials or none: each is renamed into place). --resume keeps the other
+# two, and the JSON summary, provenance and funnel counters are the
+# single-shot run's.
+faults='seed=17,eio=0.3,eio_failures=1,flip=0.1,short=0.1,delay=0.1,delay_ms=2'
+"$MOSAIC" batch "$WORK/pop" --fault-inject "$faults" --retries 2 \
+    --json "$WORK/reference.json" --provenance "$WORK/prov_reference" \
+    --metrics "$WORK/reference.metrics.json" > /dev/null
+"$MOSAIC" batch "$WORK/pop" --fault-inject "$faults" --retries 2 \
+    --shards 4 --partials "$WORK/parts_resume" > /dev/null
+rm "$WORK/parts_resume/results.shard-1.json"
+torn="$WORK/parts_resume/results.shard-2.json"
+head -c "$(( $(wc -c < "$torn") / 2 ))" "$torn" > "$WORK/torn.json"
+mv "$WORK/torn.json" "$torn"
+"$MOSAIC" batch "$WORK/pop" --fault-inject "$faults" --retries 2 \
+    --shards 4 --partials "$WORK/parts_resume" --resume \
+    --json "$WORK/resumed.json" --provenance "$WORK/prov_resumed" \
+    --metrics "$WORK/resumed.metrics.json" > "$WORK/resume.txt" \
+    2> "$WORK/resume.err"
+[ "$(grep -c 'from an earlier run' "$WORK/resume.txt")" -eq 2 ]
+grep -q 'shard 1/4: ingested' "$WORK/resume.txt"
+grep -q 'results.shard-2.json is not shard 2 of 4' "$WORK/resume.err"
+cmp "$WORK/reference.json" "$WORK/resumed.json"
+cmp "$WORK/prov_reference/provenance.jsonl" \
+    "$WORK/prov_resumed/provenance.jsonl"
+python3 - "$WORK/reference.metrics.json" "$WORK/resumed.metrics.json" <<'PY'
+import json, sys
+def funnel(path):
+    return json.dumps(
+        {name: value for name, value in json.load(open(path))["counters"].items()
+         if name.startswith("mosaic_funnel_")},
+        sort_keys=True)
+single, resumed = funnel(sys.argv[1]), funnel(sys.argv[2])
+assert "mosaic_funnel_valid_total" in single, single
+assert single == resumed, (single, resumed)
+print("resumed funnel counters match single-shot")
+PY
 
 # Same bytes at 1 and 8 threads: with delayed files finishing out of path
-# order, the ordered fold leaves the same JSON summary, journal, and
+# order, the per-worker folds combine into the same JSON summary and
 # mosaic_funnel_*/mosaic_ingest_* counters.
 for t in 1 8; do
   "$MOSAIC" batch "$WORK/pop" --threads "$t" --json "$WORK/threads$t.json" \
       --fault-inject 'seed=9,delay=0.15,delay_ms=3,eio=0.2,eio_failures=1' \
-      --retries 2 --journal "$WORK/threads$t.jsonl" \
-      --metrics "$WORK/threads$t.metrics.json" > /dev/null
+      --retries 2 --metrics "$WORK/threads$t.metrics.json" > /dev/null
 done
 cmp "$WORK/threads1.json" "$WORK/threads8.json"
-cmp "$WORK/threads1.jsonl" "$WORK/threads8.jsonl"
 python3 - "$WORK/threads1.metrics.json" "$WORK/threads8.metrics.json" <<'PY'
 import json, sys
 def counters(path):
@@ -78,7 +103,7 @@ PY
 # Ingest workers claim runs of 16 sorted paths and checksum .mbt files in
 # groups of four. With .mbt and darshan-text traces interleaved in sorted
 # order, and bit flips, torn reads and transient EIO injected, the JSON
-# summary and journal are the same bytes at 1, 2 and 8 threads.
+# summary is the same bytes at 1, 2 and 8 threads.
 "$MOSAIC" generate "$WORK/interleaved" --traces 120 --seed 13 --format mixed \
     --corruption 0.2 > /dev/null
 first_run=$(LC_ALL=C ls "$WORK/interleaved" | head -16)
@@ -87,14 +112,12 @@ grep -q '\.txt$' <<< "$first_run"
 for t in 1 2 8; do
   "$MOSAIC" batch "$WORK/interleaved" --threads "$t" \
       --fault-inject 'seed=21,flip=0.15,short=0.15,eio=0.2,eio_failures=1' \
-      --retries 2 --json "$WORK/interleaved$t.json" \
-      --journal "$WORK/interleaved$t.jsonl" > /dev/null
+      --retries 2 --json "$WORK/interleaved$t.json" > /dev/null
 done
 for t in 2 8; do
   cmp "$WORK/interleaved1.json" "$WORK/interleaved$t.json"
-  cmp "$WORK/interleaved1.jsonl" "$WORK/interleaved$t.jsonl"
 done
-grep -q '"code":"corrupt-trace"' "$WORK/interleaved1.jsonl"
+grep -q '"corrupt-trace"' "$WORK/interleaved1.json"
 
 # Observability surface: a faulty run with --metrics/--trace-events/--progress
 # must dump metrics (JSON + Prometheus) whose per-ErrorCode eviction counters
@@ -144,7 +167,7 @@ phases = {e["ph"] for e in events}
 assert phases <= {"M", "X"}, phases
 names = {e["name"] for e in events if e["ph"] == "X"}
 for stage in ("load", "merge", "segment", "periodicity", "temporality",
-              "metadata", "categorize", "analyze", "ingest-window"):
+              "metadata", "categorize", "analyze", "ingest"):
     assert stage in names, f"missing span {stage}: {sorted(names)}"
 tids = {e.get("tid") for e in events if e["ph"] == "X"}
 thread_names = {e["args"]["name"] for e in events
@@ -190,12 +213,12 @@ fi
 for k in 0 1; do
   "$MOSAIC" batch "$WORK/pop" --shard "$k/2" --partials "$WORK/parts2" \
       --fault-inject 'seed=3,eio=1.0,eio_failures=1' --retries 3 \
-      --journal "$WORK/shard.jsonl" > "$WORK/shard$k.txt"
+      --metrics "$WORK/shard.json" > "$WORK/shard$k.txt"
   grep -q "shard $k/2: ingested" "$WORK/shard$k.txt"
 done
 [ -s "$WORK/parts2/results.shard-0.json" ]
 [ -s "$WORK/parts2/results.shard-1.json" ]
-[ -s "$WORK/shard.shard-0.jsonl" ]  # per-shard journal, not a shared one
+[ -s "$WORK/shard.shard-0.json" ]  # per-shard metrics, not a shared file
 "$MOSAIC" merge "$WORK/parts2" --json "$WORK/sharded.json" \
     > "$WORK/merge.txt"
 diff "$WORK/clean.json" "$WORK/sharded.json"
@@ -286,11 +309,18 @@ for option in "--json $WORK/x.json" "--thresholds $WORK/thresholds.json" \
   fi
 done
 
-# --resume without --journal is a usage error, as is a negative --threads.
-if "$MOSAIC" batch "$WORK/pop" --resume > /dev/null 2>&1; then
-  echo "--resume without --journal should fail" >&2
-  exit 1
-fi
+# --resume without --shards is a usage error, as is a negative --threads;
+# the per-file journal and its crash seam are gone (unknown options).
+for args in "--resume" "--shard 0/2 --partials $WORK/p --resume" \
+    "--journal $WORK/j.jsonl" "--abort-after 1"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$MOSAIC" batch "$WORK/pop" $args > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "batch $args should be a usage error (exit $rc)" >&2
+    exit 1
+  fi
+done
 if "$MOSAIC" batch "$WORK/pop" --threads -2 > /dev/null 2>&1; then
   echo "negative --threads should fail" >&2
   exit 1

@@ -63,6 +63,20 @@ expect_usage_error generate "$WORK/bad" --seed xyz
 expect_usage_error generate "$WORK/bad" --corruption 7
 expect_usage_error report "$WORK/pop" --out "$WORK/bad.md" --top-pairs abc
 
+# analyze reads each file on its own and folds nothing: it takes the retry
+# group and --fault-inject, and the options only a batch fold applies are
+# unknown there (exit 2) rather than accepted and ignored.
+mkdir "$WORK/poison"
+echo "not a darshan trace" > "$WORK/poison/x.txt"
+expect_usage_error analyze "$WORK/poison" --quarantine "$WORK/q"
+expect_usage_error analyze "$WORK/poison" --resume
+[ ! -e "$WORK/q" ]
+[ -e "$WORK/poison/x.txt" ]
+rc=0
+"$MOSAIC" analyze "$WORK/poison" --retries 1 --deadline 5 \
+    --fault-inject 'seed=1,eio=1.0,eio_failures=1' > /dev/null || rc=$?
+[ "$rc" -eq 1 ]  # the one trace fails to parse
+
 # An input directory that cannot be listed aborts every command that expands
 # inputs, instead of running on a smaller corpus. Root lists a mode-000
 # directory anyway, so the check runs only where it can fail.

@@ -464,17 +464,6 @@ auto to_text(Encode encode) {
   return [encode](const auto& value) { return json::serialize(encode(value)); };
 }
 
-/// A JSONL artifact reader over one line, written to a temporary file.
-template <typename Load>
-auto from_line(Load load) {
-  return [load](std::string_view line) {
-    const std::string path = samples::line_file(line);
-    auto loaded = load(path);
-    std::filesystem::remove(path);
-    return loaded;
-  };
-}
-
 util::Expected<std::optional<dist::TelemetryPayload>> rider_from_text(
     std::string_view text) {
   auto parsed = json::parse(text);
@@ -579,19 +568,6 @@ std::vector<DecoderCase> decoder_cases() {
                  R"("archetype":"steady","ambiguous":false,)"
                  R"("categories":["read_steady"]})",
                  truth_round_trip});
-  const auto one_entry = [](const auto& loaded) {
-    return loaded.has_value() && loaded->size() == 1;
-  };
-  const auto ingest_load = from_line(
-      [](const std::string& path) { return ingest::load_journal(path); });
-  out.push_back({"ingest journal", ingest::journal_line(ingest_entry()),
-                 [ingest_load, one_entry](std::string_view line) {
-                   const auto loaded = ingest_load(line);
-                   if (!one_entry(loaded)) return false;
-                   EXPECT_TRUE(one_entry(ingest_load(ingest::journal_line(
-                       loaded->begin()->second))));
-                   return true;
-                 }});
   return out;
 }
 

@@ -1,9 +1,10 @@
 // The daemon against batch: one per-file funnel, and a session loop that
 // one quiet client cannot monopolize.
 //
-// DaemonFunnel feeds one mixed corpus to batch ingest (with a journal) and,
-// file by file, to the daemon; both must reject the same files under the
-// same error codes and categorize every retained run the same way.
+// DaemonFunnel feeds one mixed corpus to batch ingest and, file by file, to
+// the daemon; both must reject the same files under the same error codes
+// and categorize every retained run the same way, with ingest::load_file as
+// the per-path oracle.
 // DaemonSessions holds a connection open after the hello and checks that
 // another client is still served. DaemonExplain serves /explain while
 // submissions evict the very entry being served (the tsan preset runs it).
@@ -25,7 +26,6 @@
 #include "daemon_probe.hpp"
 #include "dist/protocol.hpp"
 #include "ingest/ingest.hpp"
-#include "ingest/journal.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -123,17 +123,13 @@ TEST(DaemonFunnel, AgreesWithBatchFileByFile) {
   parallel::ThreadPool pool(2);
   ingest::IngestOptions options;
   options.max_retries = 0;
-  options.journal_path = dir.path("journal.jsonl");
   auto batch = ingest::ingest_paths(paths, options, pool);
   ASSERT_TRUE(batch.has_value());
-  const auto journal = ingest::load_journal(options.journal_path);
-  ASSERT_TRUE(journal.has_value());
-  ASSERT_EQ(journal->size(), paths.size());
   const std::map<std::string, std::size_t> evictions =
       batch->pre.stats.eviction_breakdown;
   const core::BatchResult analyzed =
       core::analyze_preprocessed(std::move(batch->pre), {}, &pool);
-  // Retained results by job id, which the journal names per path.
+  // Retained results by job id, which load_file names per path.
   std::map<std::uint64_t, std::vector<std::string>> batch_categories;
   for (const core::TraceResult& result : analyzed.results) {
     batch_categories[result.job_id] = result.categories.names();
@@ -148,7 +144,8 @@ TEST(DaemonFunnel, AgreesWithBatchFileByFile) {
     SCOPED_TRACE(path);
     const auto reply = daemon.submit_path(path);
     ASSERT_TRUE(reply.has_value());
-    const core::FileOutcome& outcome = journal->at(path);
+    const core::FileOutcome outcome =
+        ingest::load_file(path, options).outcome;
     EXPECT_EQ(reply->ok, outcome.valid()) << reply->error;
     if (const auto it = batch_categories.find(outcome.job_id);
         outcome.valid() && it != batch_categories.end()) {

@@ -136,9 +136,8 @@ class DispatchTest : public ::testing::Test {
     parallel::ThreadPool pool(2);
     ingest::IngestOptions options;
     options.shard = {index, count};
-    auto partial = report::run_shard(corpus_, options, pool);
-    EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
-    return json::serialize(report::partial_to_json(*partial));
+    return json::serialize(
+        report::partial_to_json(report::run_shard(corpus_, options, pool)));
   }
 
   void write_text(const std::string& file, const std::string& text) {
@@ -330,6 +329,28 @@ TEST_F(DispatchTest, ResumeOverEmptyPartialsIsAFreshRun) {
   EXPECT_EQ(result.stats.resumed_tasks, 0U);
   EXPECT_EQ(result.stats.degraded_tasks, 2U);
   EXPECT_EQ(merged_json(result), single_shot_json());
+}
+
+TEST_F(DispatchTest, ResumeRerunsTheShardOfATraceAddedToTheCorpus) {
+  // A finished run, then a trace lands in the corpus: every old partial
+  // still parses as its shard, but the new file's shard now hands its fold
+  // one more path, so only that shard runs again.
+  const DispatchResult first = resume_without_workers(3);
+  ASSERT_TRUE(first.complete());
+  const std::string added = path("job_4242.mbt");
+  ASSERT_TRUE(fs::copy_file(corpus_.front(), added));
+  corpus_.push_back(added);
+
+  const DispatchResult second = resume_without_workers(3);
+  ASSERT_TRUE(second.complete());
+  EXPECT_EQ(second.stats.resumed_tasks, 2U);
+  EXPECT_EQ(second.stats.degraded_tasks, 1U);
+  for (const TaskOutcome& outcome : second.outcomes) {
+    EXPECT_EQ(outcome.worker.empty(),
+              outcome.shard != ingest::shard_of(added, 3))
+        << outcome.shard;
+  }
+  EXPECT_EQ(merged_json(second), single_shot_json());
 }
 
 TEST_F(DispatchTest, NoWorkersReachableStillCompletesDegraded) {

@@ -4,8 +4,8 @@
 // semantically corrupt trace, a truncated binary, unparseable garbage and a
 // missing path; the funnel must classify every one of them. On top of that,
 // the fault-injection harness proves transient I/O errors heal through the
-// retry loop, and the resume journal reproduces a byte-identical JSON
-// summary after a simulated mid-batch crash.
+// retry loop, and a `--shards N` run resumed from the partials a killed run
+// leaves behind reproduces a byte-identical JSON summary.
 #include "ingest/ingest.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -28,14 +29,14 @@
 #include "darshan/binary_format.hpp"
 #include "darshan/io.hpp"
 #include "darshan/text_format.hpp"
-#include "ingest/journal.hpp"
 #include "ingest/reader.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "report/json_output.hpp"
+#include "report/partial.hpp"
 #include "sim/population.hpp"
-#include "util/jsonl.hpp"
+#include "util/fs.hpp"
 
 namespace mosaic::ingest {
 namespace {
@@ -68,6 +69,55 @@ trace::Trace make_trace(const std::string& user, const std::string& app,
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The batch summary of a funnel, traces included.
+std::string summary_json(core::PreprocessResult pre,
+                         parallel::ThreadPool& pool) {
+  return json::serialize(report::batch_to_json(
+      core::analyze_preprocessed(std::move(pre), {}, &pool),
+      /*include_traces=*/true));
+}
+
+/// A `--shards count` run over `paths` into `dir`, killed and resumed: the
+/// first run finishes, shard 0's partial is deleted and shard 1's torn in
+/// half (what a kill leaves, since each partial is renamed into place
+/// whole), then a resumed run keeps the other shards and runs those two.
+/// Returns the reduce's summary and how many shards the resume kept.
+struct Resumed {
+  std::string json;
+  std::size_t kept = 0;
+};
+Resumed shards_resumed_after_a_kill(const std::vector<std::string>& paths,
+                                    const IngestOptions& options,
+                                    std::size_t count, const std::string& dir,
+                                    parallel::ThreadPool& pool) {
+  Resumed out;
+  if (!report::run_shards(paths, options, count, dir, false, pool)
+           .has_value()) {
+    ADD_FAILURE() << "fresh --shards run failed";
+    return out;
+  }
+  const std::string lost = dir + "/" + partial_filename(0);
+  const std::string torn = dir + "/" + partial_filename(1);
+  fs::remove(lost);
+  const std::string bytes = slurp(torn);
+  EXPECT_TRUE(
+      util::write_file_atomic(torn, bytes.substr(0, bytes.size() / 2)).ok());
+  auto artifacts = report::run_shards(
+      paths, options, count, dir, true, pool,
+      [&](const report::ShardRun& run) { out.kept += run.kept ? 1 : 0; });
+  if (!artifacts.has_value()) {
+    ADD_FAILURE() << artifacts.error().to_string();
+    return out;
+  }
+  auto merged = report::reduce_partials(*artifacts, options, {}, pool);
+  if (!merged.has_value()) {
+    ADD_FAILURE() << merged.error().to_string();
+    return out;
+  }
+  out.json = json::serialize(report::batch_to_json(merged->batch, true));
+  return out;
 }
 
 class IngestTest : public ::testing::Test {
@@ -141,7 +191,6 @@ TEST_F(IngestTest, MixedCorpusClassifiedByErrorCode) {
   EXPECT_EQ(stats.files_scanned, 7u);
   EXPECT_EQ(stats.loaded, 4u);   // alpha x2, beta, corrupt (parses fine)
   EXPECT_EQ(stats.failed, 3u);   // truncated, garbage, missing
-  EXPECT_FALSE(stats.aborted);
 
   const core::PreprocessStats& funnel = result->pre.stats;
   EXPECT_EQ(funnel.input_traces, 7u);
@@ -247,24 +296,70 @@ TEST_F(IngestTest, QuarantineMovesContentFailuresOnly) {
   EXPECT_TRUE(fs::exists(path("alpha_run1.txt")));
 }
 
-TEST_F(IngestTest, JournalWrittenForEveryFile) {
+TEST_F(IngestTest, QuarantineKeepsFilesThatShareAName) {
+  // Two input directories hold a poison file of the same name: both land
+  // in the quarantine directory, neither replaces the other.
+  for (const char* dir : {"a", "b"}) {
+    fs::create_directories(dir_ / dir);
+    std::ofstream garbage(dir_ / dir / "x.txt");
+    garbage << "poison from " << dir << "\n";
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    const std::string quarantine = path("q" + std::to_string(threads));
+    IngestOptions options;
+    options.quarantine_dir = quarantine;
+    auto result =
+        ingest_paths({path("a/x.txt"), path("b/x.txt")}, options, pool);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->stats.quarantined, 2u);
+    EXPECT_FALSE(fs::exists(path("a/x.txt")));
+    EXPECT_FALSE(fs::exists(path("b/x.txt")));
+    std::set<std::string> contents;
+    for (const auto& entry : fs::directory_iterator(quarantine)) {
+      contents.insert(slurp(entry.path().string()));
+    }
+    EXPECT_EQ(contents, (std::set<std::string>{"poison from a\n",
+                                               "poison from b\n"}));
+    // Put them back for the next thread count.
+    for (const auto& entry : fs::directory_iterator(quarantine)) {
+      const std::string text = slurp(entry.path().string());
+      fs::rename(entry.path(),
+                 dir_ / (text == "poison from a\n" ? "a" : "b") / "x.txt");
+    }
+  }
+}
+
+TEST_F(IngestTest, LoadFileClassifiesEveryFileAsTheFoldCountsIt) {
   const auto paths = seed_corpus();
   parallel::ThreadPool pool(2);
-  IngestOptions options;
-  options.journal_path = path("journal.jsonl");
-  auto result = ingest_paths(paths, options, pool);
+  auto result = ingest_paths(paths, IngestOptions{}, pool);
   ASSERT_TRUE(result.has_value());
 
-  const auto journal = load_journal(options.journal_path);
-  ASSERT_TRUE(journal.has_value());
-  EXPECT_EQ(journal->size(), 7u);
-  EXPECT_TRUE(journal->at(path("alpha_run2.txt")).valid());
-  EXPECT_EQ(journal->at(path("alpha_run2.txt")).app_key, "u1/alpha");
-  EXPECT_EQ(journal->at(path("garbage.txt")).error->code,
+  // load_file, the per-file step the daemon and `mosaic analyze` run, is
+  // the per-path oracle of the fold's counters.
+  std::map<std::string, std::size_t> evictions;
+  std::map<std::string, std::size_t> corruption;
+  for (const std::string& file : paths) {
+    const core::FileOutcome outcome = load_file(file).outcome;
+    if (outcome.valid()) continue;
+    ++evictions[std::string(util::error_code_name(outcome.error->code))];
+    if (outcome.corruption != trace::CorruptionKind::kNone) {
+      ++corruption[trace::corruption_kind_name(outcome.corruption)];
+    }
+  }
+  EXPECT_EQ(evictions, result->pre.stats.eviction_breakdown);
+  EXPECT_EQ(corruption, result->pre.stats.corruption_breakdown);
+
+  const core::FileOutcome alpha = load_file(path("alpha_run2.txt")).outcome;
+  EXPECT_TRUE(alpha.valid());
+  EXPECT_EQ(alpha.app_key, "u1/alpha");
+  EXPECT_EQ(load_file(path("garbage.txt")).outcome.error->code,
             util::ErrorCode::kParseError);
-  EXPECT_EQ(journal->at(path("missing.txt")).error->code,
+  EXPECT_EQ(load_file(path("missing.txt")).outcome.error->code,
             util::ErrorCode::kNotFound);
-  const core::FileOutcome& corrupt = journal->at(path("corrupt_validity.txt"));
+  const core::FileOutcome corrupt =
+      load_file(path("corrupt_validity.txt")).outcome;
   EXPECT_EQ(corrupt.error->code, util::ErrorCode::kCorruptTrace);
   EXPECT_EQ(corrupt.corruption, trace::CorruptionKind::kAccessOutsideJob);
 }
@@ -272,50 +367,21 @@ TEST_F(IngestTest, JournalWrittenForEveryFile) {
 TEST_F(IngestTest, AbortedRunResumesToByteIdenticalSummary) {
   const auto paths = seed_corpus();
   parallel::ThreadPool pool(2);
-  const core::Thresholds thresholds;
 
-  // Reference: one uninterrupted run.
-  IngestOptions uninterrupted;
-  uninterrupted.journal_path = path("journal_a.jsonl");
-  auto full = ingest_paths(paths, uninterrupted, pool);
+  auto full = ingest_paths(paths, IngestOptions{}, pool);
   ASSERT_TRUE(full.has_value());
-  ASSERT_FALSE(full->stats.aborted);
-  const core::BatchResult batch_full = core::analyze_preprocessed(
-      std::move(full->pre), thresholds, &pool);
-  ASSERT_TRUE(report::write_batch_json(batch_full, path("full.json"),
-                                       /*include_traces=*/true)
-                  .ok());
+  const std::string full_json = summary_json(std::move(full->pre), pool);
 
-  // Crash after three files, then resume from the journal.
-  IngestOptions crashing;
-  crashing.journal_path = path("journal_b.jsonl");
-  crashing.abort_after_files = 3;
-  auto aborted = ingest_paths(paths, crashing, pool);
-  ASSERT_TRUE(aborted.has_value());
-  EXPECT_TRUE(aborted->stats.aborted);
-
-  IngestOptions resuming;
-  resuming.journal_path = path("journal_b.jsonl");
-  resuming.resume = true;
-  auto resumed = ingest_paths(paths, resuming, pool);
-  ASSERT_TRUE(resumed.has_value());
-  EXPECT_FALSE(resumed->stats.aborted);
-  EXPECT_EQ(resumed->stats.journal_replayed, 3u);
-  const core::BatchResult batch_resumed = core::analyze_preprocessed(
-      std::move(resumed->pre), thresholds, &pool);
-  ASSERT_TRUE(report::write_batch_json(batch_resumed, path("resumed.json"),
-                                       /*include_traces=*/true)
-                  .ok());
-
-  const std::string full_json = slurp(path("full.json"));
+  const Resumed resumed = shards_resumed_after_a_kill(
+      paths, IngestOptions{}, 4, path("partials"), pool);
+  EXPECT_EQ(resumed.kept, 2u);
   ASSERT_FALSE(full_json.empty());
-  EXPECT_EQ(full_json, slurp(path("resumed.json")));
+  EXPECT_EQ(full_json, resumed.json);
 }
 
 TEST_F(IngestTest, ResumeWithFaultInjectionStaysByteIdentical) {
   const auto paths = seed_corpus();
   parallel::ThreadPool pool(2);
-  const core::Thresholds thresholds;
 
   FaultSpec spec;
   spec.seed = 99;
@@ -323,39 +389,18 @@ TEST_F(IngestTest, ResumeWithFaultInjectionStaysByteIdentical) {
   spec.transient_eio_failures = 1;
   FaultyFileReader faulty(spec);
 
-  IngestOptions base;
-  base.reader = &faulty;
-  base.backoff_initial_ms = 0.01;
+  IngestOptions options;
+  options.reader = &faulty;
+  options.backoff_initial_ms = 0.01;
 
-  IngestOptions uninterrupted = base;
-  uninterrupted.journal_path = path("journal_a.jsonl");
-  auto full = ingest_paths(paths, uninterrupted, pool);
+  auto full = ingest_paths(paths, options, pool);
   ASSERT_TRUE(full.has_value());
-  const core::BatchResult batch_full = core::analyze_preprocessed(
-      std::move(full->pre), thresholds, &pool);
-  ASSERT_TRUE(report::write_batch_json(batch_full, path("full.json"), true)
-                  .ok());
+  const std::string full_json = summary_json(std::move(full->pre), pool);
 
-  IngestOptions crashing = base;
-  crashing.journal_path = path("journal_b.jsonl");
-  crashing.abort_after_files = 4;
-  auto aborted = ingest_paths(paths, crashing, pool);
-  ASSERT_TRUE(aborted.has_value());
-  EXPECT_TRUE(aborted->stats.aborted);
-
-  IngestOptions resuming = base;
-  resuming.journal_path = path("journal_b.jsonl");
-  resuming.resume = true;
-  auto resumed = ingest_paths(paths, resuming, pool);
-  ASSERT_TRUE(resumed.has_value());
-  EXPECT_EQ(resumed->stats.journal_replayed, 4u);
-  const core::BatchResult batch_resumed = core::analyze_preprocessed(
-      std::move(resumed->pre), thresholds, &pool);
-  ASSERT_TRUE(
-      report::write_batch_json(batch_resumed, path("resumed.json"), true)
-          .ok());
-
-  EXPECT_EQ(slurp(path("full.json")), slurp(path("resumed.json")));
+  const Resumed resumed =
+      shards_resumed_after_a_kill(paths, options, 3, path("partials"), pool);
+  EXPECT_EQ(resumed.kept, 1u);
+  EXPECT_EQ(full_json, resumed.json);
 }
 
 /// Reads through the real filesystem, except that every read of `path`
@@ -379,39 +424,49 @@ class RereadSwapReader final : public FileReader {
   std::atomic<int> reads_{0};
 };
 
-TEST_F(IngestTest, ResumeDemotesAWinnerRewrittenSinceItWasJournaled) {
+TEST_F(IngestTest, ResumeDemotesAWinnerRewrittenSinceItsPartialWasWritten) {
   const auto paths = seed_corpus();
   parallel::ThreadPool pool(2);
   // u1/alpha's winner no longer holds the folded run: the application is
   // dropped, the file counted as a not-found eviction, and every retained
   // trace's application keeps its run count.
-  const auto expect_alpha_demoted = [](const core::PreprocessResult& pre) {
-    ASSERT_EQ(pre.retained.size(), 1u);
-    EXPECT_EQ(pre.retained[0].meta.app_name, "beta");
-    EXPECT_EQ(pre.stats.retained, 1u);
-    EXPECT_EQ(pre.stats.valid, 2u);        // alpha run 1 and beta
-    EXPECT_EQ(pre.stats.load_failed, 4u);  // truncated, garbage, missing, alpha
-    EXPECT_EQ(pre.stats.eviction_breakdown.at("not-found"), 2u);
-    EXPECT_EQ(pre.runs_per_app.at("u1/alpha"), 1u);
-    for (const trace::Trace& trace : pre.retained) {
-      EXPECT_EQ(pre.runs_per_app.count(trace.app_key()), 1u)
-          << trace.app_key();
-    }
-  };
+  const auto expect_alpha_demoted =
+      [](const core::PreprocessStats& stats,
+         const std::map<std::string, std::size_t>& runs_per_app,
+         const std::vector<std::string>& retained) {
+        EXPECT_EQ(retained, std::vector<std::string>{"u2/beta"});
+        EXPECT_EQ(stats.retained, 1u);
+        EXPECT_EQ(stats.valid, 2u);        // alpha run 1 and beta
+        EXPECT_EQ(stats.load_failed, 4u);  // truncated, garbage, missing, alpha
+        EXPECT_EQ(stats.eviction_breakdown.at("not-found"), 2u);
+        EXPECT_EQ(runs_per_app.at("u1/alpha"), 1u);
+        for (const std::string& key : retained) {
+          EXPECT_EQ(runs_per_app.count(key), 1u) << key;
+        }
+      };
   const trace::Trace zeta = make_trace("u9", "zeta", 9, 8 << 20);
 
-  // Resume: the journal names alpha_run2.txt as u1/alpha's heaviest run,
-  // but the file now holds another application's trace.
-  IngestOptions journaled;
-  journaled.journal_path = path("journal.jsonl");
-  ASSERT_TRUE(ingest_paths(paths, journaled, pool).has_value());
+  // Resume: the kept partials name alpha_run2.txt as u1/alpha's heaviest
+  // run, but the file now holds another application's trace. Its path is
+  // unchanged, so every partial passes the keep rule, and the reduce's
+  // re-read demotes the winner.
+  ASSERT_TRUE(report::run_shards(paths, {}, 2, path("partials"), false, pool)
+                  .has_value());
   ASSERT_TRUE(darshan::write_text_file(zeta, path("alpha_run2.txt")).ok());
-  IngestOptions resuming = journaled;
-  resuming.resume = true;
-  auto resumed = ingest_paths(paths, resuming, pool);
+  std::size_t kept = 0;
+  auto artifacts = report::run_shards(
+      paths, {}, 2, path("partials"), true, pool,
+      [&](const report::ShardRun& run) { kept += run.kept ? 1 : 0; });
+  ASSERT_TRUE(artifacts.has_value());
+  EXPECT_EQ(kept, 2u);
+  auto resumed = report::reduce_partials(*artifacts, {}, {}, pool);
   ASSERT_TRUE(resumed.has_value());
-  EXPECT_EQ(resumed->stats.journal_replayed, 7u);
-  expect_alpha_demoted(resumed->pre);
+  std::vector<std::string> resumed_keys;
+  for (const core::TraceResult& result : resumed->batch.results) {
+    resumed_keys.push_back(result.app_key);
+  }
+  expect_alpha_demoted(resumed->batch.preprocess, resumed->batch.runs_per_app,
+                       resumed_keys);
 
   // Live: the winner's first read is folded, its second read in finish()
   // returns another application's bytes.
@@ -425,7 +480,12 @@ TEST_F(IngestTest, ResumeDemotesAWinnerRewrittenSinceItWasJournaled) {
   auto result = ingest_paths(paths, live, pool);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->stats.loaded, 4u);
-  expect_alpha_demoted(result->pre);
+  std::vector<std::string> live_keys;
+  for (const trace::Trace& trace : result->pre.retained) {
+    live_keys.push_back(trace.app_key());
+  }
+  expect_alpha_demoted(result->pre.stats, result->pre.runs_per_app,
+                       live_keys);
 }
 
 /// Writes `traces` executions of a seeded simulated population (corrupt
@@ -470,8 +530,7 @@ std::string describe(const IngestResult& result) {
   out << "scanned " << io.files_scanned << " loaded " << io.loaded
       << " failed " << io.failed << " retries " << io.retry_attempts
       << " recovered " << io.recovered << " quarantined " << io.quarantined
-      << " replayed " << io.journal_replayed << " dropped "
-      << io.journal_dropped << " aborted " << io.aborted << " | input "
+      << " | input "
       << funnel.input_traces << " load_failed " << funnel.load_failed
       << " corrupted " << funnel.corrupted << " valid " << funnel.valid
       << " apps " << funnel.unique_applications << " retained "
@@ -500,30 +559,21 @@ TEST_F(IngestTest, SameBytesAtOneTwoAndEightThreadsWithDelayedFiles) {
   IngestOptions base;
   base.reader = &faulty;
   base.backoff_initial_ms = 0.01;
-  const core::Thresholds thresholds;
 
   struct Run {
-    std::string json, journal, counters;
+    std::string json, counters;
   };
-  const auto run = [&](std::size_t threads, IngestOptions options,
-                       const std::string& journal) {
+  const auto run = [&](std::size_t threads, const IngestOptions& options) {
     parallel::ThreadPool pool(threads);
-    options.journal_path = path(journal);
     auto result = ingest_paths(paths, options, pool);
     EXPECT_TRUE(result.has_value());
     Run out;
     out.counters = describe(*result);
-    if (!result->stats.aborted) {
-      out.json = json::serialize(report::batch_to_json(
-          core::analyze_preprocessed(std::move(result->pre), thresholds,
-                                     &pool),
-          /*include_traces=*/true));
-    }
-    out.journal = slurp(options.journal_path);
+    out.json = summary_json(std::move(result->pre), pool);
     return out;
   };
 
-  const Run one = run(1, base, "journal_1.jsonl");
+  const Run one = run(1, base);
   EXPECT_NE(one.counters.find("parse-error="), std::string::npos)
       << one.counters;
   EXPECT_NE(one.counters.find("not-found=1"), std::string::npos)
@@ -533,22 +583,17 @@ TEST_F(IngestTest, SameBytesAtOneTwoAndEightThreadsWithDelayedFiles) {
   EXPECT_EQ(one.counters.find(" retries 0 "), std::string::npos)
       << one.counters;
   for (const std::size_t threads : {2u, 8u}) {
-    const Run other =
-        run(threads, base, "journal_" + std::to_string(threads) + ".jsonl");
+    const Run other = run(threads, base);
     EXPECT_EQ(other.counters, one.counters) << threads << " threads";
-    EXPECT_EQ(other.journal, one.journal) << threads << " threads";
     EXPECT_EQ(other.json, one.json) << threads << " threads";
   }
 
-  // Aborted at 8 threads, then resumed: the same summary and journal.
-  IngestOptions crashing = base;
-  crashing.abort_after_files = 100;
-  EXPECT_TRUE(run(8, crashing, "journal_abort.jsonl").json.empty());
-  IngestOptions resuming = base;
-  resuming.resume = true;
-  const Run resumed = run(8, resuming, "journal_abort.jsonl");
+  // A --shards 4 run at 8 threads, killed and resumed: the same summary.
+  parallel::ThreadPool pool(8);
+  const Resumed resumed =
+      shards_resumed_after_a_kill(paths, base, 4, path("partials"), pool);
+  EXPECT_EQ(resumed.kept, 2u);
   EXPECT_EQ(resumed.json, one.json);
-  EXPECT_EQ(resumed.journal, one.journal);
 }
 
 /// Reads through the real filesystem, except that the first attempt at
@@ -608,22 +653,18 @@ TEST_F(IngestTest, RunBoundariesKeepBytes) {
   IngestOptions base;
   base.reader = &flaky;
   base.backoff_initial_ms = 0.01;
-  const core::Thresholds thresholds;
   const obs::Histogram& parse_ms = obs::Registry::global().histogram(
       obs::names::kIngestParseMs, obs::latency_buckets_ms());
 
   struct Run {
-    std::string json, journal, counters;
-    IngestStats stats;
-    std::size_t retained = 0;
+    std::string json, counters;
+    IngestResult result;
     std::uint64_t parses = 0;
   };
-  const auto run = [&](std::size_t threads, IngestOptions options,
-                       const std::string& journal) {
+  const auto run = [&](std::size_t threads) {
     parallel::ThreadPool pool(threads);
-    options.journal_path = path(journal);
     const std::uint64_t parses_before = parse_ms.count();
-    auto result = ingest_paths(paths, options, pool);
+    auto result = ingest_paths(paths, base, pool);
     Run out;
     if (!result.has_value()) {
       ADD_FAILURE() << result.error().to_string();
@@ -631,71 +672,61 @@ TEST_F(IngestTest, RunBoundariesKeepBytes) {
     }
     out.parses = parse_ms.count() - parses_before;
     out.counters = describe(*result);
-    out.stats = result->stats;
-    out.retained = result->pre.stats.retained;
-    if (!result->stats.aborted) {
-      out.json = json::serialize(report::batch_to_json(
-          core::analyze_preprocessed(std::move(result->pre), thresholds,
-                                     &pool),
-          /*include_traces=*/true));
-    }
-    out.journal = slurp(options.journal_path);
+    out.result.stats = result->stats;
+    out.result.pre.stats = result->pre.stats;
+    out.json = summary_json(std::move(result->pre), pool);
     return out;
   };
 
-  const Run one = run(1, base, "journal_1.jsonl");
+  const Run one = run(1);
   ASSERT_FALSE(one.json.empty());
-  EXPECT_EQ(one.stats.loaded + one.stats.failed, kPaths);
-  EXPECT_EQ(one.stats.recovered, 2u);
+  const IngestStats& stats = one.result.stats;
+  const core::PreprocessStats& funnel = one.result.pre.stats;
+  EXPECT_EQ(stats.loaded + stats.failed, kPaths);
+  EXPECT_EQ(stats.recovered, 2u);
   EXPECT_NE(one.counters.find("not-found=1"), std::string::npos)
       << one.counters;
   // One parse per file that was read (all but the missing one) and one per
   // re-read winner.
-  EXPECT_EQ(one.parses, kPaths - 1 + one.retained);
-  const auto journal = load_journal(path("journal_1.jsonl"));
-  ASSERT_TRUE(journal.has_value());
-  ASSERT_EQ(journal->size(), kPaths);
+  EXPECT_EQ(one.parses, kPaths - 1 + funnel.retained);
+  // The torn (17), bad-magic (18) and bit-flipped (19) files are the only
+  // corrupt-trace evictions without a corruption kind: load_file, the
+  // per-path oracle, says so file by file, and the fold counts exactly
+  // three.
   for (const std::size_t i : {17u, 18u, 19u}) {
-    const core::FileOutcome& outcome = journal->at(paths[i]);
+    const core::FileOutcome outcome = load_file(paths[i], base).outcome;
     ASSERT_FALSE(outcome.valid()) << paths[i];
     EXPECT_EQ(outcome.error->code, util::ErrorCode::kCorruptTrace) << i;
     EXPECT_EQ(outcome.corruption, trace::CorruptionKind::kNone) << i;
   }
-  EXPECT_TRUE(journal->at(paths[16]).valid() ||
-              journal->at(paths[16]).corruption != trace::CorruptionKind::kNone);
-  EXPECT_TRUE(journal->at(paths[20]).valid() ||
-              journal->at(paths[20]).corruption != trace::CorruptionKind::kNone);
+  std::size_t with_kind = 0;
+  for (const auto& [kind, count] : funnel.corruption_breakdown) {
+    with_kind += count;
+  }
+  EXPECT_EQ(funnel.eviction_breakdown.at("corrupt-trace") - with_kind, 3u);
+  for (const std::size_t i : {16u, 20u}) {
+    const core::FileOutcome outcome = load_file(paths[i], base).outcome;
+    EXPECT_TRUE(outcome.valid() ||
+                outcome.corruption != trace::CorruptionKind::kNone)
+        << paths[i];
+  }
 
   for (const std::size_t threads : {2u, 8u}) {
-    const Run other =
-        run(threads, base, "journal_" + std::to_string(threads) + ".jsonl");
+    const Run other = run(threads);
     EXPECT_EQ(other.counters, one.counters) << threads << " threads";
-    EXPECT_EQ(other.journal, one.journal) << threads << " threads";
     EXPECT_EQ(other.json, one.json) << threads << " threads";
     EXPECT_EQ(other.parses, one.parses) << threads << " threads";
   }
 
-  // A crash before, at and after a run boundary, then a resume: the
-  // journal holds exactly the folded files, and the resumed run ends with
-  // the uninterrupted run's summary and journal.
+  // A --shards 3 run killed and resumed, at 1 and 8 threads: each shard's
+  // owned paths cross run boundaries differently, and the summary is the
+  // uninterrupted run's.
   for (const std::size_t threads : {1u, 8u}) {
-    for (const std::size_t abort_after : {1u, 15u, 16u, 17u, 33u}) {
-      const std::string name = "abort_" + std::to_string(threads) + "_" +
-                               std::to_string(abort_after) + ".jsonl";
-      IngestOptions crashing = base;
-      crashing.abort_after_files = abort_after;
-      const Run aborted = run(threads, crashing, name);
-      EXPECT_TRUE(aborted.stats.aborted);
-      EXPECT_EQ(std::count(aborted.journal.begin(), aborted.journal.end(), '\n'),
-                static_cast<std::ptrdiff_t>(abort_after))
-          << abort_after;
-      IngestOptions resuming = base;
-      resuming.resume = true;
-      const Run resumed = run(threads, resuming, name);
-      EXPECT_EQ(resumed.stats.journal_replayed, abort_after);
-      EXPECT_EQ(resumed.json, one.json) << threads << " " << abort_after;
-      EXPECT_EQ(resumed.journal, one.journal) << threads << " " << abort_after;
-    }
+    parallel::ThreadPool pool(threads);
+    const Resumed resumed = shards_resumed_after_a_kill(
+        paths, base, 3, path("partials_" + std::to_string(threads)), pool);
+    EXPECT_EQ(resumed.kept, 1u) << threads << " threads";
+    EXPECT_EQ(resumed.json, one.json) << threads << " threads";
   }
 }
 
@@ -831,83 +862,6 @@ TEST(FaultyReader, TransientEioHealsAtConfiguredAttempt) {
     EXPECT_EQ(result.error().code, util::ErrorCode::kIoError);
   }
   EXPECT_TRUE(reader.read(file, 3).has_value());
-  fs::remove_all(dir);
-}
-
-TEST_F(IngestTest, JournalLinesArePinnedAndAResumeReplaysThem) {
-  const auto paths = seed_corpus();
-  // The on-disk format, byte for byte: a valid file journals its dedup
-  // digest (64-bit fields as decimal strings), an evicted one its error.
-  const std::string valid_line =
-      R"({"path":")" + path("alpha_run2.txt") +
-      R"(","outcome":"valid","app":"u1/alpha","bytes":"4194304","job":"2"})";
-  const std::string evicted_line =
-      R"({"path":")" + path("corrupt_validity.txt") +
-      R"(","outcome":"evicted","code":"corrupt-trace",)"
-      R"("kind":"access-outside-job"})";
-
-  parallel::ThreadPool pool(2);
-  IngestOptions journaled;
-  journaled.journal_path = path("journal.jsonl");
-  auto full = ingest_paths(paths, journaled, pool);
-  ASSERT_TRUE(full.has_value());
-  const std::string written = slurp(journaled.journal_path);
-  EXPECT_NE(written.find(valid_line + "\n"), std::string::npos) << written;
-  EXPECT_NE(written.find(evicted_line + "\n"), std::string::npos) << written;
-
-  // Resume from exactly those two lines: both replay without their files
-  // being read, and the result equals the uninterrupted run's.
-  {
-    std::ofstream out(path("inline.jsonl"), std::ios::binary);
-    out << valid_line << "\n" << evicted_line << "\n";
-  }
-  IngestOptions resuming;
-  resuming.journal_path = path("inline.jsonl");
-  resuming.resume = true;
-  auto resumed = ingest_paths(paths, resuming, pool);
-  ASSERT_TRUE(resumed.has_value());
-  EXPECT_EQ(resumed->stats.journal_replayed, 2u);
-  const core::Thresholds thresholds;
-  const auto summary = [&](core::PreprocessResult pre) {
-    return json::serialize(report::batch_to_json(
-        core::analyze_preprocessed(std::move(pre), thresholds, &pool),
-        /*include_traces=*/true));
-  };
-  EXPECT_EQ(summary(std::move(resumed->pre)), summary(std::move(full->pre)));
-}
-
-TEST(Journal, MissingFileIsEmptyMapAndLaterEntriesWin) {
-  const fs::path dir = fs::temp_directory_path() / "mosaic_journal_rewrite";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string journal_path = (dir / "journal.jsonl").string();
-
-  const auto missing = load_journal((dir / "nope.jsonl").string());
-  ASSERT_TRUE(missing.has_value());
-  EXPECT_TRUE(missing->empty());
-
-  {
-    util::LineAppender writer;
-    ASSERT_TRUE(writer.open(journal_path).ok());
-    core::FileOutcome first;
-    first.path = "/a.txt";
-    first.error = util::Error{util::ErrorCode::kIoError, "EIO"};
-    ASSERT_TRUE(writer.append(journal_line(first)).ok());
-    // The same file journaled again by a resumed run, with 64-bit fields
-    // that are not double-representable.
-    const core::FileOutcome second{"/a.txt", "u/a", 18446744073709551615ull,
-                                   9007199254740995ull};
-    ASSERT_TRUE(writer.append(journal_line(second)).ok());
-  }
-  const auto loaded = load_journal(journal_path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 1u);
-  const core::FileOutcome& outcome = loaded->at("/a.txt");
-  EXPECT_TRUE(outcome.valid());
-  // 64-bit digest fields survive exactly, or the dedup tie-break could
-  // pick a different winner after resume.
-  EXPECT_EQ(outcome.total_bytes, 18446744073709551615ull);
-  EXPECT_EQ(outcome.job_id, 9007199254740995ull);
   fs::remove_all(dir);
 }
 

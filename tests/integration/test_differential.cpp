@@ -4,9 +4,9 @@
 // summary must produce the same bytes — batch_to_json with per-trace
 // entries, and the provenance journal at sample 1 and at sample 4:
 //   - single-shot ingest and analysis at 1 and 8 threads;
-//   - the partial reduce over run_shard folds for N in {1, 2, 3, 16};
+//   - the reduce of a --shards N run (report::run_shards), N in {1, 2, 3, 16};
 //   - dispatch with no worker, so every shard runs degraded in-process;
-//   - a journal run aborted halfway, then resumed.
+//   - a --shards 4 run killed (one partial deleted, one torn) and resumed.
 // The daemon, fed every file through the same faulty reader, must agree
 // per trace: each retained trace's reply names batch's categories, its
 // GET /explain/<job id> is batch's provenance record at sample 1 printed
@@ -166,19 +166,12 @@ class Differential : public ::testing::Test {
   core::BatchResult sharded(const std::vector<std::string>& paths,
                             const ingest::IngestOptions& options,
                             std::size_t count, const std::string& name) {
-    fs::create_directories(path(name));
     parallel::ThreadPool pool(2);
-    std::vector<std::string> artifacts;
-    for (std::size_t k = 0; k < count; ++k) {
-      ingest::IngestOptions shard = options;
-      shard.shard = {k, count};
-      auto partial = report::run_shard(paths, shard, pool);
-      EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
-      if (!partial.has_value()) return {};
-      artifacts.push_back(path(name + "/" + ingest::partial_filename(k)));
-      EXPECT_TRUE(report::write_partial(*partial, artifacts.back()).ok());
-    }
-    return reduce(artifacts, options);
+    auto artifacts =
+        report::run_shards(paths, options, count, path(name), false, pool);
+    EXPECT_TRUE(artifacts.has_value()) << artifacts.error().to_string();
+    return artifacts.has_value() ? reduce(*artifacts, options)
+                                 : core::BatchResult{};
   }
 
   core::BatchResult degraded_dispatch(const std::vector<std::string>& paths,
@@ -197,21 +190,28 @@ class Differential : public ::testing::Test {
     return reduce(result->partial_paths, options);
   }
 
-  core::BatchResult aborted_then_resumed(const std::vector<std::string>& paths,
-                                         ingest::IngestOptions options,
-                                         const std::string& name) {
+  /// A --shards 4 run killed and resumed: the first run finishes, shard
+  /// 1's partial is deleted and shard 2's torn (a kill leaves whole
+  /// partials or none, so this is any kill's state), and the resume keeps
+  /// shards 0 and 3.
+  core::BatchResult killed_then_resumed(const std::vector<std::string>& paths,
+                                        const ingest::IngestOptions& options,
+                                        const std::string& name) {
     parallel::ThreadPool pool(4);
-    options.journal_path = path(name);
-    ingest::IngestOptions crashing = options;
-    crashing.abort_after_files = paths.size() / 2;
-    auto aborted = ingest::ingest_paths(paths, crashing, pool);
-    EXPECT_TRUE(aborted.has_value() && aborted->stats.aborted);
-    options.resume = true;
-    auto resumed = ingest::ingest_paths(paths, options, pool);
-    EXPECT_TRUE(resumed.has_value());
-    if (!resumed.has_value()) return {};
-    EXPECT_EQ(resumed->stats.journal_replayed, paths.size() / 2);
-    return core::analyze_preprocessed(std::move(resumed->pre), {}, &pool);
+    const std::string dir = path(name);
+    EXPECT_TRUE(
+        report::run_shards(paths, options, 4, dir, false, pool).has_value());
+    fs::remove(dir + "/" + ingest::partial_filename(1));
+    const std::string torn = dir + "/" + ingest::partial_filename(2);
+    fs::resize_file(torn, fs::file_size(torn) / 2);
+    std::size_t kept = 0;
+    auto artifacts = report::run_shards(
+        paths, options, 4, dir, true, pool,
+        [&](const report::ShardRun& run) { kept += run.kept ? 1 : 0; });
+    EXPECT_TRUE(artifacts.has_value()) << artifacts.error().to_string();
+    EXPECT_EQ(kept, 2u);
+    return artifacts.has_value() ? reduce(*artifacts, options)
+                                 : core::BatchResult{};
   }
 
   /// Submits every file to an in-process daemon reading through
@@ -305,9 +305,9 @@ TEST_F(Differential, EveryBatchDriverPrintsTheSameBytes) {
                              return degraded_dispatch(paths, options,
                                                       "dispatch-" + tag);
                            }));
-      drivers.emplace_back("aborted then resumed", capture(sample, [&] {
-                             return aborted_then_resumed(
-                                 paths, options, "journal-" + tag + ".jsonl");
+      drivers.emplace_back("killed then resumed", capture(sample, [&] {
+                             return killed_then_resumed(
+                                 paths, options, "resumed-" + tag);
                            }));
       for (const auto& [driver, output] : drivers) {
         EXPECT_EQ(output.json, reference.json) << driver;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "dist/protocol.hpp"
-#include "ingest/journal.hpp"
 #include "obs/federation.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -33,8 +32,7 @@ inline report::PartialArtifact partial() {
   partial.ingest.retry_attempts = 2;
   partial.ingest.recovered = 1;
   partial.ingest.quarantined = 1;
-  partial.ingest.journal_replayed = 3;
-  partial.ingest.journal_dropped = 1;
+  partial.inputs = {9, 18446744073709551557ull};
   partial.fold.stats.input_traces = 9;
   partial.fold.stats.load_failed = 1;
   partial.fold.stats.corrupted = 1;
@@ -82,10 +80,6 @@ inline json::Value telemetry_frame() {
   json::Object frame;
   frame.set("telemetry", std::move(rider));
   return frame;
-}
-
-inline core::FileOutcome ingest_entry() {
-  return {"/corpus/a.mbt", "u1/app", 1u << 30, 9000002};
 }
 
 inline obs::TraceProvenance provenance() {

@@ -1,11 +1,10 @@
 // Integer range checks across every strict decoder of outside JSON: each
 // sample document decodes, and setting any one integer member to a
 // negative, fractional, overflowing or 2^64 value is rejected — never cast
-// into a wrapped or truncated integer. Journals drop and count such a line.
+// into a wrapped or truncated integer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -20,13 +19,11 @@
 namespace mosaic {
 namespace {
 
-namespace fs = std::filesystem;
-
 /// One integer member, as a '.'-separated path (array indices are numbers).
 struct Member {
   std::string path;
   bool is_signed = false;     ///< -1 is a legal value
-  bool as_string = false;     ///< stored as a decimal string (ingest journal)
+  bool as_string = false;     ///< stored as a decimal string (64-bit)
 };
 
 struct Case {
@@ -50,20 +47,6 @@ json::Value& member_at(json::Value& root, const std::string& path) {
   return *value;
 }
 
-/// Loads `line` as a one-line journal; accepted iff the line was kept, and
-/// a rejected line must be counted as dropped.
-template <typename Load>
-bool journal_accepts(const json::Value& line, Load load) {
-  const std::string path =
-      samples::line_file(json::serialize(line, /*pretty=*/false));
-  std::size_t dropped = 0;
-  const auto loaded = load(path, &dropped);
-  fs::remove(path);
-  const bool kept = loaded.has_value() && loaded->size() == 1;
-  EXPECT_EQ(dropped, kept ? 0u : 1u);
-  return kept;
-}
-
 std::vector<Case> cases() {
   const auto payload = [](const json::Value& value) {
     return json::serialize(value, /*pretty=*/false);
@@ -74,10 +57,11 @@ std::vector<Case> cases() {
        [](const json::Value& v) {
          return report::partial_from_json(v).has_value();
        },
-       {{"shard.index"}, {"shard.count"}, {"ingest.files_scanned"},
-        {"ingest.loaded"}, {"ingest.failed"}, {"ingest.retry_attempts"},
-        {"ingest.recovered"}, {"ingest.quarantined"},
-        {"ingest.journal_replayed"}, {"ingest.journal_dropped"},
+       {{"shard.index"}, {"shard.count"}, {"inputs.paths"},
+        {"inputs.digest", false, /*as_string=*/true},
+        {"ingest.files_scanned"}, {"ingest.loaded"}, {"ingest.failed"},
+        {"ingest.retry_attempts"}, {"ingest.recovered"},
+        {"ingest.quarantined"},
         {"preprocessing.input_traces"}, {"preprocessing.load_failed"},
         {"preprocessing.corrupted"}, {"preprocessing.valid"},
         {"preprocessing.corruption_breakdown.truncated"},
@@ -122,17 +106,6 @@ std::vector<Case> cases() {
                  },
                  {{"min_bytes"}, {"temporality_chunks"}, {"min_group_size"},
                   {"multiple_spike_count"}, {"frequency_max_bins"}}});
-  out.push_back(
-      {"ingest journal",
-       *json::parse(ingest::journal_line(samples::ingest_entry())),
-       [](const json::Value& v) {
-         return journal_accepts(v, [](const std::string& path,
-                                      std::size_t* dropped) {
-           return ingest::load_journal(path, dropped);
-         });
-       },
-       {{"bytes", false, /*as_string=*/true},
-        {"job", false, /*as_string=*/true}}});
   return out;
 }
 

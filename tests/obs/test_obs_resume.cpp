@@ -1,11 +1,13 @@
-// Funnel metrics vs the resume journal: the --metrics acceptance contract.
+// Funnel metrics vs a resumed `--shards N` run: the --metrics acceptance
+// contract.
 //
 // The per-ErrorCode eviction counters are bumped at the same sites as the
-// PreprocessStats breakdown maps, for live and journal-replayed outcomes
-// alike. Two consequences are pinned here: (1) the funnel subset of the
-// metrics dump is byte-identical between an uninterrupted run and a
-// crash+resume run over the same corpus, and (2) the labeled counters agree
-// exactly with the eviction breakdown the batch summary prints.
+// PreprocessStats breakdown maps, and a shard kept from an earlier run's
+// partial adds its funnel to the same series. Two consequences are pinned
+// here: (1) the funnel subset of the metrics dump is byte-identical between
+// an uninterrupted run and a killed-then-resumed one over the same corpus,
+// and (2) the labeled counters agree exactly with the eviction breakdown
+// the batch summary prints.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "parallel/thread_pool.hpp"
+#include "report/partial.hpp"
 
 namespace mosaic::obs {
 namespace {
@@ -112,41 +115,43 @@ class ObsResumeTest : public ::testing::Test {
 TEST_F(ObsResumeTest, FunnelMetricsByteStableAcrossResume) {
   const auto paths = seed_corpus();
   parallel::ThreadPool pool(2);
+  ingest::IngestOptions options;
+  options.max_retries = 0;
+  const std::string partials = path("partials");
+
+  // The same --shards 3 pass as `mosaic batch` runs it: each shard through
+  // run_shards, then the reduce.
+  const auto shards_pass = [&](bool resume) {
+    std::size_t kept = 0;
+    auto artifacts = report::run_shards(
+        paths, options, 3, partials, resume, pool,
+        [&](const report::ShardRun& run) { kept += run.kept ? 1 : 0; });
+    EXPECT_TRUE(artifacts.has_value());
+    if (artifacts.has_value()) {
+      EXPECT_TRUE(
+          report::reduce_partials(*artifacts, options, {}, pool).has_value());
+    }
+    return kept;
+  };
 
   // Uninterrupted reference run.
   Registry::global().reset();
-  ingest::IngestOptions options;
-  options.max_retries = 0;
-  {
-    const auto result = ingest::ingest_paths(paths, options, pool);
-    ASSERT_TRUE(result.has_value());
-  }
+  EXPECT_EQ(shards_pass(false), 0u);
   const std::string uninterrupted = funnel_metrics_text();
   ASSERT_FALSE(uninterrupted.empty());
 
-  // Crash after 3 files, journaling outcomes...
+  // A killed run leaves whole partials or none: shard 1's is gone. The
+  // resume in a "new process" (fresh registry) keeps shards 0 and 2 and
+  // adds their funnels to the series.
+  ASSERT_TRUE(fs::remove(partials + "/" + ingest::partial_filename(1)));
   Registry::global().reset();
-  options.journal_path = path("journal.jsonl");
-  options.abort_after_files = 3;
-  {
-    const auto result = ingest::ingest_paths(paths, options, pool);
-    ASSERT_TRUE(result.has_value());
-    ASSERT_TRUE(result->stats.aborted);
-  }
+  EXPECT_EQ(shards_pass(true), 2u);
+  EXPECT_EQ(uninterrupted, funnel_metrics_text());
 
-  // ...then resume in a "new process" (fresh registry), replaying the
-  // journal for the already-processed prefix.
+  // A resume that keeps every shard folds nothing and still counts it all.
   Registry::global().reset();
-  options.abort_after_files = 0;
-  options.resume = true;
-  {
-    const auto result = ingest::ingest_paths(paths, options, pool);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_GT(result->stats.journal_replayed, 0u);
-  }
-  const std::string resumed = funnel_metrics_text();
-
-  EXPECT_EQ(uninterrupted, resumed);
+  EXPECT_EQ(shards_pass(true), 3u);
+  EXPECT_EQ(uninterrupted, funnel_metrics_text());
 }
 
 TEST_F(ObsResumeTest, EvictionCountersMatchFunnelBreakdownExactly) {

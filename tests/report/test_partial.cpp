@@ -4,7 +4,9 @@
 // reproduces the single-shot batch JSON byte for byte, including when one
 // application's runs straddle shards and cross-shard dedup must re-choose
 // the winner, and when a winner changes between its shard's fold and the
-// reduce's re-read.
+// reduce's re-read. A resumed `--shards N` run keeps only the partials that
+// pass the keep rule (keep_partial), so a trace added since runs its shard
+// again.
 #include "report/partial.hpp"
 
 #include <gtest/gtest.h>
@@ -72,9 +74,7 @@ class PartialTest : public ::testing::Test {
                             const ingest::ShardSpec& spec,
                             ingest::IngestOptions options = {}) {
     options.shard = spec;
-    auto partial = report::run_shard(paths, options, pool_);
-    EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
-    return std::move(*partial);
+    return report::run_shard(paths, options, pool_);
   }
 
   /// The single-shot reference output the reduce must reproduce.
@@ -282,14 +282,15 @@ TEST_F(PartialTest, ReadPartialRejectsOtherSchemas) {
   EXPECT_EQ(loaded.error().code, util::ErrorCode::kParseError);
   EXPECT_FALSE(read_partial(path("missing.json")).has_value());
 
-  // A v1 artifact carried analyzed results, not a fold: it must be re-run.
+  // A v1 artifact carried analyzed results, not a fold, and a v2 one no
+  // inputs: either must be re-run.
   json::Value v1 = partial_to_json(PartialArtifact{});
   v1.as_object().set("schema", "mosaic-partial-v1");
   ASSERT_TRUE(
       util::write_file_atomic(path("v1.json"), json::serialize(v1)).ok());
   const auto old = read_partial(path("v1.json"));
   ASSERT_FALSE(old.has_value());
-  EXPECT_NE(old.error().message.find("mosaic-partial-v2"), std::string::npos)
+  EXPECT_NE(old.error().message.find(kPartialSchema), std::string::npos)
       << old.error().message;
 }
 
@@ -444,6 +445,90 @@ TEST_F(PartialTest, WinnerRewrittenAfterItsShardFoldedIsDemotedAsInSingleShot) {
                 .find("not-found")
                 ->as_number(),
             1.0);
+}
+
+TEST_F(PartialTest, KeepRuleKeepsOnlyTheSameShardOverTheSameInputs) {
+  const auto paths = seed_population(40, 7);
+  const ingest::ShardSpec spec{1, 3};
+  const PartialArtifact partial = run_shard(paths, spec);
+  const std::string file = path(ingest::partial_filename(1));
+  ASSERT_TRUE(write_partial(partial, file).ok());
+
+  std::vector<std::string> owned;
+  for (const std::string& p : paths) {
+    if (ingest::shard_owns(spec, p)) owned.push_back(p);
+  }
+  ASSERT_GT(owned.size(), 1U);
+  const ShardInputs inputs = shard_inputs(owned);
+  EXPECT_EQ(partial.inputs, inputs);
+  EXPECT_EQ(inputs.paths, owned.size());
+
+  const auto kept = keep_partial(file, spec, inputs);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(json::serialize(partial_to_json(*kept)),
+            json::serialize(partial_to_json(partial)));
+  // The digest does not depend on the order the paths come in.
+  std::vector<std::string> reversed(owned.rbegin(), owned.rend());
+  EXPECT_TRUE(keep_partial(file, spec, shard_inputs(reversed)).has_value());
+
+  // Another shard, another partition, another corpus: run it again.
+  EXPECT_FALSE(keep_partial(file, {0, 3}, inputs).has_value());
+  EXPECT_FALSE(keep_partial(file, {1, 4}, inputs).has_value());
+  std::vector<std::string> grown = owned;
+  grown.push_back(path("added.mbt"));
+  EXPECT_FALSE(keep_partial(file, spec, shard_inputs(grown)).has_value());
+  std::vector<std::string> renamed = owned;
+  renamed.back() += ".moved";
+  EXPECT_FALSE(keep_partial(file, spec, shard_inputs(renamed)).has_value());
+
+  // No file, or a torn one.
+  EXPECT_FALSE(keep_partial(path("absent.json"), spec, inputs).has_value());
+  fs::resize_file(file, fs::file_size(file) / 2);
+  EXPECT_FALSE(keep_partial(file, spec, inputs).has_value());
+}
+
+TEST_F(PartialTest, ResumeRerunsTheShardOfATraceAddedToTheCorpus) {
+  // A finished --shards 4 run, then a trace lands in the corpus. The
+  // resumed run must fold the shard that owns the new file again, or the
+  // summary silently misses it.
+  auto paths = seed_population(80, 31);
+  const std::string dir = path("partials");
+  ASSERT_TRUE(run_shards(paths, {}, 4, dir, false, pool_).has_value());
+
+  trace::Trace added;
+  added.meta.job_id = 777;
+  added.meta.app_name = "late";
+  added.meta.user = "u9";
+  added.meta.nprocs = 4;
+  added.meta.run_time = 100.0;
+  trace::FileRecord file;
+  file.file_id = 1;
+  file.bytes_written = 1 << 20;
+  file.writes = 4;
+  file.opens = 1;
+  file.closes = 1;
+  file.open_ts = 1.0;
+  file.close_ts = 90.0;
+  file.first_write_ts = 2.0;
+  file.last_write_ts = 80.0;
+  added.files.push_back(file);
+  paths.push_back(path("job_777.mbt"));
+  ASSERT_TRUE(darshan::write_mbt_file(added, paths.back()).ok());
+
+  std::vector<std::size_t> rerun;
+  auto artifacts = run_shards(paths, {}, 4, dir, true, pool_,
+                              [&](const ShardRun& run) {
+                                if (!run.kept) rerun.push_back(run.spec.index);
+                              });
+  ASSERT_TRUE(artifacts.has_value()) << artifacts.error().to_string();
+  EXPECT_EQ(rerun, std::vector<std::size_t>{
+                       ingest::shard_of(paths.back(), 4)});
+  auto merged = reduce_partials(*artifacts, {}, {}, pool_);
+  ASSERT_TRUE(merged.has_value()) << merged.error().to_string();
+  const std::string resumed =
+      json::serialize(batch_to_json(merged->batch, /*include_traces=*/true));
+  EXPECT_EQ(resumed, single_shot_json(paths));
+  EXPECT_NE(resumed.find("\"u9/late\""), std::string::npos);
 }
 
 }  // namespace

@@ -368,39 +368,31 @@ bool parse_retry_options(const util::CliParser& cli,
   return true;
 }
 
-/// Ingest group (batch, report, analyze): the retry group plus quarantine,
-/// the resume journal and the fault-injection seams.
-void add_ingest_options(util::CliParser& cli) {
+/// Per-file ingest group (analyze, and through add_ingest_options batch and
+/// report): the retry group plus the fault-injection seam.
+void add_load_options(util::CliParser& cli) {
   add_retry_options(cli);
-  cli.add_option("quarantine",
-                 "move poison files (parse/corrupt/timeout) to this dir", "");
-  cli.add_option("journal", "append per-file outcomes to this resume journal",
-                 "");
-  cli.add_flag("resume", "replay outcomes already in --journal");
   cli.add_option("fault-inject",
                  "inject deterministic I/O faults, e.g. "
                  "seed=7,eio=0.2,short=0.1,flip=0.1,delay=0.1,delay_ms=5", "");
-  cli.add_option("abort-after",
-                 "testing: simulate a crash after N ingested files", "0");
 }
 
-/// `faulty` keeps an injected reader alive for the options' lifetime.
-std::optional<ingest::IngestOptions> parse_ingest_options(
+/// Ingest group (batch, report): the per-file group plus quarantine, which
+/// only the batch fold applies.
+void add_ingest_options(util::CliParser& cli) {
+  add_load_options(cli);
+  cli.add_option("quarantine",
+                 "move poison files (parse/corrupt/timeout) to this dir", "");
+}
+
+/// Parses the per-file group; `faulty` keeps an injected reader alive for
+/// the options' lifetime. The quarantine directory is set by the callers
+/// that register it.
+std::optional<ingest::IngestOptions> parse_load_options(
     const util::CliParser& cli,
     std::unique_ptr<ingest::FaultyFileReader>& faulty) {
   ingest::IngestOptions options;
-  const auto abort_after = non_negative_int(cli, "abort-after");
-  if (!parse_retry_options(cli, options) || !abort_after) {
-    return std::nullopt;
-  }
-  options.abort_after_files = static_cast<std::size_t>(*abort_after);
-  options.quarantine_dir = std::string(cli.get("quarantine"));
-  options.journal_path = std::string(cli.get("journal"));
-  options.resume = cli.get_flag("resume");
-  if (options.resume && options.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal\n");
-    return std::nullopt;
-  }
+  if (!parse_retry_options(cli, options)) return std::nullopt;
   if (const auto spec_text = cli.get("fault-inject"); !spec_text.empty()) {
     const auto spec = ingest::FaultSpec::parse(spec_text);
     if (!spec.has_value()) {
@@ -410,6 +402,15 @@ std::optional<ingest::IngestOptions> parse_ingest_options(
     faulty = std::make_unique<ingest::FaultyFileReader>(*spec);
     options.reader = faulty.get();
   }
+  return options;
+}
+
+/// Parses the ingest group (see add_ingest_options).
+std::optional<ingest::IngestOptions> parse_ingest_options(
+    const util::CliParser& cli,
+    std::unique_ptr<ingest::FaultyFileReader>& faulty) {
+  auto options = parse_load_options(cli, faulty);
+  if (options) options->quarantine_dir = std::string(cli.get("quarantine"));
   return options;
 }
 
@@ -452,24 +453,14 @@ std::optional<EndpointOptions> parse_endpoint_options(
   return out;
 }
 
-/// Prints an ingest run's summary line; after a simulated crash also the
-/// resume hint, returning false (the caller exits 3).
-bool report_ingest(const std::string& prefix, const ingest::IngestStats& io,
-                   double seconds, const ingest::IngestOptions& options) {
+/// Prints an ingest run's summary line.
+void report_ingest(const std::string& prefix, const ingest::IngestStats& io,
+                   double seconds) {
   std::printf("%singested %zu files: %zu loaded, %zu evicted before validity "
-              "(%zu recovered after retry, %zu quarantined, %zu replayed "
-              "from journal) in %s\n",
+              "(%zu recovered after retry, %zu quarantined) in %s\n",
               prefix.c_str(), io.files_scanned, io.loaded, io.failed,
-              io.recovered, io.quarantined, io.journal_replayed,
+              io.recovered, io.quarantined,
               util::format_duration(seconds).c_str());
-  if (!io.aborted) return true;
-  std::fprintf(stderr,
-               "mosaic batch: %saborted after %zu files (simulated crash); "
-               "re-run with --journal %s --resume to continue\n",
-               prefix.c_str(), options.abort_after_files,
-               options.journal_path.empty() ? "<path>"
-                                            : options.journal_path.c_str());
-  return false;
 }
 
 /// Renders the per-reason eviction table fed by the ingest funnel.
@@ -563,7 +554,7 @@ int cmd_analyze(int argc, char** argv) {
   util::CliParser cli("mosaic analyze", "categorize traces one by one");
   cli.add_option("thresholds", "JSON thresholds config", "");
   cli.add_flag("json", "print the full JSON per trace");
-  add_ingest_options(cli);
+  add_load_options(cli);
   add_obs_options(cli);
   if (const auto exit_code = parse_command_line(cli, argc, argv)) {
     return *exit_code;
@@ -571,7 +562,7 @@ int cmd_analyze(int argc, char** argv) {
   const auto paths = input_traces(cli, "mosaic analyze");
   if (!paths) return 2;
   std::unique_ptr<ingest::FaultyFileReader> faulty;
-  const auto options = parse_ingest_options(cli, faulty);
+  const auto options = parse_load_options(cli, faulty);
   auto obs_options = parse_obs_options(cli);
   if (!options || !obs_options) return 2;
   ObsSession obs_session(std::move(*obs_options));
@@ -621,6 +612,9 @@ int cmd_batch(int argc, char** argv) {
   cli.add_option("partials",
                  "directory for partial artifacts (results.shard-K.json)",
                  "");
+  cli.add_flag("resume",
+               "with --shards: keep the partials in --partials that an "
+               "earlier run wrote over the same inputs, run the rest");
   add_ingest_options(cli);
   add_obs_options(cli);
   if (const auto exit_code = parse_command_line(cli, argc, argv)) {
@@ -654,6 +648,11 @@ int cmd_batch(int argc, char** argv) {
     std::fprintf(stderr, "--shard/--shards require --partials <dir>\n");
     return 2;
   }
+  const bool resume = cli.get_flag("resume");
+  if (resume && *shard_total == 0) {
+    std::fprintf(stderr, "--resume requires --shards N and --partials <dir>\n");
+    return 2;
+  }
   if (shard.has_value()) {
     // A shard run only folds its slice; the reduce analyzes.
     for (const auto& [option, reduce] :
@@ -675,7 +674,7 @@ int cmd_batch(int argc, char** argv) {
     }
   }
   ObsSession obs_session(*obs_options);
-  if (!partials_dir.empty()) {
+  if (shard.has_value()) {
     std::error_code ec;
     std::filesystem::create_directories(partials_dir, ec);
     if (ec) {
@@ -686,45 +685,42 @@ int cmd_batch(int argc, char** argv) {
   }
   parallel::ThreadPool pool(*thread_count);
 
-  // One shard through report::run_shard, with the resume journal
-  // suffixed per shard so shard runs never share one, written to its
-  // artifact in partials_dir. Returns an exit code; 0 appends the
-  // artifact's path to `artifacts`.
-  std::vector<std::string> artifacts;
-  const auto run_one_shard = [&](const ingest::ShardSpec& spec) {
-    ingest::IngestOptions shard_options = *options;
-    shard_options.shard = spec;
-    if (!shard_options.journal_path.empty()) {
-      shard_options.journal_path =
-          ingest::shard_suffix_path(options->journal_path, spec.index);
+  // Prints what happened to one shard: its fold, or the earlier artifact a
+  // resumed run kept.
+  const auto print_shard = [](const report::ShardRun& run) {
+    const std::string prefix = "shard " + std::to_string(run.spec.index) +
+                               "/" + std::to_string(run.spec.count) + ": ";
+    if (run.kept) {
+      std::printf("%skept %s (%zu application(s), %zu files) from an earlier "
+                  "run\n",
+                  prefix.c_str(), run.path.c_str(), run.apps,
+                  run.ingest.files_scanned);
+      return;
     }
+    report_ingest(prefix, run.ingest, run.seconds);
+    std::printf("partial artifact (%zu application(s)) written to %s\n",
+                run.apps, run.path.c_str());
+  };
+
+  if (shard.has_value()) {
     util::Stopwatch watch;
-    auto run = report::run_shard(*paths, shard_options, pool);
-    if (!run.has_value()) {
-      std::fprintf(stderr, "%s\n", run.error().to_string().c_str());
-      return 2;
-    }
-    const std::string prefix = "shard " + std::to_string(spec.index) + "/" +
-                               std::to_string(spec.count) + ": ";
-    if (!report_ingest(prefix, run->ingest, watch.elapsed_seconds(),
-                       shard_options)) {
-      return 3;
-    }
-    const std::string out_path =
-        partials_dir + "/" + ingest::partial_filename(spec.index);
-    if (const auto status = report::write_partial(*run, out_path);
+    ingest::IngestOptions shard_options = *options;
+    shard_options.shard = *shard;
+    const report::PartialArtifact partial =
+        report::run_shard(*paths, shard_options, pool);
+    report::ShardRun run{*shard,
+                         partials_dir + "/" +
+                             ingest::partial_filename(shard->index),
+                         false,
+                         partial.ingest,
+                         partial.fold.apps.size(),
+                         watch.elapsed_seconds()};
+    if (const auto status = report::write_partial(partial, run.path);
         !status.ok()) {
       std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
       return 1;
     }
-    std::printf("partial artifact (%zu application(s)) written to %s\n",
-                run->fold.apps.size(), out_path.c_str());
-    artifacts.push_back(out_path);
-    return 0;
-  };
-
-  if (shard.has_value()) {
-    if (const int rc = run_one_shard(*shard); rc != 0) return rc;
+    print_shard(run);
     if (!obs_session.finish()) return 1;
     return 0;
   }
@@ -735,13 +731,14 @@ int cmd_batch(int argc, char** argv) {
     // so serialization fidelity is exercised on every run, not just in
     // tests; the reduce then reads them back one at a time.
     const auto count = static_cast<std::size_t>(*shard_total);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (const int rc = run_one_shard(ingest::ShardSpec{k, count}); rc != 0) {
-        return rc;
-      }
+    auto artifacts = report::run_shards(*paths, *options, count, partials_dir,
+                                        resume, pool, print_shard);
+    if (!artifacts.has_value()) {
+      std::fprintf(stderr, "%s\n", artifacts.error().to_string().c_str());
+      return 1;
     }
     auto merged =
-        report::reduce_partials(artifacts, *options, thresholds, pool);
+        report::reduce_partials(*artifacts, *options, thresholds, pool);
     if (!merged.has_value()) {
       std::fprintf(stderr, "%s\n", merged.error().to_string().c_str());
       return 1;
@@ -761,10 +758,7 @@ int cmd_batch(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
     return 2;
   }
-  if (!report_ingest("", ingested->stats, watch.elapsed_seconds(),
-                     *options)) {
-    return 3;
-  }
+  report_ingest("", ingested->stats, watch.elapsed_seconds());
 
   watch.reset();
   const core::BatchResult batch =
@@ -802,10 +796,9 @@ int cmd_merge(int argc, char** argv) {
   if (!merged.has_value()) return exit_code;
   const ingest::IngestStats& io = merged->ingest;
   std::printf("merged %zu partial(s): %zu files scanned, %zu loaded, %zu "
-              "evicted before validity (%zu recovered, %zu quarantined, %zu "
-              "replayed from journal)\n\n",
+              "evicted before validity (%zu recovered, %zu quarantined)\n\n",
               artifact_count, io.files_scanned, io.loaded, io.failed,
-              io.recovered, io.quarantined, io.journal_replayed);
+              io.recovered, io.quarantined);
   if (!print_batch_summary(merged->batch, cli)) return 1;
   return 0;
 }
@@ -1231,12 +1224,6 @@ int cmd_report(int argc, char** argv) {
     if (!ingested.has_value()) {
       std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
       return 2;
-    }
-    if (ingested->stats.aborted) {
-      std::fprintf(stderr, "mosaic report: aborted after %zu files "
-                           "(simulated crash)\n",
-                   options->abort_after_files);
-      return 3;
     }
     loaded = ingested->stats.loaded;
     batch = core::analyze_preprocessed(std::move(ingested->pre), thresholds,
